@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError, RangeError
+from .operators import MOLLIFIER_KINDS
+from .solvers import SCHEMES
 
 EXPERIMENTS = ("run", "verify", "unify", "convergence", "blocks")
-SCHEMES = ("weak-galerkin", "mild-duhamel", "strong-imex")
-MOLLIFIER_KINDS = ("gaussian", "bump")
 INIT_KINDS = ("taylor-green", "shear", "random")
 
 DEFAULT_EPS_LIST = (0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625)

@@ -6,10 +6,15 @@ Residual conventions
 weak    : space-time integral against divergence-free test functions built
           from a cubic B-spline time bump and the twelve lowest solenoidal
           Fourier modes, plus the initial-datum term.
-mild    : defect of the Duhamel integral identity at the final time, with
-          a semigroup-stable trapezoidal recurrence for the integral.
+mild    : defect of the Duhamel integral identity at each snapshot time,
+          with a semigroup-stable trapezoidal recurrence for the integral.
 strong  : pointwise momentum-equation residual at interior snapshot times,
           with centered differences in time.
+
+The mild and strong defects come from one streaming pass over the
+snapshots that evaluates P[(u.grad)u] once per snapshot: `mild_residual`
+reads its final entry, `strong_residual` its interior maximum, and
+`records_for_trajectory` both per-snapshot lists.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .errors import (
     TooFewSnapshots,
 )
 from .operators import MollifierSpec, WeightPartition, blend, regularize, smooth
-from .solvers import SolverParams, Trajectory
+from .solvers import SolverParams, Trajectory, _forcing_term
 from .spectral import (
     GridSpec,
     PhysicalField,
@@ -40,11 +45,11 @@ from .spectral import (
     divergence_defect,
     forward_transform,
     inner_product,
-    inverse_transform,
     l2_norm,
     leray_project,
     sobolev_norm,
 )
+from .spectral import vorticity_max as bkm_monitor
 
 
 @dataclass(frozen=True)
@@ -87,12 +92,6 @@ def enstrophy(u: SpectralField) -> float:
     """||grad u||_L2^2 = sum_k |k|^2 |uhat(k)|^2."""
     mag2 = (np.abs(u.coeffs) ** 2).sum(axis=0)
     return float(np.sum(u.grid.k_squared * mag2))
-
-
-def bkm_monitor(u: SpectralField) -> float:
-    """Lattice maximum of |curl u|."""
-    w = inverse_transform(curl(u), check=False).samples
-    return float(np.sqrt((w**2).sum(axis=0)).max())
 
 
 # ----------------------------------------------------------------------
@@ -287,35 +286,54 @@ def weak_form_residual(
 
 
 # ----------------------------------------------------------------------
-# mild (Duhamel) residual
+# mild (Duhamel) and strong residuals: one pass over the snapshots
 
-def _duhamel_defects(traj: Trajectory, p: SolverParams, s: float) -> list[float]:
-    """Normalized Duhamel-identity defect at every snapshot time.
+def _residual_defects(
+    traj: Trajectory, p: SolverParams, s: float = 1.0
+) -> tuple[list[float], list[float]]:
+    """Mild and strong defects at every snapshot, one P[(u.grad)u] per snapshot.
 
-    Uses the recurrence I_m = e^{nu dt lap}(I_{m-1} + dt/2 N_{m-1}) + dt/2 N_m,
-    which reproduces the trapezoidal rule with only decaying propagator
-    factors.
+    mild: normalized Duhamel-identity defect in H^s, from the recurrence
+    I_m = e^{nu dt lap}(I_{m-1} + dt/2 N_{m-1}) + dt/2 N_m, which reproduces
+    the trapezoidal rule with only decaying propagator factors.
+    strong: L2 norm of dt u + P[(u.grad)u] - nu lap u - P f with centered
+    differences, 0.0 at the endpoints where no stencil exists.
+    The pass streams: it holds two tendencies, never one per snapshot.
     """
     snaps = traj.snapshots
+    if len(snaps) < 2:
+        return [0.0] * len(snaps), [0.0] * len(snaps)
     grid = traj.grid
     k2 = grid.k_squared
     u0 = snaps[0]
     norm0 = sobolev_norm(u0, s)
     scale = norm0 if norm0 > 0.0 else 1.0
-
-    forcing = None
-    if p.forcing is not None:
-        f = p.forcing if p.forcing.solenoidal else leray_project(p.forcing)
-        forcing = f.coeffs
+    forcing = _forcing_term(p)
 
     def proj_nl(u: SpectralField) -> np.ndarray:
         return leray_project(u.with_coeffs(_advect_arrays(u.coeffs, u.coeffs, grid)[0])).coeffs
 
-    defects = [0.0]
+    def strong_defect(m: int, nl: np.ndarray) -> float:
+        # a function scope frees dudt and res before the next kernel call
+        u = snaps[m]
+        dt_left = u.time - snaps[m - 1].time
+        dt_right = snaps[m + 1].time - u.time
+        dudt = (snaps[m + 1].coeffs - snaps[m - 1].coeffs) / (dt_left + dt_right)
+        res = dudt + nl + p.nu * k2 * u.coeffs
+        if forcing is not None:
+            res = res - forcing
+        return l2_norm(u.with_coeffs(res))
+
+    mild = [0.0]
+    strong = [0.0] * len(snaps)
     integral = np.zeros_like(u0.coeffs)
     propagated = u0.coeffs.copy()
     n_prev = proj_nl(u0)
     for m in range(1, len(snaps)):
+        if m >= 2:
+            # snapshot m-1 is interior now that its right neighbour is known;
+            # evaluated before n_curr exists, so the two peaks do not stack
+            strong[m - 1] = strong_defect(m - 1, n_prev)
         dt = snaps[m].time - snaps[m - 1].time
         decay = np.exp(-p.nu * dt * k2)
         n_curr = proj_nl(snaps[m])
@@ -331,9 +349,9 @@ def _duhamel_defects(traj: Trajectory, p: SolverParams, s: float) -> list[float]
             phi = np.where(denom > 0.0, -np.expm1(z) / safe, t)
             expected = expected + phi * forcing
         diff = snaps[m].with_coeffs(snaps[m].coeffs - expected)
-        defects.append(sobolev_norm(diff, s) / scale)
+        mild.append(sobolev_norm(diff, s) / scale)
         n_prev = n_curr
-    return defects
+    return mild, strong
 
 
 def mild_residual(traj: Trajectory, p: SolverParams, s: float = 1.0) -> float:
@@ -343,35 +361,14 @@ def mild_residual(traj: Trajectory, p: SolverParams, s: float = 1.0) -> float:
     """
     if len(traj.snapshots) < 2:
         return 0.0
-    return _duhamel_defects(traj, p, s)[-1]
+    return _residual_defects(traj, p, s)[0][-1]
 
-
-# ----------------------------------------------------------------------
-# strong residual
 
 def strong_residual(traj: Trajectory, p: SolverParams) -> float:
     """Max over interior snapshots of ||dt u + P[(u.grad)u] - nu lap u - P f||_L2."""
-    snaps = traj.snapshots
-    if len(snaps) < 3:
+    if len(traj.snapshots) < 3:
         raise TooFewSnapshots("strong residual needs at least three snapshots")
-    grid = traj.grid
-    k2 = grid.k_squared
-    forcing = None
-    if p.forcing is not None:
-        f = p.forcing if p.forcing.solenoidal else leray_project(p.forcing)
-        forcing = f.coeffs
-    worst = 0.0
-    for m in range(1, len(snaps) - 1):
-        dt_left = snaps[m].time - snaps[m - 1].time
-        dt_right = snaps[m + 1].time - snaps[m].time
-        dudt = (snaps[m + 1].coeffs - snaps[m - 1].coeffs) / (dt_left + dt_right)
-        u = snaps[m]
-        nl = leray_project(u.with_coeffs(_advect_arrays(u.coeffs, u.coeffs, grid)[0])).coeffs
-        res = dudt + nl + p.nu * k2 * u.coeffs
-        if forcing is not None:
-            res = res - forcing
-        worst = max(worst, l2_norm(u.with_coeffs(res)))
-    return worst
+    return max(_residual_defects(traj, p)[1])
 
 
 def vorticity_residual(traj: Trajectory, p: SolverParams) -> float:
@@ -411,26 +408,12 @@ def records_for_trajectory(
     traj: Trajectory, p: SolverParams, s_list: Sequence[float] = (1.0, 2.0, 3.0)
 ) -> list[DiagnosticsRecord]:
     snaps = traj.snapshots
-    mild = _duhamel_defects(traj, p, 1.0) if len(snaps) >= 2 else [0.0] * len(snaps)
+    mild, strong = _residual_defects(traj, p)
     energy_defects = (
         energy_identity_residual(traj, p) if len(snaps) >= 2 else np.zeros(0)
     )
-    grid = traj.grid
-    k2 = grid.k_squared
     records = []
     for m, s in enumerate(snaps):
-        if 0 < m < len(snaps) - 1:
-            dt_left = s.time - snaps[m - 1].time
-            dt_right = snaps[m + 1].time - s.time
-            dudt = (snaps[m + 1].coeffs - snaps[m - 1].coeffs) / (dt_left + dt_right)
-            nl = leray_project(s.with_coeffs(_advect_arrays(s.coeffs, s.coeffs, grid)[0])).coeffs
-            res = dudt + nl + p.nu * k2 * s.coeffs
-            if p.forcing is not None:
-                f = p.forcing if p.forcing.solenoidal else leray_project(p.forcing)
-                res = res - f.coeffs
-            res_strong = l2_norm(s.with_coeffs(res))
-        else:
-            res_strong = 0.0
         rec = DiagnosticsRecord(
             t=s.time,
             energy=kinetic_energy(s),
@@ -439,7 +422,7 @@ def records_for_trajectory(
             div_defect=divergence_defect(s),
             res_weak=float(energy_defects[m - 1]) if m > 0 and len(energy_defects) else 0.0,
             res_mild=float(mild[m]),
-            res_strong=float(res_strong),
+            res_strong=float(strong[m]),
             hs_norms={float(sv): sobolev_norm(s, float(sv)) for sv in s_list},
         )
         rec.validate()
@@ -470,7 +453,6 @@ def unified_reconstruction(
     strong_traj: Trajectory,
     w: WeightPartition,
     spec: MollifierSpec,
-    variant: str = "weighted",
 ) -> Trajectory:
     """Per snapshot: regularize each scheme's field, blend the three bands,
     then apply the low-pass smoothing; returns the blended trajectory."""
@@ -488,7 +470,7 @@ def unified_reconstruction(
     out = []
     for sw, sm, ss in zip(*[t.snapshots for t in trajs]):
         rw, rm, rs = (regularize(f, spec) for f in (sw, sm, ss))
-        merged = blend(rw, rm, rs, w, spec, variant=variant)
+        merged = blend(rw, rm, rs, w, spec)
         merged = smooth(merged, spec)
         out.append(replace(merged, time=sm.time))
     return Trajectory(weak_traj.params, out, scheme="unified")

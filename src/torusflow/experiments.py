@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,15 +85,6 @@ class Check:
             "bound": float(self.bound),
             "pass": self.passed,
         }
-
-
-def thread_budget() -> int:
-    """Parallelism cap from SYNERGY_THREADS (default 1)."""
-    raw = os.environ.get("SYNERGY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _initial_field(cfg: ExperimentConfig, grid: GridSpec) -> SpectralField:
@@ -594,19 +583,10 @@ def verify_checks(cfg: ExperimentConfig) -> list[Check]:
 
     add("reconstruction_parseval", c_reconstruction_parseval)
 
-    # evaluate, possibly in parallel (results kept in submission order)
-    budget = thread_budget()
     results: list[Check] = []
-    if budget > 1:
-        with ThreadPoolExecutor(max_workers=budget) as pool:
-            futures = [(name, pool.submit(fn)) for name, fn in checks]
-            for name, fut in futures:
-                value, bound = fut.result()
-                results.append(Check(name, float(value), float(bound)))
-    else:
-        for name, fn in checks:
-            value, bound = fn()
-            results.append(Check(name, float(value), float(bound)))
+    for name, fn in checks:
+        value, bound = fn()
+        results.append(Check(name, float(value), float(bound)))
     return results
 
 
@@ -670,7 +650,6 @@ def experiment_unify(cfg: ExperimentConfig, out: Path) -> int:
     u0 = _initial_field(cfg, grid)
     r1, r2 = cfg.weight_edges()
     weights = WeightPartition(r1, r2)
-    lam = cfg.galerkin_modes if cfg.galerkin_modes is not None else None
     trajs = {
         "weak": run(u0, _solver_params(cfg, "weak-galerkin"), cadence=cfg.cadence),
         "mild": run(u0, _solver_params(cfg, "mild-duhamel"), cadence=cfg.cadence),

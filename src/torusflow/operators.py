@@ -94,14 +94,12 @@ def symbol_on_grid(spec: MollifierSpec, grid: GridSpec) -> np.ndarray:
     return _profile(spec, spec.eps * grid.k_magnitude)
 
 
-def smooth(f: SpectralField, spec: MollifierSpec, project: bool = False) -> SpectralField:
+def smooth(f: SpectralField, spec: MollifierSpec) -> SpectralField:
     """Multiply coefficients by the mollifier symbol (a contraction on every H^s).
 
-    The scalar multiplier preserves solenoidality; `project` additionally
-    applies the Leray projection for callers that want it fused here.
+    The scalar multiplier preserves solenoidality.
     """
-    out = f.with_coeffs(f.coeffs * symbol_on_grid(spec, f.grid))
-    return leray_project(out) if project else out
+    return f.with_coeffs(f.coeffs * symbol_on_grid(spec, f.grid))
 
 
 def regularize(f: SpectralField, spec: MollifierSpec) -> SpectralField:
@@ -119,17 +117,15 @@ class WeightPartition:
     The low weight is 1 up to r1*(1-delta) and 0 from r1 on; the high
     weight is 0 up to r2 and 1 from r2*(1+delta) on; the mid weight is
     defined as 1 minus the other two, so the triple sums to 1 exactly.
+    Both ramps are raised-cosine with delta = RAMP_HALF_WIDTH.
     """
 
     r1: float
     r2: float
-    ramp: str = "raised-cosine"
 
     def __post_init__(self):
         if not 0.0 < self.r1 < self.r2:
             raise ValueError("need r2 > r1 > 0")
-        if self.ramp != "raised-cosine":
-            raise ValueError("only the raised-cosine ramp is implemented")
 
 
 def default_weights(grid: GridSpec) -> WeightPartition:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .solvers import SolverParams, Trajectory
+from .solvers import SCHEMES, SolverParams, Trajectory
 from .spectral import GridSpec, SpectralField
 
 MAGIC = b"SNS1"
@@ -87,6 +87,9 @@ def read_trajectory(directory: str | Path) -> Trajectory:
             continue
         key, _, value = line.partition("=")
         entries[key.strip()] = value.strip()
+    scheme = entries["scheme"]
+    if scheme not in SCHEMES and scheme != "unified":
+        raise ValueError(f"{directory / 'manifest.txt'}: unknown scheme {scheme!r}")
     names = [s for s in entries["snapshots"].split(",") if s]
     snaps = []
     nu = float(entries["nu"])
@@ -98,7 +101,8 @@ def read_trajectory(directory: str | Path) -> Trajectory:
         nu=nu,
         dt=float(entries["dt"]),
         t_end=t_end,
-        scheme=entries["scheme"] if entries["scheme"] in ("weak-galerkin", "mild-duhamel", "strong-imex") else "strong-imex",
+        # blended trajectories carry no scheme of their own
+        scheme=scheme if scheme in SCHEMES else "strong-imex",
         seed=int(entries["seed"]),
     )
-    return Trajectory(params, snaps, scheme=entries["scheme"])
+    return Trajectory(params, snaps, scheme=scheme)

@@ -27,11 +27,10 @@ from .spectral import (
     _advect_arrays,
     _require_solenoidal,
     advect,
-    curl,
     forward_transform,
-    inverse_transform,
     leray_project,
     sobolev_norm,
+    vorticity_max,
     zero_mean,
 )
 
@@ -147,13 +146,20 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _forcing_term(p: SolverParams) -> np.ndarray | None:
+    """Coefficients of the projected forcing P f, or None when unforced."""
+    if p.forcing is None:
+        return None
+    return (p.forcing if p.forcing.solenoidal else leray_project(p.forcing)).coeffs
+
+
 def _rhs(u: SpectralField, p: SolverParams):
     """Projected tendency -P[(u.grad)u] + P f and the lattice max |u|."""
     adv, umax = _advect_arrays(u.coeffs, u.coeffs, u.grid)
     rhs = -leray_project(u.with_coeffs(adv)).coeffs
-    if p.forcing is not None:
-        fterm = p.forcing if p.forcing.solenoidal else leray_project(p.forcing)
-        rhs = rhs + fterm.coeffs
+    forcing = _forcing_term(p)
+    if forcing is not None:
+        rhs = rhs + forcing
     return rhs, umax
 
 
@@ -254,11 +260,7 @@ def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
                 )
             if recorded:
                 # vorticity maximum needs physical samples; check at snapshot cadence
-                wmax = float(
-                    np.sqrt(
-                        (inverse_transform(curl(u), check=False).samples ** 2).sum(axis=0)
-                    ).max()
-                )
+                wmax = vorticity_max(u)
                 if wmax > BLOWUP_BKM_LIMIT:
                     raise BlowUpDetected(
                         f"vorticity maximum {wmax:.3e} exceeds guard at t = {u.time:g}",

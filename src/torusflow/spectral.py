@@ -277,6 +277,12 @@ def curl(f: SpectralField) -> SpectralField:
     return f.with_coeffs(out, solenoidal=True, zero_mean=True)
 
 
+def vorticity_max(u: SpectralField) -> float:
+    """Lattice maximum of |curl u| (the Beale-Kato-Majda monitor)."""
+    w = inverse_transform(curl(u), check=False).samples
+    return float(np.sqrt((w**2).sum(axis=0)).max())
+
+
 def dealias(f: SpectralField) -> SpectralField:
     """Zero all modes with any |k_axis| beyond the grid's retained fraction."""
     return f.with_coeffs(f.coeffs * f.grid.dealias_mask)

@@ -77,16 +77,6 @@ def test_verify_determinism_byte_identical(tmp_path):
     assert (a / "verify_summary.json").read_bytes() == (b / "verify_summary.json").read_bytes()
 
 
-def test_verify_thread_cap_does_not_change_output(tmp_path, monkeypatch):
-    serial, threaded = tmp_path / "serial", tmp_path / "threaded"
-    assert main(["verify", "--n", "8", "--out", str(serial)]) == 0
-    monkeypatch.setenv("SYNERGY_THREADS", "4")
-    assert main(["verify", "--n", "8", "--out", str(threaded)]) == 0
-    assert (serial / "verify_summary.json").read_bytes() == (
-        threaded / "verify_summary.json"
-    ).read_bytes()
-
-
 def test_run_emits_plot_script(tmp_path):
     out = tmp_path / "plots"
     assert main(["run", "--n", "8", "--t-end", "0.02", "--dt", "1e-2", "--out", str(out)]) == 0

@@ -32,6 +32,7 @@ from torusflow import (
     weak_form_residual,
     weak_test_battery,
 )
+from torusflow import diagnostics
 from torusflow.diagnostics import CSV_HEADER
 from torusflow.errors import (
     DegenerateSequence,
@@ -375,10 +376,37 @@ def smooth_target(grid):
     return SpectralField(grid, c)
 
 
-def test_records_and_csv(shear_traj_fine):
-    traj, p = shear_traj_fine
-    short = Trajectory(p, traj.snapshots[:5])
+def _forced_steady_shear():
+    # the manufactured steady state: f = nu * u balances viscosity on the shear
+    nu = 1.0
+    sh = shear_init(GridSpec(8))
+    forcing = sh.with_coeffs(nu * sh.coeffs)
+    p = SolverParams(nu=nu, dt=1e-2, t_end=0.04, scheme="mild-duhamel", forcing=forcing)
+    snaps = [sh.with_coeffs(sh.coeffs, time=t) for t in (0.0, 0.01, 0.02, 0.03, 0.04)]
+    return Trajectory(p, snaps), p
+
+
+@pytest.mark.parametrize("case", ["unforced", "forced"])
+def test_records_and_csv(case, shear_traj_fine, monkeypatch):
+    if case == "unforced":
+        traj, p = shear_traj_fine
+        short = Trajectory(p, traj.snapshots[:5])
+    else:
+        short, p = _forced_steady_shear()
+    # one projected advection per snapshot serves both the mild and strong defects
+    calls = []
+    advect_arrays = diagnostics._advect_arrays
+
+    def counting(*args):
+        calls.append(1)
+        return advect_arrays(*args)
+
+    monkeypatch.setattr(diagnostics, "_advect_arrays", counting)
     records = records_for_trajectory(short, p)
+    assert len(calls) == len(short.snapshots) == 5
+    monkeypatch.undo()
+    assert records[-1].res_mild == mild_residual(short, p)
+    assert max(r.res_strong for r in records) == strong_residual(short, p)
     text = diagnostics_csv(records)
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER

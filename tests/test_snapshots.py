@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from torusflow import (
+    MollifierSpec,
     SolverParams,
+    default_weights,
     random_solenoidal_init,
     run,
     shear_init,
+    unified_reconstruction,
 )
 from torusflow.snapshots import (
     read_snapshot,
@@ -80,3 +83,28 @@ def test_trajectory_write_is_deterministic(tmp_path, grid8):
     write_trajectory(tmp_path / "b", traj)
     for name in ("manifest.txt", "snap_000000.sns1", "snap_000003.sns1"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_trajectory_rejects_unknown_scheme(tmp_path, grid8):
+    p = SolverParams(nu=0.5, dt=1e-2, t_end=0.02)
+    write_trajectory(tmp_path / "traj", run(shear_init(grid8), p))
+    manifest = tmp_path / "traj" / "manifest.txt"
+    text = manifest.read_text().replace("scheme=strong-imex", "scheme=bogus-scheme")
+    manifest.write_text(text)
+    with pytest.raises(ValueError, match="manifest.txt.*'bogus-scheme'"):
+        read_trajectory(tmp_path / "traj")
+
+
+def test_unified_trajectory_roundtrip(tmp_path, grid8):
+    p = SolverParams(nu=0.5, dt=1e-2, t_end=0.02)
+    traj = run(shear_init(grid8), p)
+    merged = unified_reconstruction(
+        traj, traj, traj, default_weights(grid8), MollifierSpec(0.25)
+    )
+    write_trajectory(tmp_path / "traj", merged)
+    back = read_trajectory(tmp_path / "traj")
+    assert back.scheme == "unified"
+    assert len(back.snapshots) == len(merged.snapshots)
+    for a, b in zip(merged.snapshots, back.snapshots):
+        assert np.array_equal(a.coeffs, b.coeffs)
+        assert a.time == b.time
