@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, parse_config
+from .config import ExperimentConfig, parse_config, validate
 from .errors import ParseError, RangeError, TorusflowError
 from .experiments import EXIT_CONFIG_ERROR, run_experiment
 
@@ -47,30 +47,12 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg.experiment = args.experiment
     else:
         cfg = ExperimentConfig(experiment=args.experiment)
-    if args.n is not None:
-        if args.n < 4 or args.n % 2 != 0:
-            raise RangeError("n must be even >= 4")
-        cfg.n = args.n
-    if args.nu is not None:
-        if args.nu < 0:
-            raise RangeError("nu must be nonnegative")
-        cfg.nu = args.nu
-    if args.dt is not None:
-        if args.dt <= 0:
-            raise RangeError("dt must be positive")
-        cfg.dt = args.dt
-    if args.t_end is not None:
-        if args.t_end < 0:
-            raise RangeError("t_end must be nonnegative")
-        cfg.t_end = args.t_end
+    for key in ("n", "nu", "dt", "t_end", "seed", "out"):
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     if args.eps is not None:
-        if args.eps <= 0:
-            raise RangeError("eps must be positive")
         cfg.eps_list = (args.eps,)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
+    validate(cfg)
     return cfg
 
 
@@ -79,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-    except (ParseError, RangeError, OSError) as exc:
+    except (ParseError, RangeError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:

@@ -1,17 +1,19 @@
 """Line-oriented `key = value` experiment configuration.
 
 Comments start with `#`.  Unknown keys are rejected with their line number;
-duplicate keys report both lines.  Values are validated against documented
-ranges at parse time.
+duplicate keys report both lines.  `validate` holds every range and
+cross-key rule; `parse_config` runs it on the parsed file, and the CLI runs
+it again after applying its flags.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ParseError, RangeError
 from .operators import MOLLIFIER_KINDS
-from .solvers import SCHEMES
+from .solvers import SCHEMES, step_count
 
 EXPERIMENTS = ("run", "verify", "unify", "convergence", "blocks")
 INIT_KINDS = ("taylor-green", "shear", "random")
@@ -28,10 +30,8 @@ class ExperimentConfig:
     t_end: float = 0.1
     scheme: str = "strong-imex"
     galerkin_modes: float | None = None
-    forcing: str = "none"
     seed: int = 0
     init: str = "taylor-green"
-    s_list: tuple[float, ...] = (1.0, 2.0, 3.0)
     eps_list: tuple[float, ...] = DEFAULT_EPS_LIST
     r1: float | None = None  # defaults to n/8 when unset
     r2: float | None = None  # defaults to 3n/8 when unset
@@ -43,6 +43,10 @@ class ExperimentConfig:
         r1 = self.r1 if self.r1 is not None else self.n / 8.0
         r2 = self.r2 if self.r2 is not None else 3.0 * self.n / 8.0
         return r1, r2
+
+
+def _parse_str(value: str, key: str, line: int) -> str:
+    return value
 
 
 def _parse_float(value: str, key: str, line: int) -> float:
@@ -66,16 +70,91 @@ def _parse_float_list(value: str, key: str, line: int) -> tuple[float, ...]:
     return tuple(_parse_float(v, key, line) for v in items)
 
 
-_KNOWN_KEYS = {
-    "experiment", "n", "nu", "dt", "t_end", "scheme", "galerkin_modes", "forcing",
-    "seed", "init", "s_list", "eps_list", "r1", "r2", "mollifier", "out", "cadence",
+def _parse_galerkin_modes(value: str, key: str, line: int) -> float | None:
+    return None if value == "full" else _parse_float(value, key, line)
+
+
+# one type converter per key; the ranges live in `validate`
+_PARSERS = {
+    "experiment": _parse_str,
+    "n": _parse_int,
+    "nu": _parse_float,
+    "dt": _parse_float,
+    "t_end": _parse_float,
+    "scheme": _parse_str,
+    "galerkin_modes": _parse_galerkin_modes,
+    "seed": _parse_int,
+    "init": _parse_str,
+    "eps_list": _parse_float_list,
+    "r1": _parse_float,
+    "r2": _parse_float,
+    "mollifier": _parse_str,
+    "out": _parse_str,
+    "cadence": _parse_int,
 }
+_KNOWN_KEYS = frozenset(_PARSERS)
+
+
+def validate(cfg: ExperimentConfig, lines: dict[str, int] | None = None) -> None:
+    """Check every documented range and cross-key rule of a final config.
+
+    Raises RangeError; `lines` maps the keys read from a file to their line
+    numbers so the error can name it.  Non-finite numbers are rejected
+    first, so no comparison below ever sees NaN.
+    """
+    lines = lines or {}
+
+    def require(ok: bool, key: str, message: str) -> None:
+        if not ok:
+            raise RangeError(message, lines.get(key, 0))
+
+    for key in ("nu", "dt", "t_end", "galerkin_modes", "r1", "r2", "eps_list"):
+        value = getattr(cfg, key)
+        values = value if isinstance(value, tuple) else (value,)
+        require(all(v is None or math.isfinite(v) for v in values), key, f"{key} must be finite")
+    require(cfg.experiment in EXPERIMENTS, "experiment", f"experiment must be one of {EXPERIMENTS}")
+    require(cfg.n >= 4 and cfg.n % 2 == 0, "n", "n must be even >= 4")
+    # the verify battery's mode placements and cascade checks need |k| up to 3
+    require(cfg.experiment != "verify" or cfg.n >= 8, "n", "verify needs n >= 8")
+    require(cfg.nu >= 0.0, "nu", "nu must be nonnegative")
+    require(cfg.dt > 0.0, "dt", "dt must be positive")
+    require(cfg.t_end >= 0.0, "t_end", "t_end must be nonnegative")
+    require(cfg.scheme in SCHEMES, "scheme", f"scheme must be one of {SCHEMES}")
+    require(
+        cfg.galerkin_modes is None or cfg.galerkin_modes >= 1.0,
+        "galerkin_modes",
+        "galerkin_modes must be >= 1 (or 'full')",
+    )
+    require(cfg.seed >= 0, "seed", "seed must be >= 0")
+    require(cfg.init in INIT_KINDS, "init", f"init must be one of {INIT_KINDS}")
+    eps = cfg.eps_list
+    require(len(eps) > 0 and min(eps) > 0.0, "eps_list", "eps_list entries must be positive")
+    require(
+        all(b < a for a, b in zip(eps, eps[1:])),
+        "eps_list",
+        "eps_list must be strictly decreasing",
+    )
+    require(cfg.r1 is None or cfg.r1 > 0.0, "r1", "r1 must be positive")
+    r1, r2 = cfg.weight_edges()
+    require(r2 > r1, "r2" if "r2" in lines else "r1", f"need r2 > r1 (got {r1:g} and {r2:g})")
+    require(
+        cfg.mollifier in MOLLIFIER_KINDS,
+        "mollifier",
+        f"mollifier must be one of {MOLLIFIER_KINDS}",
+    )
+    require(cfg.cadence >= 1, "cadence", "cadence must be >= 1")
+    if cfg.experiment in ("run", "unify"):
+        try:
+            step_count(cfg.t_end, cfg.dt)
+        except ValueError as exc:
+            line = lines.get("t_end", lines.get("dt", 0))
+            raise RangeError(f"{exc} (t_end = {cfg.t_end:g}, dt = {cfg.dt:g})", line) from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and range-check a configuration; raises ParseError / RangeError."""
+    """Parse and validate a configuration; raises ParseError / RangeError."""
     seen: dict[str, int] = {}
-    values: dict[str, tuple[str, int]] = {}
+    values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -97,92 +176,13 @@ def parse_config(text: str) -> ExperimentConfig:
         if not value:
             raise ParseError(f"missing value for {key!r}", lineno, col=col + 1)
         seen[key] = lineno
-        values[key] = (value, lineno)
+        values[key] = value
 
     if "experiment" not in values:
         raise RangeError("config must set 'experiment'")
 
-    cfg = ExperimentConfig(experiment="run")
-    for key, (value, line) in values.items():
-        if key == "experiment":
-            if value not in EXPERIMENTS:
-                raise RangeError(f"experiment must be one of {EXPERIMENTS}", line)
-            cfg.experiment = value
-        elif key == "n":
-            n = _parse_int(value, key, line)
-            if n < 4 or n % 2 != 0:
-                raise RangeError("n must be even >= 4", line)
-            cfg.n = n
-        elif key == "nu":
-            nu = _parse_float(value, key, line)
-            if nu < 0.0:
-                raise RangeError("nu must be nonnegative", line)
-            cfg.nu = nu
-        elif key == "dt":
-            dt = _parse_float(value, key, line)
-            if dt <= 0.0:
-                raise RangeError("dt must be positive", line)
-            cfg.dt = dt
-        elif key == "t_end":
-            t_end = _parse_float(value, key, line)
-            if t_end < 0.0:
-                raise RangeError("t_end must be nonnegative", line)
-            cfg.t_end = t_end
-        elif key == "scheme":
-            if value not in SCHEMES:
-                raise RangeError(f"scheme must be one of {SCHEMES}", line)
-            cfg.scheme = value
-        elif key == "galerkin_modes":
-            if value == "full":
-                cfg.galerkin_modes = None
-            else:
-                lam = _parse_float(value, key, line)
-                if lam < 1.0:
-                    raise RangeError("galerkin_modes must be >= 1 (or 'full')", line)
-                cfg.galerkin_modes = lam
-        elif key == "forcing":
-            if value != "none":
-                raise RangeError("only forcing=none is configurable", line)
-            cfg.forcing = value
-        elif key == "seed":
-            cfg.seed = _parse_int(value, key, line)
-        elif key == "init":
-            if value not in INIT_KINDS:
-                raise RangeError(f"init must be one of {INIT_KINDS}", line)
-            cfg.init = value
-        elif key == "s_list":
-            s_list = _parse_float_list(value, key, line)
-            if any(s < 0 or s > 6 for s in s_list):
-                raise RangeError("s_list entries must lie in [0, 6]", line)
-            cfg.s_list = s_list
-        elif key == "eps_list":
-            eps = _parse_float_list(value, key, line)
-            if any(e <= 0 for e in eps):
-                raise RangeError("eps_list entries must be positive", line)
-            if any(b >= a for a, b in zip(eps, eps[1:])):
-                raise RangeError("eps_list must be strictly decreasing", line)
-            cfg.eps_list = eps
-        elif key == "r1":
-            r1 = _parse_float(value, key, line)
-            if r1 <= 0:
-                raise RangeError("r1 must be positive", line)
-            cfg.r1 = r1
-        elif key == "r2":
-            cfg.r2 = _parse_float(value, key, line)
-        elif key == "mollifier":
-            if value not in MOLLIFIER_KINDS:
-                raise RangeError(f"mollifier must be one of {MOLLIFIER_KINDS}", line)
-            cfg.mollifier = value
-        elif key == "out":
-            cfg.out = value
-        elif key == "cadence":
-            cadence = _parse_int(value, key, line)
-            if cadence < 1:
-                raise RangeError("cadence must be >= 1", line)
-            cfg.cadence = cadence
-
-    r1, r2 = cfg.weight_edges()
-    if r2 <= r1:
-        line = values.get("r2", values.get("r1", ("", 0)))[1]
-        raise RangeError("need r2 > r1", line)
+    cfg = ExperimentConfig(experiment=values["experiment"])
+    for key, value in values.items():
+        setattr(cfg, key, _PARSERS[key](value, key, seen[key]))
+    validate(cfg, seen)
     return cfg

@@ -288,7 +288,7 @@ def weak_form_residual(
 # ----------------------------------------------------------------------
 # mild (Duhamel) and strong residuals: one pass over the snapshots
 
-def _residual_defects(
+def residual_defects(
     traj: Trajectory, p: SolverParams, s: float = 1.0
 ) -> tuple[list[float], list[float]]:
     """Mild and strong defects at every snapshot, one P[(u.grad)u] per snapshot.
@@ -361,14 +361,14 @@ def mild_residual(traj: Trajectory, p: SolverParams, s: float = 1.0) -> float:
     """
     if len(traj.snapshots) < 2:
         return 0.0
-    return _residual_defects(traj, p, s)[0][-1]
+    return residual_defects(traj, p, s)[0][-1]
 
 
 def strong_residual(traj: Trajectory, p: SolverParams) -> float:
     """Max over interior snapshots of ||dt u + P[(u.grad)u] - nu lap u - P f||_L2."""
     if len(traj.snapshots) < 3:
         raise TooFewSnapshots("strong residual needs at least three snapshots")
-    return max(_residual_defects(traj, p)[1])
+    return max(residual_defects(traj, p)[1])
 
 
 def vorticity_residual(traj: Trajectory, p: SolverParams) -> float:
@@ -404,11 +404,9 @@ def vorticity_residual(traj: Trajectory, p: SolverParams) -> float:
 # ----------------------------------------------------------------------
 # per-trajectory records and CSV
 
-def records_for_trajectory(
-    traj: Trajectory, p: SolverParams, s_list: Sequence[float] = (1.0, 2.0, 3.0)
-) -> list[DiagnosticsRecord]:
+def records_for_trajectory(traj: Trajectory, p: SolverParams) -> list[DiagnosticsRecord]:
     snaps = traj.snapshots
-    mild, strong = _residual_defects(traj, p)
+    mild, strong = residual_defects(traj, p)
     energy_defects = (
         energy_identity_residual(traj, p) if len(snaps) >= 2 else np.zeros(0)
     )
@@ -423,7 +421,7 @@ def records_for_trajectory(
             res_weak=float(energy_defects[m - 1]) if m > 0 and len(energy_defects) else 0.0,
             res_mild=float(mild[m]),
             res_strong=float(strong[m]),
-            hs_norms={float(sv): sobolev_norm(s, float(sv)) for sv in s_list},
+            hs_norms={sv: sobolev_norm(s, sv) for sv in (1.0, 2.0, 3.0)},
         )
         rec.validate()
         records.append(rec)

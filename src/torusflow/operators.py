@@ -30,8 +30,10 @@ MOLLIFIER_KINDS = ("gaussian", "bump")
 # raised-cosine ramp half-width for the band weights, relative to each edge
 RAMP_HALF_WIDTH = 0.25
 
-_BUMP_RMAX = 64.0
-_BUMP_SAMPLES = 32769
+# spacing 2^-9; the clipped, monotonized table is exactly 0 from r ~ 6.51 on,
+# and interpolation past its end returns 0 as well
+_BUMP_RMAX = 8.0
+_BUMP_SAMPLES = 4097
 
 
 @dataclass(frozen=True)

@@ -216,6 +216,14 @@ def _step_for(scheme: str):
 # ----------------------------------------------------------------------
 # drivers
 
+def step_count(t_end: float, dt: float) -> int:
+    """Number of dt steps that reach t_end; ValueError unless it is a whole number."""
+    ratio = t_end / dt
+    if not math.isfinite(ratio) or abs(round(ratio) * dt - t_end) > 1e-9 * max(dt, t_end):
+        raise ValueError("t_end must be an integer multiple of dt")
+    return round(ratio)
+
+
 def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
     """Evolve u0 to t_end, recording every `cadence`-th step (plus endpoints).
 
@@ -226,9 +234,7 @@ def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
     """
     if cadence < 1:
         raise ValueError("cadence must be >= 1")
-    steps = int(round(p.t_end / p.dt))
-    if abs(steps * p.dt - p.t_end) > 1e-9 * max(p.dt, p.t_end):
-        raise ValueError("t_end must be an integer multiple of dt")
+    steps = step_count(p.t_end, p.dt)
 
     mask = None
     if p.scheme == "weak-galerkin" and p.galerkin_modes is not None:

@@ -1,9 +1,15 @@
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from torusflow.cli import main
+from torusflow import GridSpec, MollifierSpec, SolverParams, WeightPartition
+from torusflow.cli import _build_parser, _load_config, main
+from torusflow.errors import RangeError
 from torusflow.snapshots import read_trajectory
+from torusflow.solvers import step_count
 
 
 def test_run_experiment_writes_artifacts(tmp_path):
@@ -159,3 +165,76 @@ def test_numerical_abort_exits_3(tmp_path, monkeypatch):
     assert code == 3
     assert (out / "abort.txt").exists()
     assert (out / "partial" / "manifest.txt").exists()
+
+
+# malformed settings, from flags or a file, that must exit 2 before any
+# output exists: NaN/inf numbers, a negative seed, r2 below the default r1
+# for the flag-set n, and t_end that is not a whole number of dt steps
+BAD_INPUTS = {
+    "t_end-not-multiple-of-dt": ("", ["run", "--n", "8", "--dt", "0.003", "--t-end", "0.01"]),
+    "r2-below-default-r1": ("r2 = 3\n", ["unify", "--n", "32"]),
+    "dt-nan": ("", ["run", "--dt", "nan"]),
+    "t_end-inf": ("", ["run", "--t-end", "inf"]),
+    "r1-nan": ("r1 = nan\n", ["verify"]),
+    "negative-seed": ("init = random\nseed = -1\n", ["run"]),
+    "nu-nan": ("", ["run", "--nu", "nan"]),
+    "eps-nan": ("", ["blocks", "--eps", "nan"]),
+    "eps-inf": ("", ["unify", "--eps", "inf"]),
+    "galerkin_modes-nan": ("scheme = weak-galerkin\ngalerkin_modes = nan\n", ["run"]),
+}
+
+
+@pytest.mark.parametrize("text,argv", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_is_config_error(tmp_path, capsys, text, argv):
+    out = tmp_path / "out"
+    if text:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"experiment = {argv[0]}\n{text}")
+        argv = [*argv, "--config", str(cfg)]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_undecodable_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bin.cfg"
+    cfg.write_bytes(b"experiment = run\n\xff\xfe\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 1e-3, 2e-3, 0.01, 0.1, 0.5, 1.0, 2.0]),
+)
+
+
+@given(
+    experiment=st.sampled_from(["run", "verify", "unify", "convergence", "blocks"]),
+    n=st.integers(-4, 40),
+    seed=st.integers(-3, 3),
+    flags=st.fixed_dictionaries(
+        {}, optional={k: _numbers for k in ("--nu", "--dt", "--t-end", "--eps")}
+    ),
+)
+def test_accepted_flags_build_every_object(experiment, n, seed, flags):
+    argv = [experiment, f"--n={n}", f"--seed={seed}"]
+    argv += [f"{key}={value!r}" for key, value in flags.items()]
+    try:
+        cfg = _load_config(_build_parser().parse_args(argv))
+    except RangeError:
+        return
+    assert all(math.isfinite(x) for x in (cfg.nu, cfg.dt, cfg.t_end, *cfg.eps_list))
+    GridSpec(cfg.n)
+    SolverParams(
+        nu=cfg.nu, dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.scheme,
+        galerkin_modes=cfg.galerkin_modes, seed=cfg.seed,
+    )
+    for eps in cfg.eps_list:
+        MollifierSpec(eps, cfg.mollifier)
+    WeightPartition(*cfg.weight_edges())
+    if experiment in ("run", "unify"):
+        step_count(cfg.t_end, cfg.dt)

@@ -25,7 +25,7 @@ from torusflow import (
     weighted_blend,
 )
 from torusflow.errors import GridMismatch
-from torusflow.operators import weights_on_grid
+from torusflow.operators import _bump_table, weights_on_grid
 from torusflow.spectral import gradient
 
 
@@ -98,6 +98,14 @@ def test_smoothing_approximation_rate_bump(grid32):
         errs.append(sobolev_norm(sm.with_coeffs(sm.coeffs - f.coeffs), 1.0))
     slope = np.polyfit(np.log(eps), np.log(errs), 1)[0]
     assert slope >= 1.8
+
+
+def test_bump_table_ends_at_zero():
+    # past its end the symbol interpolates to 0, so the truncated table is
+    # lossless only while its last entry is exactly 0
+    r, table = _bump_table()
+    assert table[-1] == 0.0
+    assert mollifier_symbol(MollifierSpec(1.0, "bump"), r[-1] + 1.0) == 0.0
 
 
 def test_smoothing_gain_exponent_rough_data():
