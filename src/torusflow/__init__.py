@@ -59,7 +59,6 @@ from .solvers import (
     pressure_solve,
     random_solenoidal_init,
     run,
-    run_weak_galerkin,
     shear_init,
     step_mild,
     step_strong,
@@ -70,7 +69,6 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     advect,
-    advective_term,
     curl,
     dealias,
     derivative,

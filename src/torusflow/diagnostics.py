@@ -58,7 +58,8 @@ class DiagnosticsRecord:
 
     res_weak is the trailing-interval energy-identity defect, res_mild the
     running Duhamel defect up to this time, res_strong the centered-difference
-    momentum residual (0.0 at the endpoints where no stencil exists).
+    momentum residual (0.0 at the endpoints where no stencil exists), and
+    h1, h2, h3 the H^1, H^2, H^3 norms.
     """
 
     t: float
@@ -69,11 +70,13 @@ class DiagnosticsRecord:
     res_weak: float
     res_mild: float
     res_strong: float
-    hs_norms: dict[float, float]
+    h1: float
+    h2: float
+    h3: float
 
     def validate(self):
         vals = [self.t, self.energy, self.enstrophy, self.bkm, self.div_defect,
-                self.res_weak, self.res_mild, self.res_strong, *self.hs_norms.values()]
+                self.res_weak, self.res_mild, self.res_strong, self.h1, self.h2, self.h3]
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("diagnostics entries must be finite")
         if min(self.energy, self.enstrophy, self.bkm, self.div_defect) < 0.0:
@@ -421,7 +424,7 @@ def records_for_trajectory(traj: Trajectory, p: SolverParams) -> list[Diagnostic
             res_weak=float(energy_defects[m - 1]) if m > 0 and len(energy_defects) else 0.0,
             res_mild=float(mild[m]),
             res_strong=float(strong[m]),
-            hs_norms={sv: sobolev_norm(s, sv) for sv in (1.0, 2.0, 3.0)},
+            h1=sobolev_norm(s, 1.0), h2=sobolev_norm(s, 2.0), h3=sobolev_norm(s, 3.0),
         )
         rec.validate()
         records.append(rec)
@@ -436,8 +439,7 @@ def diagnostics_csv(records: Sequence[DiagnosticsRecord]) -> str:
     lines = [CSV_HEADER]
     for r in records:
         vals = [r.t, r.energy, r.enstrophy, r.bkm, r.div_defect,
-                r.res_weak, r.res_mild, r.res_strong,
-                r.hs_norms.get(1.0, 0.0), r.hs_norms.get(2.0, 0.0), r.hs_norms.get(3.0, 0.0)]
+                r.res_weak, r.res_mild, r.res_strong, r.h1, r.h2, r.h3]
         lines.append(",".join(repr(float(v)) for v in vals))
     return "\n".join(lines) + "\n"
 

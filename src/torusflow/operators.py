@@ -10,6 +10,7 @@ space (see `spatial_window`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,8 +51,8 @@ class MollifierSpec:
     kind: str = "gaussian"
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         if self.kind not in MOLLIFIER_KINDS:
             raise ValueError(f"kind must be one of {MOLLIFIER_KINDS}")
 
@@ -126,8 +127,8 @@ class WeightPartition:
     r2: float
 
     def __post_init__(self):
-        if not 0.0 < self.r1 < self.r2:
-            raise ValueError("need r2 > r1 > 0")
+        if not 0.0 < self.r1 < self.r2 < math.inf:
+            raise ValueError("need finite r2 > r1 > 0")
 
 
 def default_weights(grid: GridSpec) -> WeightPartition:

@@ -55,12 +55,12 @@ class SolverParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.nu < 0.0:
-            raise ValueError("viscosity must be nonnegative")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be nonnegative")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError("viscosity must be nonnegative and finite")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0.0 <= self.t_end < math.inf:
+            raise ValueError("t_end must be nonnegative and finite")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
 
@@ -204,8 +204,8 @@ def step_mild(u: SpectralField, p: SolverParams) -> SpectralField:
 
 def galerkin_mask(grid: GridSpec, lam: float) -> np.ndarray:
     """Sharp cutoff retaining modes with |k|^2 <= lam."""
-    if lam < 1.0:
-        raise BadCutoff("galerkin cutoff below the first nonzero mode")
+    if not 1.0 <= lam < math.inf:
+        raise BadCutoff("galerkin cutoff must be finite and reach the first nonzero mode")
     return (grid.k_squared <= lam).astype(np.float64)
 
 
@@ -273,11 +273,6 @@ def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
                         Trajectory(p, snapshots),
                     )
     return Trajectory(p, snapshots)
-
-
-def run_weak_galerkin(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
-    """Galerkin-truncated run; p.galerkin_modes is the squared-|k| cutoff."""
-    return run(u0, replace(p, scheme="weak-galerkin"), cadence=cadence)
 
 
 # ----------------------------------------------------------------------

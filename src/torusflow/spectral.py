@@ -339,12 +339,6 @@ def advect(f: SpectralField, g: SpectralField) -> SpectralField:
     return f.with_coeffs(out, solenoidal=False, zero_mean=False)
 
 
-def advective_term(u: SpectralField) -> SpectralField:
-    """(u . grad) u, dealiased, unprojected."""
-    _require_solenoidal(u, "advective_term")
-    return advect(u, u)
-
-
 def nonlinear_term(u: SpectralField) -> SpectralField:
     """P[(u . grad) u]: pseudospectral product, dealiased, then Leray-projected."""
     _require_solenoidal(u, "nonlinear_term")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from torusflow import GridSpec, MollifierSpec, SolverParams, WeightPartition
 from torusflow.cli import _build_parser, _load_config, main
 from torusflow.errors import RangeError
+from torusflow.experiments import CHECKS
 from torusflow.snapshots import read_trajectory
 from torusflow.solvers import step_count
 
@@ -69,18 +70,11 @@ def test_verify_writes_json_and_passes(tmp_path):
     code = main(["verify", "--n", "8", "--out", str(out)])
     summary = json.loads((out / "verify_summary.json").read_text())
     assert set(summary) == {"checks"}
-    assert len(summary["checks"]) >= 20
+    assert [c["name"] for c in summary["checks"]] == [name for name, _, _ in CHECKS]
     for check in summary["checks"]:
         assert set(check) == {"name", "value", "bound", "pass"}
     assert code == 0
     assert all(c["pass"] for c in summary["checks"])
-
-
-def test_verify_determinism_byte_identical(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["verify", "--n", "8", "--out", str(a)]) == 0
-    assert main(["verify", "--n", "8", "--out", str(b)]) == 0
-    assert (a / "verify_summary.json").read_bytes() == (b / "verify_summary.json").read_bytes()
 
 
 def test_run_emits_plot_script(tmp_path):

@@ -413,9 +413,10 @@ def test_records_and_csv(case, shear_traj_fine, monkeypatch):
     assert len(lines) == 6
     for rec in records:
         rec.validate()
-        assert set(rec.hs_norms) == {1.0, 2.0, 3.0}
+        assert rec.h1 <= rec.h2 <= rec.h3
     # shortest round-trip decimals: parsing back reproduces the floats
     first = lines[1].split(",")
     assert float(first[1]) == records[0].energy
+    assert [float(v) for v in first[-3:]] == [records[0].h1, records[0].h2, records[0].h3]
     # determinism
     assert diagnostics_csv(records) == text

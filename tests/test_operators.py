@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -29,14 +31,10 @@ from torusflow.operators import _bump_table, weights_on_grid
 from torusflow.spectral import gradient
 
 
-def decay_field(grid, power):
-    c = np.repeat(((1.0 + grid.k_squared) ** power)[None], 3, axis=0).astype(complex)
-    return SpectralField(grid, c)
-
-
 def test_mollifier_spec_validation():
-    with pytest.raises(ValueError):
-        MollifierSpec(0.0)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            MollifierSpec(eps)
     with pytest.raises(ValueError):
         MollifierSpec(0.1, "sinc")
 
@@ -78,48 +76,12 @@ def test_smooth_constant_field_unchanged(grid8):
     assert np.array_equal(out.coeffs, f.coeffs)
 
 
-def test_smoothing_approximation_rate_gaussian(grid32):
-    f = decay_field(grid32, -3.0)
-    eps = [2.0**-k for k in range(1, 7)]
-    errs = []
-    for e in eps:
-        sm = smooth(f, MollifierSpec(e, "gaussian"))
-        errs.append(sobolev_norm(sm.with_coeffs(sm.coeffs - f.coeffs), 1.0))
-    slope = np.polyfit(np.log(eps), np.log(errs), 1)[0]
-    assert 1.8 <= slope <= 2.2
-
-
-def test_smoothing_approximation_rate_bump(grid32):
-    f = decay_field(grid32, -3.0)
-    eps = [2.0**-k for k in range(1, 7)]
-    errs = []
-    for e in eps:
-        sm = smooth(f, MollifierSpec(e, "bump"))
-        errs.append(sobolev_norm(sm.with_coeffs(sm.coeffs - f.coeffs), 1.0))
-    slope = np.polyfit(np.log(eps), np.log(errs), 1)[0]
-    assert slope >= 1.8
-
-
 def test_bump_table_ends_at_zero():
     # past its end the symbol interpolates to 0, so the truncated table is
     # lossless only while its last entry is exactly 0
     r, table = _bump_table()
     assert table[-1] == 0.0
     assert mollifier_symbol(MollifierSpec(1.0, "bump"), r[-1] + 1.0) == 0.0
-
-
-def test_smoothing_gain_exponent_rough_data():
-    grid = GridSpec(64)
-    kmag = grid.k_magnitude.copy()
-    kmag[0, 0, 0] = 1.0
-    amp = kmag**-1.5
-    amp[0, 0, 0] = 0.0
-    f = SpectralField(grid, np.repeat(amp[None], 3, axis=0).astype(complex))
-    f = f.with_coeffs(f.coeffs / l2_norm(f))
-    eps = [2.0**-k for k in range(1, 6)]
-    norms = [sobolev_norm(smooth(f, MollifierSpec(e, "gaussian")), 2.0) for e in eps]
-    slope = np.polyfit(np.log(eps), np.log(norms), 1)[0]
-    assert -2.2 <= slope <= -1.8
 
 
 def test_smoothing_gain_product_bounded_along_sequence():
@@ -159,6 +121,8 @@ def test_weight_partition_validation():
         WeightPartition(5.0, 4.0)
     with pytest.raises(ValueError):
         WeightPartition(0.0, 4.0)
+    with pytest.raises(ValueError):
+        WeightPartition(1.0, math.inf)
 
 
 def test_weight_eval_examples():

@@ -6,7 +6,6 @@ import pytest
 from torusflow import (
     SolverParams,
     SpectralField,
-    advect,
     cfl_limit,
     kinetic_energy,
     l2_norm,
@@ -14,7 +13,6 @@ from torusflow import (
     pressure_solve,
     random_solenoidal_init,
     run,
-    run_weak_galerkin,
     shear_init,
     sobolev_norm,
     step_mild,
@@ -23,7 +21,7 @@ from torusflow import (
 )
 from torusflow.errors import BadCutoff, BlowUpDetected, CflViolation
 from torusflow.oracles import convolution_nonlinear_term
-from torusflow.spectral import divergence_defect, gradient
+from torusflow.spectral import divergence_defect
 
 
 def diff_norm(a, b, s=0.0):
@@ -37,6 +35,11 @@ def test_solver_params_validation():
         SolverParams(nu=1.0, dt=0.0, t_end=1.0)
     with pytest.raises(ValueError):
         SolverParams(nu=1.0, dt=1e-3, t_end=1.0, scheme="leapfrog")
+    for bad in (math.nan, math.inf):
+        for key in ("nu", "dt", "t_end"):
+            kwargs = {"nu": 1.0, "dt": 1e-3, "t_end": 1.0, key: bad}
+            with pytest.raises(ValueError):
+                SolverParams(**kwargs)
 
 
 def test_random_init_contract(grid16):
@@ -200,7 +203,7 @@ def test_weak_galerkin_full_resolution_bitwise(grid16):
     tg = taylor_green_init(grid16)
     pw = SolverParams(nu=0.1, dt=2e-3, t_end=0.02, scheme="weak-galerkin")
     ps = SolverParams(nu=0.1, dt=2e-3, t_end=0.02, scheme="strong-imex")
-    tw = run_weak_galerkin(tg, pw)
+    tw = run(tg, pw)
     ts = run(tg, ps)
     assert all(
         np.array_equal(a.coeffs, b.coeffs) for a, b in zip(tw.snapshots, ts.snapshots)
@@ -214,7 +217,7 @@ def test_weak_galerkin_shear_any_cutoff(grid8):
         p = SolverParams(
             nu=1.0, dt=1e-3, t_end=0.1, scheme="weak-galerkin", galerkin_modes=lam
         )
-        traj = run_weak_galerkin(sh, p)
+        traj = run(sh, p)
         ratio = kinetic_energy(traj.snapshots[-1]) / kinetic_energy(traj.snapshots[0])
         assert ratio == pytest.approx(math.exp(-0.2), rel=1e-10)
 
@@ -227,7 +230,7 @@ def test_weak_galerkin_gap_monotone_in_cutoff(grid16):
         p = SolverParams(
             nu=0.1, dt=2e-3, t_end=0.048, scheme="weak-galerkin", galerkin_modes=lam
         )
-        tw = run_weak_galerkin(tg, p)
+        tw = run(tg, p)
         gaps.append(diff_norm(tw.snapshots[-1], full.snapshots[-1]))
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -237,7 +240,13 @@ def test_weak_galerkin_bad_cutoff(grid8):
         nu=1.0, dt=1e-3, t_end=0.01, scheme="weak-galerkin", galerkin_modes=0.5
     )
     with pytest.raises(BadCutoff):
-        run_weak_galerkin(shear_init(grid8), p)
+        run(shear_init(grid8), p)
+    # comparisons with NaN are false, so the guard must reject NaN as well as inf
+    for lam in (math.nan, math.inf):
+        with pytest.raises(BadCutoff):
+            run(shear_init(grid8), SolverParams(
+                nu=1.0, dt=1e-3, t_end=0.01, scheme="weak-galerkin", galerkin_modes=lam
+            ))
 
 
 def test_blowup_guard_reports_with_partial_trajectory(grid8):
@@ -282,14 +291,6 @@ def test_pressure_closed_form_on_vortex(grid16):
     x1, x2, x3 = grid16.coordinates
     closed = (2.0 + np.cos(2 * x3)) * (np.cos(2 * x1) + np.cos(2 * x2)) / 16.0
     assert np.max(np.abs(p_phys - closed)) <= 1e-13
-
-
-def test_pressure_gradient_bound_100_fields(grid16):
-    for seed in range(100):
-        u = random_solenoidal_init(grid16, 2.0, seed)
-        pr = pressure_solve(u)
-        conv = advect(u, u)
-        assert l2_norm(gradient(pr)) <= (1.0 + 1e-12) * l2_norm(conv)
 
 
 def test_lifespan_formula_values():
