@@ -21,7 +21,6 @@ from .diagnostics import (
     records_for_trajectory,
     strong_residual,
     unified_reconstruction,
-    vorticity_residual,
     weak_form_residual,
     weak_test_battery,
 )
@@ -33,8 +32,6 @@ from .dyadic import (
     commutator_bound_ratio,
     commutator_constant,
     dyadic_block,
-    low_pass,
-    midband_pair_sum,
     paraproduct_decompose,
     reassemble,
 )
@@ -43,7 +40,6 @@ from .operators import (
     WeightPartition,
     binary_cutoff,
     blend,
-    default_weights,
     mollifier_symbol,
     regularize,
     smooth,

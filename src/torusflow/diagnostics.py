@@ -20,7 +20,7 @@ reads its final entry, `strong_residual` its interior maximum, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,8 +40,6 @@ from .spectral import (
     SpectralField,
     _advect_arrays,
     advect,
-    curl,
-    divergence,
     divergence_defect,
     forward_transform,
     inner_product,
@@ -75,9 +73,7 @@ class DiagnosticsRecord:
     h3: float
 
     def validate(self):
-        vals = [self.t, self.energy, self.enstrophy, self.bkm, self.div_defect,
-                self.res_weak, self.res_mild, self.res_strong, self.h1, self.h2, self.h3]
-        if not all(math.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in astuple(self)):
             raise ValueError("diagnostics entries must be finite")
         if min(self.energy, self.enstrophy, self.bkm, self.div_defect) < 0.0:
             raise ValueError("energy, enstrophy, bkm and div_defect must be nonnegative")
@@ -129,7 +125,6 @@ class SpaceTimeTestFunction:
     mode: SpectralField
     bump: Callable[[float], float]
     bump_dt: Callable[[float], float]
-    support: tuple[float, float]
 
 
 def _cubic_bspline(s: float) -> float:
@@ -206,7 +201,7 @@ def weak_test_battery(
                     PhysicalField(grid, samples, label=f"{phase}(x{axis + 1})e{pol + 1}")
                 )
                 mode = replace(mode, solenoidal=True, zero_mean=True)
-                tests.append(SpaceTimeTestFunction(mode, bump, bump_dt, (lo, lo + 4.0 * h)))
+                tests.append(SpaceTimeTestFunction(mode, bump, bump_dt))
     return tests
 
 
@@ -238,15 +233,15 @@ def _time_quadrature_weights(times: np.ndarray) -> np.ndarray:
 
 def weak_form_residual(
     traj: Trajectory,
-    pressures: Sequence[SpectralField] | None,
     tests: Sequence[SpaceTimeTestFunction],
     p: SolverParams,
 ) -> float:
     """Max normalized weak-form defect over the test battery.
 
     For each test v the defect is the space-time quadrature of
-    <u, dt v> - <(u.grad)u, v> - nu <grad u, grad v> + <p, div v> + <f, v>
-    plus the initial-datum term <u0, v(0)>.
+    <u, dt v> - <(u.grad)u, v> - nu <grad u, grad v> + <f, v>
+    plus the initial-datum term <u0, v(0)>.  Every test mode is checked
+    divergence-free, so the pressure term <p, div v> vanishes.
     """
     snaps = traj.snapshots
     if len(snaps) < 2:
@@ -273,8 +268,6 @@ def weak_form_residual(
                 term -= p.nu * b * float(
                     np.sum(k2 * (s.coeffs * np.conj(mode.coeffs)).sum(axis=0)).real
                 )
-                if pressures is not None:
-                    term += b * inner_product(pressures[m], divergence(mode))
                 if p.forcing is not None:
                     term += b * inner_product(p.forcing, mode)
             total += qw[m] * term
@@ -291,12 +284,10 @@ def weak_form_residual(
 # ----------------------------------------------------------------------
 # mild (Duhamel) and strong residuals: one pass over the snapshots
 
-def residual_defects(
-    traj: Trajectory, p: SolverParams, s: float = 1.0
-) -> tuple[list[float], list[float]]:
+def residual_defects(traj: Trajectory, p: SolverParams) -> tuple[list[float], list[float]]:
     """Mild and strong defects at every snapshot, one P[(u.grad)u] per snapshot.
 
-    mild: normalized Duhamel-identity defect in H^s, from the recurrence
+    mild: normalized Duhamel-identity defect in H^1, from the recurrence
     I_m = e^{nu dt lap}(I_{m-1} + dt/2 N_{m-1}) + dt/2 N_m, which reproduces
     the trapezoidal rule with only decaying propagator factors.
     strong: L2 norm of dt u + P[(u.grad)u] - nu lap u - P f with centered
@@ -309,7 +300,7 @@ def residual_defects(
     grid = traj.grid
     k2 = grid.k_squared
     u0 = snaps[0]
-    norm0 = sobolev_norm(u0, s)
+    norm0 = sobolev_norm(u0, 1.0)
     scale = norm0 if norm0 > 0.0 else 1.0
     forcing = _forcing_term(p)
 
@@ -352,19 +343,17 @@ def residual_defects(
             phi = np.where(denom > 0.0, -np.expm1(z) / safe, t)
             expected = expected + phi * forcing
         diff = snaps[m].with_coeffs(snaps[m].coeffs - expected)
-        mild.append(sobolev_norm(diff, s) / scale)
+        mild.append(sobolev_norm(diff, 1.0) / scale)
         n_prev = n_curr
     return mild, strong
 
 
-def mild_residual(traj: Trajectory, p: SolverParams, s: float = 1.0) -> float:
-    """Duhamel-identity defect at the final time, normalized by ||u0||_{H^s}.
+def mild_residual(traj: Trajectory, p: SolverParams) -> float:
+    """Duhamel-identity defect in H^1 at the final time, normalized by ||u0||_{H^1}.
 
     A single-snapshot trajectory (zero horizon) has defect 0 by definition.
     """
-    if len(traj.snapshots) < 2:
-        return 0.0
-    return residual_defects(traj, p, s)[0][-1]
+    return residual_defects(traj, p)[0][-1]
 
 
 def strong_residual(traj: Trajectory, p: SolverParams) -> float:
@@ -374,45 +363,13 @@ def strong_residual(traj: Trajectory, p: SolverParams) -> float:
     return max(residual_defects(traj, p)[1])
 
 
-def vorticity_residual(traj: Trajectory, p: SolverParams) -> float:
-    """Max interior L2 defect of the curl of the momentum equation.
-
-    dt w + (u.grad)w - (w.grad)u - nu lap w - curl f, with dt by centered
-    differences on the trajectory.
-    """
-    snaps = traj.snapshots
-    if len(snaps) < 3:
-        raise TooFewSnapshots("vorticity residual needs at least three snapshots")
-    grid = traj.grid
-    k2 = grid.k_squared
-    curl_f = None
-    if p.forcing is not None:
-        curl_f = curl(p.forcing).coeffs
-    vort = [curl(s) for s in snaps]
-    worst = 0.0
-    for m in range(1, len(snaps) - 1):
-        dt_left = snaps[m].time - snaps[m - 1].time
-        dt_right = snaps[m + 1].time - snaps[m].time
-        dwdt = (vort[m + 1].coeffs - vort[m - 1].coeffs) / (dt_left + dt_right)
-        u, w = snaps[m], vort[m]
-        stretch = _advect_arrays(w.coeffs, u.coeffs, grid)[0]
-        transport = _advect_arrays(u.coeffs, w.coeffs, grid)[0]
-        res = dwdt + transport - stretch + p.nu * k2 * w.coeffs
-        if curl_f is not None:
-            res = res - curl_f
-        worst = max(worst, l2_norm(u.with_coeffs(res)))
-    return worst
-
-
 # ----------------------------------------------------------------------
 # per-trajectory records and CSV
 
 def records_for_trajectory(traj: Trajectory, p: SolverParams) -> list[DiagnosticsRecord]:
     snaps = traj.snapshots
     mild, strong = residual_defects(traj, p)
-    energy_defects = (
-        energy_identity_residual(traj, p) if len(snaps) >= 2 else np.zeros(0)
-    )
+    energy_defects = energy_identity_residual(traj, p) if len(snaps) >= 2 else []
     records = []
     for m, s in enumerate(snaps):
         rec = DiagnosticsRecord(
@@ -421,7 +378,7 @@ def records_for_trajectory(traj: Trajectory, p: SolverParams) -> list[Diagnostic
             enstrophy=enstrophy(s),
             bkm=bkm_monitor(s),
             div_defect=divergence_defect(s),
-            res_weak=float(energy_defects[m - 1]) if m > 0 and len(energy_defects) else 0.0,
+            res_weak=float(energy_defects[m - 1]) if m > 0 else 0.0,
             res_mild=float(mild[m]),
             res_strong=float(strong[m]),
             h1=sobolev_norm(s, 1.0), h2=sobolev_norm(s, 2.0), h3=sobolev_norm(s, 3.0),
@@ -431,16 +388,14 @@ def records_for_trajectory(traj: Trajectory, p: SolverParams) -> list[Diagnostic
     return records
 
 
-CSV_HEADER = "t,energy,enstrophy,bkm,div_defect,res_weak,res_mild,res_strong,h1,h2,h3"
+CSV_HEADER = ",".join(f.name for f in fields(DiagnosticsRecord))
 
 
 def diagnostics_csv(records: Sequence[DiagnosticsRecord]) -> str:
     """Render records with shortest round-trip decimals, one row per snapshot."""
     lines = [CSV_HEADER]
     for r in records:
-        vals = [r.t, r.energy, r.enstrophy, r.bkm, r.div_defect,
-                r.res_weak, r.res_mild, r.res_strong, r.h1, r.h2, r.h3]
-        lines.append(",".join(repr(float(v)) for v in vals))
+        lines.append(",".join(repr(float(v)) for v in astuple(r)))
     return "\n".join(lines) + "\n"
 
 
@@ -489,29 +444,23 @@ def convergence_study(
     builder: Callable[[float], SpectralField],
     eps_seq: Sequence[float],
     s: float,
-    reference: SpectralField | None = None,
+    reference: SpectralField,
 ) -> ConvergenceStudy:
     """Errors of builder(eps) against a reference, with a log-log slope fit.
 
-    With no explicit reference the finest-eps member serves as one and is
-    excluded from the fit.  All-zero errors are reported as exact.
+    All-zero errors are reported as exact.
     """
     eps = [float(e) for e in eps_seq]
     if len(eps) < 4 or any(e <= 0 for e in eps) or any(
         b >= a for a, b in zip(eps, eps[1:])
     ):
         raise DegenerateSequence("need >= 4 strictly decreasing positive scales")
-    fields = [builder(e) for e in eps]
-    ref = reference if reference is not None else fields[-1]
-    errs = [sobolev_norm(f.with_coeffs(f.coeffs - ref.coeffs), s) for f in fields]
-    if reference is None:
-        fit_eps, fit_errs = eps[:-1], errs[:-1]
-    else:
-        fit_eps, fit_errs = eps, errs
-    scale = max(sobolev_norm(ref, s), 1.0)
-    exact = all(e <= 1e-14 * scale for e in fit_errs)
+    built = [builder(e) for e in eps]
+    errs = [sobolev_norm(f.with_coeffs(f.coeffs - reference.coeffs), s) for f in built]
+    scale = max(sobolev_norm(reference, s), 1.0)
+    exact = all(e <= 1e-14 * scale for e in errs)
     slope = None
-    if not exact and all(e > 0 for e in fit_errs):
-        slope = float(np.polyfit(np.log(fit_eps), np.log(fit_errs), 1)[0])
+    if not exact and all(e > 0 for e in errs):
+        slope = float(np.polyfit(np.log(eps), np.log(errs), 1)[0])
     monotone = all(b <= a * (1.0 + 1e-12) for a, b in zip(errs, errs[1:]))
     return ConvergenceStudy(np.asarray(eps), np.asarray(errs), slope, monotone, exact)

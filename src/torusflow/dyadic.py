@@ -1,4 +1,4 @@
-"""Dyadic frequency calculus: blocks, low-pass sums, Bernstein ratios, paraproducts.
+"""Dyadic frequency calculus: blocks, Bernstein ratios, paraproducts.
 
 The radial block profile chi is a raised cosine in log2 radius: 1 on
 [2^-1/4, 2^1/4], supported in (2^-3/4, 2^3/4) (inside the dyadic annulus
@@ -19,8 +19,8 @@ from .spectral import (
     SpectralField,
     _advect_arrays,
     _require_solenoidal,
+    _to_physical,
     advect,
-    inverse_transform,
     l2_norm,
     sobolev_norm,
 )
@@ -44,22 +44,21 @@ def chi(r) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DyadicPartition:
-    """Block index range [jmin, jmax] covering the resolved wavenumbers."""
+    """Block index range [0, jmax] covering the resolved wavenumbers."""
 
     grid: GridSpec
-    jmin: int
     jmax: int
 
     @classmethod
     def for_grid(cls, grid: GridSpec) -> "DyadicPartition":
         kmax = np.sqrt(3.0) * (grid.n / 2.0)
         jmax = int(np.floor(np.log2(kmax) + _SUPPORT))
-        return cls(grid=grid, jmin=0, jmax=jmax)
+        return cls(grid=grid, jmax=jmax)
 
     @property
     def indices(self) -> range:
         """Annulus block indices; the low block -1 is carried separately."""
-        return range(self.jmin, self.jmax + 1)
+        return range(self.jmax + 1)
 
     @cached_property
     def block_weights(self) -> list[np.ndarray]:
@@ -75,25 +74,15 @@ class DyadicPartition:
     def weight(self, j: int) -> np.ndarray:
         if j == -1:
             return self.low_mask
-        if j < self.jmin or j > self.jmax:
+        if j < 0 or j > self.jmax:
             raise IndexOutOfRange(f"block index {j} outside [-1, {self.jmax}]")
-        return self.block_weights[j - self.jmin]
+        return self.block_weights[j]
 
 
 def dyadic_block(u: SpectralField, j: int, part: DyadicPartition | None = None) -> SpectralField:
     """Frequency restriction to the dyadic annulus |k| ~ 2^j (j = -1: the mean mode)."""
     part = part or DyadicPartition.for_grid(u.grid)
     return u.with_coeffs(u.coeffs * part.weight(j))
-
-
-def low_pass(u: SpectralField, j: int, part: DyadicPartition | None = None) -> SpectralField:
-    """S_{j-1} u: the mean block plus all annulus blocks with index < j - 1."""
-    part = part or DyadicPartition.for_grid(u.grid)
-    w = part.low_mask.copy()
-    for jp in part.indices:
-        if jp < j - 1:
-            w += part.weight(jp)
-    return u.with_coeffs(u.coeffs * w)
 
 
 def reassemble(u: SpectralField, part: DyadicPartition | None = None) -> SpectralField:
@@ -118,11 +107,11 @@ def almost_orthogonality_ratio(u: SpectralField, part: DyadicPartition | None = 
     return acc / total
 
 
-def lattice_lp_norm(f: SpectralField, p) -> float:
+def lattice_lp_norm(f: SpectralField, p: float) -> float:
     """Volume-normalized lattice L^p norm of the pointwise Euclidean magnitude."""
-    phys = inverse_transform(f, check=False).samples
+    phys = _to_physical(f.coeffs, f.grid.n)
     mag = np.sqrt((phys**2).sum(axis=0))
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return float(mag.max())
     if p == 1:
         return float(mag.mean())
@@ -149,8 +138,8 @@ def bernstein_check(
     u: SpectralField,
     j: int,
     alpha: tuple[int, int, int],
-    p,
-    q,
+    p: float,
+    q: float,
     part: DyadicPartition | None = None,
 ) -> tuple[float, float]:
     """(lhs, rhs_scale) for the annulus derivative/integrability inequality.
@@ -160,9 +149,7 @@ def bernstein_check(
     calibrated constant.
     """
     part = part or DyadicPartition.for_grid(u.grid)
-    pv = np.inf if p in (np.inf, "inf") else float(p)
-    qv = np.inf if q in (np.inf, "inf") else float(q)
-    if pv > qv:
+    if p > q:
         raise ValueError("need p <= q")
     mag2 = (np.abs(u.coeffs) ** 2).sum(axis=0)
     total = float(np.sum(mag2))
@@ -176,11 +163,11 @@ def bernstein_check(
     k1, k2, k3 = u.grid.wavenumbers
     mult = (1j * k1) ** alpha[0] * (1j * k2) ** alpha[1] * (1j * k3) ** alpha[2]
     deriv = block.with_coeffs(block.coeffs * mult)
-    lhs = lattice_lp_norm(deriv, qv)
-    inv_p = 0.0 if pv == np.inf else 1.0 / pv
-    inv_q = 0.0 if qv == np.inf else 1.0 / qv
+    lhs = lattice_lp_norm(deriv, q)
+    inv_p = 0.0 if p == np.inf else 1.0 / p
+    inv_q = 0.0 if q == np.inf else 1.0 / q
     scale = 2.0 ** (j * (sum(alpha) + 3.0 * (inv_p - inv_q)))
-    rhs_scale = scale * lattice_lp_norm(block, pv)
+    rhs_scale = scale * lattice_lp_norm(block, p)
     return lhs, rhs_scale
 
 
@@ -209,7 +196,7 @@ def paraproduct_decompose(
     # running low-pass sum S_{j-1} = mean block + annulus blocks below j-1
     s_coeffs = part.low_mask * u.coeffs
     for j in part.indices:
-        if j - 2 >= part.jmin:
+        if j >= 2:
             s_coeffs = s_coeffs + blocks[j - 2]
         pi1 += _advect_arrays(s_coeffs, blocks[j], u.grid)[0]
         pi2 += _advect_arrays(blocks[j], s_coeffs, u.grid)[0]
@@ -222,22 +209,6 @@ def paraproduct_decompose(
         return u.with_coeffs(c, solenoidal=False, zero_mean=False)
 
     return mk(pi1), mk(pi2), mk(pi3)
-
-
-def midband_pair_sum(u: SpectralField, p=2, part: DyadicPartition | None = None) -> float:
-    """Diagnostic sum over all annulus block pairs of ||(Delta_j u . grad) Delta_j' u||_Lp.
-
-    Reported as a finite number over the resolved blocks; no a-priori bound
-    is asserted.
-    """
-    part = part or DyadicPartition.for_grid(u.grid)
-    total = 0.0
-    blocks = {j: u.coeffs * part.weight(j) for j in part.indices}
-    for a in part.indices:
-        for b in part.indices:
-            adv = _advect_arrays(blocks[a], blocks[b], u.grid)[0]
-            total += lattice_lp_norm(u.with_coeffs(adv), p)
-    return total
 
 
 def commutator_bound_ratio(u: SpectralField, s: float) -> float:
@@ -259,7 +230,4 @@ def commutator_constant(fields, s: float) -> float:
 def block_energies(u: SpectralField, part: DyadicPartition | None = None) -> list[tuple[int, float]]:
     """(j, ||Delta_j u||_L2^2) rows, mean block first."""
     part = part or DyadicPartition.for_grid(u.grid)
-    rows = [(-1, l2_norm(dyadic_block(u, -1, part)) ** 2)]
-    for j in part.indices:
-        rows.append((j, l2_norm(dyadic_block(u, j, part)) ** 2))
-    return rows
+    return [(j, l2_norm(dyadic_block(u, j, part)) ** 2) for j in (-1, *part.indices)]

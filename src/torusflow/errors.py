@@ -33,6 +33,10 @@ class ZeroField(TorusflowError):
     """A ratio diagnostic received an identically zero field."""
 
 
+class NonFiniteField(TorusflowError):
+    """A field holds a NaN or infinite coefficient where finite data is required."""
+
+
 class CflViolation(TorusflowError):
     """Advective CFL gate failed for the requested time step."""
 

@@ -24,6 +24,7 @@ from . import dyadic
 from .config import ExperimentConfig
 from .errors import BlowUpDetected
 from .operators import (
+    MOLLIFIER_KINDS,
     MollifierSpec,
     WeightPartition,
     binary_cutoff,
@@ -245,15 +246,21 @@ def symbol_range_monotone() -> float:
     return worst
 
 
-def smoothing_approximation_rate(grid: GridSpec) -> float:
-    """max(|s_gauss - 2|, 2 - s_bump), s the H^1 smoothing-error slopes of a (1+|k|^2)^-3 field."""
+def _smoothing_study(grid: GridSpec, kind: str, eps: tuple[float, ...]) -> diag.ConvergenceStudy:
+    """H^1 errors of smoothing a (1+|k|^2)^-3 field, against the field itself."""
     f = _decay_field(grid, -3.0)
-    eps = [2.0**-k for k in range(1, 7)]
-    s_gauss, s_bump = (
-        _slope(eps, [_diff_norm(smooth(f, MollifierSpec(e, kd)), f, 1.0) for e in eps])
-        for kd in ("gaussian", "bump")
-    )
-    return max(abs(s_gauss - 2.0), 2.0 - s_bump)
+    return diag.convergence_study(lambda e: smooth(f, MollifierSpec(e, kind)), eps, 1.0, f)
+
+
+def _rate_defect(kind: str, slope: float) -> float:
+    """How far an H^1 smoothing-error slope misses order 2 (gaussian) or at least 2 (bump)."""
+    return abs(slope - 2.0) if kind == "gaussian" else 2.0 - slope
+
+
+def smoothing_approximation_rate(grid: GridSpec) -> float:
+    """max(|s_gauss - 2|, 2 - s_bump), s the `_smoothing_study` slopes for eps = 2^-1..2^-6."""
+    eps = tuple(2.0**-k for k in range(1, 7))
+    return max(_rate_defect(kd, _smoothing_study(grid, kd, eps).slope) for kd in MOLLIFIER_KINDS)
 
 
 def smoothing_gain_exponent() -> float:
@@ -369,7 +376,7 @@ def bernstein_ratios(grid: GridSpec, fields: list[SpectralField]) -> float:
             if l2_norm(blk) == 0.0:
                 continue
             lhs, rhs = dyadic.bernstein_check(blk, j, (1, 0, 0), 2, 2)
-            defect = max(defect, lhs / rhs - 2.0)
+            defect = max(defect, lhs / rhs - dyadic.BERNSTEIN_CONSTANTS[((1, 0, 0), 2, 2)])
     return defect
 
 
@@ -469,7 +476,7 @@ def shear_formulation_residuals(traj: Trajectory, tests: list) -> float:
     """Largest of the weak (against `tests`), final mild and strong residuals."""
     p = traj.params
     mild, strong = diag.residual_defects(traj, p)  # one pass for both residuals
-    return max(diag.weak_form_residual(traj, None, tests, p), mild[-1], max(strong))
+    return max(diag.weak_form_residual(traj, tests, p), mild[-1], max(strong))
 
 
 def energy_identity_second_order(u0: SpectralField) -> float:
@@ -481,30 +488,38 @@ def energy_identity_second_order(u0: SpectralField) -> float:
     return abs(sums[0] / sums[1] - 4.0)
 
 
+# the scheme checks' Taylor-Green runs; run(u0, REFERENCE_PARAMS) is the
+# `reference` the Galerkin checks compare against
+REFERENCE_PARAMS = SolverParams(nu=0.1, dt=2e-3, t_end=0.048, scheme="strong-imex")
+
+
 def scheme_coincidence_rate(u0: SpectralField, dts: tuple[float, ...]) -> float:
     """3 minus the smallest factor by which the mild/strong H^1 gap falls per dt step."""
     gaps = []
     for dt in dts:
-        tm = run(u0, SolverParams(nu=0.1, dt=dt, t_end=0.048, scheme="mild-duhamel"))
-        ts = run(u0, SolverParams(nu=0.1, dt=dt, t_end=0.048, scheme="strong-imex"))
+        tm = run(u0, replace(REFERENCE_PARAMS, dt=dt, scheme="mild-duhamel"))
+        ts = run(u0, replace(REFERENCE_PARAMS, dt=dt))
         gaps.append(max(_diff_norm(a, b, 1.0) for a, b in zip(tm.snapshots, ts.snapshots)))
     return 3.0 - min(gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1))
 
 
-def galerkin_gap_monotone(u0: SpectralField, cutoffs: tuple[float, ...]) -> float:
-    """Largest rise of the final Galerkin-vs-strong gap as the cutoff grows."""
-    full = run(u0, SolverParams(nu=0.1, dt=2e-3, t_end=0.048, scheme="strong-imex"))
+def galerkin_gap_monotone(
+    u0: SpectralField, reference: Trajectory, cutoffs: tuple[float, ...]
+) -> float:
+    """Largest rise of the final Galerkin-vs-`reference` gap as the cutoff grows."""
     gaps = []
     for lam in cutoffs:
-        p = SolverParams(nu=0.1, dt=2e-3, t_end=0.048, scheme="weak-galerkin", galerkin_modes=lam)
-        gaps.append(_diff_norm(run(u0, p).snapshots[-1], full.snapshots[-1]))
+        p = replace(REFERENCE_PARAMS, scheme="weak-galerkin", galerkin_modes=lam)
+        gaps.append(_diff_norm(run(u0, p).snapshots[-1], reference.snapshots[-1]))
     return max(b - a for a, b in zip(gaps, gaps[1:]))
 
 
-def galerkin_full_is_strong(u0: SpectralField) -> float:
-    tw = run(u0, SolverParams(nu=0.1, dt=2e-3, t_end=0.02, scheme="weak-galerkin"))
-    ts = run(u0, SolverParams(nu=0.1, dt=2e-3, t_end=0.02, scheme="strong-imex"))
-    same = all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(tw.snapshots, ts.snapshots))
+def galerkin_full_is_strong(u0: SpectralField, reference: Trajectory) -> float:
+    """0 when 10 uncut Galerkin steps from u0 equal the first 11 `reference` snapshots bitwise."""
+    tw = run(u0, replace(REFERENCE_PARAMS, t_end=0.02, scheme="weak-galerkin"))
+    same = all(
+        np.array_equal(a.coeffs, b.coeffs) for a, b in zip(tw.snapshots, reference.snapshots[:11])
+    )
     return 0.0 if same else 1.0
 
 
@@ -517,9 +532,7 @@ def snapshot_bitwise_roundtrip(f: SpectralField) -> float:
 
 
 def reconstruction_parseval(grid: GridSpec, weights: WeightPartition, spec: MollifierSpec) -> float:
-    merged = _collapsed(shear_init(grid), weights, spec)
-    phys = physical_l2_norm(inverse_transform(merged)) ** 2
-    return abs(phys - l2_norm(merged) ** 2) / l2_norm(merged) ** 2
+    return parseval_identity([_collapsed(shear_init(grid), weights, spec)])
 
 
 class VerifyInputs(NamedTuple):
@@ -532,6 +545,8 @@ class VerifyInputs(NamedTuple):
     cfg: ExperimentConfig
     # n=4 mild shear run (nu = 1, dt = 1e-3, T = 1); built on first call, not held before
     shear: Callable[[], Trajectory]
+    # run(tg, REFERENCE_PARAMS), built on first call
+    tg_reference: Callable[[], Trajectory]
 
 
 # (name, bound, value): a check passes when value(inputs) <= bound
@@ -579,8 +594,9 @@ CHECKS = (
          diag.weak_test_battery(GridSpec(4), 0.0, 0.5))),
     ("energy_identity_second_order", 0.5, lambda v: energy_identity_second_order(v.tg)),
     ("scheme_coincidence_rate", 0.0, lambda v: scheme_coincidence_rate(v.tg, (4e-3, 2e-3, 1e-3))),
-    ("galerkin_gap_monotone", 0.0, lambda v: galerkin_gap_monotone(v.tg, (4.0, 16.0, 36.0))),
-    ("galerkin_full_is_strong", 0.0, lambda v: galerkin_full_is_strong(v.tg)),
+    ("galerkin_gap_monotone", 0.0,
+     lambda v: galerkin_gap_monotone(v.tg, v.tg_reference(), (4.0, 16.0, 36.0))),
+    ("galerkin_full_is_strong", 0.0, lambda v: galerkin_full_is_strong(v.tg, v.tg_reference())),
     ("snapshot_bitwise_roundtrip", 0.0, lambda v: snapshot_bitwise_roundtrip(v.fields[12])),
     ("reconstruction_parseval", 1e-12,
      lambda v: reconstruction_parseval(
@@ -590,14 +606,16 @@ CHECKS = (
 
 def verify_checks(cfg: ExperimentConfig) -> list[Check]:
     grid = GridSpec(cfg.n)
+    tg = taylor_green_init(grid)
     shear_params = SolverParams(nu=1.0, dt=1e-3, t_end=1.0, scheme="mild-duhamel")
     inputs = VerifyInputs(
         grid=grid,
-        tg=taylor_green_init(grid),
+        tg=tg,
         fields=[random_solenoidal_init(grid, 2.0, cfg.seed + i) for i in range(20)],
         weights=WeightPartition(*cfg.weight_edges()),
         cfg=cfg,
         shear=cache(lambda: run(shear_init(GridSpec(4)), shear_params)),
+        tg_reference=cache(lambda: run(tg, REFERENCE_PARAMS)),
     )
     return [Check(name, float(value(inputs)), bound) for name, bound, value in CHECKS]
 
@@ -658,8 +676,7 @@ def experiment_run(cfg: ExperimentConfig, out: Path) -> int:
 def experiment_unify(cfg: ExperimentConfig, out: Path) -> int:
     grid = GridSpec(cfg.n)
     u0 = _initial_field(cfg, grid)
-    r1, r2 = cfg.weight_edges()
-    weights = WeightPartition(r1, r2)
+    weights = WeightPartition(*cfg.weight_edges())
     trajs = {
         "weak": run(u0, _solver_params(cfg, "weak-galerkin"), cadence=cfg.cadence),
         "mild": run(u0, _solver_params(cfg, "mild-duhamel"), cadence=cfg.cadence),
@@ -689,22 +706,13 @@ def experiment_unify(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def experiment_convergence(cfg: ExperimentConfig, out: Path) -> int:
-    grid = GridSpec(cfg.n)
-    f = _decay_field(grid, -3.0)
-    study = diag.convergence_study(
-        lambda e: smooth(f, MollifierSpec(e, cfg.mollifier)),
-        list(cfg.eps_list),
-        1.0,
-        reference=f,
-    )
+    study = _smoothing_study(GridSpec(cfg.n), cfg.mollifier, cfg.eps_list)
     rows = [f"{e!r},{err!r}" for e, err in zip(study.eps, study.errors)]
     (out / "convergence.csv").write_text("eps,h1_error\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    if study.exact:
-        passed = True
-    elif cfg.mollifier == "gaussian":
-        passed = study.slope is not None and 1.8 <= study.slope <= 2.2
-    else:
-        passed = study.slope is not None and study.slope >= 1.8
+    bound = next(b for name, b, _ in CHECKS if name == "smoothing_approximation_rate")
+    passed = study.exact or (
+        study.slope is not None and _rate_defect(cfg.mollifier, study.slope) <= bound
+    )
     _write_json(out / "convergence_summary.json", {
         "slope": study.slope,
         "monotone": study.monotone,

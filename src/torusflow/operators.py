@@ -84,17 +84,9 @@ def _profile(spec: MollifierSpec, r: np.ndarray) -> np.ndarray:
 
 
 def mollifier_symbol(spec: MollifierSpec, k) -> float | np.ndarray:
-    """Symbol value at wavenumber k (a 3-vector, a magnitude, or an array of magnitudes)."""
-    k = np.asarray(k, dtype=np.float64)
-    if k.ndim == 1 and k.shape == (3,):
-        mag = float(np.sqrt(np.sum(k**2)))
-        return float(_profile(spec, np.asarray([spec.eps * mag]))[0])
-    out = _profile(spec, spec.eps * np.abs(k))
+    """Symbol value at wavenumber magnitude k (a scalar or an array of magnitudes)."""
+    out = _profile(spec, spec.eps * np.abs(np.asarray(k, dtype=np.float64)))
     return float(out) if out.ndim == 0 else out
-
-
-def symbol_on_grid(spec: MollifierSpec, grid: GridSpec) -> np.ndarray:
-    return _profile(spec, spec.eps * grid.k_magnitude)
 
 
 def smooth(f: SpectralField, spec: MollifierSpec) -> SpectralField:
@@ -102,7 +94,7 @@ def smooth(f: SpectralField, spec: MollifierSpec) -> SpectralField:
 
     The scalar multiplier preserves solenoidality.
     """
-    return f.with_coeffs(f.coeffs * symbol_on_grid(spec, f.grid))
+    return f.with_coeffs(f.coeffs * mollifier_symbol(spec, f.grid.k_magnitude))
 
 
 def regularize(f: SpectralField, spec: MollifierSpec) -> SpectralField:
@@ -131,10 +123,6 @@ class WeightPartition:
             raise ValueError("need finite r2 > r1 > 0")
 
 
-def default_weights(grid: GridSpec) -> WeightPartition:
-    return WeightPartition(r1=grid.n / 8.0, r2=3.0 * grid.n / 8.0)
-
-
 def _falling_ramp(t: np.ndarray) -> np.ndarray:
     """cos^2 ramp from 1 at t<=0 to 0 at t>=1, with exact endpoint values."""
     t = np.asarray(t, dtype=np.float64)
@@ -152,21 +140,19 @@ def _high_weight(w: WeightPartition, r: np.ndarray) -> np.ndarray:
     return 1.0 - _falling_ramp((r - w.r2) / (hi - w.r2))
 
 
-def weight_eval(w: WeightPartition, k) -> tuple[float, float, float]:
-    """(omega_low, omega_mid, omega_high) at wavenumber k; sums to 1 exactly."""
-    k = np.asarray(k, dtype=np.float64)
-    r = float(np.sqrt(np.sum(k**2))) if k.shape == (3,) else float(np.abs(k))
-    rr = np.asarray([r])
-    ww = float(_low_weight(w, rr)[0])
-    ws = float(_high_weight(w, rr)[0])
-    return ww, 1.0 - ww - ws, ws
-
-
-def weights_on_grid(w: WeightPartition, grid: GridSpec):
-    r = grid.k_magnitude
+def _weights(w: WeightPartition, r: np.ndarray):
     ww = _low_weight(w, r)
     ws = _high_weight(w, r)
     return ww, 1.0 - ww - ws, ws
+
+
+def weight_eval(w: WeightPartition, k: float) -> tuple[float, float, float]:
+    """(omega_low, omega_mid, omega_high) at wavenumber magnitude k; sums to 1 exactly."""
+    return tuple(float(v) for v in _weights(w, np.asarray(abs(float(k)))))
+
+
+def weights_on_grid(w: WeightPartition, grid: GridSpec):
+    return _weights(w, grid.k_magnitude)
 
 
 def binary_cutoff(r: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import SpectralField
+from .spectral import DEALIAS_FRACTION, SpectralField
 
 
 def _axis_values(n: int) -> np.ndarray:
@@ -32,8 +32,7 @@ def convolution_advective_term(u: SpectralField) -> SpectralField:
     p + q = k (no modular wraparound), which is the alias-free product the
     2/3-dealiased pseudospectral evaluation must reproduce.
     """
-    grid = u.grid
-    n = grid.n
+    n = u.grid.n
     kv = _axis_values(n)
     qv = _deriv_axis_values(n)
     half = n // 2
@@ -80,7 +79,7 @@ def convolution_advective_term(u: SpectralField) -> SpectralField:
                 for comp in range(3):
                     out[comp][tgt] += factor * c[comp][src]
 
-    cut = grid.dealias_fraction * n / 2.0
+    cut = DEALIAS_FRACTION * n / 2.0
     keep1 = np.abs(kv) <= cut
     mask = (
         keep1[:, None, None] & keep1[None, :, None] & keep1[None, None, :]

@@ -8,17 +8,22 @@ SNS1 layout (little-endian):
   u8          flags (bit0 solenoidal, bit1 mean-free)
   3*n^3 c16   coefficients, component-major, axes k1 (slowest), k2, k3,
               each axis ordered 0, 1, ..., n/2, -n/2+1, ..., -1
+
+A reader accepts a file only when its time, viscosity and coefficients are
+finite and its flags hold for the data: solenoidal needs a divergence
+defect within SOLENOIDAL_TOL, mean-free an exactly zero k = 0 mode.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .solvers import SCHEMES, SolverParams, Trajectory
-from .spectral import GridSpec, SpectralField
+from .spectral import SOLENOIDAL_TOL, GridSpec, SpectralField, divergence_defect
 
 MAGIC = b"SNS1"
 _HEADER = struct.Struct("<4sIddB")
@@ -38,21 +43,35 @@ def write_snapshot(path: str | Path, f: SpectralField, nu: float = 0.0) -> None:
 
 
 def read_snapshot(path: str | Path) -> tuple[SpectralField, float]:
+    """Field and viscosity of an SNS1 file; ValueError naming the path if it is malformed."""
     raw = Path(path).read_bytes()
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the SNS1 header")
     magic, n, time, nu, flags = _HEADER.unpack_from(raw, 0)
     if magic != MAGIC:
         raise ValueError(f"{path}: not an SNS1 snapshot")
     expected = _HEADER.size + 3 * n**3 * 16
     if len(raw) != expected:
         raise ValueError(f"{path}: truncated snapshot ({len(raw)} != {expected} bytes)")
+    try:
+        grid = GridSpec(n)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     coeffs = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).astype(np.complex128)
+    if not (math.isfinite(time) and math.isfinite(nu) and np.isfinite(coeffs).all()):
+        raise ValueError(f"{path}: non-finite time, viscosity or coefficient")
     field = SpectralField(
-        GridSpec(n),
+        grid,
         coeffs.reshape(3, n, n, n),
         time=time,
         solenoidal=bool(flags & FLAG_SOLENOIDAL),
         zero_mean=bool(flags & FLAG_MEAN_FREE),
     )
+    # written so that a NaN defect (overflow on huge coefficients) is rejected too
+    if field.solenoidal and not divergence_defect(field) <= SOLENOIDAL_TOL:
+        raise ValueError(f"{path}: flagged solenoidal but divergence defect exceeds tolerance")
+    if field.zero_mean and np.any(field.coeffs[:, 0, 0, 0]):
+        raise ValueError(f"{path}: flagged mean-free but the k = 0 mode is not zero")
     return field, nu
 
 

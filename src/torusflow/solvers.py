@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BadCutoff, BlowUpDetected, CflViolation
+from .errors import BadCutoff, BlowUpDetected, CflViolation, NonFiniteField
 from .spectral import (
     GridSpec,
     PhysicalField,
@@ -27,6 +27,7 @@ from .spectral import (
     _advect_arrays,
     _require_solenoidal,
     advect,
+    divergence,
     forward_transform,
     leray_project,
     sobolev_norm,
@@ -209,10 +210,6 @@ def galerkin_mask(grid: GridSpec, lam: float) -> np.ndarray:
     return (grid.k_squared <= lam).astype(np.float64)
 
 
-def _step_for(scheme: str):
-    return step_mild if scheme == "mild-duhamel" else step_strong
-
-
 # ----------------------------------------------------------------------
 # drivers
 
@@ -227,10 +224,11 @@ def step_count(t_end: float, dt: float) -> int:
 def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
     """Evolve u0 to t_end, recording every `cadence`-th step (plus endpoints).
 
-    Every step re-projects onto mean-free solenoidal fields.  A blow-up
-    guard raises BlowUpDetected (carrying the partial trajectory) when the
-    H^2 norm exceeds 1e3 times its initial value or the vorticity maximum
-    passes 1e6.
+    Every step re-projects onto mean-free solenoidal fields.  A datum with
+    a non-finite coefficient raises NonFiniteField.  A blow-up guard raises
+    BlowUpDetected (carrying the partial trajectory) when the H^2 norm
+    exceeds 1e3 times its initial value or is not finite, or the vorticity
+    maximum passes 1e6; the partial holds only snapshots the guard passed.
     """
     if cadence < 1:
         raise ValueError("cadence must be >= 1")
@@ -245,7 +243,10 @@ def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
         u = u.with_coeffs(u.coeffs * mask)
     t0 = u.time
     guard_norm0 = sobolev_norm(u, GUARD_NORM_INDEX)
-    step = _step_for(p.scheme)
+    if not math.isfinite(guard_norm0):
+        # a NaN norm would switch off the guards and the CFL gate below
+        raise NonFiniteField("initial datum has a non-finite coefficient")
+    step = step_mild if p.scheme == "mild-duhamel" else step_strong
 
     snapshots = [u]
     for m in range(1, steps + 1):
@@ -255,8 +256,6 @@ def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
             u = u.with_coeffs(u.coeffs * mask)
         u = replace(u, time=t0 + m * p.dt)
         recorded = m % cadence == 0 or m == steps
-        if recorded:
-            snapshots.append(u)
         if guard_norm0 > 0.0:
             hs = sobolev_norm(u, GUARD_NORM_INDEX)
             if hs > BLOWUP_NORM_FACTOR * guard_norm0 or not math.isfinite(hs):
@@ -272,6 +271,8 @@ def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
                         f"vorticity maximum {wmax:.3e} exceeds guard at t = {u.time:g}",
                         Trajectory(p, snapshots),
                     )
+        if recorded:
+            snapshots.append(u)
     return Trajectory(p, snapshots)
 
 
@@ -286,14 +287,10 @@ def pressure_solve(u: SpectralField) -> SpectralField:
     mode by mode.
     """
     _require_solenoidal(u, "pressure_solve")
-    conv = advect(u, u)
+    out = divergence(advect(u, u)).coeffs
     k1, k2, k3 = u.grid.deriv_wavenumbers
     kk = k1 * k1 + k2 * k2 + k3 * k3
-    safe = np.where(kk > 0.0, kk, 1.0)
-    c = conv.coeffs
-    phat = np.where(kk > 0.0, 1j * (k1 * c[0] + k2 * c[1] + k3 * c[2]) / safe, 0.0)
-    out = np.zeros_like(c)
-    out[0] = phat
+    out[0] = np.where(kk > 0.0, out[0] / np.where(kk > 0.0, kk, 1.0), 0.0)
     return u.with_coeffs(out, solenoidal=False, zero_mean=True)
 
 

@@ -21,6 +21,9 @@ TWO_PI = 2.0 * np.pi
 HERMITIAN_TOL = 1e-9
 SOLENOIDAL_TOL = 1e-9
 
+# retained-mode fraction per axis for quadratic products (the 2/3 rule)
+DEALIAS_FRACTION = 2.0 / 3.0
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -32,21 +35,13 @@ class GridSpec:
     """Cubic collocation grid: n modes per axis, edge length 2*pi.
 
     Resolved wavenumbers per axis are the integers in [-n/2+1, n/2].
-    dealias_fraction is the retained-mode fraction for quadratic products
-    (2/3 rule by default).
     """
 
     n: int
-    period: float = TWO_PI
-    dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError("n must be even and >= 4")
-        if abs(self.period - TWO_PI) > 1e-12:
-            raise ValueError("period is fixed to 2*pi")
-        if not 0.0 < self.dealias_fraction <= 1.0:
-            raise ValueError("dealias_fraction must lie in (0, 1]")
 
     @cached_property
     def axis_wavenumbers(self) -> np.ndarray:
@@ -90,8 +85,8 @@ class GridSpec:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        # keep |k_axis| <= dealias_fraction * n/2 on every axis
-        cut = self.dealias_fraction * self.n / 2.0
+        # keep |k_axis| <= DEALIAS_FRACTION * n/2 on every axis
+        cut = DEALIAS_FRACTION * self.n / 2.0
         k1, k2, k3 = self.wavenumbers
         mask = (np.abs(k1) <= cut) & (np.abs(k2) <= cut) & (np.abs(k3) <= cut)
         return _read_only(mask.astype(np.float64))
@@ -152,8 +147,7 @@ class PhysicalField:
 
 def forward_transform(f: PhysicalField) -> SpectralField:
     """Fourier coefficients uhat(k) such that u(x) = sum_k uhat(k) e^{i k.x}."""
-    coeffs = np.fft.fftn(f.samples, axes=(1, 2, 3)) / f.grid.n**3
-    return SpectralField(f.grid, coeffs, time=f.time, label=f.label)
+    return SpectralField(f.grid, _to_spectral(f.samples, f.grid.n), time=f.time, label=f.label)
 
 
 def hermitian_defect(f: SpectralField) -> float:
@@ -166,14 +160,12 @@ def hermitian_defect(f: SpectralField) -> float:
     return float(np.max(np.abs(c - mirrored)) / scale)
 
 
-def inverse_transform(f: SpectralField, check: bool = True) -> PhysicalField:
+def inverse_transform(f: SpectralField) -> PhysicalField:
     """Synthesize real samples; rejects corrupted (non-Hermitian) spectra."""
-    if check:
-        defect = hermitian_defect(f)
-        if defect > HERMITIAN_TOL:
-            raise SymmetryViolation(f"Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e}")
-    samples = np.fft.ifftn(f.coeffs, axes=(1, 2, 3)).real * f.grid.n**3
-    return PhysicalField(f.grid, samples, time=f.time, label=f.label)
+    defect = hermitian_defect(f)
+    if defect > HERMITIAN_TOL:
+        raise SymmetryViolation(f"Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e}")
+    return PhysicalField(f.grid, _to_physical(f.coeffs, f.grid.n), time=f.time, label=f.label)
 
 
 def _to_physical(coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -279,7 +271,7 @@ def curl(f: SpectralField) -> SpectralField:
 
 def vorticity_max(u: SpectralField) -> float:
     """Lattice maximum of |curl u| (the Beale-Kato-Majda monitor)."""
-    w = inverse_transform(curl(u), check=False).samples
+    w = _to_physical(curl(u).coeffs, u.grid.n)
     return float(np.sqrt((w**2).sum(axis=0)).max())
 
 

@@ -15,8 +15,8 @@ from torusflow import (
     GridSpec,
     MollifierSpec,
     SolverParams,
+    WeightPartition,
     dealias,
-    default_weights,
     dyadic_block,
     bernstein_check,
     l2_norm,
@@ -165,7 +165,8 @@ def test_criterion_09_energy_identity(vortex32):
 def test_criterion_10_scheme_coincidence(vortex32):
     grid, tg = vortex32
     rate = ex.scheme_coincidence_rate(tg, (4e-3, 2e-3, 1e-3, 5e-4))
-    rise = ex.galerkin_gap_monotone(tg, (16.0, 64.0, 144.0))
+    reference = run(tg, ex.REFERENCE_PARAMS)
+    rise = ex.galerkin_gap_monotone(tg, reference, (16.0, 64.0, 144.0))
     ok = rate <= BOUND["scheme_coincidence_rate"] and rise <= BOUND["galerkin_gap_monotone"]
     assert report(
         10, "scheme-coincidence", ok,
@@ -177,7 +178,7 @@ def test_criterion_11_unified_pipeline():
     grid = GridSpec(8)
     p = SolverParams(nu=1.0, dt=1e-2, t_end=0.05, scheme="mild-duhamel")
     traj = run(shear_init(grid), p)
-    w = default_weights(grid)
+    w = WeightPartition(1.0, 3.0)
     scale = max(sobolev_norm(s, 1.0) for s in traj.snapshots)
     errors = []
     for eps in [2.0**-k for k in range(2, 9)]:

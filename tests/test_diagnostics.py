@@ -9,9 +9,9 @@ from torusflow import (
     SolverParams,
     SpectralField,
     Trajectory,
+    WeightPartition,
     bkm_monitor,
     convergence_study,
-    default_weights,
     diagnostics_csv,
     energy_identity_residual,
     enstrophy,
@@ -28,7 +28,6 @@ from torusflow import (
     strong_residual,
     taylor_green_init,
     unified_reconstruction,
-    vorticity_residual,
     weak_form_residual,
     weak_test_battery,
 )
@@ -112,7 +111,7 @@ def test_weak_residual_shear_quadrature_level(shear_traj_fine):
     traj, p = shear_traj_fine
     tests = weak_test_battery(traj.grid, 0.0, 0.2, times=traj.times)
     assert len(tests) == 12
-    assert weak_form_residual(traj, None, tests, p) <= 1e-10
+    assert weak_form_residual(traj, tests, p) <= 1e-10
 
 
 def test_weak_residual_orthogonal_mode_vanishes(shear_traj_fine):
@@ -121,7 +120,7 @@ def test_weak_residual_orthogonal_mode_vanishes(shear_traj_fine):
     # modes polarized off e2 or varying off x1 never see the shear flow
     orthogonal = [v for v in tests if "e2" not in v.mode.label]
     assert orthogonal, "battery should contain modes orthogonal to the shear"
-    assert weak_form_residual(traj, None, orthogonal, p) <= 1e-14
+    assert weak_form_residual(traj, orthogonal, p) <= 1e-14
 
 
 def test_weak_residual_taylor_green_orthogonal_battery(grid8):
@@ -131,21 +130,7 @@ def test_weak_residual_taylor_green_orthogonal_battery(grid8):
     p = SolverParams(nu=0.1, dt=2e-3, t_end=0.08, scheme="strong-imex")
     traj = run(tg, p)
     tests = weak_test_battery(grid8, 0.0, 0.08, times=traj.times)
-    assert weak_form_residual(traj, None, tests, p) <= 1e-15
-
-
-def test_weak_residual_pressure_term_inert_for_solenoidal_tests(shear_traj_fine):
-    # divergence-free test modes never see the pressure; supplying the
-    # per-snapshot pressure fields must not move the residual
-    traj, p = shear_traj_fine
-    from torusflow import pressure_solve
-
-    short = Trajectory(p, traj.snapshots[:41])
-    tests = weak_test_battery(short.grid, 0.0, short.snapshots[-1].time, times=short.times)
-    pressures = [pressure_solve(s) for s in short.snapshots]
-    with_p = weak_form_residual(short, pressures, tests, p)
-    without = weak_form_residual(short, None, tests, p)
-    assert with_p == without
+    assert weak_form_residual(traj, tests, p) <= 1e-15
 
 
 def test_weak_residual_rejects_divergent_test(shear_traj_fine, grid8):
@@ -158,10 +143,9 @@ def test_weak_residual_rejects_divergent_test(shear_traj_fine, grid8):
         mode=tests[0].mode.with_coeffs(bad_coeffs, solenoidal=False),
         bump=tests[0].bump,
         bump_dt=tests[0].bump_dt,
-        support=tests[0].support,
     )
     with pytest.raises(NonSolenoidalTest):
-        weak_form_residual(traj, None, [bad], p)
+        weak_form_residual(traj, [bad], p)
 
 
 def test_weak_residual_second_order(grid8):
@@ -176,7 +160,7 @@ def test_weak_residual_second_order(grid8):
         p = SolverParams(nu=0.1, dt=dt, t_end=0.08, scheme="strong-imex")
         traj = run(u0, p)
         tests = weak_test_battery(grid8, 0.0, 0.08, times=traj.times)
-        residuals.append(weak_form_residual(traj, None, tests, p))
+        residuals.append(weak_form_residual(traj, tests, p))
     assert residuals[0] > residuals[1] > residuals[2]
     assert residuals[1] / residuals[2] == pytest.approx(4.0, abs=1.2)
 
@@ -244,21 +228,11 @@ def test_strong_residual_zero_trajectory(grid8):
         strong_residual(Trajectory(p, traj.snapshots[:2]), p)
 
 
-def test_vorticity_residual_second_order(grid8):
-    tg = taylor_green_init(grid8)
-    values = []
-    for dt in (2e-3, 1e-3):
-        p = SolverParams(nu=0.1, dt=dt, t_end=0.08, scheme="strong-imex")
-        traj = run(tg, p)
-        values.append(vorticity_residual(traj, p))
-    assert values[0] / values[1] == pytest.approx(4.0, abs=1.2)
-
-
 def test_unified_reconstruction_identical_triple(grid32):
     tg = taylor_green_init(grid32)
     p = SolverParams(nu=0.1, dt=2e-3, t_end=0.008, scheme="strong-imex")
     traj = run(tg, p)
-    w = default_weights(grid32)
+    w = WeightPartition(4.0, 12.0)
     errors = []
     for eps in [2.0**-k for k in range(2, 9)]:
         merged = unified_reconstruction(traj, traj, traj, w, MollifierSpec(eps, "gaussian"))
@@ -279,7 +253,7 @@ def test_unified_reconstruction_zero_trajectories(grid8):
     p = SolverParams(nu=1.0, dt=1e-2, t_end=0.03)
     traj = run(zero, p)
     merged = unified_reconstruction(
-        traj, traj, traj, default_weights(grid8), MollifierSpec(0.1, "gaussian")
+        traj, traj, traj, WeightPartition(1.0, 3.0), MollifierSpec(0.1, "gaussian")
     )
     assert all(l2_norm(s) == 0.0 for s in merged.snapshots)
 
@@ -287,7 +261,7 @@ def test_unified_reconstruction_zero_trajectories(grid8):
 def test_unified_reconstruction_shear_closed_form(grid8):
     p = SolverParams(nu=1.0, dt=1e-2, t_end=0.05, scheme="mild-duhamel")
     traj = run(shear_init(grid8), p)
-    w = default_weights(grid8)
+    w = WeightPartition(1.0, 3.0)
     merged = unified_reconstruction(
         traj, traj, traj, w, MollifierSpec(2.0**-8, "gaussian")
     )
@@ -308,7 +282,7 @@ def test_unified_reconstruction_parseval(grid8):
     p = SolverParams(nu=1.0, dt=1e-2, t_end=0.03, scheme="mild-duhamel")
     traj = run(shear_init(grid8), p)
     merged = unified_reconstruction(
-        traj, traj, traj, default_weights(grid8), MollifierSpec(0.05, "gaussian")
+        traj, traj, traj, WeightPartition(1.0, 3.0), MollifierSpec(0.05, "gaussian")
     )
     for snap in merged.snapshots:
         lattice = physical_l2_norm(inverse_transform(snap)) ** 2
@@ -321,7 +295,7 @@ def test_unified_reconstruction_time_mismatch(grid8):
     p2 = SolverParams(nu=1.0, dt=1.5e-2, t_end=0.045, scheme="mild-duhamel")
     b = run(shear_init(grid8), p2)
     with pytest.raises(TimeGridMismatch):
-        unified_reconstruction(a, b, a, default_weights(grid8), MollifierSpec(0.1))
+        unified_reconstruction(a, b, a, WeightPartition(1.0, 3.0), MollifierSpec(0.1))
 
 
 def test_convergence_study_gaussian_slope(grid16):
@@ -366,9 +340,9 @@ def test_convergence_study_degenerate_sequences(grid8):
     f = shear_init(grid8)
     build = lambda e: smooth(f, MollifierSpec(e, "gaussian"))
     with pytest.raises(DegenerateSequence):
-        convergence_study(build, [0.5, 0.25, 0.125], 1.0)
+        convergence_study(build, [0.5, 0.25, 0.125], 1.0, reference=f)
     with pytest.raises(DegenerateSequence):
-        convergence_study(build, [0.5, 0.25, 0.25, 0.125], 1.0)
+        convergence_study(build, [0.5, 0.25, 0.25, 0.125], 1.0, reference=f)
 
 
 def smooth_target(grid):

@@ -10,8 +10,6 @@ from torusflow import (
     dyadic_block,
     heat_semigroup,
     l2_norm,
-    low_pass,
-    midband_pair_sum,
     paraproduct_decompose,
     random_solenoidal_init,
     reassemble,
@@ -95,18 +93,6 @@ def test_reassembly_50_random_fields(grid16):
         re = reassemble(u, part)
         rel = np.max(np.abs(re.coeffs - u.coeffs)) / np.max(np.abs(u.coeffs))
         assert rel <= 1e-12
-
-
-def test_low_pass_plus_tail_recovers(grid16, random_fields_16):
-    u = random_fields_16[1]
-    part = DyadicPartition.for_grid(grid16)
-    j = 3
-    tail = sum(
-        (dyadic_block(u, jp, part).coeffs for jp in part.indices if jp >= j - 1),
-        start=np.zeros_like(u.coeffs),
-    )
-    total = low_pass(u, j, part).coeffs + tail
-    assert np.max(np.abs(total - u.coeffs)) <= 1e-12 * np.max(np.abs(u.coeffs))
 
 
 def test_almost_orthogonality_single_plateau_mode(grid16):
@@ -245,11 +231,6 @@ def test_heat_decay_of_blocks(grid16, random_fields_16):
         before = l2_norm(dyadic_block(u, j, part))
         after = l2_norm(dyadic_block(hu, j, part))
         assert after <= np.exp(-nu * t * 4.0 ** (j - 1)) * before
-
-
-def test_midband_pair_sum_finite(grid16, random_fields_16):
-    total = midband_pair_sum(random_fields_16[5], 2)
-    assert np.isfinite(total) and total >= 0.0
 
 
 def test_commutator_constant_battery(grid16):

@@ -12,7 +12,6 @@ from torusflow import (
     WeightPartition,
     binary_cutoff,
     blend,
-    default_weights,
     heat_semigroup,
     l2_norm,
     leray_project,
@@ -41,7 +40,7 @@ def test_mollifier_spec_validation():
 
 def test_gaussian_symbol_closed_form():
     spec = MollifierSpec(0.1, "gaussian")
-    assert mollifier_symbol(spec, (10.0, 0.0, 0.0)) == pytest.approx(np.exp(-0.5), rel=1e-14)
+    assert mollifier_symbol(spec, 10.0) == pytest.approx(np.exp(-0.5), rel=1e-14)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "bump"])
@@ -154,7 +153,7 @@ def test_blend_identity_collapse_partition_of_unity(grid16, random_fields_16, he
     # identical inputs: the weighted blend must reduce to a pure smoothing
     # of the common field, converging as eps -> 0
     phi = leray_project(random_fields_16[6])
-    w = default_weights(grid16)
+    w = WeightPartition(2.0, 6.0)
     errs = []
     for e in (0.25, 0.0625, 0.015625, 0.00390625):
         spec = MollifierSpec(e, "gaussian")
@@ -166,7 +165,7 @@ def test_blend_identity_collapse_partition_of_unity(grid16, random_fields_16, he
 
 def test_blend_binary_saturation(grid16, random_fields_16):
     uw, um, us = random_fields_16[0], random_fields_16[1], random_fields_16[2]
-    w = default_weights(grid16)
+    w = WeightPartition(2.0, 6.0)
     out = blend(uw, um, us, w, MollifierSpec(4.0, "gaussian"), variant="binary")
     diff = np.abs(out.coeffs - us.coeffs)
     diff[:, 0, 0, 0] = 0.0
@@ -191,11 +190,11 @@ def test_blend_grid_mismatch(grid8, grid16):
     a = shear_init(grid8)
     b = shear_init(grid16)
     with pytest.raises(GridMismatch):
-        blend(a, a, b, default_weights(grid8), MollifierSpec(0.1), variant="binary")
+        blend(a, a, b, WeightPartition(1.0, 3.0), MollifierSpec(0.1), variant="binary")
 
 
 def test_blend_stability_bounds(grid16, random_fields_16):
-    w = default_weights(grid16)
+    w = WeightPartition(2.0, 6.0)
     uw, um, us = random_fields_16[7:10]
     for s in (0.0, 1.0, 2.0):
         total = sum(sobolev_norm(f, s) for f in (uw, um, us))
@@ -207,7 +206,7 @@ def test_blend_stability_bounds(grid16, random_fields_16):
 
 def test_binary_blend_and_multipliers_commute_with_heat(grid16, random_fields_16, helpers):
     nu, t = 0.7, 0.2
-    w = default_weights(grid16)
+    w = WeightPartition(2.0, 6.0)
     spec = MollifierSpec(0.25, "gaussian")
     f, h = random_fields_16[10], random_fields_16[11]
     one = heat_semigroup(blend(f, f, h, w, spec, "binary"), nu, t)
@@ -229,7 +228,7 @@ def test_solenoidal_flags_preserved(grid16, random_fields_16):
     spec = MollifierSpec(0.3, "gaussian")
     assert smooth(u, spec).solenoidal
     assert regularize(u, spec).solenoidal
-    w = default_weights(grid16)
+    w = WeightPartition(2.0, 6.0)
     assert blend(u, u, u, w, spec, variant="binary").solenoidal
     assert blend(u, u, u, w, spec, variant="weighted").solenoidal
 
@@ -259,14 +258,14 @@ def test_gaussian_smoothing_semigroup_property(e1, e2):
 
 def test_binary_blend_of_identical_fields_is_identity(grid16, random_fields_16):
     u = random_fields_16[13]
-    out = blend(u, u, u, default_weights(grid16), MollifierSpec(0.25), variant="binary")
+    out = blend(u, u, u, WeightPartition(2.0, 6.0), MollifierSpec(0.25), variant="binary")
     gap = np.max(np.abs(out.coeffs - u.coeffs))
     assert gap <= 1e-15 * np.max(np.abs(u.coeffs))
 
 
 def test_pipeline_monotone_smoothed_blend(grid8):
     phi = shear_init(grid8)
-    w = default_weights(grid8)
+    w = WeightPartition(1.0, 3.0)
     errs = []
     for e in [2.0**-k for k in range(2, 9)]:
         spec = MollifierSpec(e, "gaussian")

@@ -1,22 +1,30 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusflow import (
+    GridSpec,
     MollifierSpec,
     SolverParams,
-    default_weights,
+    WeightPartition,
     random_solenoidal_init,
     run,
     shear_init,
     unified_reconstruction,
 )
 from torusflow.snapshots import (
+    MAGIC,
     read_snapshot,
     read_trajectory,
     snapshot_bytes,
     write_snapshot,
     write_trajectory,
 )
+from torusflow.spectral import SOLENOIDAL_TOL, divergence_defect
 
 
 def test_snapshot_header_layout(grid8):
@@ -99,7 +107,7 @@ def test_unified_trajectory_roundtrip(tmp_path, grid8):
     p = SolverParams(nu=0.5, dt=1e-2, t_end=0.02)
     traj = run(shear_init(grid8), p)
     merged = unified_reconstruction(
-        traj, traj, traj, default_weights(grid8), MollifierSpec(0.25)
+        traj, traj, traj, WeightPartition(1.0, 3.0), MollifierSpec(0.25)
     )
     write_trajectory(tmp_path / "traj", merged)
     back = read_trajectory(tmp_path / "traj")
@@ -108,3 +116,105 @@ def test_unified_trajectory_roundtrip(tmp_path, grid8):
     for a, b in zip(merged.snapshots, back.snapshots):
         assert np.array_equal(a.coeffs, b.coeffs)
         assert a.time == b.time
+
+
+def test_snapshot_rejects_short_header(tmp_path):
+    path = tmp_path / "tiny.sns1"
+    path.write_bytes(b"SNS1" + bytes(6))
+    with pytest.raises(ValueError, match="tiny.sns1"):
+        read_snapshot(path)
+
+
+def test_snapshot_rejects_non_finite_coefficient(tmp_path, grid8):
+    u = random_solenoidal_init(grid8, 2.0, 3)
+    coeffs = u.coeffs.copy()
+    coeffs[1, 2, 0, 0] = np.nan
+    path = tmp_path / "nan.sns1"
+    write_snapshot(path, u.with_coeffs(coeffs))
+    with pytest.raises(ValueError, match="non-finite"):
+        read_snapshot(path)
+
+
+def test_snapshot_rejects_false_solenoidal_flag(tmp_path, grid8):
+    u = random_solenoidal_init(grid8, 2.0, 4)
+    coeffs = u.coeffs.copy()
+    coeffs[0, 1, 0, 0] += 0.5  # a divergent mode, real-symmetric
+    coeffs[0, -1, 0, 0] += 0.5
+    path = tmp_path / "div.sns1"
+    write_snapshot(path, u.with_coeffs(coeffs, solenoidal=True))
+    with pytest.raises(ValueError, match="solenoidal"):
+        read_snapshot(path)
+
+
+def test_snapshot_rejects_false_mean_free_flag(tmp_path, grid8):
+    u = random_solenoidal_init(grid8, 2.0, 5)
+    coeffs = u.coeffs.copy()
+    coeffs[2, 0, 0, 0] = 1e-3
+    path = tmp_path / "mean.sns1"
+    write_snapshot(path, u.with_coeffs(coeffs, zero_mean=True))
+    with pytest.raises(ValueError, match="mean-free"):
+        read_snapshot(path)
+
+
+N4_SIZE = 25 + 3 * 4**3 * 16
+
+
+def _valid_n4_bytes(seed: int, flags: int) -> bytes:
+    raw = bytearray(snapshot_bytes(random_solenoidal_init(GridSpec(4), 2.0, seed)))
+    raw[24] = flags
+    return bytes(raw)
+
+
+def _truncated(seed: int, flags: int, size: int) -> bytes:
+    return _valid_n4_bytes(seed, flags)[:size]
+
+
+def _one_byte_flipped(seed: int, flags: int, at: int, mask: int) -> bytes:
+    raw = bytearray(_valid_n4_bytes(seed, flags))
+    raw[at] ^= mask
+    return bytes(raw)
+
+
+def _inflated(n: int, time: float, nu: float, flags: int, payload: bytes) -> bytes:
+    return struct.pack("<4sIddB", MAGIC, n, time, nu, flags) + payload
+
+
+_fuzz_bytes = st.one_of(
+    st.builds(_truncated, st.integers(0, 3), st.integers(0, 3), st.integers(0, N4_SIZE)),
+    st.binary(max_size=200),
+    st.binary(max_size=200).map(lambda b: MAGIC + b),
+    st.builds(_one_byte_flipped, st.integers(0, 3), st.integers(0, 3),
+              st.integers(0, N4_SIZE - 1), st.integers(1, 255)),
+    # a header claiming a large n over a small payload
+    st.builds(_inflated, st.integers(5, 2**32 - 1), st.floats(), st.floats(),
+              st.integers(0, 255), st.binary(max_size=200)),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "f.sns1"
+
+
+@settings(max_examples=150)
+@given(raw=_fuzz_bytes)
+def test_snapshot_reader_fuzz(fuzz_path, raw):
+    # the only outcomes are ValueError or a field that honours its flags;
+    # the reader never allocates for the n a header claims
+    fuzz_path.write_bytes(raw)
+    tracemalloc.start()
+    try:
+        field, nu = read_snapshot(fuzz_path)
+    except ValueError:
+        field = None
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak <= 64 * len(raw) + (1 << 16)
+    if field is None:
+        return
+    assert np.isfinite(field.coeffs).all() and np.isfinite(nu) and np.isfinite(field.time)
+    if field.solenoidal:
+        assert divergence_defect(field) <= SOLENOIDAL_TOL
+    if field.zero_mean:
+        assert not np.any(field.coeffs[:, 0, 0, 0])

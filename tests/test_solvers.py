@@ -19,7 +19,9 @@ from torusflow import (
     step_strong,
     taylor_green_init,
 )
-from torusflow.errors import BadCutoff, BlowUpDetected, CflViolation
+from torusflow import solvers
+from torusflow.errors import BadCutoff, BlowUpDetected, CflViolation, NonFiniteField
+from torusflow.snapshots import read_trajectory, write_trajectory
 from torusflow.oracles import convolution_nonlinear_term
 from torusflow.spectral import divergence_defect
 
@@ -264,6 +266,35 @@ def test_blowup_guard_reports_with_partial_trajectory(grid8):
     assert len(excinfo.value.trajectory.snapshots) >= 1
 
 
+def test_non_finite_datum_raises(grid8):
+    # a NaN datum makes the guard norm NaN, which would pass every guard comparison
+    tg = taylor_green_init(grid8)
+    bad = tg.coeffs.copy()
+    bad[0, 1, 1, 1] = np.nan
+    for scheme in ("strong-imex", "mild-duhamel"):
+        with pytest.raises(NonFiniteField):
+            run(tg.with_coeffs(bad), SolverParams(nu=0.1, dt=1e-2, t_end=0.05, scheme=scheme))
+
+
+def test_blowup_partial_holds_only_guarded_snapshots(tmp_path, grid8, monkeypatch):
+    # the fourth step returns NaN: the partial keeps the datum and three steps
+    real_step = solvers.step_strong
+    calls = []
+
+    def failing_step(u, p):
+        calls.append(1)
+        out = real_step(u, p)
+        return out if len(calls) < 4 else out.with_coeffs(out.coeffs * np.nan)
+
+    monkeypatch.setattr(solvers, "step_strong", failing_step)
+    with pytest.raises(BlowUpDetected) as excinfo:
+        run(taylor_green_init(grid8), SolverParams(nu=0.1, dt=1e-2, t_end=0.1))
+    write_trajectory(tmp_path / "partial", excinfo.value.trajectory)
+    back = read_trajectory(tmp_path / "partial")
+    assert len(back.snapshots) == 4
+    assert all(np.isfinite(s.coeffs).all() for s in back.snapshots)
+
+
 def test_pressure_shear_zero(grid16):
     assert l2_norm(pressure_solve(shear_init(grid16))) <= 1e-15
 
@@ -287,7 +318,7 @@ def test_pressure_closed_form_on_vortex(grid16):
     from torusflow import inverse_transform
 
     tg = taylor_green_init(grid16)
-    p_phys = inverse_transform(pressure_solve(tg), check=False).samples[0]
+    p_phys = inverse_transform(pressure_solve(tg)).samples[0]
     x1, x2, x3 = grid16.coordinates
     closed = (2.0 + np.cos(2 * x3)) * (np.cos(2 * x1) + np.cos(2 * x2)) / 16.0
     assert np.max(np.abs(p_phys - closed)) <= 1e-13

@@ -28,7 +28,7 @@ from torusflow import (
     taylor_green_init,
 )
 from torusflow.errors import NotSolenoidal, SymmetryViolation
-from torusflow.spectral import advect
+from torusflow.spectral import DEALIAS_FRACTION, advect
 
 
 def test_grid_validation():
@@ -36,10 +36,6 @@ def test_grid_validation():
         GridSpec(3)
     with pytest.raises(ValueError):
         GridSpec(7)
-    with pytest.raises(ValueError):
-        GridSpec(8, period=1.0)
-    with pytest.raises(ValueError):
-        GridSpec(8, dealias_fraction=0.0)
     g = GridSpec(8)
     assert g.axis_wavenumbers.tolist() == [0, 1, 2, 3, 4, -3, -2, -1]
 
@@ -268,7 +264,7 @@ def test_dealias_zeroes_top_third(grid16):
     u = random_solenoidal_init(grid16, 1.0, 9)
     out = dealias(u)
     kk = grid16.wavenumbers
-    cut = grid16.dealias_fraction * grid16.n / 2.0
+    cut = DEALIAS_FRACTION * grid16.n / 2.0
     outside = (np.abs(kk[0]) > cut) | (np.abs(kk[1]) > cut) | (np.abs(kk[2]) > cut)
     assert np.max(np.abs(out.coeffs[:, outside])) == 0.0
     assert np.array_equal(out.coeffs[:, ~outside], u.coeffs[:, ~outside])
