@@ -26,6 +26,7 @@ from .spectral import (
     SpectralField,
     _advect_arrays,
     _require_solenoidal,
+    _to_spectral,
     advect,
     divergence,
     forward_transform,
@@ -122,7 +123,7 @@ def random_solenoidal_init(grid: GridSpec, s: float, seed: int) -> SpectralField
     """Seeded random field with |uhat(k)| ~ (1+|k|^2)^-(s+1), unit H^s norm."""
     rng = np.random.default_rng(seed)
     white = rng.standard_normal((3, grid.n, grid.n, grid.n))
-    c = np.fft.fftn(white, axes=(1, 2, 3)) / grid.n**3
+    c = _to_spectral(white, grid.n)
     c *= (1.0 + grid.k_squared) ** (-(s + 1.0))
     f = leray_project(SpectralField(grid, c, label=f"random-{seed}"))
     f = zero_mean(f)

@@ -58,13 +58,11 @@ class GridSpec:
         k[self.n // 2] = 0.0
         return _read_only(k)
 
-    def _axis_grids(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n = self.n
-        return (
-            _read_only(np.broadcast_to(k[:, None, None], (n, n, n)).copy()),
-            _read_only(np.broadcast_to(k[None, :, None], (n, n, n)).copy()),
-            _read_only(np.broadcast_to(k[None, None, :], (n, n, n)).copy()),
-        )
+    @staticmethod
+    def _axis_grids(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # read-only views of shapes (n,1,1), (1,n,1), (1,1,n): they broadcast
+        # against (n,n,n) without storing three n^3 copies
+        return (k[:, None, None], k[None, :, None], k[None, None, :])
 
     @cached_property
     def wavenumbers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,17 +161,40 @@ def hermitian_defect(f: SpectralField) -> float:
 def inverse_transform(f: SpectralField) -> PhysicalField:
     """Synthesize real samples; rejects corrupted (non-Hermitian) spectra."""
     defect = hermitian_defect(f)
-    if defect > HERMITIAN_TOL:
+    if not defect <= HERMITIAN_TOL:  # NaN (infinite coefficients) fails too
         raise SymmetryViolation(f"Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e}")
     return PhysicalField(f.grid, _to_physical(f.coeffs, f.grid.n), time=f.time, label=f.label)
 
 
+# The transform pair is real-to-complex.  Only the half spectrum k3 >= 0
+# (storage index [..., :n//2+1]) is transformed; the other half of a real
+# field's spectrum is its mirror, coeff(-k) = conj(coeff(k)).  The 1/n^3 of
+# the coefficient convention is the forward normalization, so neither
+# direction rescales.
+_AXES = (-3, -2, -1)
+
+
 def _to_physical(coeffs: np.ndarray, n: int) -> np.ndarray:
-    return np.fft.ifftn(coeffs, axes=(1, 2, 3)).real * n**3
+    """Real samples of a full or half spectrum; reads only [..., :n//2+1]."""
+    return np.fft.irfftn(coeffs[..., : n // 2 + 1], s=(n, n, n), axes=_AXES, norm="forward")
 
 
-def _to_spectral(samples: np.ndarray, n: int) -> np.ndarray:
-    return np.fft.fftn(samples, axes=(1, 2, 3)) / n**3
+def _to_spectral(samples: np.ndarray, n: int, mask: np.ndarray | None = None) -> np.ndarray:
+    """Full spectrum of real samples; mask, if given, multiplies the half spectrum."""
+    half = np.fft.rfftn(samples, axes=_AXES, norm="forward")
+    if mask is not None:
+        half *= mask
+    h = n // 2 + 1
+    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., :h] = half
+    # out(-k) = conj(out(k)) for k3 < 0.  Per axis, storage index i holds -k at
+    # (n - i) % n: index 0 maps to itself and 1..n-1 to the reversed n-1..1.
+    dst_axis = (slice(0, 1), slice(1, None))
+    src_axis = (slice(0, 1), slice(None, 0, -1))
+    for d1, s1 in zip(dst_axis, src_axis):
+        for d2, s2 in zip(dst_axis, src_axis):
+            np.conjugate(half[..., s1, s2, h - 2:0:-1], out=out[..., d1, d2, h:])
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -214,10 +235,13 @@ def leray_project(f: SpectralField) -> SpectralField:
     """
     k1, k2, k3 = f.grid.deriv_wavenumbers
     kk = k1 * k1 + k2 * k2 + k3 * k3
-    safe = np.where(kk > 0.0, kk, 1.0)
     c = f.coeffs
-    kdotc = np.where(kk > 0.0, (k1 * c[0] + k2 * c[1] + k3 * c[2]) / safe, 0.0)
-    out = np.stack((c[0] - k1 * kdotc, c[1] - k2 * kdotc, c[2] - k3 * kdotc))
+    kdotc = np.divide(k1 * c[0] + k2 * c[1] + k3 * c[2], kk,
+                      out=np.zeros_like(c[0]), where=kk > 0.0)
+    out = np.empty_like(c)
+    for i, k in enumerate((k1, k2, k3)):
+        np.multiply(k, kdotc, out=out[i])
+        np.subtract(c[i], out[i], out=out[i])
     return f.with_coeffs(out, solenoidal=True)
 
 
@@ -302,26 +326,30 @@ def divergence_defect(f: SpectralField) -> float:
 # nonlinearity
 
 def _advect_arrays(fc: np.ndarray, gc: np.ndarray, grid: GridSpec):
-    """Dealiased spectral coefficients of (f . grad) g, plus max |f| on the lattice."""
+    """Dealiased spectral coefficients of (f . grad) g, plus max |f| on the lattice.
+
+    Five transforms: f in, the gradient of each component of g in (three
+    fields per call, built on the half spectrum), the product out.
+    """
     n = grid.n
-    scale = float(n**3)
-    kk = grid.deriv_wavenumbers
+    h = n // 2 + 1
+    ik = [1j * k[..., :h] for k in grid.deriv_wavenumbers]
     fp = _to_physical(fc, n)
     fmax = float(np.sqrt((fp**2).sum(axis=0)).max())
     out_phys = np.empty_like(fp)
+    grad = np.empty((3, n, n, h), dtype=np.complex128)
     for i in range(3):
-        gi = gc[i]
-        acc = np.zeros((n, n, n))
         for j in range(3):
-            dj_gi = np.fft.ifftn(1j * kk[j] * gi).real * scale
-            acc += fp[j] * dj_gi
-        out_phys[i] = acc
-    out = _to_spectral(out_phys, n) * grid.dealias_mask
+            np.multiply(ik[j], gc[i, ..., :h], out=grad[j])
+        prod = _to_physical(grad, n)
+        prod *= fp
+        np.sum(prod, axis=0, out=out_phys[i])
+    out = _to_spectral(out_phys, n, grid.dealias_mask[..., :h])
     return out, fmax
 
 
 def _require_solenoidal(u: SpectralField, what: str):
-    if not u.solenoidal and divergence_defect(u) > SOLENOIDAL_TOL:
+    if not u.solenoidal and not divergence_defect(u) <= SOLENOIDAL_TOL:  # NaN fails too
         raise NotSolenoidal(f"{what} requires a divergence-free field")
 
 

@@ -28,7 +28,13 @@ from torusflow import (
     taylor_green_init,
 )
 from torusflow.errors import NotSolenoidal, SymmetryViolation
-from torusflow.spectral import DEALIAS_FRACTION, advect
+from torusflow.spectral import (
+    DEALIAS_FRACTION,
+    _advect_arrays,
+    _to_physical,
+    _to_spectral,
+    advect,
+)
 
 
 def test_grid_validation():
@@ -95,6 +101,14 @@ def test_inverse_rejects_broken_symmetry(grid8):
     c = np.zeros((3, 8, 8, 8), dtype=complex)
     c[0, 1, 0, 0] = 1.0  # no conjugate partner
     with pytest.raises(SymmetryViolation):
+        inverse_transform(SpectralField(grid8, c))
+
+
+def test_inverse_rejects_infinite_coefficient(grid8):
+    # inf - inf makes the Hermitian defect NaN, which must not pass
+    c = np.zeros((3, 8, 8, 8), dtype=complex)
+    c[0, 1, 0, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(SymmetryViolation):
         inverse_transform(SpectralField(grid8, c))
 
 
@@ -239,6 +253,17 @@ def test_nonlinear_rejects_divergent_input(grid8):
         nonlinear_term(SpectralField(grid8, c))
 
 
+def test_nonlinear_rejects_overflowing_divergent_input(grid8):
+    # the defect of huge coefficients overflows to NaN, which must not pass
+    c = random_solenoidal_init(grid8, 1.0, 0).coeffs.copy()
+    c[0, 1, 0, 0] = c[0, -1, 0, 0] = 1e300
+    u = SpectralField(grid8, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(divergence_defect(u))
+        with pytest.raises(NotSolenoidal):
+            nonlinear_term(u)
+
+
 def test_nonlinear_energy_neutral_when_dealiasing_exact(grid32):
     # inputs band-limited so the cubic integrand is exactly quadratured
     kk = grid32.wavenumbers
@@ -306,3 +331,93 @@ def test_taylor_green_datum(grid8):
     mass = np.abs(tg.coeffs) ** 2
     on_support = mass[:, [1, -1]][:, :, [1, -1]][:, :, :, [1, -1]].sum()
     assert (mass.sum() - on_support) / mass.sum() <= 1e-15
+
+
+# ----------------------------------------------------------------------
+# fast paths against the code they replaced: complex transforms over the
+# full spectrum, n^3 wavenumber grids and the two-pass Leray projection
+
+
+def _full_grids(k):
+    n = k.size
+    return (
+        np.broadcast_to(k[:, None, None], (n, n, n)).copy(),
+        np.broadcast_to(k[None, :, None], (n, n, n)).copy(),
+        np.broadcast_to(k[None, None, :], (n, n, n)).copy(),
+    )
+
+
+def _white_spectrum(n, seed):
+    """Spectrum of real white noise: not band-limited, with Nyquist content."""
+    rng = np.random.default_rng(seed)
+    return np.fft.fftn(rng.standard_normal((3, n, n, n)), axes=(1, 2, 3)) / n**3
+
+
+def _complex_kernel(fc, gc, grid):
+    """The 11-transform complex kernel that the half-spectrum kernel replaced."""
+    n = grid.n
+    kk = _full_grids(grid.deriv_axis_wavenumbers)
+    fp = np.fft.ifftn(fc, axes=(1, 2, 3)).real * n**3
+    fmax = float(np.sqrt((fp**2).sum(axis=0)).max())
+    out_phys = np.empty_like(fp)
+    for i in range(3):
+        acc = np.zeros((n, n, n))
+        for j in range(3):
+            acc += fp[j] * (np.fft.ifftn(1j * kk[j] * gc[i]).real * n**3)
+        out_phys[i] = acc
+    return np.fft.fftn(out_phys, axes=(1, 2, 3)) / n**3 * grid.dealias_mask, fmax
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 16, 32])
+def test_half_spectrum_kernel_matches_complex_kernel(n):
+    grid = GridSpec(n)
+    f, g = _white_spectrum(n, 2 * n), _white_spectrum(n, 2 * n + 1)
+    fast, fmax = _advect_arrays(f, g, grid)
+    slow, slow_fmax = _complex_kernel(f, g, grid)
+    assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
+    assert fmax == pytest.approx(slow_fmax, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [4, 6, 16])
+def test_real_transform_pair_matches_complex_transforms(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((3, n, n, n))
+    ref = np.fft.fftn(x, axes=(1, 2, 3)) / n**3
+    c = _to_spectral(x, n)
+    assert np.max(np.abs(c - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the k3 < 0 half is the exact conjugate mirror of the transformed half
+    h = n // 2 + 1
+    mirror = np.conj(np.roll(c[:, ::-1, ::-1, ::-1], (1, 1, 1), axis=(1, 2, 3)))
+    assert np.array_equal(c[..., h:], mirror[..., h:])
+    # synthesis reads the half spectrum only, from a full or a half array
+    back = _to_physical(ref, n)
+    assert np.max(np.abs(back - np.fft.ifftn(ref, axes=(1, 2, 3)).real * n**3)) <= 1e-13
+    assert np.array_equal(_to_physical(np.ascontiguousarray(ref[..., :h]), n), back)
+
+
+@pytest.mark.parametrize("n", [6, 16])
+def test_leray_matches_two_pass_formula(n):
+    grid = GridSpec(n)
+    c = _white_spectrum(n, n)
+    k1, k2, k3 = _full_grids(grid.deriv_axis_wavenumbers)
+    kk = k1 * k1 + k2 * k2 + k3 * k3
+    safe = np.where(kk > 0.0, kk, 1.0)
+    kdotc = np.where(kk > 0.0, (k1 * c[0] + k2 * c[1] + k3 * c[2]) / safe, 0.0)
+    old = np.stack((c[0] - k1 * kdotc, c[1] - k2 * kdotc, c[2] - k3 * kdotc))
+    assert divergence_defect(SpectralField(grid, c)) > 0.1
+    assert np.array_equal(leray_project(SpectralField(grid, c)).coeffs, old)
+
+
+@pytest.mark.parametrize("n", [4, 6, 16])
+def test_broadcast_wavenumber_grids_match_full_grids(n):
+    grid = GridSpec(n)
+    shapes = ((n, 1, 1), (1, n, 1), (1, 1, n))
+    for views, k in (
+        (grid.wavenumbers, grid.axis_wavenumbers),
+        (grid.deriv_wavenumbers, grid.deriv_axis_wavenumbers),
+    ):
+        for view, shape, full in zip(views, shapes, _full_grids(k)):
+            assert view.shape == shape and not view.flags.writeable
+            assert np.array_equal(np.broadcast_to(view, (n, n, n)), full)
+    k1, k2, k3 = _full_grids(grid.axis_wavenumbers)
+    assert np.array_equal(grid.k_squared, k1 * k1 + k2 * k2 + k3 * k3)
