@@ -38,6 +38,7 @@ from .dyadic import (
 from .operators import (
     MollifierSpec,
     WeightPartition,
+    binary_blend,
     binary_cutoff,
     blend,
     mollifier_symbol,

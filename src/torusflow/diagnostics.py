@@ -11,10 +11,12 @@ mild    : defect of the Duhamel integral identity at each snapshot time,
 strong  : pointwise momentum-equation residual at interior snapshot times,
           with centered differences in time.
 
-The mild and strong defects come from one streaming pass over the
-snapshots that evaluates P[(u.grad)u] once per snapshot: `mild_residual`
-reads its final entry, `strong_residual` its interior maximum, and
-`records_for_trajectory` both per-snapshot lists.
+All three come from one streaming pass over the snapshots
+(`residual_defects`) that evaluates (u.grad)u once per snapshot: the
+product enters the weak quadrature and its Leray projection the mild and
+strong defects.  `weak_form_residual`, `mild_residual`, `strong_residual`
+and `records_for_trajectory` read that pass.  Every residual takes the
+viscosity and forcing of the trajectory's own run (`traj.params`).
 """
 
 from __future__ import annotations
@@ -33,13 +35,12 @@ from .errors import (
     TooFewSnapshots,
 )
 from .operators import MollifierSpec, WeightPartition, blend, regularize, smooth
-from .solvers import SolverParams, Trajectory, _forcing_term
+from .solvers import Trajectory, _forcing_term
 from .spectral import (
     GridSpec,
     PhysicalField,
     SpectralField,
     _advect_arrays,
-    advect,
     divergence_defect,
     forward_transform,
     inner_product,
@@ -96,11 +97,12 @@ def enstrophy(u: SpectralField) -> float:
 # ----------------------------------------------------------------------
 # energy identity
 
-def energy_identity_residual(traj: Trajectory, p: SolverParams) -> np.ndarray:
+def energy_identity_residual(traj: Trajectory) -> np.ndarray:
     """Per-interval defect |dE + nu int ||grad u||^2 dt - int <f,u> dt| (trapezoidal)."""
     if len(traj.snapshots) < 2:
         raise TooFewSnapshots("energy identity needs at least two snapshots")
     snaps = traj.snapshots
+    p = traj.params
     energies = [kinetic_energy(s) for s in snaps]
     dissip = [enstrophy(s) for s in snaps]
     power = [0.0] * len(snaps)
@@ -116,16 +118,7 @@ def energy_identity_residual(traj: Trajectory, p: SolverParams) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# weak-form residual
-
-@dataclass(frozen=True)
-class SpaceTimeTestFunction:
-    """Separable test function v(x, t) = b(t) * mode(x) with b compactly supported."""
-
-    mode: SpectralField
-    bump: Callable[[float], float]
-    bump_dt: Callable[[float], float]
-
+# weak-form test battery
 
 def _cubic_bspline(s: float) -> float:
     """Cubic B-spline on [0, 4], maximum 2/3 at s = 2."""
@@ -158,8 +151,9 @@ def _cubic_bspline_dt(s: float) -> float:
 
 def weak_test_battery(
     grid: GridSpec, t0: float, t1: float, times: np.ndarray | None = None
-) -> list[SpaceTimeTestFunction]:
-    """Twelve lowest solenoidal Fourier modes times a cubic B-spline bump.
+) -> tuple[list[SpectralField], Callable[[float], float], Callable[[float], float]]:
+    """(modes, bump, bump_dt): the test functions bump(t) * mode(x) for the
+    twelve lowest solenoidal Fourier modes and one cubic B-spline bump.
 
     The bump is supported strictly inside (t0, t1), so the initial-datum
     term vanishes for these test functions.  When the snapshot times are
@@ -182,14 +176,14 @@ def weak_test_battery(
                 h -= panel
             lo = t0 + panel * max(1, round((span - 4.0 * h) / (2.0 * panel)))
 
-    def bump(t, lo=lo, h=h):
+    def bump(t):
         return _cubic_bspline((t - lo) / h)
 
-    def bump_dt(t, lo=lo, h=h):
+    def bump_dt(t):
         return _cubic_bspline_dt((t - lo) / h) / h
 
     x = grid.coordinates
-    tests = []
+    modes = []
     for axis in range(3):
         for pol in range(3):
             if pol == axis:
@@ -200,9 +194,8 @@ def weak_test_battery(
                 mode = forward_transform(
                     PhysicalField(grid, samples, label=f"{phase}(x{axis + 1})e{pol + 1}")
                 )
-                mode = replace(mode, solenoidal=True, zero_mean=True)
-                tests.append(SpaceTimeTestFunction(mode, bump, bump_dt))
-    return tests
+                modes.append(replace(mode, solenoidal=True, zero_mean=True))
+    return modes, bump, bump_dt
 
 
 def _time_quadrature_weights(times: np.ndarray) -> np.ndarray:
@@ -231,62 +224,18 @@ def _time_quadrature_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def weak_form_residual(
-    traj: Trajectory,
-    tests: Sequence[SpaceTimeTestFunction],
-    p: SolverParams,
-) -> float:
-    """Max normalized weak-form defect over the test battery.
-
-    For each test v the defect is the space-time quadrature of
-    <u, dt v> - <(u.grad)u, v> - nu <grad u, grad v> + <f, v>
-    plus the initial-datum term <u0, v(0)>.  Every test mode is checked
-    divergence-free, so the pressure term <p, div v> vanishes.
-    """
-    snaps = traj.snapshots
-    if len(snaps) < 2:
-        raise TooFewSnapshots("weak residual needs at least two snapshots")
-    for v in tests:
-        if divergence_defect(v.mode) > 1e-12:
-            raise NonSolenoidalTest(f"test mode {v.mode.label!r} is not divergence-free")
-    times = traj.times
-    qw = _time_quadrature_weights(times)
-
-    conv = [advect(s, s) for s in snaps]
-    worst = 0.0
-    for v in tests:
-        mode = v.mode
-        k2 = mode.grid.k_squared
-        total = 0.0
-        for m, s in enumerate(snaps):
-            b = v.bump(s.time)
-            bdot = v.bump_dt(s.time)
-            term = bdot * inner_product(s, mode)
-            if b != 0.0:
-                term -= b * inner_product(conv[m], mode)
-                # <grad u, grad v> = sum_k |k|^2 uhat . conj(vhat)
-                term -= p.nu * b * float(
-                    np.sum(k2 * (s.coeffs * np.conj(mode.coeffs)).sum(axis=0)).real
-                )
-                if p.forcing is not None:
-                    term += b * inner_product(p.forcing, mode)
-            total += qw[m] * term
-        total += v.bump(snaps[0].time) * inner_product(snaps[0], mode)
-        span = float(times[-1] - times[0])
-        bump_scale = math.sqrt(
-            sum(qw[m] * (v.bump(t) ** 2 + v.bump_dt(t) ** 2) for m, t in enumerate(times))
-        )
-        norm = bump_scale * sobolev_norm(mode, 1.0) * max(span, 1.0)
-        worst = max(worst, abs(total) / norm)
-    return worst
-
-
 # ----------------------------------------------------------------------
-# mild (Duhamel) and strong residuals: one pass over the snapshots
+# weak, mild (Duhamel) and strong residuals: one pass over the snapshots
 
-def residual_defects(traj: Trajectory, p: SolverParams) -> tuple[list[float], list[float]]:
-    """Mild and strong defects at every snapshot, one P[(u.grad)u] per snapshot.
+def residual_defects(traj: Trajectory, tests: tuple = ()) -> tuple[list[float], list[float], float]:
+    """Mild and strong defects at every snapshot and the weak defect against
+    the battery `tests` = (modes, bump, bump_dt), one (u.grad)u per snapshot.
 
+    weak: max over test functions v = bump * mode of the normalized
+    space-time quadrature of <u, dt v> - <(u.grad)u, v> - nu <grad u, grad v>
+    + <f, v> plus the initial-datum term <u0, v(0)>; every mode is checked
+    divergence-free, so the pressure term <p, div v> vanishes.  0.0 without
+    a battery.
     mild: normalized Duhamel-identity defect in H^1, from the recurrence
     I_m = e^{nu dt lap}(I_{m-1} + dt/2 N_{m-1}) + dt/2 N_m, which reproduces
     the trapezoidal rule with only decaying propagator factors.
@@ -294,18 +243,41 @@ def residual_defects(traj: Trajectory, p: SolverParams) -> tuple[list[float], li
     differences, 0.0 at the endpoints where no stencil exists.
     The pass streams: it holds two tendencies, never one per snapshot.
     """
+    modes, bump, bump_dt = tests or ([], None, None)
+    for mode in modes:
+        if divergence_defect(mode) > 1e-12:
+            raise NonSolenoidalTest(f"test mode {mode.label!r} is not divergence-free")
     snaps = traj.snapshots
     if len(snaps) < 2:
-        return [0.0] * len(snaps), [0.0] * len(snaps)
+        return [0.0] * len(snaps), [0.0] * len(snaps), 0.0
+    p = traj.params
     grid = traj.grid
     k2 = grid.k_squared
     u0 = snaps[0]
     norm0 = sobolev_norm(u0, 1.0)
     scale = norm0 if norm0 > 0.0 else 1.0
     forcing = _forcing_term(p)
+    times = traj.times
+    qw = _time_quadrature_weights(times)
+    weak = [0.0] * len(modes)
 
-    def proj_nl(u: SpectralField) -> np.ndarray:
-        return leray_project(u.with_coeffs(_advect_arrays(u.coeffs, u.coeffs, grid)[0])).coeffs
+    def proj_nl(m: int) -> np.ndarray:
+        # snapshot m's (u.grad)u enters the weak sums, then leaves projected
+        u = snaps[m]
+        conv = u.with_coeffs(_advect_arrays(u.coeffs, u.coeffs, grid)[0])
+        b, bdot = (bump(u.time), bump_dt(u.time)) if modes else (0.0, 0.0)
+        for i, mode in enumerate(modes):
+            term = bdot * inner_product(u, mode)
+            if b != 0.0:
+                term -= b * inner_product(conv, mode)
+                # <grad u, grad v> = sum_k |k|^2 uhat . conj(vhat)
+                term -= p.nu * b * float(
+                    np.sum(k2 * (u.coeffs * np.conj(mode.coeffs)).sum(axis=0)).real
+                )
+                if p.forcing is not None:
+                    term += b * inner_product(p.forcing, mode)
+            weak[i] += qw[m] * term
+        return leray_project(conv).coeffs
 
     def strong_defect(m: int, nl: np.ndarray) -> float:
         # a function scope frees dudt and res before the next kernel call
@@ -322,7 +294,7 @@ def residual_defects(traj: Trajectory, p: SolverParams) -> tuple[list[float], li
     strong = [0.0] * len(snaps)
     integral = np.zeros_like(u0.coeffs)
     propagated = u0.coeffs.copy()
-    n_prev = proj_nl(u0)
+    n_prev = proj_nl(0)
     for m in range(1, len(snaps)):
         if m >= 2:
             # snapshot m-1 is interior now that its right neighbour is known;
@@ -330,7 +302,7 @@ def residual_defects(traj: Trajectory, p: SolverParams) -> tuple[list[float], li
             strong[m - 1] = strong_defect(m - 1, n_prev)
         dt = snaps[m].time - snaps[m - 1].time
         decay = np.exp(-p.nu * dt * k2)
-        n_curr = proj_nl(snaps[m])
+        n_curr = proj_nl(m)
         integral = decay * (integral + 0.5 * dt * n_prev) + 0.5 * dt * n_curr
         propagated = decay * propagated
         expected = propagated - integral
@@ -345,31 +317,49 @@ def residual_defects(traj: Trajectory, p: SolverParams) -> tuple[list[float], li
         diff = snaps[m].with_coeffs(snaps[m].coeffs - expected)
         mild.append(sobolev_norm(diff, 1.0) / scale)
         n_prev = n_curr
-    return mild, strong
+
+    worst = 0.0
+    if modes:
+        span = float(times[-1] - times[0])
+        bump_scale = math.sqrt(
+            sum(qw[m] * (bump(t) ** 2 + bump_dt(t) ** 2) for m, t in enumerate(times))
+        )
+        for total, mode in zip(weak, modes):
+            total += bump(u0.time) * inner_product(u0, mode)
+            norm = bump_scale * sobolev_norm(mode, 1.0) * max(span, 1.0)
+            worst = max(worst, abs(total) / norm)
+    return mild, strong, worst
 
 
-def mild_residual(traj: Trajectory, p: SolverParams) -> float:
+def weak_form_residual(traj: Trajectory, tests: tuple) -> float:
+    """Max normalized weak-form defect over the battery `tests` (see `residual_defects`)."""
+    if len(traj.snapshots) < 2:
+        raise TooFewSnapshots("weak residual needs at least two snapshots")
+    return residual_defects(traj, tests)[2]
+
+
+def mild_residual(traj: Trajectory) -> float:
     """Duhamel-identity defect in H^1 at the final time, normalized by ||u0||_{H^1}.
 
     A single-snapshot trajectory (zero horizon) has defect 0 by definition.
     """
-    return residual_defects(traj, p)[0][-1]
+    return residual_defects(traj)[0][-1]
 
 
-def strong_residual(traj: Trajectory, p: SolverParams) -> float:
+def strong_residual(traj: Trajectory) -> float:
     """Max over interior snapshots of ||dt u + P[(u.grad)u] - nu lap u - P f||_L2."""
     if len(traj.snapshots) < 3:
         raise TooFewSnapshots("strong residual needs at least three snapshots")
-    return max(residual_defects(traj, p)[1])
+    return max(residual_defects(traj)[1])
 
 
 # ----------------------------------------------------------------------
 # per-trajectory records and CSV
 
-def records_for_trajectory(traj: Trajectory, p: SolverParams) -> list[DiagnosticsRecord]:
+def records_for_trajectory(traj: Trajectory) -> list[DiagnosticsRecord]:
     snaps = traj.snapshots
-    mild, strong = residual_defects(traj, p)
-    energy_defects = energy_identity_residual(traj, p) if len(snaps) >= 2 else []
+    mild, strong, _ = residual_defects(traj)
+    energy_defects = energy_identity_residual(traj) if len(snaps) >= 2 else []
     records = []
     for m, s in enumerate(snaps):
         rec = DiagnosticsRecord(

@@ -9,7 +9,7 @@ for every r >= 1.  The k = 0 mode sits in a separate low block with index -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .spectral import (
     GridSpec,
     SpectralField,
     _advect_arrays,
+    _read_only,
     _require_solenoidal,
     _to_physical,
     advect,
@@ -50,7 +51,9 @@ class DyadicPartition:
     jmax: int
 
     @classmethod
+    @cache
     def for_grid(cls, grid: GridSpec) -> "DyadicPartition":
+        """The grid's one partition, built (with its block weights) once per grid."""
         kmax = np.sqrt(3.0) * (grid.n / 2.0)
         jmax = int(np.floor(np.log2(kmax) + _SUPPORT))
         return cls(grid=grid, jmax=jmax)
@@ -63,13 +66,13 @@ class DyadicPartition:
     @cached_property
     def block_weights(self) -> list[np.ndarray]:
         r = self.grid.k_magnitude
-        return [chi(r / 2.0**j) for j in self.indices]
+        return [_read_only(chi(r / 2.0**j)) for j in self.indices]
 
     @cached_property
     def low_mask(self) -> np.ndarray:
         mask = np.zeros((self.grid.n,) * 3)
         mask[0, 0, 0] = 1.0
-        return mask
+        return _read_only(mask)
 
     def weight(self, j: int) -> np.ndarray:
         if j == -1:
@@ -79,24 +82,23 @@ class DyadicPartition:
         return self.block_weights[j]
 
 
-def dyadic_block(u: SpectralField, j: int, part: DyadicPartition | None = None) -> SpectralField:
+def dyadic_block(u: SpectralField, j: int) -> SpectralField:
     """Frequency restriction to the dyadic annulus |k| ~ 2^j (j = -1: the mean mode)."""
-    part = part or DyadicPartition.for_grid(u.grid)
-    return u.with_coeffs(u.coeffs * part.weight(j))
+    return u.with_coeffs(u.coeffs * DyadicPartition.for_grid(u.grid).weight(j))
 
 
-def reassemble(u: SpectralField, part: DyadicPartition | None = None) -> SpectralField:
+def reassemble(u: SpectralField) -> SpectralField:
     """Sum of the mean block and every annulus block (partition-of-unity check)."""
-    part = part or DyadicPartition.for_grid(u.grid)
+    part = DyadicPartition.for_grid(u.grid)
     total = part.low_mask.copy()
     for j in part.indices:
         total += part.weight(j)
     return u.with_coeffs(u.coeffs * total)
 
 
-def almost_orthogonality_ratio(u: SpectralField, part: DyadicPartition | None = None) -> float:
+def almost_orthogonality_ratio(u: SpectralField) -> float:
     """sum_j ||Delta_j u||_L2^2 / ||u||_L2^2, guaranteed in [1/2, 1] for this chi."""
-    part = part or DyadicPartition.for_grid(u.grid)
+    part = DyadicPartition.for_grid(u.grid)
     total = l2_norm(u) ** 2
     if total == 0.0:
         raise ZeroField("almost-orthogonality ratio of a zero field")
@@ -135,12 +137,7 @@ BERNSTEIN_CONSTANTS = {
 
 
 def bernstein_check(
-    u: SpectralField,
-    j: int,
-    alpha: tuple[int, int, int],
-    p: float,
-    q: float,
-    part: DyadicPartition | None = None,
+    u: SpectralField, j: int, alpha: tuple[int, int, int], p: float, q: float
 ) -> tuple[float, float]:
     """(lhs, rhs_scale) for the annulus derivative/integrability inequality.
 
@@ -148,7 +145,6 @@ def bernstein_check(
     ||Delta_j u||_Lp; the caller asserts lhs <= C_B * rhs_scale against the
     calibrated constant.
     """
-    part = part or DyadicPartition.for_grid(u.grid)
     if p > q:
         raise ValueError("need p <= q")
     mag2 = (np.abs(u.coeffs) ** 2).sum(axis=0)
@@ -159,7 +155,7 @@ def bernstein_check(
         outside = float(np.sum(mag2[~annulus]))
         if np.sqrt(outside / total) > 1e-10:
             raise SupportViolation(f"spectrum leaks outside the 2^{j} annulus")
-    block = dyadic_block(u, j, part)
+    block = dyadic_block(u, j)
     k1, k2, k3 = u.grid.wavenumbers
     mult = (1j * k1) ** alpha[0] * (1j * k2) ** alpha[1] * (1j * k3) ** alpha[2]
     deriv = block.with_coeffs(block.coeffs * mult)
@@ -171,9 +167,7 @@ def bernstein_check(
     return lhs, rhs_scale
 
 
-def paraproduct_decompose(
-    u: SpectralField, part: DyadicPartition | None = None
-) -> tuple[SpectralField, SpectralField, SpectralField]:
+def paraproduct_decompose(u: SpectralField) -> tuple[SpectralField, SpectralField, SpectralField]:
     """Split (u.grad)u into low-high, high-low, and comparable-frequency sums.
 
     Each pairwise advection is evaluated pseudospectrally with the grid's
@@ -181,7 +175,7 @@ def paraproduct_decompose(
     exactly up to roundoff.
     """
     _require_solenoidal(u, "paraproduct_decompose")
-    part = part or DyadicPartition.for_grid(u.grid)
+    part = DyadicPartition.for_grid(u.grid)
     zero = np.zeros_like(u.coeffs)
     if not np.any(u.coeffs):
         z = u.with_coeffs(zero.copy())
@@ -227,7 +221,7 @@ def commutator_constant(fields, s: float) -> float:
     return max(commutator_bound_ratio(f, s) for f in fields)
 
 
-def block_energies(u: SpectralField, part: DyadicPartition | None = None) -> list[tuple[int, float]]:
+def block_energies(u: SpectralField) -> list[tuple[int, float]]:
     """(j, ||Delta_j u||_L2^2) rows, mean block first."""
-    part = part or DyadicPartition.for_grid(u.grid)
-    return [(j, l2_norm(dyadic_block(u, j, part)) ** 2) for j in (-1, *part.indices)]
+    indices = DyadicPartition.for_grid(u.grid).indices
+    return [(j, l2_norm(dyadic_block(u, j)) ** 2) for j in (-1, *indices)]

@@ -37,10 +37,6 @@ class NonFiniteField(TorusflowError):
     """A field holds a NaN or infinite coefficient where finite data is required."""
 
 
-class CflViolation(TorusflowError):
-    """Advective CFL gate failed for the requested time step."""
-
-
 class BadCutoff(TorusflowError):
     """Galerkin cutoff retains no dynamics or exceeds the resolved modes."""
 
@@ -74,9 +70,17 @@ class RangeError(TorusflowError):
         self.line = line
 
 
-class BlowUpDetected(TorusflowError):
-    """Numerical blow-up guard tripped; carries the partial trajectory."""
+class NumericalAbort(TorusflowError):
+    """A run stopped on numerical grounds; `run` attaches the partial trajectory."""
 
     def __init__(self, message: str, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
+
+
+class CflViolation(NumericalAbort):
+    """Advective CFL gate failed for the requested time step."""
+
+
+class BlowUpDetected(NumericalAbort):
+    """Numerical blow-up guard tripped."""

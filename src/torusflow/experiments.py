@@ -22,11 +22,12 @@ import numpy as np
 from . import diagnostics as diag
 from . import dyadic
 from .config import ExperimentConfig
-from .errors import BlowUpDetected
+from .errors import NumericalAbort
 from .operators import (
     MOLLIFIER_KINDS,
     MollifierSpec,
     WeightPartition,
+    binary_blend,
     binary_cutoff,
     blend,
     mollifier_symbol,
@@ -209,11 +210,10 @@ def heat_contraction(fields: list[SpectralField]) -> float:
 def heat_block_decay(f: SpectralField) -> float:
     nu, t = 0.5, 0.1
     hf = heat_semigroup(f, nu, t)
-    part = dyadic.DyadicPartition.for_grid(f.grid)
     worst = -math.inf
-    for j in part.indices:
-        before = l2_norm(dyadic.dyadic_block(f, j, part))
-        after = l2_norm(dyadic.dyadic_block(hf, j, part))
+    for j in dyadic.DyadicPartition.for_grid(f.grid).indices:
+        before = l2_norm(dyadic.dyadic_block(f, j))
+        after = l2_norm(dyadic.dyadic_block(hf, j))
         worst = max(worst, after - math.exp(-nu * t * 4.0 ** (j - 1)) * before)
     return worst
 
@@ -282,13 +282,11 @@ def weights_partition_of_unity(grid: GridSpec, weights: WeightPartition) -> floa
     return max(defect, abs(mid[1] - 1.0), abs(mid[0]), abs(mid[2]))
 
 
-def blend_binary_saturation(
-    a: SpectralField, b: SpectralField, c: SpectralField, weights: WeightPartition, kind: str
-) -> float:
+def blend_binary_saturation(a: SpectralField, c: SpectralField, kind: str) -> float:
     grid = c.grid
     eta = binary_cutoff(4.0 * grid.k_magnitude)
     sat = float(np.max(eta[grid.k_squared >= 1.0]))
-    out = blend(a, b, c, weights, MollifierSpec(4.0, kind), "binary")
+    out = binary_blend(a, c, MollifierSpec(4.0, kind))
     d = np.abs(out.coeffs - c.coeffs)
     d[:, 0, 0, 0] = 0.0
     return max(sat, float(np.max(d)))
@@ -305,14 +303,11 @@ def blend_disjoint_support_exact(
     return 0.0 if np.array_equal(g.coeffs, low.coeffs + high.coeffs) else 1.0
 
 
-def multiplier_heat_commutation(
-    f: SpectralField, h: SpectralField, weights: WeightPartition, kind: str
-) -> float:
+def multiplier_heat_commutation(f: SpectralField, h: SpectralField, kind: str) -> float:
     nu, t = 0.7, 0.2
     spec = MollifierSpec(0.25, kind)
-    one = heat_semigroup(blend(f, f, h, weights, spec, "binary"), nu, t)
-    two = blend(heat_semigroup(f, nu, t), heat_semigroup(f, nu, t),
-                heat_semigroup(h, nu, t), weights, spec, "binary")
+    one = heat_semigroup(binary_blend(f, h, spec), nu, t)
+    two = binary_blend(heat_semigroup(f, nu, t), heat_semigroup(h, nu, t), spec)
     defect = _diff_norm(one, two) / max(l2_norm(one), 1e-300)
     sm1 = heat_semigroup(smooth(f, spec), nu, t)
     sm2 = smooth(heat_semigroup(f, nu, t), spec)
@@ -325,7 +320,7 @@ def multiplier_heat_commutation(
 def _collapsed(phi: SpectralField, weights: WeightPartition, spec: MollifierSpec) -> SpectralField:
     """The unified pipeline with one field in all three bands."""
     reg = regularize(phi, spec)
-    return smooth(blend(reg, reg, reg, weights, spec, "weighted"), spec)
+    return smooth(blend(reg, reg, reg, weights, spec), spec)
 
 
 def unified_pipeline_collapse(
@@ -344,20 +339,18 @@ def unified_pipeline_collapse(
 # --- dyadic calculus -----------------------------------------------------
 
 def dyadic_reassembly(fields: list[SpectralField]) -> float:
-    part = dyadic.DyadicPartition.for_grid(fields[0].grid)
     worst = 0.0
     for f in fields:
-        re = dyadic.reassemble(f, part)
+        re = dyadic.reassemble(f)
         worst = max(worst, np.max(np.abs(re.coeffs - f.coeffs)) / np.max(np.abs(f.coeffs)))
     return worst
 
 
 def dyadic_almost_orthogonality(fields: list[SpectralField]) -> float:
     """How far the almost-orthogonality ratio leaves [0.5, 1]; <= 0 inside."""
-    part = dyadic.DyadicPartition.for_grid(fields[0].grid)
     worst = 0.0
     for f in fields:
-        ratio = dyadic.almost_orthogonality_ratio(f, part)
+        ratio = dyadic.almost_orthogonality_ratio(f)
         worst = max(worst, ratio - 1.0, 0.5 - ratio)
     return worst
 
@@ -369,10 +362,9 @@ def bernstein_ratios(grid: GridSpec, fields: list[SpectralField]) -> float:
     c[1, -3 % n, 0, 0] = 0.5
     lhs, rhs = dyadic.bernstein_check(SpectralField(grid, c), 2, (1, 0, 0), 2, 2)
     defect = abs(lhs / rhs - 0.75)
-    part = dyadic.DyadicPartition.for_grid(grid)
     for f in fields:
         for j in (1, 2):
-            blk = dyadic.dyadic_block(f, j, part)
+            blk = dyadic.dyadic_block(f, j)
             if l2_norm(blk) == 0.0:
                 continue
             lhs, rhs = dyadic.bernstein_check(blk, j, (1, 0, 0), 2, 2)
@@ -472,11 +464,10 @@ def shear_exact_decay(traj: Trajectory) -> float:
     return abs(ratio - math.exp(-2.0))
 
 
-def shear_formulation_residuals(traj: Trajectory, tests: list) -> float:
+def shear_formulation_residuals(traj: Trajectory, tests: tuple) -> float:
     """Largest of the weak (against `tests`), final mild and strong residuals."""
-    p = traj.params
-    mild, strong = diag.residual_defects(traj, p)  # one pass for both residuals
-    return max(diag.weak_form_residual(traj, tests, p), mild[-1], max(strong))
+    mild, strong, weak = diag.residual_defects(traj, tests)
+    return max(weak, mild[-1], max(strong))
 
 
 def energy_identity_second_order(u0: SpectralField) -> float:
@@ -484,7 +475,7 @@ def energy_identity_second_order(u0: SpectralField) -> float:
     sums = []
     for dt in (2e-3, 1e-3):
         p = SolverParams(nu=0.1, dt=dt, t_end=0.04, scheme="strong-imex")
-        sums.append(float(np.sum(diag.energy_identity_residual(run(u0, p), p))))
+        sums.append(float(np.sum(diag.energy_identity_residual(run(u0, p)))))
     return abs(sums[0] / sums[1] - 4.0)
 
 
@@ -566,11 +557,11 @@ CHECKS = (
     ("smoothing_gain_exponent", 0.2, lambda v: smoothing_gain_exponent()),
     ("weights_partition_of_unity", 1e-15, lambda v: weights_partition_of_unity(v.grid, v.weights)),
     ("blend_binary_saturation", 0.0,
-     lambda v: blend_binary_saturation(*v.fields[4:7], v.weights, v.cfg.mollifier)),
+     lambda v: blend_binary_saturation(v.fields[4], v.fields[6], v.cfg.mollifier)),
     ("blend_disjoint_support_exact", 0.0,
      lambda v: blend_disjoint_support_exact(v.fields[7], v.fields[8], v.weights)),
     ("multiplier_heat_commutation", 1e-12,
-     lambda v: multiplier_heat_commutation(v.fields[10], v.fields[11], v.weights, v.cfg.mollifier)),
+     lambda v: multiplier_heat_commutation(v.fields[10], v.fields[11], v.cfg.mollifier)),
     ("unified_pipeline_collapse", 0.0,
      lambda v: unified_pipeline_collapse(v.grid, v.weights, v.cfg.mollifier, v.cfg.eps_list)),
     ("dyadic_reassembly", 1e-12, lambda v: dyadic_reassembly(v.fields)),
@@ -664,10 +655,9 @@ print("wrote", path.with_suffix(".png"))
 def experiment_run(cfg: ExperimentConfig, out: Path) -> int:
     grid = GridSpec(cfg.n)
     u0 = _initial_field(cfg, grid)
-    params = _solver_params(cfg)
-    traj = run(u0, params, cadence=cfg.cadence)
+    traj = run(u0, _solver_params(cfg), cadence=cfg.cadence)
     write_trajectory(out, traj)
-    records = diag.records_for_trajectory(traj, params)
+    records = diag.records_for_trajectory(traj)
     (out / "diagnostics.csv").write_text(diag.diagnostics_csv(records), encoding="utf-8")
     (out / "plot_diagnostics.py").write_text(PLOT_SCRIPT, encoding="utf-8")
     return EXIT_OK
@@ -747,7 +737,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     }
     try:
         return dispatch[cfg.experiment](cfg, out)
-    except BlowUpDetected as exc:
+    except NumericalAbort as exc:
         (out / "abort.txt").write_text(f"numerical abort: {exc}\n", encoding="utf-8")
         if exc.trajectory is not None:
             write_trajectory(out / "partial", exc.trajectory)

@@ -203,27 +203,22 @@ def blend(
     high: SpectralField,
     w: WeightPartition,
     spec: MollifierSpec,
-    variant: str = "weighted",
 ) -> SpectralField:
-    """Combine three band sources into one field.
-
-    weighted: partition-of-unity blend, spectrum smearing via the spatial
-    window, then a Leray projection (the windowing is the only step that
-    can break solenoidality).
-    binary: eta(eps |k|) * low + (1 - eta(eps |k|)) * high with the
-    raised-cosine cutoff eta; mid is unused by construction.
-    """
-    _check_same_grid(low, mid, high)
-    grid = low.grid
-    if variant == "binary":
-        eta = binary_cutoff(spec.eps * grid.k_magnitude)
-        out = eta * low.coeffs + (1.0 - eta) * high.coeffs
-        sol = low.solenoidal and high.solenoidal
-        zm = low.zero_mean and high.zero_mean
-        return low.with_coeffs(out, solenoidal=sol, zero_mean=zm)
-    if variant != "weighted":
-        raise ValueError("variant must be 'weighted' or 'binary'")
+    """Partition-of-unity blend of three band sources, spectrum smearing via
+    the spatial window, then a Leray projection (the windowing is the only
+    step that can break solenoidality)."""
     g = weighted_blend(low, mid, high, w)
+    grid = low.grid
     win = spatial_window(spec, grid)
     smeared = _to_spectral(win * _to_physical(g.coeffs, grid.n), grid.n)
     return leray_project(g.with_coeffs(smeared, zero_mean=False))
+
+
+def binary_blend(low: SpectralField, high: SpectralField, spec: MollifierSpec) -> SpectralField:
+    """eta(eps |k|) * low + (1 - eta(eps |k|)) * high with the raised-cosine cutoff eta."""
+    _check_same_grid(low, high)
+    eta = binary_cutoff(spec.eps * low.grid.k_magnitude)
+    out = eta * low.coeffs + (1.0 - eta) * high.coeffs
+    sol = low.solenoidal and high.solenoidal
+    zm = low.zero_mean and high.zero_mean
+    return low.with_coeffs(out, solenoidal=sol, zero_mean=zm)

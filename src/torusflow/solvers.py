@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BadCutoff, BlowUpDetected, CflViolation, NonFiniteField
+from .errors import BadCutoff, BlowUpDetected, CflViolation, NonFiniteField, NumericalAbort
 from .spectral import (
     GridSpec,
     PhysicalField,
@@ -230,6 +230,8 @@ def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
     BlowUpDetected (carrying the partial trajectory) when the H^2 norm
     exceeds 1e3 times its initial value or is not finite, or the vorticity
     maximum passes 1e6; the partial holds only snapshots the guard passed.
+    A step that fails the CFL gate raises CflViolation with the partial
+    trajectory attached the same way.
     """
     if cadence < 1:
         raise ValueError("cadence must be >= 1")
@@ -250,30 +252,32 @@ def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
     step = step_mild if p.scheme == "mild-duhamel" else step_strong
 
     snapshots = [u]
-    for m in range(1, steps + 1):
-        u = step(u, p)
-        u = zero_mean(leray_project(u))
-        if mask is not None:
-            u = u.with_coeffs(u.coeffs * mask)
-        u = replace(u, time=t0 + m * p.dt)
-        recorded = m % cadence == 0 or m == steps
-        if guard_norm0 > 0.0:
-            hs = sobolev_norm(u, GUARD_NORM_INDEX)
-            if hs > BLOWUP_NORM_FACTOR * guard_norm0 or not math.isfinite(hs):
-                raise BlowUpDetected(
-                    f"H^{GUARD_NORM_INDEX:g} norm {hs:.3e} exceeds guard at t = {u.time:g}",
-                    Trajectory(p, snapshots),
-                )
-            if recorded:
-                # vorticity maximum needs physical samples; check at snapshot cadence
-                wmax = vorticity_max(u)
-                if wmax > BLOWUP_BKM_LIMIT:
+    try:
+        for m in range(1, steps + 1):
+            u = step(u, p)
+            u = zero_mean(leray_project(u))
+            if mask is not None:
+                u = u.with_coeffs(u.coeffs * mask)
+            u = replace(u, time=t0 + m * p.dt)
+            recorded = m % cadence == 0 or m == steps
+            if guard_norm0 > 0.0:
+                hs = sobolev_norm(u, GUARD_NORM_INDEX)
+                if hs > BLOWUP_NORM_FACTOR * guard_norm0 or not math.isfinite(hs):
                     raise BlowUpDetected(
-                        f"vorticity maximum {wmax:.3e} exceeds guard at t = {u.time:g}",
-                        Trajectory(p, snapshots),
+                        f"H^{GUARD_NORM_INDEX:g} norm {hs:.3e} exceeds guard at t = {u.time:g}"
                     )
-        if recorded:
-            snapshots.append(u)
+                if recorded:
+                    # vorticity maximum needs physical samples; check at snapshot cadence
+                    wmax = vorticity_max(u)
+                    if wmax > BLOWUP_BKM_LIMIT:
+                        raise BlowUpDetected(
+                            f"vorticity maximum {wmax:.3e} exceeds guard at t = {u.time:g}"
+                        )
+            if recorded:
+                snapshots.append(u)
+    except NumericalAbort as exc:
+        exc.trajectory = Trajectory(p, snapshots)
+        raise
     return Trajectory(p, snapshots)
 
 

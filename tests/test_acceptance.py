@@ -31,7 +31,7 @@ from torusflow import (
 )
 from torusflow import experiments as ex
 from torusflow.cli import main as cli_main
-from torusflow.dyadic import BERNSTEIN_CONSTANTS, DyadicPartition
+from torusflow.dyadic import BERNSTEIN_CONSTANTS
 
 BOUND = {name: bound for name, bound, _ in ex.CHECKS}
 
@@ -98,17 +98,16 @@ def test_criterion_05_littlewood_paley(fields16):
     ao = ex.dyadic_almost_orthogonality(fields)
 
     grid32 = GridSpec(32)
-    part32 = DyadicPartition.for_grid(grid32)
     bern_ok = True
     grad_worst = 0.0
     for seed in range(20):
         u = random_solenoidal_init(grid32, 1.0, 1000 + seed)
         for j in (1, 2, 3):
-            blk = dyadic_block(u, j, part32)
+            blk = dyadic_block(u, j)
             if l2_norm(blk) < 1e-14:
                 continue
             for (alpha, p, q), c_b in BERNSTEIN_CONSTANTS.items():
-                lhs, rhs = bernstein_check(blk, j, alpha, p, q, part32)
+                lhs, rhs = bernstein_check(blk, j, alpha, p, q)
                 bern_ok = bern_ok and lhs <= c_b * rhs
                 if sum(alpha) == 1 and p == 2 and q == 2:
                     grad_worst = max(grad_worst, lhs / rhs)

@@ -161,6 +161,17 @@ def test_numerical_abort_exits_3(tmp_path, monkeypatch):
     assert (out / "partial" / "manifest.txt").exists()
 
 
+def test_cfl_violation_is_numerical_abort(tmp_path):
+    # the first step's CFL gate fails: exit 3 with the report and the
+    # one-snapshot partial trajectory, as for a blow-up
+    out = tmp_path / "cfl"
+    assert main(["run", "--n", "16", "--dt", "0.1", "--t-end", "0.2", "--out", str(out)]) == 3
+    assert "exceeds advective limit" in (out / "abort.txt").read_text()
+    partial = read_trajectory(out / "partial")
+    assert [s.time for s in partial.snapshots] == [0.0]
+    assert not (out / "diagnostics.csv").exists()
+
+
 # malformed settings, from flags or a file, that must exit 2 before any
 # output exists: NaN/inf numbers, a negative seed, r2 below the default r1
 # for the flag-set n, and t_end that is not a whole number of dt steps

@@ -20,6 +20,7 @@ from torusflow import (
     mild_residual,
     physical_l2_norm,
     inverse_transform,
+    random_solenoidal_init,
     records_for_trajectory,
     run,
     shear_init,
@@ -33,6 +34,9 @@ from torusflow import (
 )
 from torusflow import diagnostics
 from torusflow.diagnostics import CSV_HEADER
+from torusflow.experiments import shear_formulation_residuals
+from torusflow.solvers import _forcing_term
+from torusflow.spectral import _advect_arrays, advect, inner_product, leray_project
 from torusflow.errors import (
     DegenerateSequence,
     NonSolenoidalTest,
@@ -43,9 +47,8 @@ from torusflow.errors import (
 
 @pytest.fixture(scope="module")
 def shear_traj_fine():
-    grid = GridSpec(4)
     p = SolverParams(nu=1.0, dt=5e-4, t_end=0.2, scheme="mild-duhamel")
-    return run(shear_init(grid), p), p
+    return run(shear_init(GridSpec(4)), p)
 
 
 def test_kinetic_energy_values(grid16):
@@ -70,14 +73,13 @@ def test_bkm_monitor_values(grid16):
 
 
 def test_bkm_decays_along_shear_trajectory(shear_traj_fine):
-    traj, p = shear_traj_fine
+    traj = shear_traj_fine
     for snap in traj.snapshots[:: len(traj.snapshots) // 4]:
         assert bkm_monitor(snap) == pytest.approx(math.exp(-snap.time), rel=1e-10)
 
 
 def test_energy_identity_shear_per_interval(shear_traj_fine):
-    traj, p = shear_traj_fine
-    defects = energy_identity_residual(traj, p)
+    defects = energy_identity_residual(shear_traj_fine)
     assert defects.max() <= 1e-10
 
 
@@ -85,16 +87,14 @@ def test_energy_identity_zero_trajectory(grid8):
     zero = SpectralField(
         grid8, np.zeros((3, 8, 8, 8), dtype=complex), solenoidal=True, zero_mean=True
     )
-    p = SolverParams(nu=1.0, dt=1e-2, t_end=0.05)
-    traj = run(zero, p)
-    assert energy_identity_residual(traj, p).max() == 0.0
+    traj = run(zero, SolverParams(nu=1.0, dt=1e-2, t_end=0.05))
+    assert energy_identity_residual(traj).max() == 0.0
 
 
 def test_energy_identity_needs_two_snapshots(grid8):
-    p = SolverParams(nu=1.0, dt=1e-2, t_end=0.0)
-    traj = run(shear_init(grid8), p)
+    traj = run(shear_init(grid8), SolverParams(nu=1.0, dt=1e-2, t_end=0.0))
     with pytest.raises(TooFewSnapshots):
-        energy_identity_residual(traj, p)
+        energy_identity_residual(traj)
 
 
 def test_energy_identity_richardson_ratio(grid16):
@@ -102,25 +102,24 @@ def test_energy_identity_richardson_ratio(grid16):
     sums = []
     for dt in (2e-3, 1e-3):
         p = SolverParams(nu=0.1, dt=dt, t_end=0.04, scheme="strong-imex")
-        traj = run(tg, p)
-        sums.append(float(np.sum(energy_identity_residual(traj, p))))
+        sums.append(float(np.sum(energy_identity_residual(run(tg, p)))))
     assert sums[0] / sums[1] == pytest.approx(4.0, abs=0.5)
 
 
 def test_weak_residual_shear_quadrature_level(shear_traj_fine):
-    traj, p = shear_traj_fine
+    traj = shear_traj_fine
     tests = weak_test_battery(traj.grid, 0.0, 0.2, times=traj.times)
-    assert len(tests) == 12
-    assert weak_form_residual(traj, tests, p) <= 1e-10
+    assert len(tests[0]) == 12
+    assert weak_form_residual(traj, tests) <= 1e-10
 
 
 def test_weak_residual_orthogonal_mode_vanishes(shear_traj_fine):
-    traj, p = shear_traj_fine
-    tests = weak_test_battery(traj.grid, 0.0, 0.2, times=traj.times)
+    traj = shear_traj_fine
+    modes, bump, bump_dt = weak_test_battery(traj.grid, 0.0, 0.2, times=traj.times)
     # modes polarized off e2 or varying off x1 never see the shear flow
-    orthogonal = [v for v in tests if "e2" not in v.mode.label]
+    orthogonal = [v for v in modes if "e2" not in v.label]
     assert orthogonal, "battery should contain modes orthogonal to the shear"
-    assert weak_form_residual(traj, orthogonal, p) <= 1e-14
+    assert weak_form_residual(traj, (orthogonal, bump, bump_dt)) <= 1e-14
 
 
 def test_weak_residual_taylor_green_orthogonal_battery(grid8):
@@ -130,29 +129,23 @@ def test_weak_residual_taylor_green_orthogonal_battery(grid8):
     p = SolverParams(nu=0.1, dt=2e-3, t_end=0.08, scheme="strong-imex")
     traj = run(tg, p)
     tests = weak_test_battery(grid8, 0.0, 0.08, times=traj.times)
-    assert weak_form_residual(traj, tests, p) <= 1e-15
+    assert weak_form_residual(traj, tests) <= 1e-15
 
 
 def test_weak_residual_rejects_divergent_test(shear_traj_fine, grid8):
-    traj, p = shear_traj_fine
-    tests = weak_test_battery(traj.grid, 0.0, 0.2)
-    bad_coeffs = np.zeros_like(tests[0].mode.coeffs)
+    traj = shear_traj_fine
+    modes, bump, bump_dt = weak_test_battery(traj.grid, 0.0, 0.2)
+    bad_coeffs = np.zeros_like(modes[0].coeffs)
     bad_coeffs[0, 1, 0, 0] = 1.0j
     bad_coeffs[0, -1, 0, 0] = -1.0j
-    bad = tests[0].__class__(
-        mode=tests[0].mode.with_coeffs(bad_coeffs, solenoidal=False),
-        bump=tests[0].bump,
-        bump_dt=tests[0].bump_dt,
-    )
+    bad = modes[0].with_coeffs(bad_coeffs, solenoidal=False)
     with pytest.raises(NonSolenoidalTest):
-        weak_form_residual(traj, [bad], p)
+        weak_form_residual(traj, ([bad], bump, bump_dt))
 
 
 def test_weak_residual_second_order(grid8):
     # datum with strong low-mode nonlinearity so the scheme error registers
     # against the |k| = 1 battery
-    from torusflow import random_solenoidal_init
-
     u0 = random_solenoidal_init(grid8, 1.5, 3)
     u0 = u0.with_coeffs(u0.coeffs * 4.0)
     residuals = []
@@ -160,14 +153,13 @@ def test_weak_residual_second_order(grid8):
         p = SolverParams(nu=0.1, dt=dt, t_end=0.08, scheme="strong-imex")
         traj = run(u0, p)
         tests = weak_test_battery(grid8, 0.0, 0.08, times=traj.times)
-        residuals.append(weak_form_residual(traj, tests, p))
+        residuals.append(weak_form_residual(traj, tests))
     assert residuals[0] > residuals[1] > residuals[2]
     assert residuals[1] / residuals[2] == pytest.approx(4.0, abs=1.2)
 
 
 def test_mild_residual_shear(shear_traj_fine):
-    traj, p = shear_traj_fine
-    assert mild_residual(traj, p) <= 1e-10
+    assert mild_residual(shear_traj_fine) <= 1e-10
 
 
 def test_shear_strong_residual_second_order():
@@ -176,15 +168,13 @@ def test_shear_strong_residual_second_order():
     values = []
     for dt in (1e-3, 5e-4):
         p = SolverParams(nu=1.0, dt=dt, t_end=0.1, scheme="mild-duhamel")
-        traj = run(shear_init(grid), p)
-        values.append(strong_residual(traj, p))
+        values.append(strong_residual(run(shear_init(grid), p)))
     assert values[0] / values[1] == pytest.approx(4.0, abs=0.5)
 
 
 def test_mild_residual_zero_horizon(grid8):
-    p = SolverParams(nu=1.0, dt=1e-2, t_end=0.0)
-    traj = run(shear_init(grid8), p)
-    assert mild_residual(traj, p) == 0.0
+    traj = run(shear_init(grid8), SolverParams(nu=1.0, dt=1e-2, t_end=0.0))
+    assert mild_residual(traj) == 0.0
 
 
 def test_mild_residual_second_order_on_taylor_green(grid8):
@@ -192,15 +182,13 @@ def test_mild_residual_second_order_on_taylor_green(grid8):
     residuals = []
     for dt in (2e-3, 1e-3):
         p = SolverParams(nu=0.1, dt=dt, t_end=0.08, scheme="strong-imex")
-        traj = run(tg, p)
-        residuals.append(mild_residual(traj, p))
+        residuals.append(mild_residual(run(tg, p)))
     assert residuals[0] / residuals[1] == pytest.approx(4.0, abs=1.2)
 
 
 def test_strong_residual_shear_centered_difference_level(shear_traj_fine):
-    traj, p = shear_traj_fine
     # third time derivative of e^{-t} is O(1): centered error ~ dt^2 / 6
-    assert strong_residual(traj, p) <= 1e-6
+    assert strong_residual(shear_traj_fine) <= 1e-6
 
 
 def test_residuals_on_manufactured_steady_state(grid8):
@@ -213,8 +201,8 @@ def test_residuals_on_manufactured_steady_state(grid8):
     p = SolverParams(nu=nu, dt=1e-2, t_end=0.03, scheme="mild-duhamel", forcing=forcing)
     snaps = [sh.with_coeffs(sh.coeffs, time=t) for t in (0.0, 0.01, 0.02, 0.03)]
     traj = Trajectory(p, snaps)
-    assert strong_residual(traj, p) <= 1e-10
-    assert mild_residual(traj, p) <= 1e-10
+    assert strong_residual(traj) <= 1e-10
+    assert mild_residual(traj) <= 1e-10
 
 
 def test_strong_residual_zero_trajectory(grid8):
@@ -223,9 +211,9 @@ def test_strong_residual_zero_trajectory(grid8):
     )
     p = SolverParams(nu=1.0, dt=1e-2, t_end=0.05)
     traj = run(zero, p)
-    assert strong_residual(traj, p) == 0.0
+    assert strong_residual(traj) == 0.0
     with pytest.raises(TooFewSnapshots):
-        strong_residual(Trajectory(p, traj.snapshots[:2]), p)
+        strong_residual(Trajectory(p, traj.snapshots[:2]))
 
 
 def test_unified_reconstruction_identical_triple(grid32):
@@ -357,17 +345,16 @@ def _forced_steady_shear():
     forcing = sh.with_coeffs(nu * sh.coeffs)
     p = SolverParams(nu=nu, dt=1e-2, t_end=0.04, scheme="mild-duhamel", forcing=forcing)
     snaps = [sh.with_coeffs(sh.coeffs, time=t) for t in (0.0, 0.01, 0.02, 0.03, 0.04)]
-    return Trajectory(p, snaps), p
+    return Trajectory(p, snaps)
 
 
 @pytest.mark.parametrize("case", ["unforced", "forced"])
 def test_records_and_csv(case, shear_traj_fine, monkeypatch):
     if case == "unforced":
-        traj, p = shear_traj_fine
-        short = Trajectory(p, traj.snapshots[:5])
+        short = Trajectory(shear_traj_fine.params, shear_traj_fine.snapshots[:5])
     else:
-        short, p = _forced_steady_shear()
-    # one projected advection per snapshot serves both the mild and strong defects
+        short = _forced_steady_shear()
+    # one advection per snapshot serves the weak, mild and strong defects
     calls = []
     advect_arrays = diagnostics._advect_arrays
 
@@ -376,11 +363,15 @@ def test_records_and_csv(case, shear_traj_fine, monkeypatch):
         return advect_arrays(*args)
 
     monkeypatch.setattr(diagnostics, "_advect_arrays", counting)
-    records = records_for_trajectory(short, p)
+    records = records_for_trajectory(short)
     assert len(calls) == len(short.snapshots) == 5
+    calls.clear()
+    battery = weak_test_battery(short.grid, short.times[0], short.times[-1], times=short.times)
+    shear_formulation_residuals(short, battery)
+    assert len(calls) == 5
     monkeypatch.undo()
-    assert records[-1].res_mild == mild_residual(short, p)
-    assert max(r.res_strong for r in records) == strong_residual(short, p)
+    assert records[-1].res_mild == mild_residual(short)
+    assert max(r.res_strong for r in records) == strong_residual(short)
     text = diagnostics_csv(records)
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -394,3 +385,120 @@ def test_records_and_csv(case, shear_traj_fine, monkeypatch):
     assert [float(v) for v in first[-3:]] == [records[0].h1, records[0].h2, records[0].h3]
     # determinism
     assert diagnostics_csv(records) == text
+
+
+# ----------------------------------------------------------------------
+# the separate weak walk and the mild/strong pass that `residual_defects`
+# replaced, kept verbatim as the reference its values must equal bitwise
+
+
+def _reference_weak_form_residual(traj, tests, p):
+    modes, bump, bump_dt = tests
+    snaps = traj.snapshots
+    times = traj.times
+    qw = diagnostics._time_quadrature_weights(times)
+
+    conv = [advect(s, s) for s in snaps]
+    worst = 0.0
+    for mode in modes:
+        k2 = mode.grid.k_squared
+        total = 0.0
+        for m, s in enumerate(snaps):
+            b = bump(s.time)
+            bdot = bump_dt(s.time)
+            term = bdot * inner_product(s, mode)
+            if b != 0.0:
+                term -= b * inner_product(conv[m], mode)
+                term -= p.nu * b * float(
+                    np.sum(k2 * (s.coeffs * np.conj(mode.coeffs)).sum(axis=0)).real
+                )
+                if p.forcing is not None:
+                    term += b * inner_product(p.forcing, mode)
+            total += qw[m] * term
+        total += bump(snaps[0].time) * inner_product(snaps[0], mode)
+        span = float(times[-1] - times[0])
+        bump_scale = math.sqrt(
+            sum(qw[m] * (bump(t) ** 2 + bump_dt(t) ** 2) for m, t in enumerate(times))
+        )
+        norm = bump_scale * sobolev_norm(mode, 1.0) * max(span, 1.0)
+        worst = max(worst, abs(total) / norm)
+    return worst
+
+
+def _reference_residual_defects(traj, p):
+    snaps = traj.snapshots
+    grid = traj.grid
+    k2 = grid.k_squared
+    u0 = snaps[0]
+    norm0 = sobolev_norm(u0, 1.0)
+    scale = norm0 if norm0 > 0.0 else 1.0
+    forcing = _forcing_term(p)
+
+    def proj_nl(u):
+        return leray_project(u.with_coeffs(_advect_arrays(u.coeffs, u.coeffs, grid)[0])).coeffs
+
+    def strong_defect(m, nl):
+        u = snaps[m]
+        dt_left = u.time - snaps[m - 1].time
+        dt_right = snaps[m + 1].time - u.time
+        dudt = (snaps[m + 1].coeffs - snaps[m - 1].coeffs) / (dt_left + dt_right)
+        res = dudt + nl + p.nu * k2 * u.coeffs
+        if forcing is not None:
+            res = res - forcing
+        return l2_norm(u.with_coeffs(res))
+
+    mild = [0.0]
+    strong = [0.0] * len(snaps)
+    integral = np.zeros_like(u0.coeffs)
+    propagated = u0.coeffs.copy()
+    n_prev = proj_nl(u0)
+    for m in range(1, len(snaps)):
+        if m >= 2:
+            strong[m - 1] = strong_defect(m - 1, n_prev)
+        dt = snaps[m].time - snaps[m - 1].time
+        decay = np.exp(-p.nu * dt * k2)
+        n_curr = proj_nl(snaps[m])
+        integral = decay * (integral + 0.5 * dt * n_prev) + 0.5 * dt * n_curr
+        propagated = decay * propagated
+        expected = propagated - integral
+        if forcing is not None:
+            t = snaps[m].time - snaps[0].time
+            z = -p.nu * t * k2
+            denom = p.nu * k2
+            safe = np.where(denom > 0.0, denom, 1.0)
+            phi = np.where(denom > 0.0, -np.expm1(z) / safe, t)
+            expected = expected + phi * forcing
+        diff = snaps[m].with_coeffs(snaps[m].coeffs - expected)
+        mild.append(sobolev_norm(diff, 1.0) / scale)
+        n_prev = n_curr
+    return mild, strong
+
+
+def _random_strong_imex_8():
+    u0 = random_solenoidal_init(GridSpec(8), 1.5, 3)
+    u0 = u0.with_coeffs(u0.coeffs * 4.0)
+    return run(u0, SolverParams(nu=0.1, dt=2e-3, t_end=0.08, scheme="strong-imex"))
+
+
+def _mild_duhamel_16_cadence_3():
+    p = SolverParams(nu=0.1, dt=2e-3, t_end=0.072, scheme="mild-duhamel")
+    return run(random_solenoidal_init(GridSpec(16), 2.0, 7), p, cadence=3)
+
+
+@pytest.mark.parametrize("case", ["shear", "forced", "random8", "mild16-cadence3"])
+def test_one_pass_equals_separate_walks_bitwise(case, shear_traj_fine):
+    traj = {
+        "shear": lambda: shear_traj_fine,
+        "forced": _forced_steady_shear,
+        "random8": _random_strong_imex_8,
+        "mild16-cadence3": _mild_duhamel_16_cadence_3,
+    }[case]()
+    times = traj.times
+    tests = weak_test_battery(traj.grid, times[0], times[-1], times=times)
+    mild, strong, weak = diagnostics.residual_defects(traj, tests)
+    ref_mild, ref_strong = _reference_residual_defects(traj, traj.params)
+    assert weak == _reference_weak_form_residual(traj, tests, traj.params)
+    assert weak > 0.0 or case == "forced"
+    assert mild == ref_mild
+    assert strong == ref_strong
+    assert diagnostics.residual_defects(traj) == (ref_mild, ref_strong, 0.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from torusflow import (
+    GridSpec,
     SpectralField,
     almost_orthogonality_ratio,
     bernstein_check,
@@ -54,19 +55,20 @@ def test_partition_overlap_at_most_two():
 def test_single_mode_block_assignment(grid16):
     u = single_mode(grid16, (4, 0, 0))
     part = DyadicPartition.for_grid(grid16)
+    assert DyadicPartition.for_grid(GridSpec(16)) is part  # one partition per grid
     # |k| = 4 at j = 2 sits on the chi plateau: the block recovers u exactly
-    np.testing.assert_array_equal(dyadic_block(u, 2, part).coeffs, u.coeffs)
+    np.testing.assert_array_equal(dyadic_block(u, 2).coeffs, u.coeffs)
     for j in part.indices:
         if j != 2:
-            assert l2_norm(dyadic_block(u, j, part)) == 0.0
-    assert l2_norm(dyadic_block(u, -1, part)) == 0.0
+            assert l2_norm(dyadic_block(u, j)) == 0.0
+    assert l2_norm(dyadic_block(u, -1)) == 0.0
 
 
 def test_block_annulus_support(grid16, random_fields_16):
     part = DyadicPartition.for_grid(grid16)
     r = grid16.k_magnitude
     for j in part.indices:
-        blk = dyadic_block(random_fields_16[0], j, part)
+        blk = dyadic_block(random_fields_16[0], j)
         outside = (r < 2.0 ** (j - 1)) | (r > 2.0 ** (j + 1))
         assert np.max(np.abs(blk.coeffs[:, outside])) == 0.0
 
@@ -74,23 +76,22 @@ def test_block_annulus_support(grid16, random_fields_16):
 def test_block_index_range(grid16, random_fields_16):
     part = DyadicPartition.for_grid(grid16)
     with pytest.raises(IndexOutOfRange):
-        dyadic_block(random_fields_16[0], part.jmax + 1, part)
+        dyadic_block(random_fields_16[0], part.jmax + 1)
     with pytest.raises(IndexOutOfRange):
-        dyadic_block(random_fields_16[0], -2, part)
+        dyadic_block(random_fields_16[0], -2)
 
 
 def test_zero_field_blocks(grid16):
     zero = SpectralField(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
     part = DyadicPartition.for_grid(grid16)
     for j in [-1] + list(part.indices):
-        assert l2_norm(dyadic_block(zero, j, part)) == 0.0
+        assert l2_norm(dyadic_block(zero, j)) == 0.0
 
 
 def test_reassembly_50_random_fields(grid16):
-    part = DyadicPartition.for_grid(grid16)
     for seed in range(50):
         u = random_solenoidal_init(grid16, 1.5, seed)
-        re = reassemble(u, part)
+        re = reassemble(u)
         rel = np.max(np.abs(re.coeffs - u.coeffs)) / np.max(np.abs(u.coeffs))
         assert rel <= 1e-12
 
@@ -108,10 +109,9 @@ def test_almost_orthogonality_equal_overlap(grid16):
 
 
 def test_almost_orthogonality_range_100_fields(grid16):
-    part = DyadicPartition.for_grid(grid16)
     for seed in range(100):
         u = random_solenoidal_init(grid16, 1.0, seed)
-        ratio = almost_orthogonality_ratio(u, part)
+        ratio = almost_orthogonality_ratio(u)
         assert 0.5 <= ratio <= 1.0
 
 
@@ -128,9 +128,8 @@ def test_bernstein_single_mode_ratio(grid16):
 
 
 def test_bernstein_identity_case(grid16, random_fields_16):
-    part = DyadicPartition.for_grid(grid16)
-    blk = dyadic_block(random_fields_16[2], 2, part)
-    lhs, rhs = bernstein_check(blk, 2, (0, 0, 0), 2, 2, part)
+    blk = dyadic_block(random_fields_16[2], 2)
+    lhs, rhs = bernstein_check(blk, 2, (0, 0, 0), 2, 2)
     assert lhs / rhs == pytest.approx(1.0, rel=1e-12)
 
 
@@ -146,15 +145,14 @@ def test_bernstein_validates_exponent_order(grid16):
 
 
 def test_bernstein_calibrated_battery(grid32):
-    part = DyadicPartition.for_grid(grid32)
     for seed in range(50):
         u = random_solenoidal_init(grid32, 1.0, 1000 + seed)
         for j in (1, 2, 3):
-            blk = dyadic_block(u, j, part)
+            blk = dyadic_block(u, j)
             if l2_norm(blk) < 1e-14:
                 continue
             for (alpha, p, q), c_b in BERNSTEIN_CONSTANTS.items():
-                lhs, rhs = bernstein_check(blk, j, alpha, p, q, part)
+                lhs, rhs = bernstein_check(blk, j, alpha, p, q)
                 assert lhs <= c_b * rhs
                 if alpha in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) and p == 2 and q == 2:
                     assert lhs <= 2.0 * rhs
@@ -228,8 +226,8 @@ def test_heat_decay_of_blocks(grid16, random_fields_16):
     nu, t = 0.5, 0.2
     hu = heat_semigroup(u, nu, t)
     for j in part.indices:
-        before = l2_norm(dyadic_block(u, j, part))
-        after = l2_norm(dyadic_block(hu, j, part))
+        before = l2_norm(dyadic_block(u, j))
+        after = l2_norm(dyadic_block(hu, j))
         assert after <= np.exp(-nu * t * 4.0 ** (j - 1)) * before
 
 

@@ -10,6 +10,7 @@ from torusflow import (
     MollifierSpec,
     SpectralField,
     WeightPartition,
+    binary_blend,
     binary_cutoff,
     blend,
     heat_semigroup,
@@ -157,16 +158,15 @@ def test_blend_identity_collapse_partition_of_unity(grid16, random_fields_16, he
     errs = []
     for e in (0.25, 0.0625, 0.015625, 0.00390625):
         spec = MollifierSpec(e, "gaussian")
-        out = blend(phi, phi, phi, w, spec, variant="weighted")
+        out = blend(phi, phi, phi, w, spec)
         errs.append(helpers.rel_diff(out, phi, 1.0))
     assert all(b <= a for a, b in zip(errs, errs[1:]))
     assert errs[-1] <= 1e-3
 
 
 def test_blend_binary_saturation(grid16, random_fields_16):
-    uw, um, us = random_fields_16[0], random_fields_16[1], random_fields_16[2]
-    w = WeightPartition(2.0, 6.0)
-    out = blend(uw, um, us, w, MollifierSpec(4.0, "gaussian"), variant="binary")
+    uw, us = random_fields_16[0], random_fields_16[2]
+    out = binary_blend(uw, us, MollifierSpec(4.0, "gaussian"))
     diff = np.abs(out.coeffs - us.coeffs)
     diff[:, 0, 0, 0] = 0.0
     assert np.max(diff) == 0.0
@@ -190,7 +190,7 @@ def test_blend_grid_mismatch(grid8, grid16):
     a = shear_init(grid8)
     b = shear_init(grid16)
     with pytest.raises(GridMismatch):
-        blend(a, a, b, WeightPartition(1.0, 3.0), MollifierSpec(0.1), variant="binary")
+        binary_blend(a, b, MollifierSpec(0.1))
 
 
 def test_blend_stability_bounds(grid16, random_fields_16):
@@ -198,22 +198,18 @@ def test_blend_stability_bounds(grid16, random_fields_16):
     uw, um, us = random_fields_16[7:10]
     for s in (0.0, 1.0, 2.0):
         total = sum(sobolev_norm(f, s) for f in (uw, um, us))
-        binary = blend(uw, um, us, w, MollifierSpec(0.25, "gaussian"), variant="binary")
+        binary = binary_blend(uw, us, MollifierSpec(0.25, "gaussian"))
         assert sobolev_norm(binary, s) <= total
-        weighted = blend(uw, um, us, w, MollifierSpec(0.25, "gaussian"), variant="weighted")
+        weighted = blend(uw, um, us, w, MollifierSpec(0.25, "gaussian"))
         assert sobolev_norm(weighted, s) <= 2.0 * total
 
 
 def test_binary_blend_and_multipliers_commute_with_heat(grid16, random_fields_16, helpers):
     nu, t = 0.7, 0.2
-    w = WeightPartition(2.0, 6.0)
     spec = MollifierSpec(0.25, "gaussian")
     f, h = random_fields_16[10], random_fields_16[11]
-    one = heat_semigroup(blend(f, f, h, w, spec, "binary"), nu, t)
-    two = blend(
-        heat_semigroup(f, nu, t), heat_semigroup(f, nu, t), heat_semigroup(h, nu, t),
-        w, spec, "binary",
-    )
+    one = heat_semigroup(binary_blend(f, h, spec), nu, t)
+    two = binary_blend(heat_semigroup(f, nu, t), heat_semigroup(h, nu, t), spec)
     assert helpers.rel_diff(one, two) <= 1e-12
     assert helpers.rel_diff(
         heat_semigroup(smooth(f, spec), nu, t), smooth(heat_semigroup(f, nu, t), spec)
@@ -229,8 +225,8 @@ def test_solenoidal_flags_preserved(grid16, random_fields_16):
     assert smooth(u, spec).solenoidal
     assert regularize(u, spec).solenoidal
     w = WeightPartition(2.0, 6.0)
-    assert blend(u, u, u, w, spec, variant="binary").solenoidal
-    assert blend(u, u, u, w, spec, variant="weighted").solenoidal
+    assert binary_blend(u, u, spec).solenoidal
+    assert blend(u, u, u, w, spec).solenoidal
 
 
 def test_spatial_window_unit_mean_and_limit(grid16):
@@ -258,7 +254,7 @@ def test_gaussian_smoothing_semigroup_property(e1, e2):
 
 def test_binary_blend_of_identical_fields_is_identity(grid16, random_fields_16):
     u = random_fields_16[13]
-    out = blend(u, u, u, WeightPartition(2.0, 6.0), MollifierSpec(0.25), variant="binary")
+    out = binary_blend(u, u, MollifierSpec(0.25))
     gap = np.max(np.abs(out.coeffs - u.coeffs))
     assert gap <= 1e-15 * np.max(np.abs(u.coeffs))
 
@@ -269,7 +265,7 @@ def test_pipeline_monotone_smoothed_blend(grid8):
     errs = []
     for e in [2.0**-k for k in range(2, 9)]:
         spec = MollifierSpec(e, "gaussian")
-        out = smooth(blend(phi, phi, phi, w, spec, variant="weighted"), spec)
+        out = smooth(blend(phi, phi, phi, w, spec), spec)
         errs.append(
             sobolev_norm(out.with_coeffs(out.coeffs - phi.coeffs), 1.0)
             / sobolev_norm(phi, 1.0)

@@ -186,8 +186,12 @@ def test_cfl_gate(grid8):
     limit = cfl_limit(1.0, grid8)
     assert limit == pytest.approx(0.5 / 8.0)
     p = SolverParams(nu=1.0, dt=0.2, t_end=0.2, scheme="strong-imex")
-    with pytest.raises(CflViolation):
+    with pytest.raises(CflViolation) as excinfo:
         step_strong(sh, p)
+    assert excinfo.value.trajectory is None
+    with pytest.raises(CflViolation) as excinfo:
+        run(sh, p)
+    assert len(excinfo.value.trajectory.snapshots) == 1
 
 
 def test_inviscid_energy_conservation(grid32):
