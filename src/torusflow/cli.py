@@ -66,6 +66,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG_ERROR
     try:
         return run_experiment(cfg)
+    except RangeError as exc:  # an output directory that cannot be created
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     except TorusflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -4,8 +4,9 @@ and the band-blending reconstruction pipeline with its convergence studies.
 Residual conventions
 --------------------
 weak    : space-time integral against divergence-free test functions built
-          from a cubic B-spline time bump and the twelve lowest solenoidal
-          Fourier modes, plus the initial-datum term.
+          from a cubic B-spline time bump, derived from the snapshot times,
+          and a battery of solenoidal Fourier modes (the twelve lowest from
+          `weak_test_battery`), plus the initial-datum term.
 mild    : defect of the Duhamel integral identity at each snapshot time,
           with a semigroup-stable trapezoidal recurrence for the integral.
 strong  : pointwise momentum-equation residual at interior snapshot times,
@@ -149,53 +150,46 @@ def _cubic_bspline_dt(s: float) -> float:
     return -0.5 * (4.0 - s) ** 2
 
 
-def weak_test_battery(
-    grid: GridSpec, t0: float, t1: float, times: np.ndarray | None = None
-) -> tuple[list[SpectralField], Callable[[float], float], Callable[[float], float]]:
-    """(modes, bump, bump_dt): the test functions bump(t) * mode(x) for the
-    twelve lowest solenoidal Fourier modes and one cubic B-spline bump.
-
-    The bump is supported strictly inside (t0, t1), so the initial-datum
-    term vanishes for these test functions.  When the snapshot times are
-    supplied (uniform grid), the spline knots snap to even snapshot indices;
-    the B-spline's third derivative jumps then sit on quadrature panel
-    boundaries instead of inside panels, and the same bump is reused across
-    nested dt refinements.
-    """
-    if t1 <= t0:
-        raise ValueError("need t1 > t0")
-    span = t1 - t0
-    lo = t0 + span / 8.0
-    h = 3.0 * span / 16.0
-    if times is not None and len(times) >= 13:
-        dts = np.diff(np.asarray(times, dtype=float))
-        if np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
-            panel = 2.0 * float(dts[0])
-            h = panel * max(1, round(h / panel))
-            while 4.0 * h >= span - 2.0 * panel and h > panel:
-                h -= panel
-            lo = t0 + panel * max(1, round((span - 4.0 * h) / (2.0 * panel)))
-
-    def bump(t):
-        return _cubic_bspline((t - lo) / h)
-
-    def bump_dt(t):
-        return _cubic_bspline_dt((t - lo) / h) / h
-
+def weak_test_battery(grid: GridSpec) -> list[SpectralField]:
+    """The twelve lowest solenoidal Fourier modes cos/sin(x_a) e_b, b != a."""
     x = grid.coordinates
     modes = []
     for axis in range(3):
         for pol in range(3):
             if pol == axis:
                 continue
-            for phase, fn in (("cos", np.cos), ("sin", np.sin)):
+            for fn in (np.cos, np.sin):
                 samples = np.zeros((3, grid.n, grid.n, grid.n))
                 samples[pol] = fn(x[axis])
-                mode = forward_transform(
-                    PhysicalField(grid, samples, label=f"{phase}(x{axis + 1})e{pol + 1}")
-                )
-                modes.append(replace(mode, solenoidal=True, zero_mean=True))
-    return modes, bump, bump_dt
+                mode = forward_transform(PhysicalField(grid, samples))
+                modes.append(replace(mode, solenoidal=True))
+    return modes
+
+
+def _time_bump(times: np.ndarray) -> tuple[list[float], list[float]]:
+    """One cubic B-spline bump and its time derivative at each snapshot time.
+
+    The bump is supported strictly inside (times[0], times[-1]), so the
+    initial-datum term vanishes for the weak test functions.  On a uniform
+    grid of at least 13 snapshots the spline knots snap to even snapshot
+    indices; the B-spline's third derivative jumps then sit on quadrature
+    panel boundaries instead of inside panels, and the same bump is reused
+    across nested dt refinements.
+    """
+    t0, t1 = float(times[0]), float(times[-1])
+    span = t1 - t0
+    lo = t0 + span / 8.0
+    h = 3.0 * span / 16.0
+    if len(times) >= 13:
+        dts = np.diff(times)
+        if np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
+            panel = 2.0 * float(dts[0])
+            h = panel * max(1, round(h / panel))
+            while 4.0 * h >= span - 2.0 * panel and h > panel:
+                h -= panel
+            lo = t0 + panel * max(1, round((span - 4.0 * h) / (2.0 * panel)))
+    s = [(t - lo) / h for t in times]
+    return [_cubic_bspline(v) for v in s], [_cubic_bspline_dt(v) / h for v in s]
 
 
 def _time_quadrature_weights(times: np.ndarray) -> np.ndarray:
@@ -227,15 +221,18 @@ def _time_quadrature_weights(times: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # weak, mild (Duhamel) and strong residuals: one pass over the snapshots
 
-def residual_defects(traj: Trajectory, tests: tuple = ()) -> tuple[list[float], list[float], float]:
+def residual_defects(
+    traj: Trajectory, modes: Sequence[SpectralField] = ()
+) -> tuple[list[float], list[float], float]:
     """Mild and strong defects at every snapshot and the weak defect against
-    the battery `tests` = (modes, bump, bump_dt), one (u.grad)u per snapshot.
+    the test `modes`, one (u.grad)u per snapshot.
 
-    weak: max over test functions v = bump * mode of the normalized
+    weak: max over test functions v = bump * mode, with the time bump of
+    `_time_bump` on the snapshot times, of the normalized
     space-time quadrature of <u, dt v> - <(u.grad)u, v> - nu <grad u, grad v>
     + <f, v> plus the initial-datum term <u0, v(0)>; every mode is checked
     divergence-free, so the pressure term <p, div v> vanishes.  0.0 without
-    a battery.
+    modes.
     mild: normalized Duhamel-identity defect in H^1, from the recurrence
     I_m = e^{nu dt lap}(I_{m-1} + dt/2 N_{m-1}) + dt/2 N_m, which reproduces
     the trapezoidal rule with only decaying propagator factors.
@@ -243,10 +240,9 @@ def residual_defects(traj: Trajectory, tests: tuple = ()) -> tuple[list[float], 
     differences, 0.0 at the endpoints where no stencil exists.
     The pass streams: it holds two tendencies, never one per snapshot.
     """
-    modes, bump, bump_dt = tests or ([], None, None)
-    for mode in modes:
+    for i, mode in enumerate(modes):
         if divergence_defect(mode) > 1e-12:
-            raise NonSolenoidalTest(f"test mode {mode.label!r} is not divergence-free")
+            raise NonSolenoidalTest(f"test mode {i} is not divergence-free")
     snaps = traj.snapshots
     if len(snaps) < 2:
         return [0.0] * len(snaps), [0.0] * len(snaps), 0.0
@@ -259,13 +255,14 @@ def residual_defects(traj: Trajectory, tests: tuple = ()) -> tuple[list[float], 
     forcing = _forcing_term(p)
     times = traj.times
     qw = _time_quadrature_weights(times)
+    bump, bump_dt = _time_bump(times)
     weak = [0.0] * len(modes)
 
     def proj_nl(m: int) -> np.ndarray:
         # snapshot m's (u.grad)u enters the weak sums, then leaves projected
         u = snaps[m]
         conv = u.with_coeffs(_advect_arrays(u.coeffs, u.coeffs, grid)[0])
-        b, bdot = (bump(u.time), bump_dt(u.time)) if modes else (0.0, 0.0)
+        b, bdot = bump[m], bump_dt[m]
         for i, mode in enumerate(modes):
             term = bdot * inner_product(u, mode)
             if b != 0.0:
@@ -293,7 +290,7 @@ def residual_defects(traj: Trajectory, tests: tuple = ()) -> tuple[list[float], 
     mild = [0.0]
     strong = [0.0] * len(snaps)
     integral = np.zeros_like(u0.coeffs)
-    propagated = u0.coeffs.copy()
+    propagated = u0.coeffs
     n_prev = proj_nl(0)
     for m in range(1, len(snaps)):
         if m >= 2:
@@ -319,23 +316,20 @@ def residual_defects(traj: Trajectory, tests: tuple = ()) -> tuple[list[float], 
         n_prev = n_curr
 
     worst = 0.0
-    if modes:
-        span = float(times[-1] - times[0])
-        bump_scale = math.sqrt(
-            sum(qw[m] * (bump(t) ** 2 + bump_dt(t) ** 2) for m, t in enumerate(times))
-        )
-        for total, mode in zip(weak, modes):
-            total += bump(u0.time) * inner_product(u0, mode)
-            norm = bump_scale * sobolev_norm(mode, 1.0) * max(span, 1.0)
-            worst = max(worst, abs(total) / norm)
+    span = float(times[-1] - times[0])
+    bump_scale = math.sqrt(sum(w * (b**2 + bdot**2) for w, b, bdot in zip(qw, bump, bump_dt)))
+    for total, mode in zip(weak, modes):
+        total += bump[0] * inner_product(u0, mode)
+        norm = bump_scale * sobolev_norm(mode, 1.0) * max(span, 1.0)
+        worst = max(worst, abs(total) / norm)
     return mild, strong, worst
 
 
-def weak_form_residual(traj: Trajectory, tests: tuple) -> float:
-    """Max normalized weak-form defect over the battery `tests` (see `residual_defects`)."""
+def weak_form_residual(traj: Trajectory, modes: Sequence[SpectralField]) -> float:
+    """Max normalized weak-form defect over the test `modes` (see `residual_defects`)."""
     if len(traj.snapshots) < 2:
         raise TooFewSnapshots("weak residual needs at least two snapshots")
-    return residual_defects(traj, tests)[2]
+    return residual_defects(traj, modes)[2]
 
 
 def mild_residual(traj: Trajectory) -> float:
@@ -398,9 +392,9 @@ def unified_reconstruction(
     strong_traj: Trajectory,
     w: WeightPartition,
     spec: MollifierSpec,
-) -> Trajectory:
+) -> list[SpectralField]:
     """Per snapshot: regularize each scheme's field, blend the three bands,
-    then apply the low-pass smoothing; returns the blended trajectory."""
+    then apply the low-pass smoothing; returns the blended fields."""
     trajs = (weak_traj, mild_traj, strong_traj)
     grid = trajs[0].grid
     for t in trajs[1:]:
@@ -418,7 +412,7 @@ def unified_reconstruction(
         merged = blend(rw, rm, rs, w, spec)
         merged = smooth(merged, spec)
         out.append(replace(merged, time=sm.time))
-    return Trajectory(weak_traj.params, out, scheme="unified")
+    return out
 
 
 @dataclass(frozen=True)

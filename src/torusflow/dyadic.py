@@ -200,7 +200,7 @@ def paraproduct_decompose(u: SpectralField) -> tuple[SpectralField, SpectralFiel
                 pi3 += _advect_arrays(blocks[a], blocks[b], u.grid)[0]
 
     def mk(c):
-        return u.with_coeffs(c, solenoidal=False, zero_mean=False)
+        return u.with_coeffs(c, solenoidal=False)
 
     return mk(pi1), mk(pi2), mk(pi3)
 

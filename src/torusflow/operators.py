@@ -177,9 +177,7 @@ def weighted_blend(
     _check_same_grid(low, mid, high)
     ww, wm, ws = weights_on_grid(w, low.grid)
     out = ww * low.coeffs + wm * mid.coeffs + ws * high.coeffs
-    sol = low.solenoidal and mid.solenoidal and high.solenoidal
-    zm = low.zero_mean and mid.zero_mean and high.zero_mean
-    return low.with_coeffs(out, solenoidal=sol, zero_mean=zm)
+    return low.with_coeffs(out, solenoidal=low.solenoidal and mid.solenoidal and high.solenoidal)
 
 
 def spatial_window(spec: MollifierSpec, grid: GridSpec) -> np.ndarray:
@@ -211,7 +209,7 @@ def blend(
     grid = low.grid
     win = spatial_window(spec, grid)
     smeared = _to_spectral(win * _to_physical(g.coeffs, grid.n), grid.n)
-    return leray_project(g.with_coeffs(smeared, zero_mean=False))
+    return leray_project(g.with_coeffs(smeared))
 
 
 def binary_blend(low: SpectralField, high: SpectralField, spec: MollifierSpec) -> SpectralField:
@@ -219,6 +217,4 @@ def binary_blend(low: SpectralField, high: SpectralField, spec: MollifierSpec) -
     _check_same_grid(low, high)
     eta = binary_cutoff(spec.eps * low.grid.k_magnitude)
     out = eta * low.coeffs + (1.0 - eta) * high.coeffs
-    sol = low.solenoidal and high.solenoidal
-    zm = low.zero_mean and high.zero_mean
-    return low.with_coeffs(out, solenoidal=sol, zero_mean=zm)
+    return low.with_coeffs(out, solenoidal=low.solenoidal and high.solenoidal)

@@ -84,7 +84,7 @@ def convolution_advective_term(u: SpectralField) -> SpectralField:
     mask = (
         keep1[:, None, None] & keep1[None, :, None] & keep1[None, None, :]
     ).astype(np.float64)
-    return u.with_coeffs(out * mask, solenoidal=False, zero_mean=False)
+    return u.with_coeffs(out * mask, solenoidal=False)
 
 
 def reference_leray(u: SpectralField) -> SpectralField:

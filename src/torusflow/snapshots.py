@@ -9,7 +9,8 @@ SNS1 layout (little-endian):
   3*n^3 c16   coefficients, component-major, axes k1 (slowest), k2, k3,
               each axis ordered 0, 1, ..., n/2, -n/2+1, ..., -1
 
-A reader accepts a file only when its time, viscosity and coefficients are
+The writer sets the mean-free bit exactly when the k = 0 mode is zero.  A
+reader accepts a file only when its time, viscosity and coefficients are
 finite and its flags hold for the data: solenoidal needs a divergence
 defect within SOLENOIDAL_TOL, mean-free an exactly zero k = 0 mode.
 """
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .solvers import SCHEMES, SolverParams, Trajectory
+from .solvers import SolverParams, Trajectory
 from .spectral import SOLENOIDAL_TOL, GridSpec, SpectralField, divergence_defect
 
 MAGIC = b"SNS1"
@@ -33,7 +34,8 @@ FLAG_MEAN_FREE = 2
 
 
 def snapshot_bytes(f: SpectralField, nu: float = 0.0) -> bytes:
-    flags = (FLAG_SOLENOIDAL if f.solenoidal else 0) | (FLAG_MEAN_FREE if f.zero_mean else 0)
+    mean_free = not np.any(f.coeffs[:, 0, 0, 0])
+    flags = (FLAG_SOLENOIDAL if f.solenoidal else 0) | (FLAG_MEAN_FREE if mean_free else 0)
     header = _HEADER.pack(MAGIC, f.grid.n, f.time, nu, flags)
     return header + np.ascontiguousarray(f.coeffs, dtype="<c16").tobytes()
 
@@ -61,16 +63,12 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, float]:
     if not (math.isfinite(time) and math.isfinite(nu) and np.isfinite(coeffs).all()):
         raise ValueError(f"{path}: non-finite time, viscosity or coefficient")
     field = SpectralField(
-        grid,
-        coeffs.reshape(3, n, n, n),
-        time=time,
-        solenoidal=bool(flags & FLAG_SOLENOIDAL),
-        zero_mean=bool(flags & FLAG_MEAN_FREE),
+        grid, coeffs.reshape(3, n, n, n), time=time, solenoidal=bool(flags & FLAG_SOLENOIDAL)
     )
     # written so that a NaN defect (overflow on huge coefficients) is rejected too
     if field.solenoidal and not divergence_defect(field) <= SOLENOIDAL_TOL:
         raise ValueError(f"{path}: flagged solenoidal but divergence defect exceeds tolerance")
-    if field.zero_mean and np.any(field.coeffs[:, 0, 0, 0]):
+    if flags & FLAG_MEAN_FREE and np.any(field.coeffs[:, 0, 0, 0]):
         raise ValueError(f"{path}: flagged mean-free but the k = 0 mode is not zero")
     return field, nu
 
@@ -86,7 +84,7 @@ def write_trajectory(directory: str | Path, traj: Trajectory) -> None:
         names.append(name)
     manifest = "".join(
         (
-            f"scheme={traj.scheme}\n",
+            f"scheme={traj.params.scheme}\n",
             f"nu={traj.params.nu!r}\n",
             f"dt={traj.params.dt!r}\n",
             f"n={traj.grid.n}\n",
@@ -98,30 +96,35 @@ def write_trajectory(directory: str | Path, traj: Trajectory) -> None:
 
 
 def read_trajectory(directory: str | Path) -> Trajectory:
-    """Rebuild a trajectory from a manifest directory (forcing is not persisted)."""
+    """Rebuild a trajectory from a manifest directory (forcing is not persisted);
+    ValueError naming manifest.txt when it does not describe its snapshots."""
     directory = Path(directory)
+    manifest = directory / "manifest.txt"
     entries = {}
-    for line in (directory / "manifest.txt").read_text(encoding="utf-8").splitlines():
+    for line in manifest.read_text(encoding="utf-8").splitlines():
         if not line.strip():
             continue
         key, _, value = line.partition("=")
         entries[key.strip()] = value.strip()
-    scheme = entries["scheme"]
-    if scheme not in SCHEMES and scheme != "unified":
-        raise ValueError(f"{directory / 'manifest.txt'}: unknown scheme {scheme!r}")
-    names = [s for s in entries["snapshots"].split(",") if s]
+    try:
+        scheme, nu, dt = entries["scheme"], float(entries["nu"]), float(entries["dt"])
+        n, seed = int(entries["n"]), int(entries["seed"])
+        names = [s for s in entries["snapshots"].split(",") if s]
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{manifest}: missing or malformed entry ({exc})") from None
+    if not names:
+        raise ValueError(f"{manifest}: lists no snapshots")
     snaps = []
-    nu = float(entries["nu"])
     for name in names:
-        field, _ = read_snapshot(directory / name)
+        field, snap_nu = read_snapshot(directory / name)
+        if (field.grid.n, snap_nu) != (n, nu):
+            raise ValueError(
+                f"{manifest}: {name} has n={field.grid.n}, nu={snap_nu!r}, not n={n}, nu={nu!r}"
+            )
         snaps.append(field)
-    t_end = snaps[-1].time - snaps[0].time if len(snaps) > 1 else 0.0
-    params = SolverParams(
-        nu=nu,
-        dt=float(entries["dt"]),
-        t_end=t_end,
-        # blended trajectories carry no scheme of their own
-        scheme=scheme if scheme in SCHEMES else "strong-imex",
-        seed=int(entries["seed"]),
-    )
-    return Trajectory(params, snaps, scheme=scheme)
+    t_end = snaps[-1].time - snaps[0].time
+    try:
+        params = SolverParams(nu=nu, dt=dt, t_end=t_end, scheme=scheme, seed=seed)
+        return Trajectory(params, snaps)
+    except ValueError as exc:
+        raise ValueError(f"{manifest}: {exc}") from None

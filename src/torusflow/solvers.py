@@ -64,20 +64,17 @@ class SolverParams:
         if not 0.0 <= self.t_end < math.inf:
             raise ValueError("t_end must be nonnegative and finite")
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
+            raise ValueError(f"scheme must be one of {SCHEMES}, not {self.scheme!r}")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered snapshots produced by one scheme."""
+    """Time-ordered snapshots produced by the scheme `params.scheme`."""
 
     params: SolverParams
     snapshots: list[SpectralField] = field(default_factory=list)
-    scheme: str = ""
 
     def __post_init__(self):
-        if not self.scheme:
-            object.__setattr__(self, "scheme", self.params.scheme)
         times = [s.time for s in self.snapshots]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("snapshot times must be strictly increasing")
@@ -102,8 +99,7 @@ def taylor_green_init(grid: GridSpec) -> SpectralField:
         -np.cos(x1) * np.sin(x2) * np.cos(x3),
         np.zeros_like(x1),
     ))
-    f = forward_transform(PhysicalField(grid, samples, label="taylor-green"))
-    return replace(f, solenoidal=True, zero_mean=True)
+    return replace(forward_transform(PhysicalField(grid, samples)), solenoidal=True)
 
 
 def shear_init(grid: GridSpec) -> SpectralField:
@@ -115,8 +111,7 @@ def shear_init(grid: GridSpec) -> SpectralField:
     """
     x1, _, _ = grid.coordinates
     samples = np.stack((np.zeros_like(x1), np.sin(x1), np.zeros_like(x1)))
-    f = forward_transform(PhysicalField(grid, samples, label="shear"))
-    return replace(f, solenoidal=True, zero_mean=True)
+    return replace(forward_transform(PhysicalField(grid, samples)), solenoidal=True)
 
 
 def random_solenoidal_init(grid: GridSpec, s: float, seed: int) -> SpectralField:
@@ -125,7 +120,7 @@ def random_solenoidal_init(grid: GridSpec, s: float, seed: int) -> SpectralField
     white = rng.standard_normal((3, grid.n, grid.n, grid.n))
     c = _to_spectral(white, grid.n)
     c *= (1.0 + grid.k_squared) ** (-(s + 1.0))
-    f = leray_project(SpectralField(grid, c, label=f"random-{seed}"))
+    f = leray_project(SpectralField(grid, c))
     f = zero_mean(f)
     norm = sobolev_norm(f, s)
     return f.with_coeffs(f.coeffs / norm)
@@ -292,11 +287,10 @@ def pressure_solve(u: SpectralField) -> SpectralField:
     mode by mode.
     """
     _require_solenoidal(u, "pressure_solve")
-    out = divergence(advect(u, u)).coeffs
-    k1, k2, k3 = u.grid.deriv_wavenumbers
-    kk = k1 * k1 + k2 * k2 + k3 * k3
-    out[0] = np.where(kk > 0.0, out[0] / np.where(kk > 0.0, kk, 1.0), 0.0)
-    return u.with_coeffs(out, solenoidal=False, zero_mean=True)
+    kk = u.grid.deriv_k_squared
+    out = np.zeros_like(u.coeffs)
+    np.divide(divergence(advect(u, u)).coeffs[0], kk, out=out[0], where=kk > 0.0)
+    return u.with_coeffs(out, solenoidal=False)
 
 
 def lifespan_lower_bound(u0_norm: float, f_norm: float, nu: float, c_s: float) -> float:

@@ -78,6 +78,11 @@ class GridSpec:
         return _read_only(k1 * k1 + k2 * k2 + k3 * k3)
 
     @cached_property
+    def deriv_k_squared(self) -> np.ndarray:
+        k1, k2, k3 = self.deriv_wavenumbers
+        return _read_only(k1 * k1 + k2 * k2 + k3 * k3)
+
+    @cached_property
     def k_magnitude(self) -> np.ndarray:
         return _read_only(np.sqrt(self.k_squared))
 
@@ -100,17 +105,16 @@ class GridSpec:
 class SpectralField:
     """Truncated Fourier coefficients of a real 3-vector field.
 
-    coeffs has shape (3, n, n, n), complex128.  The solenoidal and
-    zero_mean flags are set by operations that guarantee the property;
-    they are trusted, not re-derived.
+    coeffs has shape (3, n, n, n), complex128, and is read-only, so a flag
+    cannot outlive an in-place edit.  The solenoidal flag is set by
+    operations that guarantee the property; it is trusted, not re-derived.
+    Whether the field is mean-free is read from its k = 0 mode.
     """
 
     grid: GridSpec
     coeffs: np.ndarray
     time: float = 0.0
-    label: str = ""
     solenoidal: bool = False
-    zero_mean: bool = False
 
     def __post_init__(self):
         n = self.grid.n
@@ -118,6 +122,7 @@ class SpectralField:
             raise ValueError(f"coeffs must have shape (3, {n}, {n}, {n})")
         if self.coeffs.dtype != np.complex128:
             object.__setattr__(self, "coeffs", self.coeffs.astype(np.complex128))
+        self.coeffs.flags.writeable = False
 
     def with_coeffs(self, coeffs: np.ndarray, **flags) -> "SpectralField":
         return replace(self, coeffs=coeffs, **flags)
@@ -129,8 +134,6 @@ class PhysicalField:
 
     grid: GridSpec
     samples: np.ndarray
-    time: float = 0.0
-    label: str = ""
 
     def __post_init__(self):
         n = self.grid.n
@@ -145,7 +148,7 @@ class PhysicalField:
 
 def forward_transform(f: PhysicalField) -> SpectralField:
     """Fourier coefficients uhat(k) such that u(x) = sum_k uhat(k) e^{i k.x}."""
-    return SpectralField(f.grid, _to_spectral(f.samples, f.grid.n), time=f.time, label=f.label)
+    return SpectralField(f.grid, _to_spectral(f.samples, f.grid.n))
 
 
 def hermitian_defect(f: SpectralField) -> float:
@@ -163,7 +166,7 @@ def inverse_transform(f: SpectralField) -> PhysicalField:
     defect = hermitian_defect(f)
     if not defect <= HERMITIAN_TOL:  # NaN (infinite coefficients) fails too
         raise SymmetryViolation(f"Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e}")
-    return PhysicalField(f.grid, _to_physical(f.coeffs, f.grid.n), time=f.time, label=f.label)
+    return PhysicalField(f.grid, _to_physical(f.coeffs, f.grid.n))
 
 
 # The transform pair is real-to-complex.  Only the half spectrum k3 >= 0
@@ -234,7 +237,7 @@ def leray_project(f: SpectralField) -> SpectralField:
     unchanged and realness is preserved.
     """
     k1, k2, k3 = f.grid.deriv_wavenumbers
-    kk = k1 * k1 + k2 * k2 + k3 * k3
+    kk = f.grid.deriv_k_squared
     c = f.coeffs
     kdotc = np.divide(k1 * c[0] + k2 * c[1] + k3 * c[2], kk,
                       out=np.zeros_like(c[0]), where=kk > 0.0)
@@ -260,7 +263,7 @@ def derivative(f: SpectralField, axis: int) -> SpectralField:
     if axis not in (1, 2, 3):
         raise ValueError("axis must be 1, 2 or 3")
     k = f.grid.deriv_wavenumbers[axis - 1]
-    return f.with_coeffs(f.coeffs * (1j * k), zero_mean=True)
+    return f.with_coeffs(f.coeffs * (1j * k))
 
 
 def divergence(f: SpectralField) -> SpectralField:
@@ -270,7 +273,7 @@ def divergence(f: SpectralField) -> SpectralField:
     d = 1j * (k1 * c[0] + k2 * c[1] + k3 * c[2])
     out = np.zeros_like(c)
     out[0] = d
-    return f.with_coeffs(out, solenoidal=False, zero_mean=True)
+    return f.with_coeffs(out, solenoidal=False)
 
 
 def gradient(f: SpectralField) -> SpectralField:
@@ -278,7 +281,7 @@ def gradient(f: SpectralField) -> SpectralField:
     k1, k2, k3 = f.grid.deriv_wavenumbers
     s = f.coeffs[0]
     out = np.stack((1j * k1 * s, 1j * k2 * s, 1j * k3 * s))
-    return f.with_coeffs(out, solenoidal=False, zero_mean=True)
+    return f.with_coeffs(out, solenoidal=False)
 
 
 def curl(f: SpectralField) -> SpectralField:
@@ -290,7 +293,7 @@ def curl(f: SpectralField) -> SpectralField:
         1j * (k1 * c[1] - k2 * c[0]),
     ))
     # curl of anything is divergence-free
-    return f.with_coeffs(out, solenoidal=True, zero_mean=True)
+    return f.with_coeffs(out, solenoidal=True)
 
 
 def vorticity_max(u: SpectralField) -> float:
@@ -307,7 +310,7 @@ def dealias(f: SpectralField) -> SpectralField:
 def zero_mean(f: SpectralField) -> SpectralField:
     out = f.coeffs.copy()
     out[:, 0, 0, 0] = 0.0
-    return f.with_coeffs(out, zero_mean=True)
+    return f.with_coeffs(out)
 
 
 def divergence_defect(f: SpectralField) -> float:
@@ -315,7 +318,7 @@ def divergence_defect(f: SpectralField) -> float:
     k1, k2, k3 = f.grid.deriv_wavenumbers
     c = f.coeffs
     num = np.abs(k1 * c[0] + k2 * c[1] + k3 * c[2]) ** 2
-    den = (k1 * k1 + k2 * k2 + k3 * k3) * (np.abs(c) ** 2).sum(axis=0)
+    den = f.grid.deriv_k_squared * (np.abs(c) ** 2).sum(axis=0)
     total = np.sum(den)
     if total == 0.0:
         return 0.0
@@ -356,7 +359,7 @@ def _require_solenoidal(u: SpectralField, what: str):
 def advect(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pseudospectral (f . grad) g with 2/3-rule dealiasing; no projection."""
     out, _ = _advect_arrays(f.coeffs, g.coeffs, f.grid)
-    return f.with_coeffs(out, solenoidal=False, zero_mean=False)
+    return f.with_coeffs(out, solenoidal=False)
 
 
 def nonlinear_term(u: SpectralField) -> SpectralField:

@@ -203,6 +203,17 @@ def test_bad_input_is_config_error(tmp_path, capsys, text, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
+def test_out_naming_a_file_is_config_error(tmp_path, capsys, sub):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["blocks", "--n", "8", "--out", str(taken / sub)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_undecodable_config_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "bin.cfg"
     cfg.write_bytes(b"experiment = run\n\xff\xfe\n")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from torusflow import (
     MollifierSpec,
     SolverParams,
     SpectralField,
+    PhysicalField,
     Trajectory,
     WeightPartition,
     bkm_monitor,
@@ -15,6 +17,7 @@ from torusflow import (
     diagnostics_csv,
     energy_identity_residual,
     enstrophy,
+    forward_transform,
     kinetic_energy,
     l2_norm,
     mild_residual,
@@ -84,9 +87,7 @@ def test_energy_identity_shear_per_interval(shear_traj_fine):
 
 
 def test_energy_identity_zero_trajectory(grid8):
-    zero = SpectralField(
-        grid8, np.zeros((3, 8, 8, 8), dtype=complex), solenoidal=True, zero_mean=True
-    )
+    zero = SpectralField(grid8, np.zeros((3, 8, 8, 8), dtype=complex), solenoidal=True)
     traj = run(zero, SolverParams(nu=1.0, dt=1e-2, t_end=0.05))
     assert energy_identity_residual(traj).max() == 0.0
 
@@ -108,18 +109,17 @@ def test_energy_identity_richardson_ratio(grid16):
 
 def test_weak_residual_shear_quadrature_level(shear_traj_fine):
     traj = shear_traj_fine
-    tests = weak_test_battery(traj.grid, 0.0, 0.2, times=traj.times)
-    assert len(tests[0]) == 12
-    assert weak_form_residual(traj, tests) <= 1e-10
+    modes = weak_test_battery(traj.grid)
+    assert len(modes) == 12
+    assert weak_form_residual(traj, modes) <= 1e-10
 
 
 def test_weak_residual_orthogonal_mode_vanishes(shear_traj_fine):
     traj = shear_traj_fine
-    modes, bump, bump_dt = weak_test_battery(traj.grid, 0.0, 0.2, times=traj.times)
-    # modes polarized off e2 or varying off x1 never see the shear flow
-    orthogonal = [v for v in modes if "e2" not in v.label]
-    assert orthogonal, "battery should contain modes orthogonal to the shear"
-    assert weak_form_residual(traj, (orthogonal, bump, bump_dt)) <= 1e-14
+    # modes polarized off e2 never see the shear flow sin(x1) e2
+    orthogonal = [v for v in weak_test_battery(traj.grid) if not np.any(v.coeffs[1])]
+    assert len(orthogonal) == 8
+    assert weak_form_residual(traj, orthogonal) <= 1e-14
 
 
 def test_weak_residual_taylor_green_orthogonal_battery(grid8):
@@ -128,19 +128,18 @@ def test_weak_residual_taylor_green_orthogonal_battery(grid8):
     tg = taylor_green_init(grid8)
     p = SolverParams(nu=0.1, dt=2e-3, t_end=0.08, scheme="strong-imex")
     traj = run(tg, p)
-    tests = weak_test_battery(grid8, 0.0, 0.08, times=traj.times)
-    assert weak_form_residual(traj, tests) <= 1e-15
+    assert weak_form_residual(traj, weak_test_battery(grid8)) <= 1e-15
 
 
 def test_weak_residual_rejects_divergent_test(shear_traj_fine, grid8):
     traj = shear_traj_fine
-    modes, bump, bump_dt = weak_test_battery(traj.grid, 0.0, 0.2)
+    modes = weak_test_battery(traj.grid)
     bad_coeffs = np.zeros_like(modes[0].coeffs)
     bad_coeffs[0, 1, 0, 0] = 1.0j
     bad_coeffs[0, -1, 0, 0] = -1.0j
     bad = modes[0].with_coeffs(bad_coeffs, solenoidal=False)
     with pytest.raises(NonSolenoidalTest):
-        weak_form_residual(traj, ([bad], bump, bump_dt))
+        weak_form_residual(traj, [bad])
 
 
 def test_weak_residual_second_order(grid8):
@@ -152,8 +151,7 @@ def test_weak_residual_second_order(grid8):
     for dt in (4e-3, 2e-3, 1e-3):
         p = SolverParams(nu=0.1, dt=dt, t_end=0.08, scheme="strong-imex")
         traj = run(u0, p)
-        tests = weak_test_battery(grid8, 0.0, 0.08, times=traj.times)
-        residuals.append(weak_form_residual(traj, tests))
+        residuals.append(weak_form_residual(traj, weak_test_battery(grid8)))
     assert residuals[0] > residuals[1] > residuals[2]
     assert residuals[1] / residuals[2] == pytest.approx(4.0, abs=1.2)
 
@@ -206,9 +204,7 @@ def test_residuals_on_manufactured_steady_state(grid8):
 
 
 def test_strong_residual_zero_trajectory(grid8):
-    zero = SpectralField(
-        grid8, np.zeros((3, 8, 8, 8), dtype=complex), solenoidal=True, zero_mean=True
-    )
+    zero = SpectralField(grid8, np.zeros((3, 8, 8, 8), dtype=complex), solenoidal=True)
     p = SolverParams(nu=1.0, dt=1e-2, t_end=0.05)
     traj = run(zero, p)
     assert strong_residual(traj) == 0.0
@@ -227,7 +223,7 @@ def test_unified_reconstruction_identical_triple(grid32):
         err = max(
             sobolev_norm(a.with_coeffs(a.coeffs - b.coeffs), 1.0)
             / sobolev_norm(b, 1.0)
-            for a, b in zip(merged.snapshots, traj.snapshots)
+            for a, b in zip(merged, traj.snapshots)
         )
         errors.append(err)
     assert all(b <= a for a, b in zip(errors, errors[1:]))
@@ -235,15 +231,13 @@ def test_unified_reconstruction_identical_triple(grid32):
 
 
 def test_unified_reconstruction_zero_trajectories(grid8):
-    zero = SpectralField(
-        grid8, np.zeros((3, 8, 8, 8), dtype=complex), solenoidal=True, zero_mean=True
-    )
+    zero = SpectralField(grid8, np.zeros((3, 8, 8, 8), dtype=complex), solenoidal=True)
     p = SolverParams(nu=1.0, dt=1e-2, t_end=0.03)
     traj = run(zero, p)
     merged = unified_reconstruction(
         traj, traj, traj, WeightPartition(1.0, 3.0), MollifierSpec(0.1, "gaussian")
     )
-    assert all(l2_norm(s) == 0.0 for s in merged.snapshots)
+    assert all(l2_norm(s) == 0.0 for s in merged)
 
 
 def test_unified_reconstruction_shear_closed_form(grid8):
@@ -255,7 +249,7 @@ def test_unified_reconstruction_shear_closed_form(grid8):
     )
     sh = shear_init(grid8)
     worst = 0.0
-    for snap in merged.snapshots:
+    for snap in merged:
         exact = sh.with_coeffs(math.exp(-snap.time) * sh.coeffs)
         worst = max(
             worst,
@@ -272,7 +266,7 @@ def test_unified_reconstruction_parseval(grid8):
     merged = unified_reconstruction(
         traj, traj, traj, WeightPartition(1.0, 3.0), MollifierSpec(0.05, "gaussian")
     )
-    for snap in merged.snapshots:
+    for snap in merged:
         lattice = physical_l2_norm(inverse_transform(snap)) ** 2
         assert abs(lattice - l2_norm(snap) ** 2) <= 1e-12 * l2_norm(snap) ** 2
 
@@ -366,8 +360,7 @@ def test_records_and_csv(case, shear_traj_fine, monkeypatch):
     records = records_for_trajectory(short)
     assert len(calls) == len(short.snapshots) == 5
     calls.clear()
-    battery = weak_test_battery(short.grid, short.times[0], short.times[-1], times=short.times)
-    shear_formulation_residuals(short, battery)
+    shear_formulation_residuals(short)
     assert len(calls) == 5
     monkeypatch.undo()
     assert records[-1].res_mild == mild_residual(short)
@@ -389,7 +382,43 @@ def test_records_and_csv(case, shear_traj_fine, monkeypatch):
 
 # ----------------------------------------------------------------------
 # the separate weak walk and the mild/strong pass that `residual_defects`
-# replaced, kept verbatim as the reference its values must equal bitwise
+# replaced, and the battery that carried its own time bump, kept verbatim as
+# the reference its values must equal bitwise
+
+
+def _reference_weak_test_battery(grid, t0, t1, times=None):
+    if t1 <= t0:
+        raise ValueError("need t1 > t0")
+    span = t1 - t0
+    lo = t0 + span / 8.0
+    h = 3.0 * span / 16.0
+    if times is not None and len(times) >= 13:
+        dts = np.diff(np.asarray(times, dtype=float))
+        if np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
+            panel = 2.0 * float(dts[0])
+            h = panel * max(1, round(h / panel))
+            while 4.0 * h >= span - 2.0 * panel and h > panel:
+                h -= panel
+            lo = t0 + panel * max(1, round((span - 4.0 * h) / (2.0 * panel)))
+
+    def bump(t):
+        return diagnostics._cubic_bspline((t - lo) / h)
+
+    def bump_dt(t):
+        return diagnostics._cubic_bspline_dt((t - lo) / h) / h
+
+    x = grid.coordinates
+    modes = []
+    for axis in range(3):
+        for pol in range(3):
+            if pol == axis:
+                continue
+            for fn in (np.cos, np.sin):
+                samples = np.zeros((3, grid.n, grid.n, grid.n))
+                samples[pol] = fn(x[axis])
+                mode = forward_transform(PhysicalField(grid, samples))
+                modes.append(replace(mode, solenoidal=True))
+    return modes, bump, bump_dt
 
 
 def _reference_weak_form_residual(traj, tests, p):
@@ -494,10 +523,12 @@ def test_one_pass_equals_separate_walks_bitwise(case, shear_traj_fine):
         "mild16-cadence3": _mild_duhamel_16_cadence_3,
     }[case]()
     times = traj.times
-    tests = weak_test_battery(traj.grid, times[0], times[-1], times=times)
-    mild, strong, weak = diagnostics.residual_defects(traj, tests)
+    modes = weak_test_battery(traj.grid)
+    mild, strong, weak = diagnostics.residual_defects(traj, modes)
     ref_mild, ref_strong = _reference_residual_defects(traj, traj.params)
-    assert weak == _reference_weak_form_residual(traj, tests, traj.params)
+    ref_tests = _reference_weak_test_battery(traj.grid, times[0], times[-1], times=times)
+    assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(modes, ref_tests[0]))
+    assert weak == _reference_weak_form_residual(traj, ref_tests, traj.params)
     assert weak > 0.0 or case == "forced"
     assert mild == ref_mild
     assert strong == ref_strong

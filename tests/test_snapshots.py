@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from torusflow import (
     GridSpec,
-    MollifierSpec,
     SolverParams,
-    WeightPartition,
+    SpectralField,
     random_solenoidal_init,
     run,
     shear_init,
-    unified_reconstruction,
 )
 from torusflow.snapshots import (
+    FLAG_MEAN_FREE,
     MAGIC,
     read_snapshot,
     read_trajectory,
@@ -46,8 +45,18 @@ def test_snapshot_bitwise_roundtrip(tmp_path, grid16):
     assert nu == 0.125
     assert np.array_equal(back.coeffs, u.coeffs)
     assert back.solenoidal == u.solenoidal
-    assert back.zero_mean == u.zero_mean
     assert back.time == u.time
+    assert snapshot_bytes(back, nu) == path.read_bytes()
+
+
+def test_mean_free_bit_is_read_from_the_coefficients(grid8):
+    # built without flags: the writer sets bit 1 exactly when the k = 0 mode is zero
+    u = random_solenoidal_init(grid8, 2.0, 6)
+    plain = SpectralField(grid8, u.coeffs)
+    assert snapshot_bytes(plain)[24] == FLAG_MEAN_FREE
+    coeffs = u.coeffs.copy()
+    coeffs[2, 0, 0, 0] = 1e-3
+    assert snapshot_bytes(plain.with_coeffs(coeffs))[24] == 0
 
 
 def test_snapshot_rejects_bad_magic(tmp_path):
@@ -75,7 +84,7 @@ def test_trajectory_roundtrip(tmp_path, grid8):
     for key in ("nu=", "dt=", "n=", "seed=", "snapshots="):
         assert f"\n{key}" in manifest or manifest.startswith(key)
     back = read_trajectory(tmp_path / "traj")
-    assert back.scheme == "mild-duhamel"
+    assert back.params.scheme == "mild-duhamel"
     assert back.params.nu == 0.5
     assert back.params.seed == 3
     assert len(back.snapshots) == len(traj.snapshots)
@@ -103,19 +112,42 @@ def test_trajectory_rejects_unknown_scheme(tmp_path, grid8):
         read_trajectory(tmp_path / "traj")
 
 
-def test_unified_trajectory_roundtrip(tmp_path, grid8):
+def _rewrite_manifest(directory, old, new):
+    manifest = directory / "manifest.txt"
+    text = manifest.read_text()
+    assert old in text
+    manifest.write_text(text.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("scheme=strong-imex", "scheme=unified"),
+        ("dt=0.01\n", ""),
+        ("nu=0.5", "nu=abc"),
+        ("snapshots=snap_000000.sns1,snap_000001.sns1,snap_000002.sns1", "snapshots="),
+        ("n=8", "n=16"),
+        ("nu=0.5", "nu=0.25"),
+    ],
+    ids=["unified-scheme", "missing-dt", "bad-nu", "no-snapshots", "header-n", "header-nu"],
+)
+def test_trajectory_rejects_malformed_manifest(tmp_path, grid8, old, new):
     p = SolverParams(nu=0.5, dt=1e-2, t_end=0.02)
-    traj = run(shear_init(grid8), p)
-    merged = unified_reconstruction(
-        traj, traj, traj, WeightPartition(1.0, 3.0), MollifierSpec(0.25)
+    write_trajectory(tmp_path / "traj", run(shear_init(grid8), p))
+    _rewrite_manifest(tmp_path / "traj", old, new)
+    with pytest.raises(ValueError, match="manifest.txt"):
+        read_trajectory(tmp_path / "traj")
+
+
+def test_trajectory_rejects_mixed_grids(tmp_path, grid8):
+    p = SolverParams(nu=0.5, dt=1e-2, t_end=0.02)
+    write_trajectory(tmp_path / "traj", run(shear_init(grid8), p))
+    write_trajectory(tmp_path / "fine", run(shear_init(GridSpec(16)), p))
+    (tmp_path / "traj" / "snap_000002.sns1").write_bytes(
+        (tmp_path / "fine" / "snap_000002.sns1").read_bytes()
     )
-    write_trajectory(tmp_path / "traj", merged)
-    back = read_trajectory(tmp_path / "traj")
-    assert back.scheme == "unified"
-    assert len(back.snapshots) == len(merged.snapshots)
-    for a, b in zip(merged.snapshots, back.snapshots):
-        assert np.array_equal(a.coeffs, b.coeffs)
-        assert a.time == b.time
+    with pytest.raises(ValueError, match="manifest.txt.*snap_000002.sns1"):
+        read_trajectory(tmp_path / "traj")
 
 
 def test_snapshot_rejects_short_header(tmp_path):
@@ -150,8 +182,10 @@ def test_snapshot_rejects_false_mean_free_flag(tmp_path, grid8):
     u = random_solenoidal_init(grid8, 2.0, 5)
     coeffs = u.coeffs.copy()
     coeffs[2, 0, 0, 0] = 1e-3
+    raw = bytearray(snapshot_bytes(u.with_coeffs(coeffs)))
+    raw[24] |= FLAG_MEAN_FREE
     path = tmp_path / "mean.sns1"
-    write_snapshot(path, u.with_coeffs(coeffs, zero_mean=True))
+    path.write_bytes(raw)
     with pytest.raises(ValueError, match="mean-free"):
         read_snapshot(path)
 
@@ -216,5 +250,5 @@ def test_snapshot_reader_fuzz(fuzz_path, raw):
     assert np.isfinite(field.coeffs).all() and np.isfinite(nu) and np.isfinite(field.time)
     if field.solenoidal:
         assert divergence_defect(field) <= SOLENOIDAL_TOL
-    if field.zero_mean:
+    if raw[24] & FLAG_MEAN_FREE:
         assert not np.any(field.coeffs[:, 0, 0, 0])

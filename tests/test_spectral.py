@@ -421,3 +421,17 @@ def test_broadcast_wavenumber_grids_match_full_grids(n):
             assert np.array_equal(np.broadcast_to(view, (n, n, n)), full)
     k1, k2, k3 = _full_grids(grid.axis_wavenumbers)
     assert np.array_equal(grid.k_squared, k1 * k1 + k2 * k2 + k3 * k3)
+    d1, d2, d3 = _full_grids(grid.deriv_axis_wavenumbers)
+    assert np.array_equal(grid.deriv_k_squared, d1 * d1 + d2 * d2 + d3 * d3)
+    assert not grid.deriv_k_squared.flags.writeable
+
+
+def test_coefficients_are_read_only(grid8):
+    # no in-place edit can outlive the flags a field was built with
+    u = random_solenoidal_init(grid8, 2.0, 1)
+    built = SpectralField(grid8, np.zeros((3, 8, 8, 8), dtype=complex))
+    for f in (u, u.with_coeffs(2.0 * u.coeffs), leray_project(u), built):
+        with pytest.raises(ValueError):
+            f.coeffs[0, 1, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            f.coeffs *= 2.0
