@@ -36,7 +36,7 @@ from .errors import (
     TooFewSnapshots,
 )
 from .operators import MollifierSpec, WeightPartition, blend, regularize, smooth
-from .solvers import Trajectory, _forcing_term
+from .solvers import Trajectory
 from .spectral import (
     GridSpec,
     PhysicalField,
@@ -103,9 +103,13 @@ def energy_identity_residual(traj: Trajectory) -> np.ndarray:
     if len(traj.snapshots) < 2:
         raise TooFewSnapshots("energy identity needs at least two snapshots")
     snaps = traj.snapshots
+    return _energy_defects(traj, [kinetic_energy(s) for s in snaps], [enstrophy(s) for s in snaps])
+
+
+def _energy_defects(traj: Trajectory, energies: list[float], dissip: list[float]) -> np.ndarray:
+    """`energy_identity_residual` from the per-snapshot energies and enstrophies."""
+    snaps = traj.snapshots
     p = traj.params
-    energies = [kinetic_energy(s) for s in snaps]
-    dissip = [enstrophy(s) for s in snaps]
     power = [0.0] * len(snaps)
     if p.forcing is not None:
         power = [inner_product(p.forcing, s) for s in snaps]
@@ -161,8 +165,7 @@ def weak_test_battery(grid: GridSpec) -> list[SpectralField]:
             for fn in (np.cos, np.sin):
                 samples = np.zeros((3, grid.n, grid.n, grid.n))
                 samples[pol] = fn(x[axis])
-                mode = forward_transform(PhysicalField(grid, samples))
-                modes.append(replace(mode, solenoidal=True))
+                modes.append(forward_transform(PhysicalField(grid, samples)))
     return modes
 
 
@@ -252,7 +255,7 @@ def residual_defects(
     u0 = snaps[0]
     norm0 = sobolev_norm(u0, 1.0)
     scale = norm0 if norm0 > 0.0 else 1.0
-    forcing = _forcing_term(p)
+    forcing = None if p.forcing is None else p.forcing.coeffs
     times = traj.times
     qw = _time_quadrature_weights(times)
     bump, bump_dt = _time_bump(times)
@@ -353,13 +356,15 @@ def strong_residual(traj: Trajectory) -> float:
 def records_for_trajectory(traj: Trajectory) -> list[DiagnosticsRecord]:
     snaps = traj.snapshots
     mild, strong, _ = residual_defects(traj)
-    energy_defects = energy_identity_residual(traj) if len(snaps) >= 2 else []
+    energies = [kinetic_energy(s) for s in snaps]
+    dissip = [enstrophy(s) for s in snaps]
+    energy_defects = _energy_defects(traj, energies, dissip)
     records = []
     for m, s in enumerate(snaps):
         rec = DiagnosticsRecord(
             t=s.time,
-            energy=kinetic_energy(s),
-            enstrophy=enstrophy(s),
+            energy=energies[m],
+            enstrophy=dissip[m],
             bkm=bkm_monitor(s),
             div_defect=divergence_defect(s),
             res_weak=float(energy_defects[m - 1]) if m > 0 else 0.0,

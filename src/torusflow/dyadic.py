@@ -176,17 +176,12 @@ def paraproduct_decompose(u: SpectralField) -> tuple[SpectralField, SpectralFiel
     """
     _require_solenoidal(u, "paraproduct_decompose")
     part = DyadicPartition.for_grid(u.grid)
-    zero = np.zeros_like(u.coeffs)
-    if not np.any(u.coeffs):
-        z = u.with_coeffs(zero.copy())
-        return z, z.with_coeffs(zero.copy()), z.with_coeffs(zero.copy())
-
     indices = [-1] + list(part.indices)
     blocks = {j: u.coeffs * part.weight(j) for j in indices}
 
-    pi1 = zero.copy()
-    pi2 = zero.copy()
-    pi3 = zero.copy()
+    pi1 = np.zeros_like(u.coeffs)
+    pi2 = np.zeros_like(u.coeffs)
+    pi3 = np.zeros_like(u.coeffs)
     # running low-pass sum S_{j-1} = mean block + annulus blocks below j-1
     s_coeffs = part.low_mask * u.coeffs
     for j in part.indices:
@@ -198,11 +193,7 @@ def paraproduct_decompose(u: SpectralField) -> tuple[SpectralField, SpectralFiel
         for b in indices:
             if abs(a - b) <= 1:
                 pi3 += _advect_arrays(blocks[a], blocks[b], u.grid)[0]
-
-    def mk(c):
-        return u.with_coeffs(c, solenoidal=False)
-
-    return mk(pi1), mk(pi2), mk(pi3)
+    return u.with_coeffs(pi1), u.with_coeffs(pi2), u.with_coeffs(pi3)
 
 
 def commutator_bound_ratio(u: SpectralField, s: float) -> float:

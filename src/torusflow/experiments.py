@@ -225,7 +225,7 @@ def smoothing_contraction(fields: list[SpectralField], eps_values: tuple[float, 
     worst = -math.inf
     for f in fields:
         for e in eps_values:
-            for kd in ("gaussian", "bump"):
+            for kd in MOLLIFIER_KINDS:
                 sf = smooth(f, MollifierSpec(e, kd))
                 rf = regularize(f, MollifierSpec(e, kd))
                 for s in (0.0, 1.0, 2.0, 3.0):
@@ -238,7 +238,7 @@ def smoothing_contraction(fields: list[SpectralField], eps_values: tuple[float, 
 def symbol_range_monotone() -> float:
     r = np.linspace(0.0, 40.0, 4001)
     worst = 0.0
-    for kd in ("gaussian", "bump"):
+    for kd in MOLLIFIER_KINDS:
         vals = mollifier_symbol(MollifierSpec(1.0, kd), r)
         worst = max(worst, float(np.max(vals) - 1.0), float(-np.min(vals)))
         worst = max(worst, float(np.max(np.diff(vals))))

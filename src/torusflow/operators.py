@@ -177,7 +177,7 @@ def weighted_blend(
     _check_same_grid(low, mid, high)
     ww, wm, ws = weights_on_grid(w, low.grid)
     out = ww * low.coeffs + wm * mid.coeffs + ws * high.coeffs
-    return low.with_coeffs(out, solenoidal=low.solenoidal and mid.solenoidal and high.solenoidal)
+    return low.with_coeffs(out)
 
 
 def spatial_window(spec: MollifierSpec, grid: GridSpec) -> np.ndarray:
@@ -217,4 +217,4 @@ def binary_blend(low: SpectralField, high: SpectralField, spec: MollifierSpec) -
     _check_same_grid(low, high)
     eta = binary_cutoff(spec.eps * low.grid.k_magnitude)
     out = eta * low.coeffs + (1.0 - eta) * high.coeffs
-    return low.with_coeffs(out, solenoidal=low.solenoidal and high.solenoidal)
+    return low.with_coeffs(out)

@@ -84,7 +84,7 @@ def convolution_advective_term(u: SpectralField) -> SpectralField:
     mask = (
         keep1[:, None, None] & keep1[None, :, None] & keep1[None, None, :]
     ).astype(np.float64)
-    return u.with_coeffs(out * mask, solenoidal=False)
+    return u.with_coeffs(out * mask)
 
 
 def reference_leray(u: SpectralField) -> SpectralField:
@@ -102,7 +102,7 @@ def reference_leray(u: SpectralField) -> SpectralField:
                     continue
                 amp = out[:, i1, i2, i3]
                 out[:, i1, i2, i3] = amp - k * (k @ amp) / k2
-    return u.with_coeffs(out, solenoidal=True)
+    return u.with_coeffs(out)
 
 
 def convolution_nonlinear_term(u: SpectralField) -> SpectralField:

@@ -9,10 +9,11 @@ SNS1 layout (little-endian):
   3*n^3 c16   coefficients, component-major, axes k1 (slowest), k2, k3,
               each axis ordered 0, 1, ..., n/2, -n/2+1, ..., -1
 
-The writer sets the mean-free bit exactly when the k = 0 mode is zero.  A
-reader accepts a file only when its time, viscosity and coefficients are
-finite and its flags hold for the data: solenoidal needs a divergence
-defect within SOLENOIDAL_TOL, mean-free an exactly zero k = 0 mode.
+The writer derives both flags from the coefficients: the solenoidal bit is
+set exactly when the divergence defect is within SOLENOIDAL_TOL, the
+mean-free bit exactly when the k = 0 mode is zero.  A reader accepts a file
+only when its time, viscosity and coefficients are finite and its flags
+hold for the data.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ FLAG_MEAN_FREE = 2
 
 
 def snapshot_bytes(f: SpectralField, nu: float = 0.0) -> bytes:
+    solenoidal = divergence_defect(f) <= SOLENOIDAL_TOL
     mean_free = not np.any(f.coeffs[:, 0, 0, 0])
-    flags = (FLAG_SOLENOIDAL if f.solenoidal else 0) | (FLAG_MEAN_FREE if mean_free else 0)
+    flags = (FLAG_SOLENOIDAL if solenoidal else 0) | (FLAG_MEAN_FREE if mean_free else 0)
     header = _HEADER.pack(MAGIC, f.grid.n, f.time, nu, flags)
     return header + np.ascontiguousarray(f.coeffs, dtype="<c16").tobytes()
 
@@ -62,11 +64,9 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, float]:
     coeffs = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).astype(np.complex128)
     if not (math.isfinite(time) and math.isfinite(nu) and np.isfinite(coeffs).all()):
         raise ValueError(f"{path}: non-finite time, viscosity or coefficient")
-    field = SpectralField(
-        grid, coeffs.reshape(3, n, n, n), time=time, solenoidal=bool(flags & FLAG_SOLENOIDAL)
-    )
+    field = SpectralField(grid, coeffs.reshape(3, n, n, n), time=time)
     # written so that a NaN defect (overflow on huge coefficients) is rejected too
-    if field.solenoidal and not divergence_defect(field) <= SOLENOIDAL_TOL:
+    if flags & FLAG_SOLENOIDAL and not divergence_defect(field) <= SOLENOIDAL_TOL:
         raise ValueError(f"{path}: flagged solenoidal but divergence defect exceeds tolerance")
     if flags & FLAG_MEAN_FREE and np.any(field.coeffs[:, 0, 0, 0]):
         raise ValueError(f"{path}: flagged mean-free but the k = 0 mode is not zero")
@@ -101,7 +101,11 @@ def read_trajectory(directory: str | Path) -> Trajectory:
     directory = Path(directory)
     manifest = directory / "manifest.txt"
     entries = {}
-    for line in manifest.read_text(encoding="utf-8").splitlines():
+    try:
+        text = manifest.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{manifest}: not UTF-8 text ({exc.reason})") from None
+    for line in text.splitlines():
         if not line.strip():
             continue
         key, _, value = line.partition("=")
@@ -116,7 +120,10 @@ def read_trajectory(directory: str | Path) -> Trajectory:
         raise ValueError(f"{manifest}: lists no snapshots")
     snaps = []
     for name in names:
-        field, snap_nu = read_snapshot(directory / name)
+        try:
+            field, snap_nu = read_snapshot(directory / name)
+        except FileNotFoundError:
+            raise ValueError(f"{manifest}: lists {name}, which does not exist") from None
         if (field.grid.n, snap_nu) != (n, nu):
             raise ValueError(
                 f"{manifest}: {name} has n={field.grid.n}, nu={snap_nu!r}, not n={n}, nu={nu!r}"

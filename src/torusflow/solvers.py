@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import BadCutoff, BlowUpDetected, CflViolation, NonFiniteField, NumericalAbort
 from .spectral import (
+    SOLENOIDAL_TOL,
     GridSpec,
     PhysicalField,
     SpectralField,
@@ -29,6 +30,7 @@ from .spectral import (
     _to_spectral,
     advect,
     divergence,
+    divergence_defect,
     forward_transform,
     leray_project,
     sobolev_norm,
@@ -53,7 +55,7 @@ class SolverParams:
     t_end: float
     scheme: str = "strong-imex"
     galerkin_modes: float | None = None  # squared-wavenumber cutoff; None = full resolution
-    forcing: SpectralField | None = None  # steady solenoidal forcing
+    forcing: SpectralField | None = None  # steady; Leray-projected on entry unless solenoidal
     seed: int = 0
 
     def __post_init__(self):
@@ -65,6 +67,8 @@ class SolverParams:
             raise ValueError("t_end must be nonnegative and finite")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, not {self.scheme!r}")
+        if self.forcing is not None and not divergence_defect(self.forcing) <= SOLENOIDAL_TOL:
+            object.__setattr__(self, "forcing", leray_project(self.forcing))
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,7 @@ def taylor_green_init(grid: GridSpec) -> SpectralField:
         -np.cos(x1) * np.sin(x2) * np.cos(x3),
         np.zeros_like(x1),
     ))
-    return replace(forward_transform(PhysicalField(grid, samples)), solenoidal=True)
+    return forward_transform(PhysicalField(grid, samples))
 
 
 def shear_init(grid: GridSpec) -> SpectralField:
@@ -111,7 +115,7 @@ def shear_init(grid: GridSpec) -> SpectralField:
     """
     x1, _, _ = grid.coordinates
     samples = np.stack((np.zeros_like(x1), np.sin(x1), np.zeros_like(x1)))
-    return replace(forward_transform(PhysicalField(grid, samples)), solenoidal=True)
+    return forward_transform(PhysicalField(grid, samples))
 
 
 def random_solenoidal_init(grid: GridSpec, s: float, seed: int) -> SpectralField:
@@ -143,20 +147,12 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forcing_term(p: SolverParams) -> np.ndarray | None:
-    """Coefficients of the projected forcing P f, or None when unforced."""
-    if p.forcing is None:
-        return None
-    return (p.forcing if p.forcing.solenoidal else leray_project(p.forcing)).coeffs
-
-
 def _rhs(u: SpectralField, p: SolverParams):
     """Projected tendency -P[(u.grad)u] + P f and the lattice max |u|."""
     adv, umax = _advect_arrays(u.coeffs, u.coeffs, u.grid)
     rhs = -leray_project(u.with_coeffs(adv)).coeffs
-    forcing = _forcing_term(p)
-    if forcing is not None:
-        rhs = rhs + forcing
+    if p.forcing is not None:
+        rhs = rhs + p.forcing.coeffs
     return rhs, umax
 
 
@@ -179,10 +175,10 @@ def step_strong(u: SpectralField, p: SolverParams) -> SpectralField:
     n0, umax = _rhs(u, p)
     _gate_cfl(p.dt, umax, u.grid)
     decay = np.exp(-p.nu * p.dt * u.grid.k_squared)
-    pred = u.with_coeffs(decay * (u.coeffs + p.dt * n0), solenoidal=True)
+    pred = u.with_coeffs(decay * (u.coeffs + p.dt * n0))
     n1, _ = _rhs(pred, p)
     out = decay * u.coeffs + 0.5 * p.dt * (decay * n0 + n1)
-    return u.with_coeffs(out, solenoidal=True, time=u.time + p.dt)
+    return u.with_coeffs(out, time=u.time + p.dt)
 
 
 def step_mild(u: SpectralField, p: SolverParams) -> SpectralField:
@@ -194,9 +190,9 @@ def step_mild(u: SpectralField, p: SolverParams) -> SpectralField:
     decay = np.exp(z)
     phi1 = _phi1(z)
     predictor = decay * u.coeffs + p.dt * phi1 * n0
-    n1, _ = _rhs(u.with_coeffs(predictor, solenoidal=True), p)
+    n1, _ = _rhs(u.with_coeffs(predictor), p)
     out = predictor + p.dt * _phi2(z) * (n1 - n0)
-    return u.with_coeffs(out, solenoidal=True, time=u.time + p.dt)
+    return u.with_coeffs(out, time=u.time + p.dt)
 
 
 def galerkin_mask(grid: GridSpec, lam: float) -> np.ndarray:
@@ -290,7 +286,7 @@ def pressure_solve(u: SpectralField) -> SpectralField:
     kk = u.grid.deriv_k_squared
     out = np.zeros_like(u.coeffs)
     np.divide(divergence(advect(u, u)).coeffs[0], kk, out=out[0], where=kk > 0.0)
-    return u.with_coeffs(out, solenoidal=False)
+    return u.with_coeffs(out)
 
 
 def lifespan_lower_bound(u0_norm: float, f_norm: float, nu: float, c_s: float) -> float:

@@ -105,16 +105,15 @@ class GridSpec:
 class SpectralField:
     """Truncated Fourier coefficients of a real 3-vector field.
 
-    coeffs has shape (3, n, n, n), complex128, and is read-only, so a flag
-    cannot outlive an in-place edit.  The solenoidal flag is set by
-    operations that guarantee the property; it is trusted, not re-derived.
-    Whether the field is mean-free is read from its k = 0 mode.
+    coeffs has shape (3, n, n, n), complex128, and is read-only.  Properties
+    of the field are read from the coefficients, not carried: whether it is
+    solenoidal from `divergence_defect`, whether it is mean-free from its
+    k = 0 mode.
     """
 
     grid: GridSpec
     coeffs: np.ndarray
     time: float = 0.0
-    solenoidal: bool = False
 
     def __post_init__(self):
         n = self.grid.n
@@ -124,8 +123,8 @@ class SpectralField:
             object.__setattr__(self, "coeffs", self.coeffs.astype(np.complex128))
         self.coeffs.flags.writeable = False
 
-    def with_coeffs(self, coeffs: np.ndarray, **flags) -> "SpectralField":
-        return replace(self, coeffs=coeffs, **flags)
+    def with_coeffs(self, coeffs: np.ndarray, **changes) -> "SpectralField":
+        return replace(self, coeffs=coeffs, **changes)
 
 
 @dataclass(frozen=True)
@@ -245,7 +244,7 @@ def leray_project(f: SpectralField) -> SpectralField:
     for i, k in enumerate((k1, k2, k3)):
         np.multiply(k, kdotc, out=out[i])
         np.subtract(c[i], out[i], out=out[i])
-    return f.with_coeffs(out, solenoidal=True)
+    return f.with_coeffs(out)
 
 
 def heat_semigroup(f: SpectralField, nu: float, t: float) -> SpectralField:
@@ -273,7 +272,7 @@ def divergence(f: SpectralField) -> SpectralField:
     d = 1j * (k1 * c[0] + k2 * c[1] + k3 * c[2])
     out = np.zeros_like(c)
     out[0] = d
-    return f.with_coeffs(out, solenoidal=False)
+    return f.with_coeffs(out)
 
 
 def gradient(f: SpectralField) -> SpectralField:
@@ -281,7 +280,7 @@ def gradient(f: SpectralField) -> SpectralField:
     k1, k2, k3 = f.grid.deriv_wavenumbers
     s = f.coeffs[0]
     out = np.stack((1j * k1 * s, 1j * k2 * s, 1j * k3 * s))
-    return f.with_coeffs(out, solenoidal=False)
+    return f.with_coeffs(out)
 
 
 def curl(f: SpectralField) -> SpectralField:
@@ -292,8 +291,7 @@ def curl(f: SpectralField) -> SpectralField:
         1j * (k3 * c[0] - k1 * c[2]),
         1j * (k1 * c[1] - k2 * c[0]),
     ))
-    # curl of anything is divergence-free
-    return f.with_coeffs(out, solenoidal=True)
+    return f.with_coeffs(out)
 
 
 def vorticity_max(u: SpectralField) -> float:
@@ -352,14 +350,14 @@ def _advect_arrays(fc: np.ndarray, gc: np.ndarray, grid: GridSpec):
 
 
 def _require_solenoidal(u: SpectralField, what: str):
-    if not u.solenoidal and not divergence_defect(u) <= SOLENOIDAL_TOL:  # NaN fails too
+    if not divergence_defect(u) <= SOLENOIDAL_TOL:  # NaN fails too
         raise NotSolenoidal(f"{what} requires a divergence-free field")
 
 
 def advect(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pseudospectral (f . grad) g with 2/3-rule dealiasing; no projection."""
     out, _ = _advect_arrays(f.coeffs, g.coeffs, f.grid)
-    return f.with_coeffs(out, solenoidal=False)
+    return f.with_coeffs(out)
 
 
 def nonlinear_term(u: SpectralField) -> SpectralField:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +37,6 @@ from torusflow import (
 from torusflow import diagnostics
 from torusflow.diagnostics import CSV_HEADER
 from torusflow.experiments import shear_formulation_residuals
-from torusflow.solvers import _forcing_term
 from torusflow.spectral import _advect_arrays, advect, inner_product, leray_project
 from torusflow.errors import (
     DegenerateSequence,
@@ -87,7 +85,7 @@ def test_energy_identity_shear_per_interval(shear_traj_fine):
 
 
 def test_energy_identity_zero_trajectory(grid8):
-    zero = SpectralField(grid8, np.zeros((3, 8, 8, 8), dtype=complex), solenoidal=True)
+    zero = SpectralField(grid8, np.zeros((3, 8, 8, 8), dtype=complex))
     traj = run(zero, SolverParams(nu=1.0, dt=1e-2, t_end=0.05))
     assert energy_identity_residual(traj).max() == 0.0
 
@@ -137,7 +135,7 @@ def test_weak_residual_rejects_divergent_test(shear_traj_fine, grid8):
     bad_coeffs = np.zeros_like(modes[0].coeffs)
     bad_coeffs[0, 1, 0, 0] = 1.0j
     bad_coeffs[0, -1, 0, 0] = -1.0j
-    bad = modes[0].with_coeffs(bad_coeffs, solenoidal=False)
+    bad = modes[0].with_coeffs(bad_coeffs)
     with pytest.raises(NonSolenoidalTest):
         weak_form_residual(traj, [bad])
 
@@ -204,7 +202,7 @@ def test_residuals_on_manufactured_steady_state(grid8):
 
 
 def test_strong_residual_zero_trajectory(grid8):
-    zero = SpectralField(grid8, np.zeros((3, 8, 8, 8), dtype=complex), solenoidal=True)
+    zero = SpectralField(grid8, np.zeros((3, 8, 8, 8), dtype=complex))
     p = SolverParams(nu=1.0, dt=1e-2, t_end=0.05)
     traj = run(zero, p)
     assert strong_residual(traj) == 0.0
@@ -231,7 +229,7 @@ def test_unified_reconstruction_identical_triple(grid32):
 
 
 def test_unified_reconstruction_zero_trajectories(grid8):
-    zero = SpectralField(grid8, np.zeros((3, 8, 8, 8), dtype=complex), solenoidal=True)
+    zero = SpectralField(grid8, np.zeros((3, 8, 8, 8), dtype=complex))
     p = SolverParams(nu=1.0, dt=1e-2, t_end=0.03)
     traj = run(zero, p)
     merged = unified_reconstruction(
@@ -382,8 +380,9 @@ def test_records_and_csv(case, shear_traj_fine, monkeypatch):
 
 # ----------------------------------------------------------------------
 # the separate weak walk and the mild/strong pass that `residual_defects`
-# replaced, and the battery that carried its own time bump, kept verbatim as
-# the reference its values must equal bitwise
+# replaced, and the battery that carried its own time bump, kept verbatim (but
+# for field flags that no longer exist) as the reference its values must equal
+# bitwise
 
 
 def _reference_weak_test_battery(grid, t0, t1, times=None):
@@ -416,8 +415,7 @@ def _reference_weak_test_battery(grid, t0, t1, times=None):
             for fn in (np.cos, np.sin):
                 samples = np.zeros((3, grid.n, grid.n, grid.n))
                 samples[pol] = fn(x[axis])
-                mode = forward_transform(PhysicalField(grid, samples))
-                modes.append(replace(mode, solenoidal=True))
+                modes.append(forward_transform(PhysicalField(grid, samples)))
     return modes, bump, bump_dt
 
 
@@ -461,7 +459,7 @@ def _reference_residual_defects(traj, p):
     u0 = snaps[0]
     norm0 = sobolev_norm(u0, 1.0)
     scale = norm0 if norm0 > 0.0 else 1.0
-    forcing = _forcing_term(p)
+    forcing = None if p.forcing is None else p.forcing.coeffs
 
     def proj_nl(u):
         return leray_project(u.with_coeffs(_advect_arrays(u.coeffs, u.coeffs, grid)[0])).coeffs

@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 
 from torusflow import (
     GridSpec,
+    PhysicalField,
     SolverParams,
     SpectralField,
+    advect,
+    forward_transform,
     random_solenoidal_init,
     run,
     shear_init,
 )
 from torusflow.snapshots import (
     FLAG_MEAN_FREE,
+    FLAG_SOLENOIDAL,
     MAGIC,
     read_snapshot,
     read_trajectory,
@@ -44,19 +48,19 @@ def test_snapshot_bitwise_roundtrip(tmp_path, grid16):
     back, nu = read_snapshot(path)
     assert nu == 0.125
     assert np.array_equal(back.coeffs, u.coeffs)
-    assert back.solenoidal == u.solenoidal
+    assert path.read_bytes()[24] & FLAG_SOLENOIDAL
+    assert divergence_defect(back) <= SOLENOIDAL_TOL
     assert back.time == u.time
     assert snapshot_bytes(back, nu) == path.read_bytes()
 
 
 def test_mean_free_bit_is_read_from_the_coefficients(grid8):
-    # built without flags: the writer sets bit 1 exactly when the k = 0 mode is zero
+    # the writer sets bit 1 exactly when the k = 0 mode is zero
     u = random_solenoidal_init(grid8, 2.0, 6)
-    plain = SpectralField(grid8, u.coeffs)
-    assert snapshot_bytes(plain)[24] == FLAG_MEAN_FREE
+    assert snapshot_bytes(u)[24] & FLAG_MEAN_FREE
     coeffs = u.coeffs.copy()
     coeffs[2, 0, 0, 0] = 1e-3
-    assert snapshot_bytes(plain.with_coeffs(coeffs))[24] == 0
+    assert not snapshot_bytes(u.with_coeffs(coeffs))[24] & FLAG_MEAN_FREE
 
 
 def test_snapshot_rejects_bad_magic(tmp_path):
@@ -114,22 +118,25 @@ def test_trajectory_rejects_unknown_scheme(tmp_path, grid8):
 
 def _rewrite_manifest(directory, old, new):
     manifest = directory / "manifest.txt"
-    text = manifest.read_text()
-    assert old in text
-    manifest.write_text(text.replace(old, new))
+    raw = manifest.read_bytes()
+    assert old in raw
+    manifest.write_bytes(raw.replace(old, new))
 
 
 @pytest.mark.parametrize(
     "old, new",
     [
-        ("scheme=strong-imex", "scheme=unified"),
-        ("dt=0.01\n", ""),
-        ("nu=0.5", "nu=abc"),
-        ("snapshots=snap_000000.sns1,snap_000001.sns1,snap_000002.sns1", "snapshots="),
-        ("n=8", "n=16"),
-        ("nu=0.5", "nu=0.25"),
+        (b"scheme=strong-imex", b"scheme=unified"),
+        (b"dt=0.01\n", b""),
+        (b"nu=0.5", b"nu=abc"),
+        (b"snapshots=snap_000000.sns1,snap_000001.sns1,snap_000002.sns1", b"snapshots="),
+        (b"n=8", b"n=16"),
+        (b"nu=0.5", b"nu=0.25"),
+        (b"seed=0", b"seed=\xff"),
+        (b"snap_000002.sns1", b"snap_000009.sns1"),
     ],
-    ids=["unified-scheme", "missing-dt", "bad-nu", "no-snapshots", "header-n", "header-nu"],
+    ids=["unified-scheme", "missing-dt", "bad-nu", "no-snapshots", "header-n", "header-nu",
+         "not-utf8", "missing-snapshot"],
 )
 def test_trajectory_rejects_malformed_manifest(tmp_path, grid8, old, new):
     p = SolverParams(nu=0.5, dt=1e-2, t_end=0.02)
@@ -172,8 +179,11 @@ def test_snapshot_rejects_false_solenoidal_flag(tmp_path, grid8):
     coeffs = u.coeffs.copy()
     coeffs[0, 1, 0, 0] += 0.5  # a divergent mode, real-symmetric
     coeffs[0, -1, 0, 0] += 0.5
+    raw = bytearray(snapshot_bytes(u.with_coeffs(coeffs)))
+    assert not raw[24] & FLAG_SOLENOIDAL
+    raw[24] |= FLAG_SOLENOIDAL
     path = tmp_path / "div.sns1"
-    write_snapshot(path, u.with_coeffs(coeffs, solenoidal=True))
+    path.write_bytes(raw)
     with pytest.raises(ValueError, match="solenoidal"):
         read_snapshot(path)
 
@@ -248,7 +258,29 @@ def test_snapshot_reader_fuzz(fuzz_path, raw):
     if field is None:
         return
     assert np.isfinite(field.coeffs).all() and np.isfinite(nu) and np.isfinite(field.time)
-    if field.solenoidal:
+    if raw[24] & FLAG_SOLENOIDAL:
         assert divergence_defect(field) <= SOLENOIDAL_TOL
     if raw[24] & FLAG_MEAN_FREE:
         assert not np.any(field.coeffs[:, 0, 0, 0])
+
+
+def _seeded_field(n: int, kind: int, seed: int) -> SpectralField:
+    grid = GridSpec(n)
+    if kind == 2:
+        rng = np.random.default_rng(seed)
+        return forward_transform(PhysicalField(grid, rng.standard_normal((3, n, n, n))))
+    u = random_solenoidal_init(grid, 2.0, seed)
+    return u if kind == 0 else u.with_coeffs(u.coeffs - advect(u, u).coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from((4, 8, 16)), kind=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_writer_and_reader_agree(fuzz_path, n, kind, seed):
+    # solenoidal fields, the same minus (u.grad)u, and white noise: every file
+    # the writer makes reads back bitwise, and bit 0 is the measured defect
+    field = _seeded_field(n, kind, seed)
+    write_snapshot(fuzz_path, field, nu=0.5)
+    back, nu = read_snapshot(fuzz_path)
+    assert np.array_equal(back.coeffs, field.coeffs) and nu == 0.5
+    solenoidal = divergence_defect(field) <= SOLENOIDAL_TOL
+    assert bool(fuzz_path.read_bytes()[24] & FLAG_SOLENOIDAL) == solenoidal

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from torusflow import (
+    PhysicalField,
     SolverParams,
     SpectralField,
     cfl_limit,
+    forward_transform,
     kinetic_energy,
     l2_norm,
+    leray_project,
     lifespan_lower_bound,
+    nonlinear_term,
     pressure_solve,
     random_solenoidal_init,
     run,
@@ -20,10 +24,16 @@ from torusflow import (
     taylor_green_init,
 )
 from torusflow import solvers
-from torusflow.errors import BadCutoff, BlowUpDetected, CflViolation, NonFiniteField
+from torusflow.errors import (
+    BadCutoff,
+    BlowUpDetected,
+    CflViolation,
+    NonFiniteField,
+    NotSolenoidal,
+)
 from torusflow.snapshots import read_trajectory, write_trajectory
 from torusflow.oracles import convolution_nonlinear_term
-from torusflow.spectral import divergence_defect
+from torusflow.spectral import SOLENOIDAL_TOL, divergence_defect
 
 
 def diff_norm(a, b, s=0.0):
@@ -70,7 +80,7 @@ def test_step_strong_shear_exact_decay(grid8):
 
 
 def test_step_zero_field_stays_zero(grid8):
-    zero = SpectralField(grid8, np.zeros((3, 8, 8, 8), dtype=complex), solenoidal=True)
+    zero = SpectralField(grid8, np.zeros((3, 8, 8, 8), dtype=complex))
     p = SolverParams(nu=1.0, dt=1e-2, t_end=1.0)
     assert l2_norm(step_strong(zero, p)) == 0.0
     assert l2_norm(step_mild(zero, p)) == 0.0
@@ -89,7 +99,7 @@ def test_step_strong_matches_convolution_oracle(grid16):
 
     decay = np.exp(-nu * dt * grid16.k_squared)
     n0 = oracle_rhs(tg)
-    pred = tg.with_coeffs(decay * (tg.coeffs + dt * n0), solenoidal=True)
+    pred = tg.with_coeffs(decay * (tg.coeffs + dt * n0))
     n1 = oracle_rhs(pred)
     oracle = decay * tg.coeffs + 0.5 * dt * (decay * n0 + n1)
 
@@ -355,3 +365,30 @@ def test_forcing_steady_state(grid8):
     traj = run(sh, p)
     drift = diff_norm(traj.snapshots[-1], sh) / l2_norm(sh)
     assert drift <= 1e-5
+
+
+def test_forcing_is_projected_once_on_entry(grid8):
+    # a solenoidal forcing is kept as given, a divergent one stored projected
+    sh = shear_init(grid8)
+    assert SolverParams(nu=1.0, dt=1e-3, t_end=0.1, forcing=sh).forcing is sh
+    c = sh.coeffs.copy()
+    c[0, 1, 0, 0] += 0.5
+    c[0, -1, 0, 0] += 0.5
+    divergent = sh.with_coeffs(c)
+    p = SolverParams(nu=1.0, dt=1e-3, t_end=0.1, forcing=divergent)
+    assert divergence_defect(p.forcing) <= SOLENOIDAL_TOL
+    assert np.array_equal(p.forcing.coeffs, leray_project(divergent).coeffs)
+
+
+def test_divergent_field_is_rejected_by_every_checked_entry(grid8):
+    # solenoidality is measured, never vouched for: a field has no flag to set
+    rng = np.random.default_rng(0)
+    u = forward_transform(PhysicalField(grid8, rng.standard_normal((3, 8, 8, 8))))
+    assert divergence_defect(u) > 0.5
+    with pytest.raises(TypeError):
+        SpectralField(grid8, u.coeffs, solenoidal=True)
+    p = SolverParams(nu=0.1, dt=1e-3, t_end=1e-3)
+    for entry in (nonlinear_term, pressure_solve,
+                  lambda f: step_strong(f, p), lambda f: step_mild(f, p)):
+        with pytest.raises(NotSolenoidal):
+            entry(u)
