@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: run, verify, unify, convergence, blocks.  A config file may
-set every knob; command-line flags override it.  Exit codes: 0 pass,
-1 check failure, 2 usage or config error, 3 numerical abort.
+set every knob; command-line flags override it, and the merged settings
+are validated once.  Exit codes: 0 pass, 1 check failure, 2 usage or
+config error, 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, parse_config, validate
+from .config import ExperimentConfig, _read_config, validate
 from .errors import ParseError, RangeError, TorusflowError
 from .experiments import EXIT_CONFIG_ERROR, run_experiment
 
@@ -42,17 +43,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """File values, then flags, then the subcommand; validated once, naming the
+    file line of each key whose value still comes from the file."""
+    values, lines = {}, {}
     if args.config is not None:
-        cfg = parse_config(args.config.read_text(encoding="utf-8"))
-        cfg.experiment = args.experiment
-    else:
-        cfg = ExperimentConfig(experiment=args.experiment)
-    for key in ("n", "nu", "dt", "t_end", "seed", "out"):
-        if getattr(args, key) is not None:
-            setattr(cfg, key, getattr(args, key))
-    if args.eps is not None:
-        cfg.eps_list = (args.eps,)
-    validate(cfg)
+        values, lines = _read_config(args.config.read_text(encoding="utf-8"))
+    if values.get("experiment", args.experiment) != args.experiment:
+        raise RangeError(
+            f"experiment = {values['experiment']} conflicts with the subcommand {args.experiment}",
+            lines["experiment"],
+        )
+    flags = {k: getattr(args, k) for k in ("experiment", "n", "nu", "dt", "t_end", "seed", "out")}
+    flags["eps_list"] = None if args.eps is None else (args.eps,)
+    for key, value in flags.items():
+        if value is not None:
+            values[key] = value
+            lines.pop(key, None)
+    cfg = ExperimentConfig(**values)
+    validate(cfg, lines)
     return cfg
 
 

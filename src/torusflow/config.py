@@ -3,7 +3,7 @@
 Comments start with `#`.  Unknown keys are rejected with their line number;
 duplicate keys report both lines.  `validate` holds every range and
 cross-key rule; `parse_config` runs it on the parsed file, and the CLI runs
-it again after applying its flags.
+it once on the file values merged with its flags and subcommand.
 """
 
 from __future__ import annotations
@@ -151,8 +151,9 @@ def validate(cfg: ExperimentConfig, lines: dict[str, int] | None = None) -> None
             raise RangeError(f"{exc} (t_end = {cfg.t_end:g}, dt = {cfg.dt:g})", line) from None
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a configuration; raises ParseError / RangeError."""
+def _read_config(text: str) -> tuple[dict[str, object], dict[str, int]]:
+    """The typed value and the line number of each key a file sets; ParseError
+    on malformed text, no range checks."""
     seen: dict[str, int] = {}
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -177,12 +178,14 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ParseError(f"missing value for {key!r}", lineno, col=col + 1)
         seen[key] = lineno
         values[key] = value
+    return {key: _PARSERS[key](value, key, seen[key]) for key, value in values.items()}, seen
 
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and validate a configuration; raises ParseError / RangeError."""
+    values, lines = _read_config(text)
     if "experiment" not in values:
         raise RangeError("config must set 'experiment'")
-
-    cfg = ExperimentConfig(experiment=values["experiment"])
-    for key, value in values.items():
-        setattr(cfg, key, _PARSERS[key](value, key, seen[key]))
-    validate(cfg, seen)
+    cfg = ExperimentConfig(**values)
+    validate(cfg, lines)
     return cfg

@@ -42,6 +42,7 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     _advect_arrays,
+    _worst,
     divergence_defect,
     forward_transform,
     inner_product,
@@ -244,7 +245,7 @@ def residual_defects(
     The pass streams: it holds two tendencies, never one per snapshot.
     """
     for i, mode in enumerate(modes):
-        if divergence_defect(mode) > 1e-12:
+        if not divergence_defect(mode) <= 1e-12:
             raise NonSolenoidalTest(f"test mode {i} is not divergence-free")
     snaps = traj.snapshots
     if len(snaps) < 2:
@@ -318,14 +319,14 @@ def residual_defects(
         mild.append(sobolev_norm(diff, 1.0) / scale)
         n_prev = n_curr
 
-    worst = 0.0
     span = float(times[-1] - times[0])
     bump_scale = math.sqrt(sum(w * (b**2 + bdot**2) for w, b, bdot in zip(qw, bump, bump_dt)))
-    for total, mode in zip(weak, modes):
-        total += bump[0] * inner_product(u0, mode)
-        norm = bump_scale * sobolev_norm(mode, 1.0) * max(span, 1.0)
-        worst = max(worst, abs(total) / norm)
-    return mild, strong, worst
+    weak_defects = (
+        abs(total + bump[0] * inner_product(u0, mode))
+        / (bump_scale * sobolev_norm(mode, 1.0) * max(span, 1.0))
+        for total, mode in zip(weak, modes)
+    )
+    return mild, strong, _worst(0.0, *weak_defects)
 
 
 def weak_form_residual(traj: Trajectory, modes: Sequence[SpectralField]) -> float:
@@ -347,7 +348,7 @@ def strong_residual(traj: Trajectory) -> float:
     """Max over interior snapshots of ||dt u + P[(u.grad)u] - nu lap u - P f||_L2."""
     if len(traj.snapshots) < 3:
         raise TooFewSnapshots("strong residual needs at least three snapshots")
-    return max(residual_defects(traj)[1])
+    return _worst(*residual_defects(traj)[1])
 
 
 # ----------------------------------------------------------------------
@@ -411,13 +412,15 @@ def unified_reconstruction(
     ):
         raise TimeGridMismatch("trajectories must share the snapshot time grid")
 
-    out = []
-    for sw, sm, ss in zip(*[t.snapshots for t in trajs]):
-        rw, rm, rs = (regularize(f, spec) for f in (sw, sm, ss))
-        merged = blend(rw, rm, rs, w, spec)
-        merged = smooth(merged, spec)
-        out.append(replace(merged, time=sm.time))
-    return out
+    return [_reconstruct(fs, w, spec) for fs in zip(*[t.snapshots for t in trajs])]
+
+
+def _reconstruct(
+    fs: Sequence[SpectralField], w: WeightPartition, spec: MollifierSpec
+) -> SpectralField:
+    """`unified_reconstruction` of one (weak, mild, strong) snapshot, at the mild time."""
+    rw, rm, rs = (regularize(f, spec) for f in fs)
+    return replace(smooth(blend(rw, rm, rs, w, spec), spec), time=fs[1].time)
 
 
 @dataclass(frozen=True)
@@ -440,8 +443,8 @@ def convergence_study(
     All-zero errors are reported as exact.
     """
     eps = [float(e) for e in eps_seq]
-    if len(eps) < 4 or any(e <= 0 for e in eps) or any(
-        b >= a for a, b in zip(eps, eps[1:])
+    if len(eps) < 4 or not all(e > 0 for e in eps) or not all(
+        b < a for a, b in zip(eps, eps[1:])
     ):
         raise DegenerateSequence("need >= 4 strictly decreasing positive scales")
     built = [builder(e) for e in eps]
@@ -450,6 +453,10 @@ def convergence_study(
     exact = all(e <= 1e-14 * scale for e in errs)
     slope = None
     if not exact and all(e > 0 for e in errs):
-        slope = float(np.polyfit(np.log(eps), np.log(errs), 1)[0])
+        slope = _loglog_slope(eps, errs)
     monotone = all(b <= a * (1.0 + 1e-12) for a, b in zip(errs, errs[1:]))
     return ConvergenceStudy(np.asarray(eps), np.asarray(errs), slope, monotone, exact)
+
+
+def _loglog_slope(eps: Sequence[float], errs: Sequence[float]) -> float:
+    return float(np.polyfit(np.log(eps), np.log(errs), 1)[0])

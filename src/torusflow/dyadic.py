@@ -21,6 +21,7 @@ from .spectral import (
     _read_only,
     _require_solenoidal,
     _to_physical,
+    _worst,
     advect,
     l2_norm,
     sobolev_norm,
@@ -156,7 +157,7 @@ def bernstein_check(
         if np.sqrt(outside / total) > 1e-10:
             raise SupportViolation(f"spectrum leaks outside the 2^{j} annulus")
     block = dyadic_block(u, j)
-    k1, k2, k3 = u.grid.wavenumbers
+    k1, k2, k3 = u.grid.deriv_wavenumbers
     mult = (1j * k1) ** alpha[0] * (1j * k2) ** alpha[1] * (1j * k3) ** alpha[2]
     deriv = block.with_coeffs(block.coeffs * mult)
     lhs = lattice_lp_norm(deriv, q)
@@ -198,7 +199,7 @@ def paraproduct_decompose(u: SpectralField) -> tuple[SpectralField, SpectralFiel
 
 def commutator_bound_ratio(u: SpectralField, s: float) -> float:
     """||(u.grad)u||_{H^{s-1}} / ||u||_{H^s}^2 for solenoidal u, s > 3/2."""
-    if s <= 1.5:
+    if not s > 1.5:
         raise ValueError("commutator ratio needs s > 3/2")
     _require_solenoidal(u, "commutator_bound_ratio")
     denom = sobolev_norm(u, s)
@@ -209,7 +210,7 @@ def commutator_bound_ratio(u: SpectralField, s: float) -> float:
 
 def commutator_constant(fields, s: float) -> float:
     """Empirical advection constant: max commutator ratio over a field battery."""
-    return max(commutator_bound_ratio(f, s) for f in fields)
+    return _worst(*(commutator_bound_ratio(f, s) for f in fields))
 
 
 def block_energies(u: SpectralField) -> list[tuple[int, float]]:

@@ -73,6 +73,9 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, float]:
     return field, nu
 
 
+_INEXACT_DEALIASING = "n divisible by 3: 2/3 dealiasing is inexact (one boundary triad aliases)"
+
+
 def write_trajectory(directory: str | Path, traj: Trajectory) -> None:
     """Snapshot files plus a key=value manifest, deterministically named."""
     directory = Path(directory)
@@ -92,6 +95,8 @@ def write_trajectory(directory: str | Path, traj: Trajectory) -> None:
             f"snapshots={','.join(names)}\n",
         )
     )
+    if traj.grid.n % 3 == 0:
+        manifest += f"dealiasing={_INEXACT_DEALIASING}\n"
     (directory / "manifest.txt").write_text(manifest, encoding="utf-8")
 
 

@@ -296,7 +296,7 @@ def lifespan_lower_bound(u0_norm: float, f_norm: float, nu: float, c_s: float) -
     constant C equals the advection (commutator) constant c_s.  Returns
     +inf when the data vanish (the bound degenerates).
     """
-    if min(u0_norm, f_norm, nu, c_s) < 0.0:
+    if not all(v >= 0.0 for v in (u0_norm, f_norm, nu, c_s)):
         raise ValueError("lifespan inputs must be nonnegative")
     denom = 4.0 * c_s**2 * (u0_norm**2 + f_norm**2)
     if denom == 0.0:

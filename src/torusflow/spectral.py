@@ -9,6 +9,7 @@ with no lattice factors.  Storage order per axis is 0, 1, ..., n/2,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -28,6 +29,11 @@ DEALIAS_FRACTION = 2.0 / 3.0
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _worst(*values: float) -> float:
+    """max(values), or NaN when any value is NaN: `max` drops a NaN after its first argument."""
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
 @dataclass(frozen=True)
@@ -249,9 +255,9 @@ def leray_project(f: SpectralField) -> SpectralField:
 
 def heat_semigroup(f: SpectralField, nu: float, t: float) -> SpectralField:
     """Multiply by e^{-nu t |k|^2}; contraction on every H^s."""
-    if nu <= 0.0:
+    if not nu > 0.0:
         raise ValueError("viscosity must be positive")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("time must be nonnegative")
     mult = np.exp(-nu * t * f.grid.k_squared)
     return f.with_coeffs(f.coeffs * mult)

@@ -254,3 +254,46 @@ def test_accepted_flags_build_every_object(experiment, n, seed, flags):
     WeightPartition(*cfg.weight_edges())
     if experiment in ("run", "unify"):
         step_count(cfg.t_end, cfg.dt)
+
+
+def test_flag_replaces_an_invalid_file_value(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = blocks\nn = 15\n")
+    out = tmp_path / "out"
+    assert main(["blocks", "--config", str(cfg), "--n", "8", "--out", str(out)]) == 0
+    assert (out / "blocks.csv").exists()
+
+
+@pytest.mark.parametrize("extra", ["", "n = 4\n"], ids=["runs-other", "other-rule"])
+def test_file_experiment_must_match_subcommand(tmp_path, capsys, extra):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"experiment = verify\n{extra}")
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(cfg), "--n", "8", "--t-end", "0.002", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: line 1: experiment = verify" in err
+    assert not out.exists()
+
+
+def test_cross_key_error_names_the_file_line_of_a_file_value(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = run\nn = 8\nt_end = 0.1\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--dt", "0.03", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: line 3: t_end must be an integer multiple of dt" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["run", "unify"])
+@pytest.mark.parametrize("n", [6, 8])
+def test_grid_divisible_by_3_gets_a_dealiasing_notice(tmp_path, capsys, experiment, n):
+    out = tmp_path / "out"
+    argv = [experiment, "--n", str(n), "--dt", "1e-2", "--t-end", "0.02", "--out", str(out)]
+    assert main(argv) == 0
+    notice = "2/3 dealiasing is inexact" in capsys.readouterr().err
+    assert notice == (n == 6)
+    if experiment == "run":
+        assert ("dealiasing=" in (out / "manifest.txt").read_text()) == (n == 6)
+        assert len(read_trajectory(out).snapshots) == 3

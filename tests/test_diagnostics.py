@@ -531,3 +531,14 @@ def test_one_pass_equals_separate_walks_bitwise(case, shear_traj_fine):
     assert mild == ref_mild
     assert strong == ref_strong
     assert diagnostics.residual_defects(traj) == (ref_mild, ref_strong, 0.0)
+
+
+def test_nan_snapshot_poisons_weak_and_strong_residuals(grid8):
+    traj = run(taylor_green_init(grid8), SolverParams(nu=0.1, dt=1e-2, t_end=0.1))
+    snaps = list(traj.snapshots)
+    c = snaps[5].coeffs.copy()
+    c[0, 1, 2, 3] = math.nan
+    snaps[5] = snaps[5].with_coeffs(c)
+    poisoned = Trajectory(traj.params, snaps)
+    assert math.isnan(weak_form_residual(poisoned, weak_test_battery(grid8)))
+    assert math.isnan(strong_residual(poisoned))

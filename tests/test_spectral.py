@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 
 from torusflow import (
     GridSpec,
+    MollifierSpec,
     PhysicalField,
+    SolverParams,
     SpectralField,
     curl,
     dealias,
@@ -23,16 +27,28 @@ from torusflow import (
     nonlinear_term,
     physical_l2_norm,
     random_solenoidal_init,
+    run,
     shear_init,
+    smooth,
     sobolev_norm,
     taylor_green_init,
+    weak_test_battery,
 )
-from torusflow.errors import NotSolenoidal, SymmetryViolation
+from torusflow.diagnostics import convergence_study, residual_defects
+from torusflow.dyadic import commutator_bound_ratio
+from torusflow.errors import (
+    DegenerateSequence,
+    NonSolenoidalTest,
+    NotSolenoidal,
+    SymmetryViolation,
+)
+from torusflow.solvers import lifespan_lower_bound
 from torusflow.spectral import (
     DEALIAS_FRACTION,
     _advect_arrays,
     _to_physical,
     _to_spectral,
+    _worst,
     advect,
 )
 
@@ -434,3 +450,46 @@ def test_coefficients_are_read_only(grid8):
             f.coeffs[0, 1, 0, 0] = 1.0
         with pytest.raises(ValueError):
             f.coeffs *= 2.0
+
+
+_finite_or_tie = st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, -math.inf]))
+
+
+@given(values=st.lists(_finite_or_tie, min_size=1, max_size=8), data=st.data())
+def test_worst_is_max_unless_a_value_is_nan(values, data):
+    # repr tells 0.0 from -0.0, so equal maxima must resolve as `max` resolves them
+    assert repr(_worst(*values)) == repr(max(values))
+    at = data.draw(st.integers(0, len(values)))
+    assert math.isnan(_worst(*values[:at], math.nan, *values[at:]))
+
+
+def _residuals_with_nan_mode(u):
+    mode = weak_test_battery(u.grid)[0]
+    c = mode.coeffs.copy()
+    c[0, 0, 1, 0] = math.nan
+    traj = run(shear_init(u.grid), SolverParams(nu=1.0, dt=0.01, t_end=0.01))
+    return residual_defects(traj, [mode.with_coeffs(c)])
+
+
+def _convergence_with_nan_scale(u):
+    build = lambda e: smooth(u, MollifierSpec(e, "gaussian"))
+    return convergence_study(build, [0.5, math.nan, 0.2, 0.1], 1.0, u)
+
+
+# each library entry's range check, given NaN, and the error it raises
+NAN_RANGE_CASES = {
+    "heat-nu": (ValueError, lambda u: heat_semigroup(u, math.nan, 0.1)),
+    "heat-t": (ValueError, lambda u: heat_semigroup(u, 1.0, math.nan)),
+    "lifespan-u0": (ValueError, lambda u: lifespan_lower_bound(math.nan, 0.0, 1.0, 1.0)),
+    "lifespan-c_s": (ValueError, lambda u: lifespan_lower_bound(1.0, 0.0, 1.0, math.nan)),
+    "commutator-s": (ValueError, lambda u: commutator_bound_ratio(u, math.nan)),
+    "convergence-eps": (DegenerateSequence, _convergence_with_nan_scale),
+    "residual-mode": (NonSolenoidalTest, _residuals_with_nan_mode),
+}
+
+
+@pytest.mark.parametrize("case", NAN_RANGE_CASES)
+def test_nan_fails_range_checks(case, grid8):
+    error, call = NAN_RANGE_CASES[case]
+    with pytest.raises(error):
+        call(random_solenoidal_init(grid8, 2.0, 0))
