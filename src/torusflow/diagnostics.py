@@ -42,6 +42,7 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     _advect_arrays,
+    _mirror,
     _worst,
     divergence_defect,
     forward_transform,
@@ -265,7 +266,7 @@ def residual_defects(
     def proj_nl(m: int) -> np.ndarray:
         # snapshot m's (u.grad)u enters the weak sums, then leaves projected
         u = snaps[m]
-        conv = u.with_coeffs(_advect_arrays(u.coeffs, u.coeffs, grid)[0])
+        conv = u.with_coeffs(_mirror(_advect_arrays(u.coeffs, u.coeffs, grid)[0], grid.n))
         b, bdot = bump[m], bump_dt[m]
         for i, mode in enumerate(modes):
             term = bdot * inner_product(u, mode)

@@ -18,6 +18,7 @@ from .spectral import (
     GridSpec,
     SpectralField,
     _advect_arrays,
+    _mirror,
     _read_only,
     _require_solenoidal,
     _to_physical,
@@ -180,9 +181,8 @@ def paraproduct_decompose(u: SpectralField) -> tuple[SpectralField, SpectralFiel
     indices = [-1] + list(part.indices)
     blocks = {j: u.coeffs * part.weight(j) for j in indices}
 
-    pi1 = np.zeros_like(u.coeffs)
-    pi2 = np.zeros_like(u.coeffs)
-    pi3 = np.zeros_like(u.coeffs)
+    n = u.grid.n
+    pi1, pi2, pi3 = (np.zeros((3, n, n, n // 2 + 1), dtype=np.complex128) for _ in range(3))
     # running low-pass sum S_{j-1} = mean block + annulus blocks below j-1
     s_coeffs = part.low_mask * u.coeffs
     for j in part.indices:
@@ -194,7 +194,7 @@ def paraproduct_decompose(u: SpectralField) -> tuple[SpectralField, SpectralFiel
         for b in indices:
             if abs(a - b) <= 1:
                 pi3 += _advect_arrays(blocks[a], blocks[b], u.grid)[0]
-    return u.with_coeffs(pi1), u.with_coeffs(pi2), u.with_coeffs(pi3)
+    return tuple(u.with_coeffs(_mirror(pi, n)) for pi in (pi1, pi2, pi3))
 
 
 def commutator_bound_ratio(u: SpectralField, s: float) -> float:

@@ -588,8 +588,21 @@ def verify_checks(cfg: ExperimentConfig) -> list[Check]:
 # ----------------------------------------------------------------------
 # experiments
 
+def _json_value(value):
+    """value with every non-finite float replaced by None: RFC 8259 JSON has no NaN."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    """Indented JSON; a non-finite float is written as null."""
+    text = json.dumps(_json_value(payload), indent=2, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def experiment_verify(cfg: ExperimentConfig, out: Path) -> int:

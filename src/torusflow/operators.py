@@ -21,6 +21,7 @@ from .spectral import (
     GridSpec,
     SpectralField,
     TWO_PI,
+    _mirror,
     _to_physical,
     _to_spectral,
     leray_project,
@@ -208,7 +209,7 @@ def blend(
     g = weighted_blend(low, mid, high, w)
     grid = low.grid
     win = spatial_window(spec, grid)
-    smeared = _to_spectral(win * _to_physical(g.coeffs, grid.n), grid.n)
+    smeared = _mirror(_to_spectral(win * _to_physical(g.coeffs, grid.n), grid.n), grid.n)
     return leray_project(g.with_coeffs(smeared))
 
 

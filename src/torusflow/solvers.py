@@ -10,12 +10,16 @@ weak-galerkin: the strong step followed by a sharp spectral cutoff
               eigenfunctions are the Fourier modes).
 
 All schemes advance mean-free solenoidal fields and re-project each step.
+A step works on the half spectrum k3 >= 0 (the other half of a real
+field's spectrum is its mirror) and mirrors once, at the end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +30,9 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     _advect_arrays,
+    _leray,
+    _mirror,
+    _read_only,
     _require_solenoidal,
     _to_spectral,
     advect,
@@ -122,7 +129,7 @@ def random_solenoidal_init(grid: GridSpec, s: float, seed: int) -> SpectralField
     """Seeded random field with |uhat(k)| ~ (1+|k|^2)^-(s+1), unit H^s norm."""
     rng = np.random.default_rng(seed)
     white = rng.standard_normal((3, grid.n, grid.n, grid.n))
-    c = _to_spectral(white, grid.n)
+    c = _mirror(_to_spectral(white, grid.n), grid.n)
     c *= (1.0 + grid.k_squared) ** (-(s + 1.0))
     f = leray_project(SpectralField(grid, c))
     f = zero_mean(f)
@@ -147,13 +154,57 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rhs(u: SpectralField, p: SolverParams):
-    """Projected tendency -P[(u.grad)u] + P f and the lattice max |u|."""
-    adv, umax = _advect_arrays(u.coeffs, u.coeffs, u.grid)
-    rhs = -leray_project(u.with_coeffs(adv)).coeffs
+class _Multipliers(NamedTuple):
+    """Read-only half-spectrum multipliers of one step configuration."""
+
+    decay: np.ndarray  # e^{-nu dt |k|^2}
+    dt_phi1: np.ndarray | None  # dt phi1(-nu dt |k|^2), mild step only
+    dt_phi2: np.ndarray | None  # dt phi2(-nu dt |k|^2), mild step only
+    mask: np.ndarray | None  # the Galerkin cutoff, when there is one
+
+
+@cache
+def _multipliers(
+    grid: GridSpec, nu: float, dt: float, mild: bool, cutoff: float | None
+) -> _Multipliers:
+    """The step multipliers on k3 >= 0, built once per configuration."""
+    h = grid.n // 2 + 1
+    z = -nu * dt * grid.k_squared[..., :h]
+    phi1 = phi2 = mask = None
+    if mild:
+        phi1 = _read_only(dt * _phi1(z))
+        phi2 = _read_only(dt * _phi2(z))
+    if cutoff is not None:
+        mask = _read_only(np.ascontiguousarray(galerkin_mask(grid, cutoff)[..., :h]))
+    return _Multipliers(_read_only(np.exp(z)), phi1, phi2, mask)
+
+
+def _step_multipliers(grid: GridSpec, p: SolverParams, mild: bool) -> _Multipliers:
+    cutoff = p.galerkin_modes if p.scheme == "weak-galerkin" else None
+    return _multipliers(grid, p.nu, p.dt, mild, cutoff)
+
+
+def _tendency(c: np.ndarray, p: SolverParams, grid: GridSpec):
+    """Projected tendency -P[(u.grad)u] + P f on the half spectrum, and the lattice max |u|."""
+    adv, umax = _advect_arrays(c, c, grid)
+    rhs = -_leray(adv, grid)
     if p.forcing is not None:
-        rhs = rhs + p.forcing.coeffs
+        rhs = rhs + p.forcing.coeffs[..., : c.shape[-1]]
     return rhs, umax
+
+
+def _settle(u: SpectralField, half: np.ndarray, p: SolverParams, mult: _Multipliers):
+    """The stepped state: re-projected, mean-free, cut off, mirrored, at u.time + dt."""
+    grid = u.grid
+    out = _leray(half, grid)
+    out[:, 0, 0, 0] = 0.0
+    if mult.mask is not None:
+        out *= mult.mask
+    full = _mirror(out, grid.n)
+    # the mirror's conjugate writes -0.0 where projecting the full spectrum
+    # leaves +0.0; adding +0.0 clears those signs and changes no other value
+    full[..., grid.n // 2 + 1:] += 0.0
+    return SpectralField(grid, full, u.time + p.dt)
 
 
 def cfl_limit(umax: float, grid: GridSpec) -> float:
@@ -170,29 +221,30 @@ def _gate_cfl(dt: float, umax: float, grid: GridSpec):
 
 
 def step_strong(u: SpectralField, p: SolverParams) -> SpectralField:
-    """One integrating-factor Heun step."""
+    """One integrating-factor Heun step, re-projected, mean-free and cut off."""
     _require_solenoidal(u, "step_strong")
-    n0, umax = _rhs(u, p)
-    _gate_cfl(p.dt, umax, u.grid)
-    decay = np.exp(-p.nu * p.dt * u.grid.k_squared)
-    pred = u.with_coeffs(decay * (u.coeffs + p.dt * n0))
-    n1, _ = _rhs(pred, p)
-    out = decay * u.coeffs + 0.5 * p.dt * (decay * n0 + n1)
-    return u.with_coeffs(out, time=u.time + p.dt)
+    grid = u.grid
+    mult = _step_multipliers(grid, p, mild=False)
+    c = u.coeffs[..., : grid.n // 2 + 1]
+    n0, umax = _tendency(c, p, grid)
+    _gate_cfl(p.dt, umax, grid)
+    decay = mult.decay
+    n1, _ = _tendency(decay * (c + p.dt * n0), p, grid)
+    return _settle(u, decay * c + 0.5 * p.dt * (decay * n0 + n1), p, mult)
 
 
 def step_mild(u: SpectralField, p: SolverParams) -> SpectralField:
-    """One exponential-trapezoidal step of the Duhamel integral."""
+    """One exponential-trapezoidal step of the Duhamel integral, re-projected,
+    mean-free and cut off."""
     _require_solenoidal(u, "step_mild")
-    n0, umax = _rhs(u, p)
-    _gate_cfl(p.dt, umax, u.grid)
-    z = -p.nu * p.dt * u.grid.k_squared
-    decay = np.exp(z)
-    phi1 = _phi1(z)
-    predictor = decay * u.coeffs + p.dt * phi1 * n0
-    n1, _ = _rhs(u.with_coeffs(predictor), p)
-    out = predictor + p.dt * _phi2(z) * (n1 - n0)
-    return u.with_coeffs(out, time=u.time + p.dt)
+    grid = u.grid
+    mult = _step_multipliers(grid, p, mild=True)
+    c = u.coeffs[..., : grid.n // 2 + 1]
+    n0, umax = _tendency(c, p, grid)
+    _gate_cfl(p.dt, umax, grid)
+    predictor = mult.decay * c + mult.dt_phi1 * n0
+    n1, _ = _tendency(predictor, p, grid)
+    return _settle(u, predictor + mult.dt_phi2 * (n1 - n0), p, mult)
 
 
 def galerkin_mask(grid: GridSpec, lam: float) -> np.ndarray:
@@ -245,11 +297,7 @@ def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
     snapshots = [u]
     try:
         for m in range(1, steps + 1):
-            u = step(u, p)
-            u = zero_mean(leray_project(u))
-            if mask is not None:
-                u = u.with_coeffs(u.coeffs * mask)
-            u = replace(u, time=t0 + m * p.dt)
+            u = SpectralField(u.grid, step(u, p).coeffs, t0 + m * p.dt)
             recorded = m % cadence == 0 or m == steps
             if guard_norm0 > 0.0:
                 hs = sobolev_norm(u, GUARD_NORM_INDEX)

@@ -153,7 +153,8 @@ class PhysicalField:
 
 def forward_transform(f: PhysicalField) -> SpectralField:
     """Fourier coefficients uhat(k) such that u(x) = sum_k uhat(k) e^{i k.x}."""
-    return SpectralField(f.grid, _to_spectral(f.samples, f.grid.n))
+    n = f.grid.n
+    return SpectralField(f.grid, _mirror(_to_spectral(f.samples, n), n))
 
 
 def hermitian_defect(f: SpectralField) -> float:
@@ -188,10 +189,15 @@ def _to_physical(coeffs: np.ndarray, n: int) -> np.ndarray:
 
 
 def _to_spectral(samples: np.ndarray, n: int, mask: np.ndarray | None = None) -> np.ndarray:
-    """Full spectrum of real samples; mask, if given, multiplies the half spectrum."""
+    """Half spectrum [..., :n//2+1] of real samples; mask, if given, multiplies it."""
     half = np.fft.rfftn(samples, axes=_AXES, norm="forward")
     if mask is not None:
         half *= mask
+    return half
+
+
+def _mirror(half: np.ndarray, n: int) -> np.ndarray:
+    """Full spectrum of a real field from its half spectrum [..., :n//2+1]."""
     h = n // 2 + 1
     out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
     out[..., :h] = half
@@ -241,16 +247,22 @@ def leray_project(f: SpectralField) -> SpectralField:
     shared Nyquist slots (already lattice-divergence-free) pass through
     unchanged and realness is preserved.
     """
-    k1, k2, k3 = f.grid.deriv_wavenumbers
-    kk = f.grid.deriv_k_squared
-    c = f.coeffs
+    return f.with_coeffs(_leray(f.coeffs, f.grid))
+
+
+def _leray(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """leray_project on a full spectrum or on its half [..., :n//2+1]."""
+    m = c.shape[-1]
+    k1, k2, k3 = grid.deriv_wavenumbers
+    k3 = k3[..., :m]
+    kk = grid.deriv_k_squared[..., :m]
     kdotc = np.divide(k1 * c[0] + k2 * c[1] + k3 * c[2], kk,
                       out=np.zeros_like(c[0]), where=kk > 0.0)
     out = np.empty_like(c)
     for i, k in enumerate((k1, k2, k3)):
         np.multiply(k, kdotc, out=out[i])
         np.subtract(c[i], out[i], out=out[i])
-    return f.with_coeffs(out)
+    return out
 
 
 def heat_semigroup(f: SpectralField, nu: float, t: float) -> SpectralField:
@@ -333,7 +345,9 @@ def divergence_defect(f: SpectralField) -> float:
 # nonlinearity
 
 def _advect_arrays(fc: np.ndarray, gc: np.ndarray, grid: GridSpec):
-    """Dealiased spectral coefficients of (f . grad) g, plus max |f| on the lattice.
+    """Dealiased half spectrum of (f . grad) g, plus max |f| on the lattice.
+
+    f and g may be full or half spectra; only [..., :n//2+1] is read.
 
     Five transforms: f in, the gradient of each component of g in (three
     fields per call, built on the half spectrum), the product out.
@@ -363,7 +377,7 @@ def _require_solenoidal(u: SpectralField, what: str):
 def advect(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pseudospectral (f . grad) g with 2/3-rule dealiasing; no projection."""
     out, _ = _advect_arrays(f.coeffs, g.coeffs, f.grid)
-    return f.with_coeffs(out)
+    return f.with_coeffs(_mirror(out, f.grid.n))
 
 
 def nonlinear_term(u: SpectralField) -> SpectralField:

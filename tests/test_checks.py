@@ -1,5 +1,6 @@
 """A NaN value reaching a verify check fails it: the check functions keep NaN."""
 
+import json
 import math
 
 import pytest
@@ -33,3 +34,13 @@ def test_nan_coefficient_fails_its_check(name):
     value = POISONED_CALLS[name](grid, u, u.with_coeffs(c))
     assert math.isnan(value)
     assert not Check(name, value, BOUNDS[name]).passed
+
+
+def test_nan_check_value_is_written_as_json_null(tmp_path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    path = tmp_path / "summary.json"
+    ex._write_json(path, {"checks": [Check("x", math.nan, 0.0).as_dict()]})
+    checks = json.loads(path.read_text(), parse_constant=reject)["checks"]
+    assert checks == [{"name": "x", "value": None, "bound": 0.0, "pass": False}]

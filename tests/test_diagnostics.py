@@ -37,7 +37,7 @@ from torusflow import (
 from torusflow import diagnostics
 from torusflow.diagnostics import CSV_HEADER
 from torusflow.experiments import shear_formulation_residuals
-from torusflow.spectral import _advect_arrays, advect, inner_product, leray_project
+from torusflow.spectral import _advect_arrays, _mirror, advect, inner_product, leray_project
 from torusflow.errors import (
     DegenerateSequence,
     NonSolenoidalTest,
@@ -462,7 +462,8 @@ def _reference_residual_defects(traj, p):
     forcing = None if p.forcing is None else p.forcing.coeffs
 
     def proj_nl(u):
-        return leray_project(u.with_coeffs(_advect_arrays(u.coeffs, u.coeffs, grid)[0])).coeffs
+        adv = _mirror(_advect_arrays(u.coeffs, u.coeffs, grid)[0], grid.n)
+        return leray_project(u.with_coeffs(adv)).coeffs
 
     def strong_defect(m, nl):
         u = snaps[m]

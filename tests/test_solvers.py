@@ -31,9 +31,16 @@ from torusflow.errors import (
     NonFiniteField,
     NotSolenoidal,
 )
-from torusflow.snapshots import read_trajectory, write_trajectory
+from torusflow.snapshots import read_trajectory, snapshot_bytes, write_trajectory
 from torusflow.oracles import convolution_nonlinear_term
-from torusflow.spectral import SOLENOIDAL_TOL, divergence_defect
+from torusflow.spectral import (
+    SOLENOIDAL_TOL,
+    GridSpec,
+    _advect_arrays,
+    _mirror,
+    divergence_defect,
+    zero_mean,
+)
 
 
 def diff_norm(a, b, s=0.0):
@@ -392,3 +399,117 @@ def test_divergent_field_is_rejected_by_every_checked_entry(grid8):
                   lambda f: step_strong(f, p), lambda f: step_mild(f, p)):
         with pytest.raises(NotSolenoidal):
             entry(u)
+
+
+# ----------------------------------------------------------------------
+# the full-spectrum step bodies and run's post-step lines that the
+# half-spectrum steps replaced, kept as bit-level references
+
+def _reference_rhs(u, p):
+    adv = _mirror(_advect_arrays(u.coeffs, u.coeffs, u.grid)[0], u.grid.n)
+    rhs = -leray_project(u.with_coeffs(adv)).coeffs
+    if p.forcing is not None:
+        rhs = rhs + p.forcing.coeffs
+    return rhs
+
+
+def _reference_step_strong(u, p):
+    n0 = _reference_rhs(u, p)
+    decay = np.exp(-p.nu * p.dt * u.grid.k_squared)
+    pred = u.with_coeffs(decay * (u.coeffs + p.dt * n0))
+    n1 = _reference_rhs(pred, p)
+    out = decay * u.coeffs + 0.5 * p.dt * (decay * n0 + n1)
+    return u.with_coeffs(out, time=u.time + p.dt)
+
+
+def _reference_step_mild(u, p):
+    n0 = _reference_rhs(u, p)
+    z = -p.nu * p.dt * u.grid.k_squared
+    decay = np.exp(z)
+    phi1 = solvers._phi1(z)
+    predictor = decay * u.coeffs + p.dt * phi1 * n0
+    n1 = _reference_rhs(u.with_coeffs(predictor), p)
+    out = predictor + p.dt * solvers._phi2(z) * (n1 - n0)
+    return u.with_coeffs(out, time=u.time + p.dt)
+
+
+def _reference_settle(u, mask):
+    u = zero_mean(leray_project(u))
+    if mask is not None:
+        u = u.with_coeffs(u.coeffs * mask)
+    return u
+
+
+def _reference_run(u0, p, cadence):
+    steps = solvers.step_count(p.t_end, p.dt)
+    mask = None
+    if p.scheme == "weak-galerkin" and p.galerkin_modes is not None:
+        mask = solvers.galerkin_mask(u0.grid, p.galerkin_modes)
+    u = _reference_settle(u0, mask)
+    t0 = u.time
+    step = _reference_step_mild if p.scheme == "mild-duhamel" else _reference_step_strong
+    snapshots = [u]
+    for m in range(1, steps + 1):
+        u = _reference_settle(step(u, p), mask)
+        u = u.with_coeffs(u.coeffs, time=t0 + m * p.dt)
+        if m % cadence == 0 or m == steps:
+            snapshots.append(u)
+    return snapshots
+
+
+def _bits(c):
+    return c.view(np.float64).view(np.uint64)
+
+
+def _white_solenoidal(grid, seed):
+    """Solenoidal, mean-free white noise: not band-limited, with Nyquist content."""
+    rng = np.random.default_rng(seed)
+    white = forward_transform(PhysicalField(grid, rng.standard_normal((3,) + (grid.n,) * 3)))
+    return zero_mean(leray_project(white))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
+@pytest.mark.parametrize("scheme", ["strong-imex", "mild-duhamel"])
+@pytest.mark.parametrize("forced", [False, True])
+def test_half_spectrum_steps_match_full_spectrum_steps_bitwise(n, scheme, forced):
+    # bit patterns, not array_equal: array_equal counts -0.0 == +0.0, SNS1 does not
+    grid = GridSpec(n)
+    u = _white_solenoidal(grid, n)
+    forcing = _white_solenoidal(grid, n + 1) if forced else None
+    p = SolverParams(nu=0.1, dt=1e-3, t_end=1e-3, scheme=scheme, forcing=forcing)
+    step, ref = {
+        "strong-imex": (step_strong, _reference_step_strong),
+        "mild-duhamel": (step_mild, _reference_step_mild),
+    }[scheme]
+    for _ in range(2):
+        got = step(u, p)
+        want = _reference_settle(ref(u, p), None)
+        assert got.time == want.time
+        assert np.array_equal(_bits(got.coeffs), _bits(want.coeffs))
+        u = got
+
+
+@pytest.mark.parametrize("scheme", ["strong-imex", "mild-duhamel"])
+def test_run_writes_the_full_spectrum_loops_bytes(scheme):
+    u0 = random_solenoidal_init(GridSpec(8), 2.0, 11)
+    p = SolverParams(nu=0.1, dt=1e-3, t_end=1e-2, scheme=scheme)
+    got = run(u0, p, cadence=3).snapshots
+    want = _reference_run(u0, p, cadence=3)
+    assert len(got) == len(want) == 5
+    assert [snapshot_bytes(s, p.nu) for s in got] == [snapshot_bytes(s, p.nu) for s in want]
+
+
+@pytest.mark.parametrize("init", ["taylor-green", "random"])
+def test_galerkin_cutoff_differs_from_full_spectrum_loop_only_in_zero_signs(init):
+    # the full-spectrum mask multiply leaves zeros in the k3 < 0 block whose
+    # signs the half spectrum does not determine; every value still agrees
+    grid = GridSpec(8)
+    u0 = taylor_green_init(grid) if init == "taylor-green" else random_solenoidal_init(grid, 2.0, 3)
+    p = SolverParams(nu=0.1, dt=1e-3, t_end=1e-2, scheme="weak-galerkin", galerkin_modes=4.0)
+    got = run(u0, p, cadence=3).snapshots
+    want = _reference_run(u0, p, cadence=3)
+    assert [s.time for s in got] == [s.time for s in want]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.coeffs, b.coeffs)
+        differ = _bits(a.coeffs) != _bits(b.coeffs)
+        assert np.all(a.coeffs.view(np.float64)[differ] == 0.0)

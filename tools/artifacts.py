@@ -1,0 +1,157 @@
+"""Write the fixed artifact set of torusflow and compare it with another copy.
+
+    python3 tools/artifacts.py OUT [--src SRC] [--against DIR]
+
+Runs every case below through the CLI, in this process, with torusflow
+imported from SRC (default: this checkout's ``src``), writing each case's
+artifacts under OUT/<case>.  Prints one ``sha256  path`` line per file and
+a summary line.  With ``--against DIR`` (an OUT written earlier, for
+example by another checkout via ``--src``) it also compares the two trees
+byte by byte, names the first differing file, and says for each differing
+SNS1 snapshot whether the difference is confined to the sign bits of zero
+coefficients.  Exit code 0 when nothing differs, 1 otherwise.
+
+The cases are the four benchmark workload configs (perfbench/workloads.py)
+at seeds 0 and 1, ``convergence`` with both mollifiers, ``blocks`` with
+Taylor-Green and random data, an n=8 shear mild run, n=8 weak-galerkin runs
+with a cutoff, and an n=16 CFL abort (``abort.txt`` and ``partial/``).
+pocketfft bytes may differ across numpy builds, so compare trees written
+on one machine and do not commit digests.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import struct
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+SNS1_HEADER = struct.calcsize("<4sIddB")
+
+EXTRA_CASES = {
+    "convergence-gaussian": {"experiment": "convergence", "n": 16, "mollifier": "gaussian"},
+    "convergence-bump": {"experiment": "convergence", "n": 16, "mollifier": "bump"},
+    "blocks-taylor-green": {"experiment": "blocks", "n": 16, "init": "taylor-green"},
+    "blocks-random": {"experiment": "blocks", "n": 16, "init": "random", "seed": 3},
+    "run-n8-shear-mild": {"experiment": "run", "n": 8, "init": "shear", "nu": 0.1,
+                          "scheme": "mild-duhamel", "dt": 1e-3, "t_end": 0.02, "cadence": 5},
+    "run-n8-galerkin-taylor-green": {"experiment": "run", "n": 8, "init": "taylor-green",
+                                     "scheme": "weak-galerkin", "galerkin_modes": 4.0,
+                                     "nu": 0.1, "dt": 1e-3, "t_end": 0.01},
+    "run-n8-galerkin-random": {"experiment": "run", "n": 8, "init": "random",
+                               "scheme": "weak-galerkin", "galerkin_modes": 4.0,
+                               "nu": 0.1, "dt": 1e-3, "t_end": 0.01},
+    # dt = 0.04 exceeds the Taylor-Green CFL limit 0.5 / 16 at the first step
+    "run-n16-cfl-abort": {"experiment": "run", "n": 16, "init": "taylor-green",
+                          "dt": 0.04, "t_end": 0.4},
+}
+
+
+def cases() -> dict[str, tuple[str, str]]:
+    """(experiment, config text) of each case by name; the text's `out` is a {out} slot."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    found = {}
+    for name, spec in workloads.WORKLOADS.items():
+        for seed in (0, 1):
+            found[f"{name}-seed{seed}"] = (spec["experiment"],
+                                           workloads.config_text(name, seed, "{out}"))
+    for name, config in EXTRA_CASES.items():
+        text = "".join(f"{k} = {v}\n" for k, v in {**config, "out": "{out}"}.items())
+        found[name] = (config["experiment"], text)
+    return found
+
+
+def write_artifacts(out: Path, src: Path) -> None:
+    sys.path.insert(0, str(src))
+    from torusflow.cli import main
+
+    with tempfile.TemporaryDirectory() as configs:
+        for name, (experiment, text) in cases().items():
+            path = Path(configs) / f"{name}.txt"
+            path.write_text(text.replace("{out}", str(out / name)), encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([experiment, "--config", str(path)])
+            print(f"# {name}: exit {code}", file=sys.stderr)
+
+
+def files(tree: Path) -> list[str]:
+    return sorted(p.relative_to(tree).as_posix() for p in tree.rglob("*") if p.is_file())
+
+
+def zero_sign_doubles(a: bytes, b: bytes) -> int | None:
+    """How many SNS1 coefficient doubles differ, when every difference is a zero
+    whose sign bit flipped; None when the files differ in any other way."""
+    if len(a) != len(b) or a[:SNS1_HEADER] != b[:SNS1_HEADER]:
+        return None
+    x = np.frombuffer(a, dtype="<f8", offset=SNS1_HEADER)
+    y = np.frombuffer(b, dtype="<f8", offset=SNS1_HEADER)
+    differ = x.view("<u8") != y.view("<u8")
+    if np.all(x[differ] == 0.0) and np.all(y[differ] == 0.0):
+        return int(differ.sum())
+    return None
+
+
+def compare(tree: Path, other: Path) -> bool:
+    ours, theirs = files(tree), files(other)
+    missing = sorted(set(theirs) - set(ours))
+    extra = sorted(set(ours) - set(theirs))
+    identical, zero_signs, different = 0, 0, 0
+    first = "none"
+    for rel in sorted(set(ours) & set(theirs)):
+        a, b = (tree / rel).read_bytes(), (other / rel).read_bytes()
+        if a == b:
+            identical += 1
+            continue
+        flipped = zero_sign_doubles(a, b) if rel.endswith(".sns1") else None
+        if flipped is None:
+            different += 1
+            note = rel
+        else:
+            zero_signs += 1
+            note = f"{rel} (only the sign bits of {flipped} zero coefficients)"
+        print(f"differs: {note}")
+        first = note if first == "none" else first
+    for rel in missing:
+        print(f"missing: {rel}")
+    for rel in extra:
+        print(f"extra: {rel}")
+    print(f"against {other}: {identical} identical, {zero_signs} differ only in the sign bits "
+          f"of zero SNS1 coefficients, {different} differ otherwise, {len(missing)} missing, "
+          f"{len(extra)} extra; first differing file: {first}")
+    return identical == len(ours) == len(theirs)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", type=Path, help="directory to write the artifacts under")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the torusflow package to run")
+    parser.add_argument("--against", type=Path, help="an artifact tree to compare with")
+    args = parser.parse_args(argv)
+    out = args.out.resolve()
+    if out.exists() and any(out.iterdir()):
+        parser.error(f"{out} is not empty")
+    write_artifacts(out, args.src.resolve())
+    manifest = "".join(
+        f"{hashlib.sha256((out / rel).read_bytes()).hexdigest()}  {rel}\n" for rel in files(out)
+    )
+    print(manifest, end="")
+    print(f"artifacts: {manifest.count(chr(10))} files in {len(cases())} cases, "
+          f"manifest sha256 {hashlib.sha256(manifest.encode()).hexdigest()}")
+    if args.against is None:
+        return 0
+    return 0 if compare(out, args.against.resolve()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
