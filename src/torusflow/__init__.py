@@ -68,7 +68,6 @@ from .spectral import (
     advect,
     curl,
     dealias,
-    derivative,
     divergence,
     divergence_defect,
     forward_transform,

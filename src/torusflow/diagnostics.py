@@ -41,9 +41,8 @@ from .spectral import (
     GridSpec,
     PhysicalField,
     SpectralField,
-    _advect_arrays,
-    _mirror,
     _worst,
+    advect,
     divergence_defect,
     forward_transform,
     inner_product,
@@ -266,7 +265,7 @@ def residual_defects(
     def proj_nl(m: int) -> np.ndarray:
         # snapshot m's (u.grad)u enters the weak sums, then leaves projected
         u = snaps[m]
-        conv = u.with_coeffs(_mirror(_advect_arrays(u.coeffs, u.coeffs, grid)[0], grid.n))
+        conv = advect(u, u)
         b, bdot = bump[m], bump_dt[m]
         for i, mode in enumerate(modes):
             term = bdot * inner_product(u, mode)

@@ -17,8 +17,6 @@ from .errors import IndexOutOfRange, SupportViolation, ZeroField
 from .spectral import (
     GridSpec,
     SpectralField,
-    _advect_arrays,
-    _mirror,
     _read_only,
     _require_solenoidal,
     _to_physical,
@@ -179,22 +177,21 @@ def paraproduct_decompose(u: SpectralField) -> tuple[SpectralField, SpectralFiel
     _require_solenoidal(u, "paraproduct_decompose")
     part = DyadicPartition.for_grid(u.grid)
     indices = [-1] + list(part.indices)
-    blocks = {j: u.coeffs * part.weight(j) for j in indices}
+    blocks = {j: dyadic_block(u, j) for j in indices}
 
-    n = u.grid.n
-    pi1, pi2, pi3 = (np.zeros((3, n, n, n // 2 + 1), dtype=np.complex128) for _ in range(3))
+    pi1, pi2, pi3 = (np.zeros_like(u.coeffs) for _ in range(3))
     # running low-pass sum S_{j-1} = mean block + annulus blocks below j-1
-    s_coeffs = part.low_mask * u.coeffs
+    low = blocks[-1]
     for j in part.indices:
         if j >= 2:
-            s_coeffs = s_coeffs + blocks[j - 2]
-        pi1 += _advect_arrays(s_coeffs, blocks[j], u.grid)[0]
-        pi2 += _advect_arrays(blocks[j], s_coeffs, u.grid)[0]
+            low = low.with_coeffs(low.coeffs + blocks[j - 2].coeffs)
+        pi1 += advect(low, blocks[j]).coeffs
+        pi2 += advect(blocks[j], low).coeffs
     for a in indices:
         for b in indices:
             if abs(a - b) <= 1:
-                pi3 += _advect_arrays(blocks[a], blocks[b], u.grid)[0]
-    return tuple(u.with_coeffs(_mirror(pi, n)) for pi in (pi1, pi2, pi3))
+                pi3 += advect(blocks[a], blocks[b]).coeffs
+    return tuple(u.with_coeffs(pi) for pi in (pi1, pi2, pi3))
 
 
 def commutator_bound_ratio(u: SpectralField, s: float) -> float:

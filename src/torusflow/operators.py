@@ -19,11 +19,11 @@ import numpy as np
 from .errors import GridMismatch
 from .spectral import (
     GridSpec,
+    PhysicalField,
     SpectralField,
     TWO_PI,
-    _mirror,
     _to_physical,
-    _to_spectral,
+    forward_transform,
     leray_project,
 )
 
@@ -209,8 +209,8 @@ def blend(
     g = weighted_blend(low, mid, high, w)
     grid = low.grid
     win = spatial_window(spec, grid)
-    smeared = _mirror(_to_spectral(win * _to_physical(g.coeffs, grid.n), grid.n), grid.n)
-    return leray_project(g.with_coeffs(smeared))
+    smeared = forward_transform(PhysicalField(grid, win * _to_physical(g.coeffs, grid.n)))
+    return leray_project(g.with_coeffs(smeared.coeffs))
 
 
 def binary_blend(low: SpectralField, high: SpectralField, spec: MollifierSpec) -> SpectralField:

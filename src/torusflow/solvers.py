@@ -11,7 +11,8 @@ weak-galerkin: the strong step followed by a sharp spectral cutoff
 
 All schemes advance mean-free solenoidal fields and re-project each step.
 A step works on the half spectrum k3 >= 0 (the other half of a real
-field's spectrum is its mirror) and mirrors once, at the end.
+field's spectrum is its mirror) and mirrors once, at the end; `run`
+settles its datum by the same rule, so every state is built one way.
 """
 
 from __future__ import annotations
@@ -23,7 +24,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadCutoff, BlowUpDetected, CflViolation, NonFiniteField, NumericalAbort
+from .errors import (
+    BadCutoff,
+    BlowUpDetected,
+    CflViolation,
+    GridMismatch,
+    NonFiniteField,
+    NumericalAbort,
+)
 from .spectral import (
     SOLENOIDAL_TOL,
     GridSpec,
@@ -33,8 +41,8 @@ from .spectral import (
     _leray,
     _mirror,
     _read_only,
+    _require_real,
     _require_solenoidal,
-    _to_spectral,
     advect,
     divergence,
     divergence_defect,
@@ -129,8 +137,8 @@ def random_solenoidal_init(grid: GridSpec, s: float, seed: int) -> SpectralField
     """Seeded random field with |uhat(k)| ~ (1+|k|^2)^-(s+1), unit H^s norm."""
     rng = np.random.default_rng(seed)
     white = rng.standard_normal((3, grid.n, grid.n, grid.n))
-    c = _mirror(_to_spectral(white, grid.n), grid.n)
-    c *= (1.0 + grid.k_squared) ** (-(s + 1.0))
+    weight = (1.0 + grid.k_squared) ** (-(s + 1.0))
+    c = forward_transform(PhysicalField(grid, white)).coeffs * weight
     f = leray_project(SpectralField(grid, c))
     f = zero_mean(f)
     norm = sobolev_norm(f, s)
@@ -175,7 +183,9 @@ def _multipliers(
         phi1 = _read_only(dt * _phi1(z))
         phi2 = _read_only(dt * _phi2(z))
     if cutoff is not None:
-        mask = _read_only(np.ascontiguousarray(galerkin_mask(grid, cutoff)[..., :h]))
+        if not 1.0 <= cutoff < math.inf:
+            raise BadCutoff("galerkin cutoff must be finite and reach the first nonzero mode")
+        mask = _read_only((grid.k_squared[..., :h] <= cutoff).astype(np.float64))
     return _Multipliers(_read_only(np.exp(z)), phi1, phi2, mask)
 
 
@@ -189,22 +199,19 @@ def _tendency(c: np.ndarray, p: SolverParams, grid: GridSpec):
     adv, umax = _advect_arrays(c, c, grid)
     rhs = -_leray(adv, grid)
     if p.forcing is not None:
+        if p.forcing.grid != grid:
+            raise GridMismatch(f"forcing on n = {p.forcing.grid.n}, state on n = {grid.n}")
         rhs = rhs + p.forcing.coeffs[..., : c.shape[-1]]
     return rhs, umax
 
 
-def _settle(u: SpectralField, half: np.ndarray, p: SolverParams, mult: _Multipliers):
-    """The stepped state: re-projected, mean-free, cut off, mirrored, at u.time + dt."""
-    grid = u.grid
+def _settle(grid: GridSpec, half: np.ndarray, time: float, mult: _Multipliers) -> SpectralField:
+    """The solver state of a half spectrum: re-projected, mean-free, cut off, mirrored."""
     out = _leray(half, grid)
     out[:, 0, 0, 0] = 0.0
     if mult.mask is not None:
         out *= mult.mask
-    full = _mirror(out, grid.n)
-    # the mirror's conjugate writes -0.0 where projecting the full spectrum
-    # leaves +0.0; adding +0.0 clears those signs and changes no other value
-    full[..., grid.n // 2 + 1:] += 0.0
-    return SpectralField(grid, full, u.time + p.dt)
+    return SpectralField(grid, _mirror(out, grid.n), time)
 
 
 def cfl_limit(umax: float, grid: GridSpec) -> float:
@@ -230,7 +237,7 @@ def step_strong(u: SpectralField, p: SolverParams) -> SpectralField:
     _gate_cfl(p.dt, umax, grid)
     decay = mult.decay
     n1, _ = _tendency(decay * (c + p.dt * n0), p, grid)
-    return _settle(u, decay * c + 0.5 * p.dt * (decay * n0 + n1), p, mult)
+    return _settle(grid, decay * c + 0.5 * p.dt * (decay * n0 + n1), u.time + p.dt, mult)
 
 
 def step_mild(u: SpectralField, p: SolverParams) -> SpectralField:
@@ -244,14 +251,7 @@ def step_mild(u: SpectralField, p: SolverParams) -> SpectralField:
     _gate_cfl(p.dt, umax, grid)
     predictor = mult.decay * c + mult.dt_phi1 * n0
     n1, _ = _tendency(predictor, p, grid)
-    return _settle(u, predictor + mult.dt_phi2 * (n1 - n0), p, mult)
-
-
-def galerkin_mask(grid: GridSpec, lam: float) -> np.ndarray:
-    """Sharp cutoff retaining modes with |k|^2 <= lam."""
-    if not 1.0 <= lam < math.inf:
-        raise BadCutoff("galerkin cutoff must be finite and reach the first nonzero mode")
-    return (grid.k_squared <= lam).astype(np.float64)
+    return _settle(grid, predictor + mult.dt_phi2 * (n1 - n0), u.time + p.dt, mult)
 
 
 # ----------------------------------------------------------------------
@@ -268,36 +268,35 @@ def step_count(t_end: float, dt: float) -> int:
 def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
     """Evolve u0 to t_end, recording every `cadence`-th step (plus endpoints).
 
-    Every step re-projects onto mean-free solenoidal fields.  A datum with
-    a non-finite coefficient raises NonFiniteField.  A blow-up guard raises
-    BlowUpDetected (carrying the partial trajectory) when the H^2 norm
-    exceeds 1e3 times its initial value or is not finite, or the vorticity
-    maximum passes 1e6; the partial holds only snapshots the guard passed.
-    A step that fails the CFL gate raises CflViolation with the partial
-    trajectory attached the same way.
+    The datum's half spectrum k3 >= 0 is settled by the steps' rule
+    (projected, mean-free, cut off, mirrored).  A datum with a non-finite
+    coefficient raises NonFiniteField, one that is not a real field
+    SymmetryViolation.  A blow-up guard raises BlowUpDetected (carrying the
+    partial trajectory) when the H^2 norm exceeds 1e3 times its initial
+    value or is not finite, or the vorticity maximum passes 1e6; the
+    partial holds only snapshots the guard passed.  A step that fails the
+    CFL gate raises CflViolation with the partial trajectory attached the
+    same way.
     """
     if cadence < 1:
         raise ValueError("cadence must be >= 1")
     steps = step_count(p.t_end, p.dt)
-
-    mask = None
-    if p.scheme == "weak-galerkin" and p.galerkin_modes is not None:
-        mask = galerkin_mask(u0.grid, p.galerkin_modes)
-
-    u = zero_mean(leray_project(u0))
-    if mask is not None:
-        u = u.with_coeffs(u.coeffs * mask)
-    t0 = u.time
+    grid = u0.grid
+    mild = p.scheme == "mild-duhamel"
+    mult = _step_multipliers(grid, p, mild)
+    u = _settle(grid, u0.coeffs[..., : grid.n // 2 + 1], u0.time, mult)
     guard_norm0 = sobolev_norm(u, GUARD_NORM_INDEX)
     if not math.isfinite(guard_norm0):
         # a NaN norm would switch off the guards and the CFL gate below
         raise NonFiniteField("initial datum has a non-finite coefficient")
-    step = step_mild if p.scheme == "mild-duhamel" else step_strong
+    # the state above read only the half spectrum; a corrupt other half is refused
+    _require_real(u0)
+    step = step_mild if mild else step_strong
 
     snapshots = [u]
     try:
         for m in range(1, steps + 1):
-            u = SpectralField(u.grid, step(u, p).coeffs, t0 + m * p.dt)
+            u = SpectralField(u.grid, step(u, p).coeffs, u0.time + m * p.dt)
             recorded = m % cadence == 0 or m == steps
             if guard_norm0 > 0.0:
                 hs = sobolev_norm(u, GUARD_NORM_INDEX)

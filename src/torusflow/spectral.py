@@ -167,11 +167,16 @@ def hermitian_defect(f: SpectralField) -> float:
     return float(np.max(np.abs(c - mirrored)) / scale)
 
 
-def inverse_transform(f: SpectralField) -> PhysicalField:
-    """Synthesize real samples; rejects corrupted (non-Hermitian) spectra."""
+def _require_real(f: SpectralField):
+    """SymmetryViolation unless coeff(-k) == conj(coeff(k)) to HERMITIAN_TOL."""
     defect = hermitian_defect(f)
     if not defect <= HERMITIAN_TOL:  # NaN (infinite coefficients) fails too
         raise SymmetryViolation(f"Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e}")
+
+
+def inverse_transform(f: SpectralField) -> PhysicalField:
+    """Synthesize real samples; rejects corrupted (non-Hermitian) spectra."""
+    _require_real(f)
     return PhysicalField(f.grid, _to_physical(f.coeffs, f.grid.n))
 
 
@@ -197,7 +202,7 @@ def _to_spectral(samples: np.ndarray, n: int, mask: np.ndarray | None = None) ->
 
 
 def _mirror(half: np.ndarray, n: int) -> np.ndarray:
-    """Full spectrum of a real field from its half spectrum [..., :n//2+1]."""
+    """Full spectrum of a real field from its half spectrum [..., :n//2+1]; zeros mirror as +0.0."""
     h = n // 2 + 1
     out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
     out[..., :h] = half
@@ -208,6 +213,9 @@ def _mirror(half: np.ndarray, n: int) -> np.ndarray:
     for d1, s1 in zip(dst_axis, src_axis):
         for d2, s2 in zip(dst_axis, src_axis):
             np.conjugate(half[..., s1, s2, h - 2:0:-1], out=out[..., d1, d2, h:])
+    # the conjugate writes -0.0 where projecting the full spectrum leaves
+    # +0.0; adding +0.0 clears those signs and changes no other value
+    out[..., h:] += 0.0
     return out
 
 
@@ -273,14 +281,6 @@ def heat_semigroup(f: SpectralField, nu: float, t: float) -> SpectralField:
         raise ValueError("time must be nonnegative")
     mult = np.exp(-nu * t * f.grid.k_squared)
     return f.with_coeffs(f.coeffs * mult)
-
-
-def derivative(f: SpectralField, axis: int) -> SpectralField:
-    """Componentwise d/dx_axis, axis in {1, 2, 3}: multiplication by i k_axis."""
-    if axis not in (1, 2, 3):
-        raise ValueError("axis must be 1, 2 or 3")
-    k = f.grid.deriv_wavenumbers[axis - 1]
-    return f.with_coeffs(f.coeffs * (1j * k))
 
 
 def divergence(f: SpectralField) -> SpectralField:

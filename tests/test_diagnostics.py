@@ -34,7 +34,7 @@ from torusflow import (
     weak_form_residual,
     weak_test_battery,
 )
-from torusflow import diagnostics
+from torusflow import diagnostics, spectral
 from torusflow.diagnostics import CSV_HEADER
 from torusflow.experiments import shear_formulation_residuals
 from torusflow.spectral import _advect_arrays, _mirror, advect, inner_product, leray_project
@@ -348,13 +348,13 @@ def test_records_and_csv(case, shear_traj_fine, monkeypatch):
         short = _forced_steady_shear()
     # one advection per snapshot serves the weak, mild and strong defects
     calls = []
-    advect_arrays = diagnostics._advect_arrays
+    advect_arrays = spectral._advect_arrays
 
     def counting(*args):
         calls.append(1)
         return advect_arrays(*args)
 
-    monkeypatch.setattr(diagnostics, "_advect_arrays", counting)
+    monkeypatch.setattr(spectral, "_advect_arrays", counting)
     records = records_for_trajectory(short)
     assert len(calls) == len(short.snapshots) == 5
     calls.clear()

@@ -7,8 +7,10 @@ from torusflow import (
     PhysicalField,
     SolverParams,
     SpectralField,
+    advect,
     cfl_limit,
     forward_transform,
+    inverse_transform,
     kinetic_energy,
     l2_norm,
     leray_project,
@@ -28,8 +30,10 @@ from torusflow.errors import (
     BadCutoff,
     BlowUpDetected,
     CflViolation,
+    GridMismatch,
     NonFiniteField,
     NotSolenoidal,
+    SymmetryViolation,
 )
 from torusflow.snapshots import read_trajectory, snapshot_bytes, write_trajectory
 from torusflow.oracles import convolution_nonlinear_term
@@ -295,6 +299,58 @@ def test_non_finite_datum_raises(grid8):
             run(tg.with_coeffs(bad), SolverParams(nu=0.1, dt=1e-2, t_end=0.05, scheme=scheme))
 
 
+def test_non_real_datum_raises(grid8):
+    # run reads only the datum's half spectrum k3 >= 0; a datum whose other
+    # half is not its mirror is refused, not silently repaired
+    rng = np.random.default_rng(7)
+    arbitrary = rng.standard_normal((3, 8, 8, 8)) + 1j * rng.standard_normal((3, 8, 8, 8))
+    corrupt = taylor_green_init(grid8).coeffs.copy()
+    corrupt[0, 1, 1, -1] += 1e-3
+    nan_mirror = taylor_green_init(grid8).coeffs.copy()
+    nan_mirror[0, 1, 1, -1] = np.nan
+    for c in (arbitrary, corrupt, nan_mirror):
+        for scheme in solvers.SCHEMES:
+            with pytest.raises(SymmetryViolation):
+                run(SpectralField(grid8, c), SolverParams(nu=0.1, dt=1e-3, t_end=1e-3,
+                                                          scheme=scheme))
+
+
+def test_forcing_on_another_grid_is_refused():
+    for n_state, n_forcing in ((16, 8), (8, 16)):
+        u = taylor_green_init(GridSpec(n_state))
+        p = SolverParams(nu=0.1, dt=1e-3, t_end=1e-3, forcing=shear_init(GridSpec(n_forcing)))
+        for entry in (run, step_strong, step_mild):
+            with pytest.raises(GridMismatch):
+                entry(u, p)
+
+
+def _negative_mirrored_zeros(c):
+    """Doubles of the k3 < 0 block that are -0.0."""
+    block = c[..., c.shape[-1] // 2 + 1:]
+    return sum(int(np.sum((x == 0.0) & np.signbit(x))) for x in (block.real, block.imag))
+
+
+@pytest.mark.parametrize("init", ["taylor-green", "shear", "random"])
+def test_every_mirrored_zero_is_positive(init):
+    # a full spectrum built from its half writes each mirrored zero as +0.0,
+    # so every state run records, the datum included, has one set of bytes
+    grid = GridSpec(8)
+    u0 = {
+        "taylor-green": taylor_green_init,
+        "shear": shear_init,
+        "random": lambda g: random_solenoidal_init(g, 2.0, 3),
+    }[init](grid)
+    p = SolverParams(nu=0.1, dt=1e-3, t_end=1e-3)
+    built = [forward_transform(inverse_transform(u0)), advect(u0, u0),
+             step_strong(u0, p), step_mild(u0, p)]
+    for scheme in solvers.SCHEMES:
+        cutoff = 4.0 if scheme == "weak-galerkin" else None
+        p = SolverParams(nu=0.1, dt=1e-3, t_end=5e-3, scheme=scheme, galerkin_modes=cutoff)
+        built += run(u0, p, cadence=2).snapshots
+    assert len(built) == 4 + 3 * 4
+    assert [_negative_mirrored_zeros(f.coeffs) for f in built] == [0] * len(built)
+
+
 def test_blowup_partial_holds_only_guarded_snapshots(tmp_path, grid8, monkeypatch):
     # the fourth step returns NaN: the partial keeps the datum and three steps
     real_step = solvers.step_strong
@@ -444,7 +500,7 @@ def _reference_run(u0, p, cadence):
     steps = solvers.step_count(p.t_end, p.dt)
     mask = None
     if p.scheme == "weak-galerkin" and p.galerkin_modes is not None:
-        mask = solvers.galerkin_mask(u0.grid, p.galerkin_modes)
+        mask = (u0.grid.k_squared <= p.galerkin_modes).astype(np.float64)
     u = _reference_settle(u0, mask)
     t0 = u.time
     step = _reference_step_mild if p.scheme == "mild-duhamel" else _reference_step_strong

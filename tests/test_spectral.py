@@ -13,7 +13,6 @@ from torusflow import (
     SpectralField,
     curl,
     dealias,
-    derivative,
     divergence,
     divergence_defect,
     forward_transform,
@@ -232,13 +231,6 @@ def test_curl_of_shear(grid8):
     assert np.max(np.abs(phys[:2])) < 1e-14
 
 
-def test_derivative_of_constant_is_zero(grid8):
-    ones = np.stack([np.ones((8, 8, 8))] * 3)
-    f = forward_transform(PhysicalField(grid8, ones))
-    for axis in (1, 2, 3):
-        assert l2_norm(derivative(f, axis)) == 0.0
-
-
 def test_div_curl_and_curl_grad_vanish(grid16, random_fields_16):
     u = random_fields_16[4]
     dc = divergence(curl(u))
@@ -316,7 +308,6 @@ def test_hermitian_preserved_by_module_operations(random_fields_16):
     for op in (
         lambda f: leray_project(f),
         lambda f: heat_semigroup(f, 1.0, 0.2),
-        lambda f: derivative(f, 2),
         lambda f: curl(f),
         lambda f: dealias(f),
         lambda f: advect(f, f),
