@@ -11,7 +11,6 @@ from .config import ExperimentConfig, parse_config
 from .diagnostics import (
     ConvergenceStudy,
     DiagnosticsRecord,
-    bkm_monitor,
     convergence_study,
     diagnostics_csv,
     energy_identity_residual,
@@ -25,10 +24,10 @@ from .diagnostics import (
     weak_test_battery,
 )
 from .dyadic import (
-    DyadicPartition,
     almost_orthogonality_ratio,
     bernstein_check,
     block_energies,
+    block_weights,
     commutator_bound_ratio,
     commutator_constant,
     dyadic_block,
@@ -38,6 +37,7 @@ from .dyadic import (
 from .operators import (
     MollifierSpec,
     WeightPartition,
+    band_weights,
     binary_blend,
     binary_cutoff,
     blend,
@@ -45,7 +45,6 @@ from .operators import (
     regularize,
     smooth,
     spatial_window,
-    weight_eval,
     weighted_blend,
 )
 from .solvers import (
@@ -81,6 +80,7 @@ from .spectral import (
     nonlinear_term,
     physical_l2_norm,
     sobolev_norm,
+    vorticity_max,
     zero_mean,
 )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .diagnostics import MIN_SCALES
 from .errors import ParseError, RangeError
 from .operators import MOLLIFIER_KINDS
 from .solvers import SCHEMES, step_count
@@ -133,6 +134,11 @@ def validate(cfg: ExperimentConfig, lines: dict[str, int] | None = None) -> None
         all(b < a for a, b in zip(eps, eps[1:])),
         "eps_list",
         "eps_list must be strictly decreasing",
+    )
+    require(
+        cfg.experiment != "convergence" or len(eps) >= MIN_SCALES,
+        "eps_list",
+        f"convergence needs eps_list with >= {MIN_SCALES} scales (got {len(eps)})",
     )
     require(cfg.r1 is None or cfg.r1 > 0.0, "r1", "r1 must be positive")
     r1, r2 = cfg.weight_edges()

@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import (
     DegenerateSequence,
-    GridMismatch,
     NonSolenoidalTest,
     TimeGridMismatch,
     TooFewSnapshots,
@@ -41,6 +40,7 @@ from .spectral import (
     GridSpec,
     PhysicalField,
     SpectralField,
+    _require_same_grid,
     _worst,
     advect,
     divergence_defect,
@@ -49,8 +49,8 @@ from .spectral import (
     l2_norm,
     leray_project,
     sobolev_norm,
+    vorticity_max,
 )
-from .spectral import vorticity_max as bkm_monitor
 
 
 @dataclass(frozen=True)
@@ -366,7 +366,7 @@ def records_for_trajectory(traj: Trajectory) -> list[DiagnosticsRecord]:
             t=s.time,
             energy=energies[m],
             enstrophy=dissip[m],
-            bkm=bkm_monitor(s),
+            bkm=vorticity_max(s),
             div_defect=divergence_defect(s),
             res_weak=float(energy_defects[m - 1]) if m > 0 else 0.0,
             res_mild=float(mild[m]),
@@ -402,10 +402,7 @@ def unified_reconstruction(
     """Per snapshot: regularize each scheme's field, blend the three bands,
     then apply the low-pass smoothing; returns the blended fields."""
     trajs = (weak_traj, mild_traj, strong_traj)
-    grid = trajs[0].grid
-    for t in trajs[1:]:
-        if t.grid != grid:
-            raise GridMismatch("trajectories live on different grids")
+    _require_same_grid(*trajs)
     times = [t.times for t in trajs]
     if any(len(tv) != len(times[0]) for tv in times) or any(
         np.max(np.abs(tv - times[0])) > 1e-12 for tv in times[1:]
@@ -421,6 +418,9 @@ def _reconstruct(
     """`unified_reconstruction` of one (weak, mild, strong) snapshot, at the mild time."""
     rw, rm, rs = (regularize(f, spec) for f in fs)
     return replace(smooth(blend(rw, rm, rs, w, spec), spec), time=fs[1].time)
+
+
+MIN_SCALES = 4  # fewest scales a log-log slope fit is trusted on
 
 
 @dataclass(frozen=True)
@@ -443,10 +443,10 @@ def convergence_study(
     All-zero errors are reported as exact.
     """
     eps = [float(e) for e in eps_seq]
-    if len(eps) < 4 or not all(e > 0 for e in eps) or not all(
+    if len(eps) < MIN_SCALES or not all(e > 0 for e in eps) or not all(
         b < a for a, b in zip(eps, eps[1:])
     ):
-        raise DegenerateSequence("need >= 4 strictly decreasing positive scales")
+        raise DegenerateSequence(f"need >= {MIN_SCALES} strictly decreasing positive scales")
     built = [builder(e) for e in eps]
     errs = [sobolev_norm(f.with_coeffs(f.coeffs - reference.coeffs), s) for f in built]
     scale = max(sobolev_norm(reference, s), 1.0)

@@ -3,13 +3,14 @@
 The radial block profile chi is a raised cosine in log2 radius: 1 on
 [2^-1/4, 2^1/4], supported in (2^-3/4, 2^3/4) (inside the dyadic annulus
 [1/2, 2]), with sin^2 / cos^2 ramps arranged so that sum_j chi(2^-j r) = 1
-for every r >= 1.  The k = 0 mode sits in a separate low block with index -1.
+for every r >= 1.  The k = 0 mode is block -1 of the same per-grid table
+(`block_weights`), so every sum over blocks runs over one dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,69 +44,39 @@ def chi(r) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DyadicPartition:
-    """Block index range [0, jmax] covering the resolved wavenumbers."""
+@cache
+def block_weights(grid: GridSpec) -> MappingProxyType[int, np.ndarray]:
+    """The grid's read-only block weights keyed -1, 0, ..., jmax, built once per grid.
 
-    grid: GridSpec
-    jmax: int
-
-    @classmethod
-    @cache
-    def for_grid(cls, grid: GridSpec) -> "DyadicPartition":
-        """The grid's one partition, built (with its block weights) once per grid."""
-        kmax = np.sqrt(3.0) * (grid.n / 2.0)
-        jmax = int(np.floor(np.log2(kmax) + _SUPPORT))
-        return cls(grid=grid, jmax=jmax)
-
-    @property
-    def indices(self) -> range:
-        """Annulus block indices; the low block -1 is carried separately."""
-        return range(self.jmax + 1)
-
-    @cached_property
-    def block_weights(self) -> list[np.ndarray]:
-        r = self.grid.k_magnitude
-        return [_read_only(chi(r / 2.0**j)) for j in self.indices]
-
-    @cached_property
-    def low_mask(self) -> np.ndarray:
-        mask = np.zeros((self.grid.n,) * 3)
-        mask[0, 0, 0] = 1.0
-        return _read_only(mask)
-
-    def weight(self, j: int) -> np.ndarray:
-        if j == -1:
-            return self.low_mask
-        if j < 0 or j > self.jmax:
-            raise IndexOutOfRange(f"block index {j} outside [-1, {self.jmax}]")
-        return self.block_weights[j]
+    Block -1 holds the mean mode alone; blocks 0..jmax are the annuli
+    chi(|k| / 2^j) covering every resolved wavenumber.
+    """
+    jmax = int(np.floor(np.log2(np.sqrt(3.0) * (grid.n / 2.0)) + _SUPPORT))
+    mean = (grid.k_squared == 0.0).astype(np.float64)
+    annuli = [chi(grid.k_magnitude / 2.0**j) for j in range(jmax + 1)]
+    return MappingProxyType({j: _read_only(w) for j, w in enumerate([mean, *annuli], start=-1)})
 
 
 def dyadic_block(u: SpectralField, j: int) -> SpectralField:
     """Frequency restriction to the dyadic annulus |k| ~ 2^j (j = -1: the mean mode)."""
-    return u.with_coeffs(u.coeffs * DyadicPartition.for_grid(u.grid).weight(j))
+    table = block_weights(u.grid)
+    if j not in table:
+        raise IndexOutOfRange(f"block index {j} outside [-1, {len(table) - 2}]")
+    return u.with_coeffs(u.coeffs * table[j])
 
 
 def reassemble(u: SpectralField) -> SpectralField:
-    """Sum of the mean block and every annulus block (partition-of-unity check)."""
-    part = DyadicPartition.for_grid(u.grid)
-    total = part.low_mask.copy()
-    for j in part.indices:
-        total += part.weight(j)
-    return u.with_coeffs(u.coeffs * total)
+    """Sum of every block, the mean block first (partition-of-unity check)."""
+    return u.with_coeffs(u.coeffs * sum(block_weights(u.grid).values()))
 
 
 def almost_orthogonality_ratio(u: SpectralField) -> float:
     """sum_j ||Delta_j u||_L2^2 / ||u||_L2^2, guaranteed in [1/2, 1] for this chi."""
-    part = DyadicPartition.for_grid(u.grid)
     total = l2_norm(u) ** 2
     if total == 0.0:
         raise ZeroField("almost-orthogonality ratio of a zero field")
     mag2 = (np.abs(u.coeffs) ** 2).sum(axis=0)
-    acc = float(np.sum(part.low_mask**2 * mag2))
-    for j in part.indices:
-        acc += float(np.sum(part.weight(j) ** 2 * mag2))
+    acc = sum(float(np.sum(w**2 * mag2)) for w in block_weights(u.grid).values())
     return acc / total
 
 
@@ -175,20 +146,18 @@ def paraproduct_decompose(u: SpectralField) -> tuple[SpectralField, SpectralFiel
     exactly up to roundoff.
     """
     _require_solenoidal(u, "paraproduct_decompose")
-    part = DyadicPartition.for_grid(u.grid)
-    indices = [-1] + list(part.indices)
-    blocks = {j: dyadic_block(u, j) for j in indices}
+    blocks = {j: dyadic_block(u, j) for j in block_weights(u.grid)}
 
     pi1, pi2, pi3 = (np.zeros_like(u.coeffs) for _ in range(3))
     # running low-pass sum S_{j-1} = mean block + annulus blocks below j-1
     low = blocks[-1]
-    for j in part.indices:
+    for j in list(blocks)[1:]:  # the annuli
         if j >= 2:
             low = low.with_coeffs(low.coeffs + blocks[j - 2].coeffs)
         pi1 += advect(low, blocks[j]).coeffs
         pi2 += advect(blocks[j], low).coeffs
-    for a in indices:
-        for b in indices:
+    for a in blocks:
+        for b in blocks:
             if abs(a - b) <= 1:
                 pi3 += advect(blocks[a], blocks[b]).coeffs
     return tuple(u.with_coeffs(pi) for pi in (pi1, pi2, pi3))
@@ -212,5 +181,4 @@ def commutator_constant(fields, s: float) -> float:
 
 def block_energies(u: SpectralField) -> list[tuple[int, float]]:
     """(j, ||Delta_j u||_L2^2) rows, mean block first."""
-    indices = DyadicPartition.for_grid(u.grid).indices
-    return [(j, l2_norm(dyadic_block(u, j)) ** 2) for j in (-1, *indices)]
+    return [(j, l2_norm(dyadic_block(u, j)) ** 2) for j in block_weights(u.grid)]

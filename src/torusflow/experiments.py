@@ -26,17 +26,17 @@ from .config import ExperimentConfig
 from .errors import NumericalAbort, RangeError
 from .operators import (
     MOLLIFIER_KINDS,
+    RAMP_HALF_WIDTH,
     MollifierSpec,
     WeightPartition,
+    band_weights,
     binary_blend,
     binary_cutoff,
     blend,
     mollifier_symbol,
     regularize,
     smooth,
-    weight_eval,
     weighted_blend,
-    weights_on_grid,
 )
 from .oracles import convolution_nonlinear_term
 from .snapshots import _INEXACT_DEALIASING, read_snapshot, write_snapshot, write_trajectory
@@ -207,7 +207,7 @@ def heat_block_decay(f: SpectralField) -> float:
     nu, t = 0.5, 0.1
     hf = heat_semigroup(f, nu, t)
     excess = []
-    for j in dyadic.DyadicPartition.for_grid(f.grid).indices:
+    for j in list(dyadic.block_weights(f.grid))[1:]:  # the annuli j >= 0
         before = l2_norm(dyadic.dyadic_block(f, j))
         after = l2_norm(dyadic.dyadic_block(hf, j))
         excess.append(after - math.exp(-nu * t * 4.0 ** (j - 1)) * before)
@@ -267,10 +267,10 @@ def smoothing_gain_exponent() -> float:
 
 
 def weights_partition_of_unity(grid: GridSpec, weights: WeightPartition) -> float:
-    ww, wm, ws = weights_on_grid(weights, grid)
-    trip0 = weight_eval(weights, 0.0)
-    triph = weight_eval(weights, 1.25 * weights.r2 + 1.0)
-    mid = weight_eval(WeightPartition(4.0, 12.0), 8.0)
+    ww, wm, ws = band_weights(weights, grid.k_magnitude)
+    trip0 = band_weights(weights, 0.0)
+    triph = band_weights(weights, (1.0 + RAMP_HALF_WIDTH) * weights.r2 + 1.0)
+    mid = band_weights(WeightPartition(4.0, 12.0), 8.0)
     return _worst(
         float(np.max(np.abs(ww + wm + ws - 1.0))),
         abs(trip0[0] - 1.0), abs(trip0[1]), abs(trip0[2]),
@@ -293,8 +293,9 @@ def blend_disjoint_support_exact(
     low_src: SpectralField, high_src: SpectralField, weights: WeightPartition
 ) -> float:
     r = low_src.grid.k_magnitude
-    low = low_src.with_coeffs(np.where(r <= weights.r1 * 0.75, low_src.coeffs, 0.0))
-    high = high_src.with_coeffs(np.where(r >= weights.r2 * 1.25, high_src.coeffs, 0.0))
+    lo, hi = weights.r1 * (1.0 - RAMP_HALF_WIDTH), weights.r2 * (1.0 + RAMP_HALF_WIDTH)
+    low = low_src.with_coeffs(np.where(r <= lo, low_src.coeffs, 0.0))
+    high = high_src.with_coeffs(np.where(r >= hi, high_src.coeffs, 0.0))
     mid = low_src.with_coeffs(np.zeros_like(low_src.coeffs))
     g = weighted_blend(low, mid, high, weights)
     return 0.0 if np.array_equal(g.coeffs, low.coeffs + high.coeffs) else 1.0

@@ -16,12 +16,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridMismatch
 from .spectral import (
     GridSpec,
     PhysicalField,
     SpectralField,
     TWO_PI,
+    _require_same_grid,
     _to_physical,
     forward_transform,
     leray_project,
@@ -131,29 +131,16 @@ def _falling_ramp(t: np.ndarray) -> np.ndarray:
     return np.where(t <= 0.0, 1.0, np.where(t >= 1.0, 0.0, mid))
 
 
-def _low_weight(w: WeightPartition, r: np.ndarray) -> np.ndarray:
+def band_weights(w: WeightPartition, k):
+    """(omega_low, omega_mid, omega_high) at wavenumber magnitude k, floats for a
+    scalar k and arrays for an array of magnitudes; the triple sums to 1 exactly."""
+    r = np.abs(np.asarray(k, dtype=np.float64))
     lo = w.r1 * (1.0 - RAMP_HALF_WIDTH)
-    return _falling_ramp((r - lo) / (w.r1 - lo))
-
-
-def _high_weight(w: WeightPartition, r: np.ndarray) -> np.ndarray:
     hi = w.r2 * (1.0 + RAMP_HALF_WIDTH)
-    return 1.0 - _falling_ramp((r - w.r2) / (hi - w.r2))
-
-
-def _weights(w: WeightPartition, r: np.ndarray):
-    ww = _low_weight(w, r)
-    ws = _high_weight(w, r)
-    return ww, 1.0 - ww - ws, ws
-
-
-def weight_eval(w: WeightPartition, k: float) -> tuple[float, float, float]:
-    """(omega_low, omega_mid, omega_high) at wavenumber magnitude k; sums to 1 exactly."""
-    return tuple(float(v) for v in _weights(w, np.asarray(abs(float(k)))))
-
-
-def weights_on_grid(w: WeightPartition, grid: GridSpec):
-    return _weights(w, grid.k_magnitude)
+    ww = _falling_ramp((r - lo) / (w.r1 - lo))
+    ws = 1.0 - _falling_ramp((r - w.r2) / (hi - w.r2))
+    out = (ww, 1.0 - ww - ws, ws)
+    return tuple(float(v) for v in out) if r.ndim == 0 else out
 
 
 def binary_cutoff(r: np.ndarray) -> np.ndarray:
@@ -164,19 +151,12 @@ def binary_cutoff(r: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # blending
 
-def _check_same_grid(*fields: SpectralField):
-    g = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != g:
-            raise GridMismatch("blend inputs must share one grid")
-
-
 def weighted_blend(
     low: SpectralField, mid: SpectralField, high: SpectralField, w: WeightPartition
 ) -> SpectralField:
     """Pure three-band combination omega_low*low + omega_mid*mid + omega_high*high."""
-    _check_same_grid(low, mid, high)
-    ww, wm, ws = weights_on_grid(w, low.grid)
+    _require_same_grid(low, mid, high)
+    ww, wm, ws = band_weights(w, low.grid.k_magnitude)
     out = ww * low.coeffs + wm * mid.coeffs + ws * high.coeffs
     return low.with_coeffs(out)
 
@@ -215,7 +195,7 @@ def blend(
 
 def binary_blend(low: SpectralField, high: SpectralField, spec: MollifierSpec) -> SpectralField:
     """eta(eps |k|) * low + (1 - eta(eps |k|)) * high with the raised-cosine cutoff eta."""
-    _check_same_grid(low, high)
+    _require_same_grid(low, high)
     eta = binary_cutoff(spec.eps * low.grid.k_magnitude)
     out = eta * low.coeffs + (1.0 - eta) * high.coeffs
     return low.with_coeffs(out)

@@ -42,6 +42,7 @@ from .spectral import (
     _mirror,
     _read_only,
     _require_real,
+    _require_same_grid,
     _require_solenoidal,
     advect,
     divergence,
@@ -94,6 +95,7 @@ class Trajectory:
     snapshots: list[SpectralField] = field(default_factory=list)
 
     def __post_init__(self):
+        _require_same_grid(*self.snapshots)
         times = [s.time for s in self.snapshots]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("snapshot times must be strictly increasing")

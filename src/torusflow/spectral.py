@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotSolenoidal, SymmetryViolation
+from .errors import GridMismatch, NotSolenoidal, SymmetryViolation
 
 TWO_PI = 2.0 * np.pi
 
@@ -29,6 +29,12 @@ DEALIAS_FRACTION = 2.0 / 3.0
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _require_same_grid(*fields) -> None:
+    """GridMismatch unless every argument (a field or a trajectory) lives on one grid."""
+    if len({f.grid for f in fields}) > 1:
+        raise GridMismatch(f"inputs live on different grids (n = {[f.grid.n for f in fields]})")
 
 
 def _worst(*values: float) -> float:
@@ -237,6 +243,7 @@ def l2_norm(f: SpectralField) -> float:
 
 def inner_product(f: SpectralField, g: SpectralField) -> float:
     """Volume-normalized L2 inner product, evaluated on coefficients."""
+    _require_same_grid(f, g)
     return float(np.sum(f.coeffs * np.conj(g.coeffs)).real)
 
 
@@ -376,6 +383,7 @@ def _require_solenoidal(u: SpectralField, what: str):
 
 def advect(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pseudospectral (f . grad) g with 2/3-rule dealiasing; no projection."""
+    _require_same_grid(f, g)
     out, _ = _advect_arrays(f.coeffs, g.coeffs, f.grid)
     return f.with_coeffs(_mirror(out, f.grid.n))
 

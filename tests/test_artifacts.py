@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusflow import GridSpec, taylor_green_init
+from torusflow import GridSpec, parse_config, taylor_green_init
 from torusflow.snapshots import snapshot_bytes
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -15,6 +15,13 @@ _SPEC = importlib.util.spec_from_file_location(
 )
 artifacts = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(artifacts)
+
+
+def test_every_case_config_passes_the_config_rules(tmp_path):
+    for name, (experiment, text) in artifacts.cases().items():
+        cfg = parse_config(text.replace("{out}", str(tmp_path / name)))
+        assert cfg.experiment == experiment, name
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.fixture(scope="module")

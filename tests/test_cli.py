@@ -186,6 +186,8 @@ BAD_INPUTS = {
     "eps-nan": ("", ["blocks", "--eps", "nan"]),
     "eps-inf": ("", ["unify", "--eps", "inf"]),
     "galerkin_modes-nan": ("scheme = weak-galerkin\ngalerkin_modes = nan\n", ["run"]),
+    "convergence-one-eps": ("", ["convergence", "--eps", "0.1"]),
+    "convergence-three-eps": ("eps_list = 0.1, 0.05, 0.025\n", ["convergence"]),
 }
 
 

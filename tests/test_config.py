@@ -138,6 +138,7 @@ FILE_FORMS = [
     "experiment = blocks\neps_list = nan\n",
     "experiment = unify\neps_list = inf\n",
     "experiment = run\nscheme = weak-galerkin\ngalerkin_modes = nan\n",
+    "experiment = convergence\neps_list = 0.1, 0.05, 0.025\n",
 ]
 
 
@@ -146,6 +147,13 @@ def test_bad_values_name_their_line(text):
     with pytest.raises(RangeError) as err:
         parse_config(text)
     assert err.value.line == text.count("\n")
+
+
+def test_only_convergence_needs_four_scales():
+    cfg = parse_config("experiment = convergence\neps_list = 0.1, 0.05, 0.025, 0.0125\n")
+    assert len(cfg.eps_list) == 4
+    for experiment in ("run", "verify", "unify", "blocks"):
+        assert parse_config(f"experiment = {experiment}\neps_list = 0.1\n").eps_list == (0.1,)
 
 
 def test_step_count_rule_only_where_a_run_happens():

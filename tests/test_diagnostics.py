@@ -11,7 +11,6 @@ from torusflow import (
     PhysicalField,
     Trajectory,
     WeightPartition,
-    bkm_monitor,
     convergence_study,
     diagnostics_csv,
     energy_identity_residual,
@@ -31,6 +30,7 @@ from torusflow import (
     strong_residual,
     taylor_green_init,
     unified_reconstruction,
+    vorticity_max,
     weak_form_residual,
     weak_test_battery,
 )
@@ -66,17 +66,17 @@ def test_enstrophy_shear(grid16):
 
 def test_bkm_monitor_values(grid16):
     sh = shear_init(grid16)
-    assert bkm_monitor(sh) == pytest.approx(1.0, abs=1e-12)
+    assert vorticity_max(sh) == pytest.approx(1.0, abs=1e-12)
     doubled = sh.with_coeffs(2.0 * sh.coeffs)
-    assert bkm_monitor(doubled) == pytest.approx(2.0, abs=1e-12)
+    assert vorticity_max(doubled) == pytest.approx(2.0, abs=1e-12)
     zero = SpectralField(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
-    assert bkm_monitor(zero) == 0.0
+    assert vorticity_max(zero) == 0.0
 
 
 def test_bkm_decays_along_shear_trajectory(shear_traj_fine):
     traj = shear_traj_fine
     for snap in traj.snapshots[:: len(traj.snapshots) // 4]:
-        assert bkm_monitor(snap) == pytest.approx(math.exp(-snap.time), rel=1e-10)
+        assert vorticity_max(snap) == pytest.approx(math.exp(-snap.time), rel=1e-10)
 
 
 def test_energy_identity_shear_per_interval(shear_traj_fine):

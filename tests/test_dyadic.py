@@ -17,7 +17,7 @@ from torusflow import (
     shear_init,
     taylor_green_init,
 )
-from torusflow.dyadic import BERNSTEIN_CONSTANTS, DyadicPartition, chi
+from torusflow.dyadic import BERNSTEIN_CONSTANTS, block_weights, chi
 from torusflow.errors import IndexOutOfRange, NotSolenoidal, SupportViolation, ZeroField
 from torusflow.spectral import advect
 
@@ -54,37 +54,48 @@ def test_partition_overlap_at_most_two():
 
 def test_single_mode_block_assignment(grid16):
     u = single_mode(grid16, (4, 0, 0))
-    part = DyadicPartition.for_grid(grid16)
-    assert DyadicPartition.for_grid(GridSpec(16)) is part  # one partition per grid
+    table = block_weights(grid16)
+    assert block_weights(GridSpec(16)) is table  # one table per grid
     # |k| = 4 at j = 2 sits on the chi plateau: the block recovers u exactly
     np.testing.assert_array_equal(dyadic_block(u, 2).coeffs, u.coeffs)
-    for j in part.indices:
+    for j in list(table)[1:]:
         if j != 2:
             assert l2_norm(dyadic_block(u, j)) == 0.0
     assert l2_norm(dyadic_block(u, -1)) == 0.0
 
 
+def test_block_weights_is_one_read_only_table_per_grid(grid16):
+    table = block_weights(grid16)
+    assert block_weights(GridSpec(16)) is table
+    # the corner |k| = 8 sqrt(3) ~ 13.9 is last covered by chi(|k| / 2^4)
+    assert list(table) == [-1, 0, 1, 2, 3, 4]
+    with pytest.raises(TypeError):
+        table[5] = table[0]
+    for w in table.values():
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0, 0, 0] = 0.5
+
+
 def test_block_annulus_support(grid16, random_fields_16):
-    part = DyadicPartition.for_grid(grid16)
     r = grid16.k_magnitude
-    for j in part.indices:
+    for j in list(block_weights(grid16))[1:]:
         blk = dyadic_block(random_fields_16[0], j)
         outside = (r < 2.0 ** (j - 1)) | (r > 2.0 ** (j + 1))
         assert np.max(np.abs(blk.coeffs[:, outside])) == 0.0
 
 
 def test_block_index_range(grid16, random_fields_16):
-    part = DyadicPartition.for_grid(grid16)
+    jmax = max(block_weights(grid16))
     with pytest.raises(IndexOutOfRange):
-        dyadic_block(random_fields_16[0], part.jmax + 1)
+        dyadic_block(random_fields_16[0], jmax + 1)
     with pytest.raises(IndexOutOfRange):
         dyadic_block(random_fields_16[0], -2)
 
 
 def test_zero_field_blocks(grid16):
     zero = SpectralField(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
-    part = DyadicPartition.for_grid(grid16)
-    for j in [-1] + list(part.indices):
+    for j in block_weights(grid16):
         assert l2_norm(dyadic_block(zero, j)) == 0.0
 
 
@@ -222,10 +233,9 @@ def test_commutator_requires_supercritical_index(grid16, random_fields_16):
 
 def test_heat_decay_of_blocks(grid16, random_fields_16):
     u = random_fields_16[4]
-    part = DyadicPartition.for_grid(grid16)
     nu, t = 0.5, 0.2
     hu = heat_semigroup(u, nu, t)
-    for j in part.indices:
+    for j in list(block_weights(grid16))[1:]:
         before = l2_norm(dyadic_block(u, j))
         after = l2_norm(dyadic_block(hu, j))
         assert after <= np.exp(-nu * t * 4.0 ** (j - 1)) * before

@@ -10,6 +10,7 @@ from torusflow import (
     MollifierSpec,
     SpectralField,
     WeightPartition,
+    band_weights,
     binary_blend,
     binary_cutoff,
     blend,
@@ -24,11 +25,10 @@ from torusflow import (
     smooth,
     sobolev_norm,
     spatial_window,
-    weight_eval,
     weighted_blend,
 )
 from torusflow.errors import GridMismatch
-from torusflow.operators import _bump_table, weights_on_grid
+from torusflow.operators import _bump_table
 from torusflow.spectral import SOLENOIDAL_TOL, gradient
 
 
@@ -128,21 +128,33 @@ def test_weight_partition_validation():
 
 def test_weight_eval_examples():
     w = WeightPartition(4.0, 12.0)
-    assert weight_eval(w, 0.0) == (1.0, 0.0, 0.0)
-    assert weight_eval(w, 16.0) == (0.0, 0.0, 1.0)
-    assert weight_eval(w, 8.0) == (0.0, 1.0, 0.0)
+    assert band_weights(w, 0.0) == (1.0, 0.0, 0.0)
+    assert band_weights(w, 16.0) == (0.0, 0.0, 1.0)
+    assert band_weights(w, 8.0) == (0.0, 1.0, 0.0)
 
 
 def test_weight_support_conditions(grid32):
     w = WeightPartition(4.0, 12.0)
     r = grid32.k_magnitude
-    ww, wm, ws = weights_on_grid(w, grid32)
+    ww, wm, ws = band_weights(w, grid32.k_magnitude)
     assert np.all(ww[r >= 4.0] == 0.0)
     assert np.all(ww[r <= 3.0] == 1.0)
     assert np.all(ws[r <= 12.0] == 0.0)
     assert np.all(ws[r >= 15.0] == 1.0)
     assert np.max(np.abs(ww + wm + ws - 1.0)) <= 1e-15
     assert np.all((ww >= 0) & (ww <= 1) & (wm >= 0) & (wm <= 1) & (ws >= 0) & (ws <= 1))
+
+
+def test_band_weights_scalar_form_matches_array_form_bitwise(grid16):
+    w = WeightPartition(2.0, 6.0)
+    r = grid16.k_magnitude
+    grid_form = band_weights(w, r)
+    for k in np.unique(r):
+        at = r == k
+        for scalar, array in zip(band_weights(w, float(k)), grid_form):
+            assert isinstance(scalar, float)
+            np.testing.assert_array_equal(np.float64(scalar).view(np.int64),
+                                          array[at].view(np.int64))
 
 
 def test_binary_cutoff_profile():

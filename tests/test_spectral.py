@@ -11,6 +11,7 @@ from torusflow import (
     PhysicalField,
     SolverParams,
     SpectralField,
+    Trajectory,
     curl,
     dealias,
     divergence,
@@ -37,6 +38,7 @@ from torusflow.diagnostics import convergence_study, residual_defects
 from torusflow.dyadic import commutator_bound_ratio
 from torusflow.errors import (
     DegenerateSequence,
+    GridMismatch,
     NonSolenoidalTest,
     NotSolenoidal,
     SymmetryViolation,
@@ -486,3 +488,14 @@ def test_nan_fails_range_checks(case, grid8):
     error, call = NAN_RANGE_CASES[case]
     with pytest.raises(error):
         call(random_solenoidal_init(grid8, 2.0, 0))
+
+
+def test_fields_on_two_grids_are_refused():
+    f16, g8 = shear_init(GridSpec(16)), shear_init(GridSpec(8))
+    with pytest.raises(GridMismatch):
+        inner_product(f16, g8)
+    with pytest.raises(GridMismatch):
+        advect(f16, g8)
+    params = SolverParams(nu=0.1, dt=1e-3, t_end=1e-3)
+    with pytest.raises(GridMismatch):
+        Trajectory(params, [f16, g8.with_coeffs(g8.coeffs, time=1e-3)])
