@@ -23,7 +23,7 @@ viscosity and forcing of the trajectory's own run (`traj.params`).
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import (
     TimeGridMismatch,
     TooFewSnapshots,
 )
-from .operators import MollifierSpec, WeightPartition, blend, regularize, smooth
+from .operators import MollifierSpec, WeightPartition, _regularized_blend
 from .solvers import Trajectory
 from .spectral import (
     GridSpec,
@@ -400,7 +400,8 @@ def unified_reconstruction(
     spec: MollifierSpec,
 ) -> list[SpectralField]:
     """Per snapshot: regularize each scheme's field, blend the three bands,
-    then apply the low-pass smoothing; returns the blended fields."""
+    then apply the low-pass smoothing; returns the blended fields.  The
+    multipliers are built once per call (`operators._regularized_blend`)."""
     trajs = (weak_traj, mild_traj, strong_traj)
     _require_same_grid(*trajs)
     times = [t.times for t in trajs]
@@ -409,15 +410,16 @@ def unified_reconstruction(
     ):
         raise TimeGridMismatch("trajectories must share the snapshot time grid")
 
-    return [_reconstruct(fs, w, spec) for fs in zip(*[t.snapshots for t in trajs])]
+    merge = _regularized_blend(weak_traj.grid, w, spec)
+    return [fs[1].with_coeffs(merge(*fs)) for fs in zip(*[t.snapshots for t in trajs])]
 
 
 def _reconstruct(
     fs: Sequence[SpectralField], w: WeightPartition, spec: MollifierSpec
 ) -> SpectralField:
     """`unified_reconstruction` of one (weak, mild, strong) snapshot, at the mild time."""
-    rw, rm, rs = (regularize(f, spec) for f in fs)
-    return replace(smooth(blend(rw, rm, rs, w, spec), spec), time=fs[1].time)
+    _require_same_grid(*fs)
+    return fs[1].with_coeffs(_regularized_blend(fs[0].grid, w, spec)(*fs))
 
 
 MIN_SCALES = 4  # fewest scales a log-log slope fit is trusted on

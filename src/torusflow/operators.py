@@ -5,7 +5,8 @@ low-pass symbol in [0, 1]; regularization composes smoothing with the Leray
 projection; blending combines a low-band, mid-band and high-band field with
 a partition-of-unity weight triple and then applies a spectrum-smearing
 step realized as multiplication by a slowly varying window in physical
-space (see `spatial_window`).
+space (see `spatial_window`).  The blend and the reconstruction core
+(`_regularized_blend`) read only the half spectrum k3 >= 0 and mirror once.
 """
 
 from __future__ import annotations
@@ -13,17 +14,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from .spectral import (
     GridSpec,
-    PhysicalField,
     SpectralField,
     TWO_PI,
+    _leray,
+    _mirror,
     _require_same_grid,
     _to_physical,
-    forward_transform,
+    _to_spectral,
     leray_project,
 )
 
@@ -156,9 +159,14 @@ def weighted_blend(
 ) -> SpectralField:
     """Pure three-band combination omega_low*low + omega_mid*mid + omega_high*high."""
     _require_same_grid(low, mid, high)
-    ww, wm, ws = band_weights(w, low.grid.k_magnitude)
-    out = ww * low.coeffs + wm * mid.coeffs + ws * high.coeffs
-    return low.with_coeffs(out)
+    bands = band_weights(w, low.grid.k_magnitude)
+    return low.with_coeffs(_band_sum(bands, low.coeffs, mid.coeffs, high.coeffs))
+
+
+def _band_sum(bands, low: np.ndarray, mid: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """omega_low*low + omega_mid*mid + omega_high*high for a `band_weights` triple."""
+    ww, wm, ws = bands
+    return ww * low + wm * mid + ws * high
 
 
 def spatial_window(spec: MollifierSpec, grid: GridSpec) -> np.ndarray:
@@ -185,12 +193,49 @@ def blend(
 ) -> SpectralField:
     """Partition-of-unity blend of three band sources, spectrum smearing via
     the spatial window, then a Leray projection (the windowing is the only
-    step that can break solenoidality)."""
-    g = weighted_blend(low, mid, high, w)
+    step that can break solenoidality); reads only k3 >= 0 (`_blend_half`)."""
+    _require_same_grid(low, mid, high)
     grid = low.grid
+    h = grid.n // 2 + 1
+    half = _blend_half(
+        low.coeffs[..., :h], mid.coeffs[..., :h], high.coeffs[..., :h],
+        band_weights(w, grid.k_magnitude[..., :h]), spatial_window(spec, grid), grid,
+    )
+    return low.with_coeffs(_mirror(half, grid.n))
+
+
+def _blend_half(
+    low: np.ndarray, mid: np.ndarray, high: np.ndarray, bands, win: np.ndarray, grid: GridSpec
+) -> np.ndarray:
+    """`blend` on half spectra [..., :n//2+1], given its `band_weights` triple on
+    the half wavenumbers and its window: the k3 >= 0 block of the full-spectrum
+    blend, in the same order (the multipliers are radial, Leray mode by mode)."""
+    g = _band_sum(bands, low, mid, high)
+    return _leray(_to_spectral(win * _to_physical(g, grid.n), grid.n), grid)
+
+
+def _regularized_blend(
+    grid: GridSpec, w: WeightPartition, spec: MollifierSpec
+) -> Callable[..., np.ndarray]:
+    """smooth(blend(regularize(low), regularize(mid), regularize(high))) as a
+    function of three fields on `grid`, returning the full coefficients.
+
+    The symbol, band weights and window are built once, here.  Each call works
+    on half spectra [..., :n//2+1] and mirrors once; the multipliers are radial
+    and P acts mode by mode, so the k3 >= 0 block is the full-spectrum
+    arithmetic, in its order.
+    """
+    h = grid.n // 2 + 1
+    k = grid.k_magnitude[..., :h]
+    sym = mollifier_symbol(spec, k)
+    bands = band_weights(w, k)
     win = spatial_window(spec, grid)
-    smeared = forward_transform(PhysicalField(grid, win * _to_physical(g.coeffs, grid.n)))
-    return leray_project(g.with_coeffs(smeared.coeffs))
+
+    def merge(*fields: SpectralField) -> np.ndarray:
+        low, mid, high = (_leray(f.coeffs[..., :h] * sym, grid) for f in fields)
+        return _mirror(_blend_half(low, mid, high, bands, win, grid) * sym, grid.n)
+
+    return merge
 
 
 def binary_blend(low: SpectralField, high: SpectralField, spec: MollifierSpec) -> SpectralField:

@@ -18,7 +18,7 @@ settles its datum by the same rule, so every state is built one way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
@@ -92,9 +92,11 @@ class Trajectory:
     """Time-ordered snapshots produced by the scheme `params.scheme`."""
 
     params: SolverParams
-    snapshots: list[SpectralField] = field(default_factory=list)
+    snapshots: list[SpectralField]
 
     def __post_init__(self):
+        if not self.snapshots:
+            raise ValueError("a trajectory needs at least one snapshot")
         _require_same_grid(*self.snapshots)
         times = [s.time for s in self.snapshots]
         if any(b <= a for a, b in zip(times, times[1:])):

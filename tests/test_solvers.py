@@ -289,6 +289,15 @@ def test_blowup_guard_reports_with_partial_trajectory(grid8):
     assert len(excinfo.value.trajectory.snapshots) >= 1
 
 
+def test_trajectory_without_snapshots_is_refused(grid8):
+    p = SolverParams(nu=0.1, dt=1e-3, t_end=0.01)
+    with pytest.raises(ValueError, match="at least one snapshot"):
+        solvers.Trajectory(p, [])
+    # one snapshot is a trajectory: its grid and times are readable
+    one = solvers.Trajectory(p, [shear_init(grid8)])
+    assert one.grid == grid8 and one.times.tolist() == [0.0]
+
+
 def test_non_finite_datum_raises(grid8):
     # a NaN datum makes the guard norm NaN, which would pass every guard comparison
     tg = taylor_green_init(grid8)
