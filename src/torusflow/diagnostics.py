@@ -40,6 +40,7 @@ from .spectral import (
     GridSpec,
     PhysicalField,
     SpectralField,
+    _full_sum,
     _require_same_grid,
     _worst,
     advect,
@@ -93,7 +94,7 @@ def kinetic_energy(u: SpectralField) -> float:
 def enstrophy(u: SpectralField) -> float:
     """||grad u||_L2^2 = sum_k |k|^2 |uhat(k)|^2."""
     mag2 = (np.abs(u.coeffs) ** 2).sum(axis=0)
-    return float(np.sum(u.grid.k_squared * mag2))
+    return float(_full_sum(u.grid.k_squared * mag2, u.grid.n))
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +274,7 @@ def residual_defects(
                 term -= b * inner_product(conv, mode)
                 # <grad u, grad v> = sum_k |k|^2 uhat . conj(vhat)
                 term -= p.nu * b * float(
-                    np.sum(k2 * (u.coeffs * np.conj(mode.coeffs)).sum(axis=0)).real
+                    _full_sum(k2 * (u.coeffs * np.conj(mode.coeffs)).sum(axis=0), grid.n).real
                 )
                 if p.forcing is not None:
                     term += b * inner_product(p.forcing, mode)

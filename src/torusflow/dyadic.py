@@ -18,6 +18,7 @@ from .errors import IndexOutOfRange, SupportViolation, ZeroField
 from .spectral import (
     GridSpec,
     SpectralField,
+    _full_sum,
     _read_only,
     _require_solenoidal,
     _to_physical,
@@ -76,7 +77,7 @@ def almost_orthogonality_ratio(u: SpectralField) -> float:
     if total == 0.0:
         raise ZeroField("almost-orthogonality ratio of a zero field")
     mag2 = (np.abs(u.coeffs) ** 2).sum(axis=0)
-    acc = sum(float(np.sum(w**2 * mag2)) for w in block_weights(u.grid).values())
+    acc = sum(float(_full_sum(w**2 * mag2, u.grid.n)) for w in block_weights(u.grid).values())
     return acc / total
 
 
@@ -119,11 +120,11 @@ def bernstein_check(
     if p > q:
         raise ValueError("need p <= q")
     mag2 = (np.abs(u.coeffs) ** 2).sum(axis=0)
-    total = float(np.sum(mag2))
+    total = float(_full_sum(mag2, u.grid.n))
     if total > 0.0:
         r = u.grid.k_magnitude
         annulus = (r >= 2.0 ** (j - 1)) & (r <= 2.0 ** (j + 1))
-        outside = float(np.sum(mag2[~annulus]))
+        outside = float(_full_sum(np.where(annulus, 0.0, mag2), u.grid.n))
         if np.sqrt(outside / total) > 1e-10:
             raise SupportViolation(f"spectrum leaks outside the 2^{j} annulus")
     block = dyadic_block(u, j)

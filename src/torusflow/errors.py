@@ -6,7 +6,8 @@ class TorusflowError(Exception):
 
 
 class SymmetryViolation(TorusflowError):
-    """Spectral coefficients are not Hermitian-symmetric (field is not real)."""
+    """A full spectrum is not Hermitian-symmetric (`SpectralField.from_full`); a
+    half-stored field can be non-Hermitian only on the planes k3 = 0 and k3 = n/2."""
 
 
 class NotSolenoidal(TorusflowError):

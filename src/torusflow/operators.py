@@ -5,8 +5,7 @@ low-pass symbol in [0, 1]; regularization composes smoothing with the Leray
 projection; blending combines a low-band, mid-band and high-band field with
 a partition-of-unity weight triple and then applies a spectrum-smearing
 step realized as multiplication by a slowly varying window in physical
-space (see `spatial_window`).  The blend and the reconstruction core
-(`_regularized_blend`) read only the half spectrum k3 >= 0 and mirror once.
+space (see `spatial_window`).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .spectral import (
     SpectralField,
     TWO_PI,
     _leray,
-    _mirror,
     _require_same_grid,
     _to_physical,
     _to_spectral,
@@ -193,47 +191,37 @@ def blend(
 ) -> SpectralField:
     """Partition-of-unity blend of three band sources, spectrum smearing via
     the spatial window, then a Leray projection (the windowing is the only
-    step that can break solenoidality); reads only k3 >= 0 (`_blend_half`)."""
+    step that can break solenoidality)."""
     _require_same_grid(low, mid, high)
     grid = low.grid
-    h = grid.n // 2 + 1
-    half = _blend_half(
-        low.coeffs[..., :h], mid.coeffs[..., :h], high.coeffs[..., :h],
-        band_weights(w, grid.k_magnitude[..., :h]), spatial_window(spec, grid), grid,
-    )
-    return low.with_coeffs(_mirror(half, grid.n))
+    bands = band_weights(w, grid.k_magnitude)
+    win = spatial_window(spec, grid)
+    return low.with_coeffs(_blend_half(low.coeffs, mid.coeffs, high.coeffs, bands, win, grid))
 
 
 def _blend_half(
     low: np.ndarray, mid: np.ndarray, high: np.ndarray, bands, win: np.ndarray, grid: GridSpec
 ) -> np.ndarray:
-    """`blend` on half spectra [..., :n//2+1], given its `band_weights` triple on
-    the half wavenumbers and its window: the k3 >= 0 block of the full-spectrum
-    blend, in the same order (the multipliers are radial, Leray mode by mode)."""
+    """`blend` on coefficients, given its `band_weights` triple and its window."""
     g = _band_sum(bands, low, mid, high)
-    return _leray(_to_spectral(win * _to_physical(g, grid.n), grid.n), grid)
+    return _leray(_to_spectral(win * _to_physical(g, grid.n)), grid)
 
 
 def _regularized_blend(
     grid: GridSpec, w: WeightPartition, spec: MollifierSpec
 ) -> Callable[..., np.ndarray]:
     """smooth(blend(regularize(low), regularize(mid), regularize(high))) as a
-    function of three fields on `grid`, returning the full coefficients.
+    function of three fields on `grid`, returning the coefficients.
 
-    The symbol, band weights and window are built once, here.  Each call works
-    on half spectra [..., :n//2+1] and mirrors once; the multipliers are radial
-    and P acts mode by mode, so the k3 >= 0 block is the full-spectrum
-    arithmetic, in its order.
+    The symbol, band weights and window are built once, here.
     """
-    h = grid.n // 2 + 1
-    k = grid.k_magnitude[..., :h]
-    sym = mollifier_symbol(spec, k)
-    bands = band_weights(w, k)
+    sym = mollifier_symbol(spec, grid.k_magnitude)
+    bands = band_weights(w, grid.k_magnitude)
     win = spatial_window(spec, grid)
 
     def merge(*fields: SpectralField) -> np.ndarray:
-        low, mid, high = (_leray(f.coeffs[..., :h] * sym, grid) for f in fields)
-        return _mirror(_blend_half(low, mid, high, bands, win, grid) * sym, grid.n)
+        low, mid, high = (_leray(f.coeffs * sym, grid) for f in fields)
+        return _blend_half(low, mid, high, bands, win, grid) * sym
 
     return merge
 

@@ -2,7 +2,8 @@
 
 These are O(n^6) direct convolution sums over the truncated wavenumber
 lattice.  They exist to cross-check the pseudospectral nonlinearity and the
-time steppers; nothing in the solver path calls them.
+time steppers; nothing in the solver path calls them.  They return full
+spectra (3, n, n, n), computing the k3 < 0 block too rather than mirroring it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ def _deriv_axis_values(n: int) -> np.ndarray:
     return k
 
 
-def convolution_advective_term(u: SpectralField) -> SpectralField:
-    """(u.grad)u by the direct truncated convolution sum, dealiased, unprojected.
+def convolution_advective_term(u: SpectralField) -> np.ndarray:
+    """Full spectrum of (u.grad)u by the direct truncated convolution sum, dealiased, unprojected.
 
     For each resolved output mode k the sum runs over exact integer pairs
     p + q = k (no modular wraparound), which is the alias-free product the
@@ -36,7 +37,7 @@ def convolution_advective_term(u: SpectralField) -> SpectralField:
     kv = _axis_values(n)
     qv = _deriv_axis_values(n)
     half = n // 2
-    c = u.coeffs
+    c = u.full()
     out = np.zeros_like(c)
 
     q1 = qv[:, None, None].astype(np.float64)
@@ -84,15 +85,14 @@ def convolution_advective_term(u: SpectralField) -> SpectralField:
     mask = (
         keep1[:, None, None] & keep1[None, :, None] & keep1[None, None, :]
     ).astype(np.float64)
-    return u.with_coeffs(out * mask)
+    return out * mask
 
 
-def reference_leray(u: SpectralField) -> SpectralField:
-    """Projection written directly from the mode formula, loop form."""
-    grid = u.grid
-    n = grid.n
+def reference_leray(c: np.ndarray) -> np.ndarray:
+    """Projection of a full spectrum written directly from the mode formula, loop form."""
+    n = c.shape[-1]
     kv = _deriv_axis_values(n)
-    out = u.coeffs.copy()
+    out = c.copy()
     for i1 in range(n):
         for i2 in range(n):
             for i3 in range(n):
@@ -102,9 +102,9 @@ def reference_leray(u: SpectralField) -> SpectralField:
                     continue
                 amp = out[:, i1, i2, i3]
                 out[:, i1, i2, i3] = amp - k * (k @ amp) / k2
-    return u.with_coeffs(out)
+    return out
 
 
-def convolution_nonlinear_term(u: SpectralField) -> SpectralField:
-    """Projected, dealiased (u.grad)u via the direct convolution route."""
+def convolution_nonlinear_term(u: SpectralField) -> np.ndarray:
+    """Full spectrum of the projected, dealiased (u.grad)u via the direct convolution route."""
     return reference_leray(convolution_advective_term(u))

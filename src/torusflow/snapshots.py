@@ -11,9 +11,10 @@ SNS1 layout (little-endian):
 
 The writer derives both flags from the coefficients: the solenoidal bit is
 set exactly when the divergence defect is within SOLENOIDAL_TOL, the
-mean-free bit exactly when the k = 0 mode is zero.  A reader accepts a file
-only when its time, viscosity and coefficients are finite and its flags
-hold for the data.
+mean-free bit exactly when the k = 0 mode is zero; the coefficients are the
+full spectrum (`SpectralField.full`).  A reader accepts a file only when its
+time, viscosity and coefficients are finite, its k3 < 0 block mirrors the
+rest to HERMITIAN_TOL, and its flags hold for the data.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .solvers import SolverParams, Trajectory
+from .errors import SymmetryViolation
 from .spectral import SOLENOIDAL_TOL, GridSpec, SpectralField, divergence_defect
 
 MAGIC = b"SNS1"
@@ -39,7 +41,7 @@ def snapshot_bytes(f: SpectralField, nu: float = 0.0) -> bytes:
     mean_free = not np.any(f.coeffs[:, 0, 0, 0])
     flags = (FLAG_SOLENOIDAL if solenoidal else 0) | (FLAG_MEAN_FREE if mean_free else 0)
     header = _HEADER.pack(MAGIC, f.grid.n, f.time, nu, flags)
-    return header + np.ascontiguousarray(f.coeffs, dtype="<c16").tobytes()
+    return header + np.ascontiguousarray(f.full(), dtype="<c16").tobytes()
 
 
 def write_snapshot(path: str | Path, f: SpectralField, nu: float = 0.0) -> None:
@@ -64,7 +66,10 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, float]:
     coeffs = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).astype(np.complex128)
     if not (math.isfinite(time) and math.isfinite(nu) and np.isfinite(coeffs).all()):
         raise ValueError(f"{path}: non-finite time, viscosity or coefficient")
-    field = SpectralField(grid, coeffs.reshape(3, n, n, n), time=time)
+    try:
+        field = SpectralField.from_full(grid, coeffs.reshape(3, n, n, n), time)
+    except SymmetryViolation as exc:
+        raise ValueError(f"{path}: not a real field ({exc})") from None
     # written so that a NaN defect (overflow on huge coefficients) is rejected too
     if flags & FLAG_SOLENOIDAL and not divergence_defect(field) <= SOLENOIDAL_TOL:
         raise ValueError(f"{path}: flagged solenoidal but divergence defect exceeds tolerance")

@@ -9,10 +9,8 @@ weak-galerkin: the strong step followed by a sharp spectral cutoff
               |k|^2 <= lambda_N after every update (torus Stokes
               eigenfunctions are the Fourier modes).
 
-All schemes advance mean-free solenoidal fields and re-project each step.
-A step works on the half spectrum k3 >= 0 (the other half of a real
-field's spectrum is its mirror) and mirrors once, at the end; `run`
-settles its datum by the same rule, so every state is built one way.
+All schemes advance mean-free solenoidal fields and re-project each step;
+`run` settles its datum by the same rule, so every state is built one way.
 """
 
 from __future__ import annotations
@@ -39,9 +37,7 @@ from .spectral import (
     SpectralField,
     _advect_arrays,
     _leray,
-    _mirror,
     _read_only,
-    _require_real,
     _require_same_grid,
     _require_solenoidal,
     advect,
@@ -167,7 +163,7 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 
 class _Multipliers(NamedTuple):
-    """Read-only half-spectrum multipliers of one step configuration."""
+    """Read-only multipliers of one step configuration."""
 
     decay: np.ndarray  # e^{-nu dt |k|^2}
     dt_phi1: np.ndarray | None  # dt phi1(-nu dt |k|^2), mild step only
@@ -179,9 +175,8 @@ class _Multipliers(NamedTuple):
 def _multipliers(
     grid: GridSpec, nu: float, dt: float, mild: bool, cutoff: float | None
 ) -> _Multipliers:
-    """The step multipliers on k3 >= 0, built once per configuration."""
-    h = grid.n // 2 + 1
-    z = -nu * dt * grid.k_squared[..., :h]
+    """The step multipliers, built once per configuration."""
+    z = -nu * dt * grid.k_squared
     phi1 = phi2 = mask = None
     if mild:
         phi1 = _read_only(dt * _phi1(z))
@@ -189,7 +184,7 @@ def _multipliers(
     if cutoff is not None:
         if not 1.0 <= cutoff < math.inf:
             raise BadCutoff("galerkin cutoff must be finite and reach the first nonzero mode")
-        mask = _read_only((grid.k_squared[..., :h] <= cutoff).astype(np.float64))
+        mask = _read_only((grid.k_squared <= cutoff).astype(np.float64))
     return _Multipliers(_read_only(np.exp(z)), phi1, phi2, mask)
 
 
@@ -199,23 +194,23 @@ def _step_multipliers(grid: GridSpec, p: SolverParams, mild: bool) -> _Multiplie
 
 
 def _tendency(c: np.ndarray, p: SolverParams, grid: GridSpec):
-    """Projected tendency -P[(u.grad)u] + P f on the half spectrum, and the lattice max |u|."""
+    """Projected tendency -P[(u.grad)u] + P f of coefficients c, and the lattice max |u|."""
     adv, umax = _advect_arrays(c, c, grid)
     rhs = -_leray(adv, grid)
     if p.forcing is not None:
         if p.forcing.grid != grid:
             raise GridMismatch(f"forcing on n = {p.forcing.grid.n}, state on n = {grid.n}")
-        rhs = rhs + p.forcing.coeffs[..., : c.shape[-1]]
+        rhs = rhs + p.forcing.coeffs
     return rhs, umax
 
 
-def _settle(grid: GridSpec, half: np.ndarray, time: float, mult: _Multipliers) -> SpectralField:
-    """The solver state of a half spectrum: re-projected, mean-free, cut off, mirrored."""
-    out = _leray(half, grid)
+def _settle(grid: GridSpec, c: np.ndarray, time: float, mult: _Multipliers) -> SpectralField:
+    """The solver state of coefficients c: re-projected, mean-free, cut off."""
+    out = _leray(c, grid)
     out[:, 0, 0, 0] = 0.0
     if mult.mask is not None:
         out *= mult.mask
-    return SpectralField(grid, _mirror(out, grid.n), time)
+    return SpectralField(grid, out, time)
 
 
 def cfl_limit(umax: float, grid: GridSpec) -> float:
@@ -236,12 +231,11 @@ def step_strong(u: SpectralField, p: SolverParams) -> SpectralField:
     _require_solenoidal(u, "step_strong")
     grid = u.grid
     mult = _step_multipliers(grid, p, mild=False)
-    c = u.coeffs[..., : grid.n // 2 + 1]
-    n0, umax = _tendency(c, p, grid)
+    n0, umax = _tendency(u.coeffs, p, grid)
     _gate_cfl(p.dt, umax, grid)
     decay = mult.decay
-    n1, _ = _tendency(decay * (c + p.dt * n0), p, grid)
-    return _settle(grid, decay * c + 0.5 * p.dt * (decay * n0 + n1), u.time + p.dt, mult)
+    n1, _ = _tendency(decay * (u.coeffs + p.dt * n0), p, grid)
+    return _settle(grid, decay * u.coeffs + 0.5 * p.dt * (decay * n0 + n1), u.time + p.dt, mult)
 
 
 def step_mild(u: SpectralField, p: SolverParams) -> SpectralField:
@@ -250,10 +244,9 @@ def step_mild(u: SpectralField, p: SolverParams) -> SpectralField:
     _require_solenoidal(u, "step_mild")
     grid = u.grid
     mult = _step_multipliers(grid, p, mild=True)
-    c = u.coeffs[..., : grid.n // 2 + 1]
-    n0, umax = _tendency(c, p, grid)
+    n0, umax = _tendency(u.coeffs, p, grid)
     _gate_cfl(p.dt, umax, grid)
-    predictor = mult.decay * c + mult.dt_phi1 * n0
+    predictor = mult.decay * u.coeffs + mult.dt_phi1 * n0
     n1, _ = _tendency(predictor, p, grid)
     return _settle(grid, predictor + mult.dt_phi2 * (n1 - n0), u.time + p.dt, mult)
 
@@ -272,15 +265,13 @@ def step_count(t_end: float, dt: float) -> int:
 def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
     """Evolve u0 to t_end, recording every `cadence`-th step (plus endpoints).
 
-    The datum's half spectrum k3 >= 0 is settled by the steps' rule
-    (projected, mean-free, cut off, mirrored).  A datum with a non-finite
-    coefficient raises NonFiniteField, one that is not a real field
-    SymmetryViolation.  A blow-up guard raises BlowUpDetected (carrying the
-    partial trajectory) when the H^2 norm exceeds 1e3 times its initial
-    value or is not finite, or the vorticity maximum passes 1e6; the
-    partial holds only snapshots the guard passed.  A step that fails the
-    CFL gate raises CflViolation with the partial trajectory attached the
-    same way.
+    The datum is settled by the steps' rule (projected, mean-free, cut off).
+    A datum with a non-finite coefficient raises NonFiniteField.  A blow-up
+    guard raises BlowUpDetected (carrying the partial trajectory) when the
+    H^2 norm exceeds 1e3 times its initial value or is not finite, or the
+    vorticity maximum passes 1e6; the partial holds only snapshots the guard
+    passed.  A step that fails the CFL gate raises CflViolation with the
+    partial trajectory attached the same way.
     """
     if cadence < 1:
         raise ValueError("cadence must be >= 1")
@@ -288,13 +279,11 @@ def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
     grid = u0.grid
     mild = p.scheme == "mild-duhamel"
     mult = _step_multipliers(grid, p, mild)
-    u = _settle(grid, u0.coeffs[..., : grid.n // 2 + 1], u0.time, mult)
+    u = _settle(grid, u0.coeffs, u0.time, mult)
     guard_norm0 = sobolev_norm(u, GUARD_NORM_INDEX)
     if not math.isfinite(guard_norm0):
         # a NaN norm would switch off the guards and the CFL gate below
         raise NonFiniteField("initial datum has a non-finite coefficient")
-    # the state above read only the half spectrum; a corrupt other half is refused
-    _require_real(u0)
     step = step_mild if mild else step_strong
 
     snapshots = [u]

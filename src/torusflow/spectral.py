@@ -5,6 +5,11 @@ with integer wavenumbers.  The inner product is volume-normalized,
 <f, g> = (2*pi)^-3 int f.g dx, so Parseval reads ||u||_L2^2 = sum_k |uhat(k)|^2
 with no lattice factors.  Storage order per axis is 0, 1, ..., n/2,
 -n/2+1, ..., -1 (the index n/2 is labelled +n/2).
+
+Fields are real: a field and the grid's wavenumber arrays store only the half
+spectrum k3 >= 0 ([..., :n//2+1]), the rest being its mirror coeff(-k) =
+conj(coeff(k)).  `SpectralField.from_full` and `.full` convert full spectra;
+norms and inner products sum over the mirrored lattice in full-spectrum order.
 """
 
 from __future__ import annotations
@@ -72,9 +77,9 @@ class GridSpec:
 
     @staticmethod
     def _axis_grids(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # read-only views of shapes (n,1,1), (1,n,1), (1,1,n): they broadcast
-        # against (n,n,n) without storing three n^3 copies
-        return (k[:, None, None], k[None, :, None], k[None, None, :])
+        # read-only views of shapes (n,1,1), (1,n,1), (1,1,n/2+1): they cover the
+        # stored half k3 >= 0 and broadcast against it without n^3 copies
+        return (k[:, None, None], k[None, :, None], k[None, None, : k.size // 2 + 1])
 
     @cached_property
     def wavenumbers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -117,10 +122,9 @@ class GridSpec:
 class SpectralField:
     """Truncated Fourier coefficients of a real 3-vector field.
 
-    coeffs has shape (3, n, n, n), complex128, and is read-only.  Properties
-    of the field are read from the coefficients, not carried: whether it is
-    solenoidal from `divergence_defect`, whether it is mean-free from its
-    k = 0 mode.
+    coeffs is the half spectrum k3 >= 0, shape (3, n, n, n//2+1), complex128,
+    read-only; `full` mirrors the rest.  Solenoidality and mean-freeness are
+    read from the coefficients (`divergence_defect`, the k = 0 mode).
     """
 
     grid: GridSpec
@@ -129,11 +133,27 @@ class SpectralField:
 
     def __post_init__(self):
         n = self.grid.n
-        if self.coeffs.shape != (3, n, n, n):
-            raise ValueError(f"coeffs must have shape (3, {n}, {n}, {n})")
+        if self.coeffs.shape != (3, n, n, n // 2 + 1):
+            raise ValueError(f"coeffs must be the half spectrum (3, {n}, {n}, {n // 2 + 1})")
         if self.coeffs.dtype != np.complex128:
             object.__setattr__(self, "coeffs", self.coeffs.astype(np.complex128))
         self.coeffs.flags.writeable = False
+
+    @classmethod
+    def from_full(cls, grid: GridSpec, full: np.ndarray, time: float = 0.0) -> "SpectralField":
+        """The field of a full spectrum (3, n, n, n); SymmetryViolation unless
+        coeff(-k) == conj(coeff(k)) to HERMITIAN_TOL (NaN fails too)."""
+        n = grid.n
+        if full.shape != (3, n, n, n):
+            raise ValueError(f"a full spectrum has shape (3, {n}, {n}, {n})")
+        defect = _hermitian_defect(full)
+        if not defect <= HERMITIAN_TOL:
+            raise SymmetryViolation(f"Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e}")
+        return cls(grid, np.ascontiguousarray(full[..., : n // 2 + 1], dtype=np.complex128), time)
+
+    def full(self) -> np.ndarray:
+        """The full spectrum (3, n, n, n) as a new array: the stored half and its mirror."""
+        return _mirror(self.coeffs, self.grid.n)
 
     def with_coeffs(self, coeffs: np.ndarray, **changes) -> "SpectralField":
         return replace(self, coeffs=coeffs, **changes)
@@ -159,13 +179,17 @@ class PhysicalField:
 
 def forward_transform(f: PhysicalField) -> SpectralField:
     """Fourier coefficients uhat(k) such that u(x) = sum_k uhat(k) e^{i k.x}."""
-    n = f.grid.n
-    return SpectralField(f.grid, _mirror(_to_spectral(f.samples, n), n))
+    return SpectralField(f.grid, _to_spectral(f.samples))
 
 
 def hermitian_defect(f: SpectralField) -> float:
-    """Relative departure from coeff(-k) == conj(coeff(k))."""
-    c = f.coeffs
+    """Relative departure from coeff(-k) == conj(coeff(k)); a half-stored field
+    can depart only on the self-conjugate planes k3 = 0 and k3 = n/2."""
+    return _hermitian_defect(f.full())
+
+
+def _hermitian_defect(c: np.ndarray) -> float:
+    """`hermitian_defect` of a full spectrum (3, n, n, n); NaN when a coefficient is infinite."""
     mirrored = np.conj(np.roll(c[:, ::-1, ::-1, ::-1], (1, 1, 1), axis=(1, 2, 3)))
     scale = np.max(np.abs(c))
     if scale == 0.0:
@@ -173,34 +197,23 @@ def hermitian_defect(f: SpectralField) -> float:
     return float(np.max(np.abs(c - mirrored)) / scale)
 
 
-def _require_real(f: SpectralField):
-    """SymmetryViolation unless coeff(-k) == conj(coeff(k)) to HERMITIAN_TOL."""
-    defect = hermitian_defect(f)
-    if not defect <= HERMITIAN_TOL:  # NaN (infinite coefficients) fails too
-        raise SymmetryViolation(f"Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e}")
-
-
 def inverse_transform(f: SpectralField) -> PhysicalField:
-    """Synthesize real samples; rejects corrupted (non-Hermitian) spectra."""
-    _require_real(f)
+    """Synthesize the real samples of a field."""
     return PhysicalField(f.grid, _to_physical(f.coeffs, f.grid.n))
 
 
-# The transform pair is real-to-complex.  Only the half spectrum k3 >= 0
-# (storage index [..., :n//2+1]) is transformed; the other half of a real
-# field's spectrum is its mirror, coeff(-k) = conj(coeff(k)).  The 1/n^3 of
-# the coefficient convention is the forward normalization, so neither
-# direction rescales.
+# The transform pair is real-to-complex on the stored half spectrum; the 1/n^3
+# of the coefficient convention is the forward normalization.
 _AXES = (-3, -2, -1)
 
 
 def _to_physical(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Real samples of a full or half spectrum; reads only [..., :n//2+1]."""
-    return np.fft.irfftn(coeffs[..., : n // 2 + 1], s=(n, n, n), axes=_AXES, norm="forward")
+    """Real samples of a half spectrum."""
+    return np.fft.irfftn(coeffs, s=(n, n, n), axes=_AXES, norm="forward")
 
 
-def _to_spectral(samples: np.ndarray, n: int, mask: np.ndarray | None = None) -> np.ndarray:
-    """Half spectrum [..., :n//2+1] of real samples; mask, if given, multiplies it."""
+def _to_spectral(samples: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Half spectrum of real samples; mask, if given, multiplies it."""
     half = np.fft.rfftn(samples, axes=_AXES, norm="forward")
     if mask is not None:
         half *= mask
@@ -208,9 +221,10 @@ def _to_spectral(samples: np.ndarray, n: int, mask: np.ndarray | None = None) ->
 
 
 def _mirror(half: np.ndarray, n: int) -> np.ndarray:
-    """Full spectrum of a real field from its half spectrum [..., :n//2+1]; zeros mirror as +0.0."""
+    """Full-lattice array (last axis n) of a half-spectrum array (last axis n//2+1):
+    the value at -k is the conjugate of the value at k, and zeros mirror as +0.0."""
     h = n // 2 + 1
-    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    out = np.empty(half.shape[:-1] + (n,), dtype=half.dtype)
     out[..., :h] = half
     # out(-k) = conj(out(k)) for k3 < 0.  Per axis, storage index i holds -k at
     # (n - i) % n: index 0 maps to itself and 1..n-1 to the reversed n-1..1.
@@ -219,10 +233,16 @@ def _mirror(half: np.ndarray, n: int) -> np.ndarray:
     for d1, s1 in zip(dst_axis, src_axis):
         for d2, s2 in zip(dst_axis, src_axis):
             np.conjugate(half[..., s1, s2, h - 2:0:-1], out=out[..., d1, d2, h:])
-    # the conjugate writes -0.0 where projecting the full spectrum leaves
-    # +0.0; adding +0.0 clears those signs and changes no other value
+    # the conjugate writes -0.0 where full-spectrum arithmetic leaves +0.0;
+    # adding +0.0 clears those signs and changes no other value
     out[..., h:] += 0.0
     return out
+
+
+def _full_sum(half: np.ndarray, n: int):
+    """Sum of a half-spectrum array over the whole lattice (the k3 < 0 block
+    as its mirror), added in full-spectrum storage order."""
+    return np.sum(_mirror(half, n))
 
 
 # ----------------------------------------------------------------------
@@ -231,10 +251,9 @@ def _mirror(half: np.ndarray, n: int) -> np.ndarray:
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm: ( sum_k (1+|k|^2)^s |uhat(k)|^2 )^(1/2)."""
     mag2 = (f.coeffs.real**2 + f.coeffs.imag**2).sum(axis=0)
-    if s == 0.0:
-        return float(np.sqrt(np.sum(mag2)))
-    weight = (1.0 + f.grid.k_squared) ** s
-    return float(np.sqrt(np.sum(weight * mag2)))
+    if s != 0.0:
+        mag2 *= (1.0 + f.grid.k_squared) ** s
+    return float(np.sqrt(_full_sum(mag2, f.grid.n)))
 
 
 def l2_norm(f: SpectralField) -> float:
@@ -244,7 +263,7 @@ def l2_norm(f: SpectralField) -> float:
 def inner_product(f: SpectralField, g: SpectralField) -> float:
     """Volume-normalized L2 inner product, evaluated on coefficients."""
     _require_same_grid(f, g)
-    return float(np.sum(f.coeffs * np.conj(g.coeffs)).real)
+    return float(_full_sum(f.coeffs * np.conj(g.coeffs), f.grid.n).real)
 
 
 def physical_l2_norm(f: PhysicalField) -> float:
@@ -266,11 +285,9 @@ def leray_project(f: SpectralField) -> SpectralField:
 
 
 def _leray(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """leray_project on a full spectrum or on its half [..., :n//2+1]."""
-    m = c.shape[-1]
+    """leray_project on half-spectrum coefficients."""
     k1, k2, k3 = grid.deriv_wavenumbers
-    k3 = k3[..., :m]
-    kk = grid.deriv_k_squared[..., :m]
+    kk = grid.deriv_k_squared
     kdotc = np.divide(k1 * c[0] + k2 * c[1] + k3 * c[2], kk,
                       out=np.zeros_like(c[0]), where=kk > 0.0)
     out = np.empty_like(c)
@@ -342,38 +359,34 @@ def divergence_defect(f: SpectralField) -> float:
     c = f.coeffs
     num = np.abs(k1 * c[0] + k2 * c[1] + k3 * c[2]) ** 2
     den = f.grid.deriv_k_squared * (np.abs(c) ** 2).sum(axis=0)
-    total = np.sum(den)
+    total = _full_sum(den, f.grid.n)
     if total == 0.0:
         return 0.0
-    return float(np.sqrt(np.sum(num) / total))
+    return float(np.sqrt(_full_sum(num, f.grid.n) / total))
 
 
 # ----------------------------------------------------------------------
 # nonlinearity
 
 def _advect_arrays(fc: np.ndarray, gc: np.ndarray, grid: GridSpec):
-    """Dealiased half spectrum of (f . grad) g, plus max |f| on the lattice.
-
-    f and g may be full or half spectra; only [..., :n//2+1] is read.
+    """Dealiased coefficients of (f . grad) g, plus max |f| on the lattice.
 
     Five transforms: f in, the gradient of each component of g in (three
-    fields per call, built on the half spectrum), the product out.
+    fields per call), the product out.
     """
     n = grid.n
-    h = n // 2 + 1
-    ik = [1j * k[..., :h] for k in grid.deriv_wavenumbers]
+    ik = [1j * k for k in grid.deriv_wavenumbers]
     fp = _to_physical(fc, n)
     fmax = float(np.sqrt((fp**2).sum(axis=0)).max())
     out_phys = np.empty_like(fp)
-    grad = np.empty((3, n, n, h), dtype=np.complex128)
+    grad = np.empty_like(gc)
     for i in range(3):
         for j in range(3):
-            np.multiply(ik[j], gc[i, ..., :h], out=grad[j])
+            np.multiply(ik[j], gc[i], out=grad[j])
         prod = _to_physical(grad, n)
         prod *= fp
         np.sum(prod, axis=0, out=out_phys[i])
-    out = _to_spectral(out_phys, n, grid.dealias_mask[..., :h])
-    return out, fmax
+    return _to_spectral(out_phys, grid.dealias_mask), fmax
 
 
 def _require_solenoidal(u: SpectralField, what: str):
@@ -385,7 +398,7 @@ def advect(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pseudospectral (f . grad) g with 2/3-rule dealiasing; no projection."""
     _require_same_grid(f, g)
     out, _ = _advect_arrays(f.coeffs, g.coeffs, f.grid)
-    return f.with_coeffs(_mirror(out, f.grid.n))
+    return f.with_coeffs(out)
 
 
 def nonlinear_term(u: SpectralField) -> SpectralField:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -63,3 +64,21 @@ def helpers():
             return diff_norm(a, b, s) / sobolev_norm(b, s)
 
     return H
+
+
+# Full-lattice (n, n, n) references for tests that compare the half-spectrum
+# code with the full-spectrum arithmetic it replaced.
+
+
+def full_k_squared(grid):
+    k1, k2, k3 = np.meshgrid(*(grid.axis_wavenumbers,) * 3, indexing="ij")
+    return k1 * k1 + k2 * k2 + k3 * k3
+
+
+def full_leray(c, grid):
+    """Leray projection of a full spectrum (3, n, n, n), in `spectral._leray`'s arithmetic."""
+    d1, d2, d3 = np.meshgrid(*(grid.deriv_axis_wavenumbers,) * 3, indexing="ij")
+    kk = d1 * d1 + d2 * d2 + d3 * d3
+    kdotc = np.divide(d1 * c[0] + d2 * c[1] + d3 * c[2], kk,
+                      out=np.zeros_like(c[0]), where=kk > 0.0)
+    return np.stack([c[i] - k * kdotc for i, k in enumerate((d1, d2, d3))])

@@ -124,3 +124,22 @@ def test_a_missing_or_extra_file_alone_is_a_difference(tmp_path, snapshot, capsy
     assert not artifacts.compare(b, a)
     out = capsys.readouterr().out
     assert "missing: abort.txt" in out and "extra: abort.txt" in out
+
+
+def test_reread_reports_a_snapshot_that_does_not_read_back(tmp_path, snapshot, capsys):
+    def nudge_lower_half(doubles):
+        # (component, k1, k2, k3, re/im) of the n = 4 full spectrum; k3 = -1
+        doubles.reshape(3, 4, 4, 4, 2)[0, 1, 1, 3, 0] += 1e-3
+
+    tree = _tree(tmp_path / "bad", {
+        "run/snap_000000.sns1": snapshot,
+        "run/snap_000001.sns1": _with_doubles(snapshot, nudge_lower_half),
+        "run/snap_000002.sns1": snapshot,
+        "run/diagnostics.csv": b"t,energy\n0,1\n",
+    })
+    assert not artifacts.reread(tree)
+    out = capsys.readouterr().out
+    assert "re-read: run/snap_000001.sns1: refused (" in out and "not a real field" in out
+    assert "re-read: 2 of 3 SNS1 files give their bytes back" in out
+    assert artifacts.reread(_tree(tmp_path / "ok", {"a.sns1": snapshot, "b.txt": b"x"}))
+    assert "re-read: 1 of 1 SNS1 files give their bytes back" in capsys.readouterr().out

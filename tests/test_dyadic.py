@@ -27,7 +27,7 @@ def single_mode(grid, k, component=1, amp=0.5):
     c = np.zeros((3, n, n, n), dtype=complex)
     c[component, k[0] % n, k[1] % n, k[2] % n] = amp
     c[component, -k[0] % n, -k[1] % n, -k[2] % n] = amp
-    return SpectralField(grid, c)
+    return SpectralField.from_full(grid, c)
 
 
 def test_chi_profile_values():
@@ -94,7 +94,7 @@ def test_block_index_range(grid16, random_fields_16):
 
 
 def test_zero_field_blocks(grid16):
-    zero = SpectralField(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
+    zero = SpectralField.from_full(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
     for j in block_weights(grid16):
         assert l2_norm(dyadic_block(zero, j)) == 0.0
 
@@ -127,7 +127,7 @@ def test_almost_orthogonality_range_100_fields(grid16):
 
 
 def test_almost_orthogonality_zero_field(grid16):
-    zero = SpectralField(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
+    zero = SpectralField.from_full(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
     with pytest.raises(ZeroField):
         almost_orthogonality_ratio(zero)
 
@@ -194,7 +194,7 @@ def test_paraproduct_reassembles_random(grid16, random_fields_16):
 
 
 def test_paraproduct_zero_field(grid16):
-    zero = SpectralField(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
+    zero = SpectralField.from_full(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
     p1, p2, p3 = paraproduct_decompose(zero)
     assert l2_norm(p1) == l2_norm(p2) == l2_norm(p3) == 0.0
 
@@ -204,7 +204,7 @@ def test_paraproduct_rejects_divergent(grid16):
     c[0, 1, 0, 0] = 1.0j
     c[0, -1, 0, 0] = -1.0j
     with pytest.raises(NotSolenoidal):
-        paraproduct_decompose(SpectralField(grid16, c))
+        paraproduct_decompose(SpectralField.from_full(grid16, c))
 
 
 def test_commutator_ratio_shear_vanishes(grid16):
@@ -226,7 +226,7 @@ def test_commutator_battery_envelope(grid16, advection_constant_16):
 def test_commutator_requires_supercritical_index(grid16, random_fields_16):
     with pytest.raises(ValueError):
         commutator_bound_ratio(random_fields_16[0], 1.0)
-    zero = SpectralField(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
+    zero = SpectralField.from_full(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
     with pytest.raises(ZeroField):
         commutator_bound_ratio(zero, 2.0)
 

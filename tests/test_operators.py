@@ -72,7 +72,7 @@ def test_smoothing_contraction_both_kinds(grid16, random_fields_16, kind):
 def test_smooth_constant_field_unchanged(grid8):
     c = np.zeros((3, 8, 8, 8), dtype=complex)
     c[0, 0, 0, 0] = 2.5
-    f = SpectralField(grid8, c)
+    f = SpectralField.from_full(grid8, c)
     out = smooth(f, MollifierSpec(0.3, "gaussian"))
     assert np.array_equal(out.coeffs, f.coeffs)
 
@@ -112,7 +112,7 @@ def test_regularize_annihilates_gradients(grid16):
     phi = np.fft.fftn(rng.standard_normal((16, 16, 16))) / 16**3
     scal = np.zeros((3, 16, 16, 16), dtype=complex)
     scal[0] = phi
-    grad = gradient(SpectralField(grid16, scal))
+    grad = gradient(SpectralField.from_full(grid16, scal))
     out = regularize(grad, MollifierSpec(0.1, "gaussian"))
     assert l2_norm(out) <= 1e-12 * max(l2_norm(grad), 1.0)
 

@@ -3,37 +3,35 @@ pipeline they replace.
 
 `_reference_blend` and `_reference_reconstruct` are the full-spectrum bodies
 of `blend` and `diagnostics._reconstruct` before the reconstruction moved to
-the half spectrum k3 >= 0: three `regularize`, the blend with its window
-pair and Leray projection, then `smooth`.  The half-spectrum path must give
-the same k3 >= 0 block bit for bit and the same full output up to the signs
-of zeros (`array_equal`), and it must never read an input's k3 < 0 half.
+the half spectrum k3 >= 0, on full (3, n, n, n) arrays: three `regularize`,
+the blend with its window pair and Leray projection, then `smooth`.  The
+half-spectrum path must give the same k3 >= 0 block bit for bit and the same
+full output up to the signs of zeros (`array_equal`).  A field has no k3 < 0
+half to read: a full array whose lower half is not the mirror of the rest is
+refused where it enters (`SpectralField.from_full`).
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import full_k_squared, full_leray
 from torusflow import (
     GridSpec,
     MollifierSpec,
-    PhysicalField,
     SolverParams,
     SpectralField,
     Trajectory,
     WeightPartition,
     blend,
-    forward_transform,
-    leray_project,
+    mollifier_symbol,
     random_solenoidal_init,
-    regularize,
     run,
-    smooth,
     unified_reconstruction,
 )
 from torusflow.diagnostics import _reconstruct
+from torusflow.errors import SymmetryViolation
 from torusflow.operators import band_weights, spatial_window
-from torusflow.spectral import _to_physical
+from torusflow.spectral import _mirror, _to_physical, _to_spectral
 
 GRIDS = (4, 6, 8, 12, 16)
 KINDS = ("gaussian", "bump")
@@ -41,20 +39,22 @@ EPS = (0.5, 0.1, 2.0**-8)
 SCHEMES = ("weak-galerkin", "mild-duhamel", "strong-imex")
 
 
-def _reference_blend(low, mid, high, w, spec):
-    """Full-spectrum `blend`: weighted sum, window pair, Leray."""
-    ww, wm, ws = band_weights(w, low.grid.k_magnitude)
-    g = low.with_coeffs(ww * low.coeffs + wm * mid.coeffs + ws * high.coeffs)
-    grid = low.grid
+def _reference_blend(grid, low, mid, high, w, spec):
+    """Full-spectrum `blend` of full arrays: weighted sum, window pair, Leray."""
+    n, h = grid.n, grid.n // 2 + 1
+    ww, wm, ws = band_weights(w, np.sqrt(full_k_squared(grid)))
+    g = ww * low + wm * mid + ws * high
     win = spatial_window(spec, grid)
-    smeared = forward_transform(PhysicalField(grid, win * _to_physical(g.coeffs, grid.n)))
-    return leray_project(g.with_coeffs(smeared.coeffs))
+    smeared = _mirror(_to_spectral(win * _to_physical(g[..., :h], n)), n)
+    return full_leray(smeared, grid)
 
 
 def _reference_reconstruct(fs, w, spec):
     """Full-spectrum `_reconstruct`: three `regularize`, `blend`, `smooth`."""
-    rw, rm, rs = (regularize(f, spec) for f in fs)
-    return replace(smooth(_reference_blend(rw, rm, rs, w, spec), spec), time=fs[1].time)
+    grid = fs[0].grid
+    sym = mollifier_symbol(spec, np.sqrt(full_k_squared(grid)))
+    rw, rm, rs = (full_leray(f.full() * sym, grid) for f in fs)
+    return _reference_blend(grid, rw, rm, rs, w, spec) * sym
 
 
 def _weights(n: int) -> WeightPartition:
@@ -62,29 +62,26 @@ def _weights(n: int) -> WeightPartition:
     return WeightPartition(n / 8.0, 3.0 * n / 8.0)
 
 
-def _half_bits(f: SpectralField) -> np.ndarray:
-    return np.ascontiguousarray(f.coeffs[..., : f.grid.n // 2 + 1]).view(np.uint64)
-
-
-def _assert_same(new: SpectralField, ref: SpectralField):
-    assert new.grid == ref.grid and new.time == ref.time
-    np.testing.assert_array_equal(_half_bits(new), _half_bits(ref))
-    assert np.array_equal(new.coeffs, ref.coeffs)
+def _assert_same(new: SpectralField, ref: np.ndarray):
+    half = np.ascontiguousarray(ref[..., : new.grid.n // 2 + 1])
+    np.testing.assert_array_equal(new.coeffs.view(np.uint64), half.view(np.uint64))
+    assert np.array_equal(new.full(), ref)
 
 
 def _noise(grid: GridSpec, seed: int, time: float = 0.0) -> SpectralField:
-    """Arbitrary complex coefficients: neither Hermitian nor solenoidal."""
+    """Arbitrary complex coefficients: not solenoidal, and not Hermitian on the
+    self-conjugate planes k3 = 0 and k3 = n/2."""
     rng = np.random.default_rng(seed)
-    shape = (3, grid.n, grid.n, grid.n)
+    shape = (3, grid.n, grid.n, grid.n // 2 + 1)
     return SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), time)
 
 
-def _scramble_lower_half(f: SpectralField, seed: int) -> SpectralField:
-    """f with its k3 < 0 block overwritten by other values."""
-    c = f.coeffs.copy()
+def _scramble_lower_half(f: SpectralField, seed: int) -> np.ndarray:
+    """The full spectrum of f with its k3 < 0 block overwritten by other values."""
+    c = f.full()
     h = f.grid.n // 2 + 1
-    c[..., h:] = _noise(f.grid, seed).coeffs[..., h:]
-    return f.with_coeffs(c)
+    c[..., h:] = _noise(f.grid, seed).full()[..., h:]
+    return c
 
 
 def _scheme_trajectories(grid: GridSpec) -> tuple[Trajectory, ...]:
@@ -116,6 +113,7 @@ def test_unified_reconstruction_matches_full_spectrum_pipeline(source, n, kind):
         merged = unified_reconstruction(*trajs, w, spec)
         for m, fs in enumerate(zip(*[t.snapshots for t in trajs])):
             ref = _reference_reconstruct(fs, w, spec)
+            assert merged[m].time == _reconstruct(fs, w, spec).time == fs[1].time
             _assert_same(merged[m], ref)
             _assert_same(_reconstruct(fs, w, spec), ref)
 
@@ -130,26 +128,23 @@ def test_blend_matches_full_spectrum_blend(n, kind):
     for eps in EPS:
         spec = MollifierSpec(eps, kind)
         for fields in (solenoidal, noise):
-            _assert_same(blend(*fields, w, spec), _reference_blend(*fields, w, spec))
+            ref = _reference_blend(grid, *(f.full() for f in fields), w, spec)
+            _assert_same(blend(*fields, w, spec), ref)
 
 
 @pytest.mark.parametrize("n", (6, 8))
-def test_blend_and_reconstruction_never_read_the_lower_half(n):
+def test_a_scrambled_lower_half_is_refused_where_it_enters(n):
+    # blend and the reconstruction read fields, and a field is its half
+    # spectrum: the only way in for a full array is from_full, which refuses a
+    # k3 < 0 block that is not the mirror of the rest
     grid = GridSpec(n)
-    w = _weights(n)
-    spec = MollifierSpec(0.1, "bump")
-    fields = tuple(_noise(grid, seed) for seed in range(3))
-    scrambled = tuple(_scramble_lower_half(f, 100 + i) for i, f in enumerate(fields))
-    assert not any(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(fields, scrambled))
-    np.testing.assert_array_equal(blend(*fields, w, spec).coeffs.view(np.uint64),
-                                  blend(*scrambled, w, spec).coeffs.view(np.uint64))
-
-    trajs = _noise_trajectories(grid)
-    other = [
-        Trajectory(t.params, [_scramble_lower_half(s, 200 + 10 * i + m)
-                              for m, s in enumerate(t.snapshots)])
-        for i, t in enumerate(trajs)
-    ]
-    for a, b in zip(unified_reconstruction(*trajs, w, spec),
-                    unified_reconstruction(*other, w, spec)):
-        np.testing.assert_array_equal(a.coeffs.view(np.uint64), b.coeffs.view(np.uint64))
+    snapshots = [s for t in _scheme_trajectories(grid) for s in t.snapshots]
+    for f in snapshots:
+        back = SpectralField.from_full(grid, f.full())
+        np.testing.assert_array_equal(back.coeffs.view(np.uint64), f.coeffs.view(np.uint64))
+    noise = [_noise(grid, seed) for seed in range(3)]
+    for i, f in enumerate(snapshots + noise):
+        scrambled = _scramble_lower_half(f, 100 + i)
+        assert not np.array_equal(scrambled, f.full())
+        with pytest.raises(SymmetryViolation):
+            SpectralField.from_full(grid, scrambled)

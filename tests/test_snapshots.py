@@ -200,6 +200,24 @@ def test_snapshot_rejects_false_mean_free_flag(tmp_path, grid8):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize("edit", ["nudged", "overflowing"])
+def test_snapshot_rejects_a_lower_half_that_is_not_the_mirror(tmp_path, grid8, edit):
+    # the file holds the full spectrum but a field only its half k3 >= 0: a
+    # k3 < 0 block that is not the mirror of the rest is refused, not dropped
+    raw = snapshot_bytes(random_solenoidal_init(grid8, 2.0, 8))
+    coeffs = np.frombuffer(raw, dtype="<c16", offset=25).reshape(3, 8, 8, 8).copy()
+    if edit == "nudged":
+        coeffs[0, 1, 2, -1] += 1e-3  # Hermitian defect about 6e-3
+    else:
+        coeffs[0, 1, 2, -1] = 1e308 + 1e308j  # finite, but the defect is NaN
+    path = tmp_path / f"{edit}.sns1"
+    # no flags, so only the realness check can refuse the file
+    path.write_bytes(raw[:24] + bytes(1) + coeffs.astype("<c16").tobytes())
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=f"{edit}.sns1: not a real field"):
+            read_snapshot(path)
+
+
 N4_SIZE = 25 + 3 * 4**3 * 16
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import full_k_squared, full_leray
 from torusflow import (
     PhysicalField,
     SolverParams,
@@ -91,7 +92,7 @@ def test_step_strong_shear_exact_decay(grid8):
 
 
 def test_step_zero_field_stays_zero(grid8):
-    zero = SpectralField(grid8, np.zeros((3, 8, 8, 8), dtype=complex))
+    zero = SpectralField.from_full(grid8, np.zeros((3, 8, 8, 8), dtype=complex))
     p = SolverParams(nu=1.0, dt=1e-2, t_end=1.0)
     assert l2_norm(step_strong(zero, p)) == 0.0
     assert l2_norm(step_mild(zero, p)) == 0.0
@@ -105,8 +106,7 @@ def test_step_strong_matches_convolution_oracle(grid16):
     p = SolverParams(nu=nu, dt=dt, t_end=dt, scheme="strong-imex")
 
     def oracle_rhs(u):
-        nl = convolution_nonlinear_term(u)
-        return -nl.coeffs
+        return -SpectralField.from_full(u.grid, convolution_nonlinear_term(u)).coeffs
 
     decay = np.exp(-nu * dt * grid16.k_squared)
     n0 = oracle_rhs(tg)
@@ -309,19 +309,17 @@ def test_non_finite_datum_raises(grid8):
 
 
 def test_non_real_datum_raises(grid8):
-    # run reads only the datum's half spectrum k3 >= 0; a datum whose other
-    # half is not its mirror is refused, not silently repaired
+    # a field stores only its half spectrum k3 >= 0; a full datum whose other
+    # half is not its mirror is refused where it enters, not silently repaired
     rng = np.random.default_rng(7)
     arbitrary = rng.standard_normal((3, 8, 8, 8)) + 1j * rng.standard_normal((3, 8, 8, 8))
-    corrupt = taylor_green_init(grid8).coeffs.copy()
+    corrupt = taylor_green_init(grid8).full()
     corrupt[0, 1, 1, -1] += 1e-3
-    nan_mirror = taylor_green_init(grid8).coeffs.copy()
+    nan_mirror = taylor_green_init(grid8).full()
     nan_mirror[0, 1, 1, -1] = np.nan
     for c in (arbitrary, corrupt, nan_mirror):
-        for scheme in solvers.SCHEMES:
-            with pytest.raises(SymmetryViolation):
-                run(SpectralField(grid8, c), SolverParams(nu=0.1, dt=1e-3, t_end=1e-3,
-                                                          scheme=scheme))
+        with pytest.raises(SymmetryViolation):
+            SpectralField.from_full(grid8, c)
 
 
 def test_forcing_on_another_grid_is_refused():
@@ -357,7 +355,7 @@ def test_every_mirrored_zero_is_positive(init):
         p = SolverParams(nu=0.1, dt=1e-3, t_end=5e-3, scheme=scheme, galerkin_modes=cutoff)
         built += run(u0, p, cadence=2).snapshots
     assert len(built) == 4 + 3 * 4
-    assert [_negative_mirrored_zeros(f.coeffs) for f in built] == [0] * len(built)
+    assert [_negative_mirrored_zeros(f.full()) for f in built] == [0] * len(built)
 
 
 def test_blowup_partial_holds_only_guarded_snapshots(tmp_path, grid8, monkeypatch):
@@ -468,57 +466,57 @@ def test_divergent_field_is_rejected_by_every_checked_entry(grid8):
 
 # ----------------------------------------------------------------------
 # the full-spectrum step bodies and run's post-step lines that the
-# half-spectrum steps replaced, kept as bit-level references
+# half-spectrum steps replaced, kept as bit-level references on full
+# (3, n, n, n) arrays
 
-def _reference_rhs(u, p):
-    adv = _mirror(_advect_arrays(u.coeffs, u.coeffs, u.grid)[0], u.grid.n)
-    rhs = -leray_project(u.with_coeffs(adv)).coeffs
+def _reference_rhs(c, grid, p):
+    h = grid.n // 2 + 1
+    adv = _mirror(_advect_arrays(c[..., :h], c[..., :h], grid)[0], grid.n)
+    rhs = -full_leray(adv, grid)
     if p.forcing is not None:
-        rhs = rhs + p.forcing.coeffs
+        rhs = rhs + p.forcing.full()
     return rhs
 
 
-def _reference_step_strong(u, p):
-    n0 = _reference_rhs(u, p)
-    decay = np.exp(-p.nu * p.dt * u.grid.k_squared)
-    pred = u.with_coeffs(decay * (u.coeffs + p.dt * n0))
-    n1 = _reference_rhs(pred, p)
-    out = decay * u.coeffs + 0.5 * p.dt * (decay * n0 + n1)
-    return u.with_coeffs(out, time=u.time + p.dt)
+def _reference_step_strong(c, grid, p):
+    n0 = _reference_rhs(c, grid, p)
+    decay = np.exp(-p.nu * p.dt * full_k_squared(grid))
+    n1 = _reference_rhs(decay * (c + p.dt * n0), grid, p)
+    return decay * c + 0.5 * p.dt * (decay * n0 + n1)
 
 
-def _reference_step_mild(u, p):
-    n0 = _reference_rhs(u, p)
-    z = -p.nu * p.dt * u.grid.k_squared
+def _reference_step_mild(c, grid, p):
+    n0 = _reference_rhs(c, grid, p)
+    z = -p.nu * p.dt * full_k_squared(grid)
     decay = np.exp(z)
     phi1 = solvers._phi1(z)
-    predictor = decay * u.coeffs + p.dt * phi1 * n0
-    n1 = _reference_rhs(u.with_coeffs(predictor), p)
-    out = predictor + p.dt * solvers._phi2(z) * (n1 - n0)
-    return u.with_coeffs(out, time=u.time + p.dt)
+    predictor = decay * c + p.dt * phi1 * n0
+    n1 = _reference_rhs(predictor, grid, p)
+    return predictor + p.dt * solvers._phi2(z) * (n1 - n0)
 
 
-def _reference_settle(u, mask):
-    u = zero_mean(leray_project(u))
+def _reference_settle(c, grid, mask):
+    out = full_leray(c, grid)
+    out[:, 0, 0, 0] = 0.0
     if mask is not None:
-        u = u.with_coeffs(u.coeffs * mask)
-    return u
+        out = out * mask
+    return out
 
 
 def _reference_run(u0, p, cadence):
+    """(time, full spectrum) of each snapshot of the full-spectrum loop."""
+    grid = u0.grid
     steps = solvers.step_count(p.t_end, p.dt)
     mask = None
     if p.scheme == "weak-galerkin" and p.galerkin_modes is not None:
-        mask = (u0.grid.k_squared <= p.galerkin_modes).astype(np.float64)
-    u = _reference_settle(u0, mask)
-    t0 = u.time
+        mask = (full_k_squared(grid) <= p.galerkin_modes).astype(np.float64)
+    c = _reference_settle(u0.full(), grid, mask)
     step = _reference_step_mild if p.scheme == "mild-duhamel" else _reference_step_strong
-    snapshots = [u]
+    snapshots = [(u0.time, c)]
     for m in range(1, steps + 1):
-        u = _reference_settle(step(u, p), mask)
-        u = u.with_coeffs(u.coeffs, time=t0 + m * p.dt)
+        c = _reference_settle(step(c, grid, p), grid, mask)
         if m % cadence == 0 or m == steps:
-            snapshots.append(u)
+            snapshots.append((u0.time + m * p.dt, c))
     return snapshots
 
 
@@ -548,9 +546,9 @@ def test_half_spectrum_steps_match_full_spectrum_steps_bitwise(n, scheme, forced
     }[scheme]
     for _ in range(2):
         got = step(u, p)
-        want = _reference_settle(ref(u, p), None)
-        assert got.time == want.time
-        assert np.array_equal(_bits(got.coeffs), _bits(want.coeffs))
+        want = _reference_settle(ref(u.full(), grid, p), grid, None)
+        assert got.time == u.time + p.dt
+        assert np.array_equal(_bits(got.full()), _bits(want))
         u = got
 
 
@@ -561,7 +559,11 @@ def test_run_writes_the_full_spectrum_loops_bytes(scheme):
     got = run(u0, p, cadence=3).snapshots
     want = _reference_run(u0, p, cadence=3)
     assert len(got) == len(want) == 5
-    assert [snapshot_bytes(s, p.nu) for s in got] == [snapshot_bytes(s, p.nu) for s in want]
+    assert [s.time for s in got] == [t for t, _ in want]
+    header = len(snapshot_bytes(u0)) - 3 * 8**3 * 16
+    assert [snapshot_bytes(s, p.nu)[header:] for s in got] == [
+        c.astype("<c16").tobytes() for _, c in want
+    ]
 
 
 @pytest.mark.parametrize("init", ["taylor-green", "random"])
@@ -573,8 +575,9 @@ def test_galerkin_cutoff_differs_from_full_spectrum_loop_only_in_zero_signs(init
     p = SolverParams(nu=0.1, dt=1e-3, t_end=1e-2, scheme="weak-galerkin", galerkin_modes=4.0)
     got = run(u0, p, cadence=3).snapshots
     want = _reference_run(u0, p, cadence=3)
-    assert [s.time for s in got] == [s.time for s in want]
-    for a, b in zip(got, want):
-        assert np.array_equal(a.coeffs, b.coeffs)
-        differ = _bits(a.coeffs) != _bits(b.coeffs)
-        assert np.all(a.coeffs.view(np.float64)[differ] == 0.0)
+    assert [s.time for s in got] == [t for t, _ in want]
+    for a, (_, b) in zip(got, want):
+        a = a.full()
+        assert np.array_equal(a, b)
+        differ = _bits(a) != _bits(b)
+        assert np.all(a.view(np.float64)[differ] == 0.0)

@@ -33,6 +33,7 @@ from torusflow import (
     sobolev_norm,
     taylor_green_init,
     weak_test_battery,
+    zero_mean,
 )
 from torusflow.diagnostics import convergence_study, residual_defects
 from torusflow.dyadic import commutator_bound_ratio
@@ -104,30 +105,30 @@ def test_inverse_of_single_mode_is_sine(grid8):
     c = np.zeros((3, 8, 8, 8), dtype=complex)
     c[0, 1, 0, 0] = -0.5j
     c[0, -1, 0, 0] = 0.5j
-    phys = inverse_transform(SpectralField(grid8, c))
+    phys = inverse_transform(SpectralField.from_full(grid8, c))
     x1 = grid8.coordinates[0]
     np.testing.assert_allclose(phys.samples[0], np.sin(x1), atol=1e-14)
     assert np.max(np.abs(phys.samples[1:])) < 1e-15
 
 
 def test_inverse_zero_field(grid8):
-    phys = inverse_transform(SpectralField(grid8, np.zeros((3, 8, 8, 8), dtype=complex)))
+    phys = inverse_transform(SpectralField.from_full(grid8, np.zeros((3, 8, 8, 8), dtype=complex)))
     assert np.all(phys.samples == 0.0)
 
 
-def test_inverse_rejects_broken_symmetry(grid8):
+def test_from_full_rejects_broken_symmetry(grid8):
     c = np.zeros((3, 8, 8, 8), dtype=complex)
     c[0, 1, 0, 0] = 1.0  # no conjugate partner
     with pytest.raises(SymmetryViolation):
-        inverse_transform(SpectralField(grid8, c))
+        SpectralField.from_full(grid8, c)
 
 
-def test_inverse_rejects_infinite_coefficient(grid8):
+def test_from_full_rejects_infinite_coefficient(grid8):
     # inf - inf makes the Hermitian defect NaN, which must not pass
     c = np.zeros((3, 8, 8, 8), dtype=complex)
     c[0, 1, 0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(SymmetryViolation):
-        inverse_transform(SpectralField(grid8, c))
+        SpectralField.from_full(grid8, c)
 
 
 def test_sobolev_norm_shear_values(grid16):
@@ -153,7 +154,7 @@ def test_leray_annihilates_k_parallel_part(grid8):
     c[1, 1, 0, 0] = 1.0
     c[0, -1, 0, 0] = 1.0
     c[1, -1, 0, 0] = 1.0
-    out = leray_project(SpectralField(grid8, c))
+    out = leray_project(SpectralField.from_full(grid8, c))
     # k = (1,0,0): component along k removed, transverse kept
     np.testing.assert_allclose(out.coeffs[0, 1, 0, 0], 0.0, atol=1e-15)
     np.testing.assert_allclose(out.coeffs[1, 1, 0, 0], 1.0, atol=1e-15)
@@ -164,7 +165,7 @@ def test_leray_annihilates_gradients(grid16):
     phi = np.fft.fftn(rng.standard_normal((16, 16, 16))) / 16**3
     scal = np.zeros((3, 16, 16, 16), dtype=complex)
     scal[0] = phi
-    grad = gradient(SpectralField(grid16, scal))
+    grad = gradient(SpectralField.from_full(grid16, scal))
     out = leray_project(grad)
     assert l2_norm(out) <= 1e-12 * max(l2_norm(grad), 1.0)
 
@@ -260,7 +261,7 @@ def test_nonlinear_rejects_divergent_input(grid8):
     c[0, 1, 0, 0] = 1.0j
     c[0, -1, 0, 0] = -1.0j  # gradient-like: k . uhat != 0
     with pytest.raises(NotSolenoidal):
-        nonlinear_term(SpectralField(grid8, c))
+        nonlinear_term(SpectralField.from_full(grid8, c))
 
 
 def test_nonlinear_rejects_overflowing_divergent_input(grid8):
@@ -328,7 +329,7 @@ def test_pseudospectral_matches_convolution_across_grids(n):
     grid = GridSpec(n)
     u = leray_project(dealias_op(random_solenoidal_init(grid, 1.5, n)))
     fast = nonlinear_term(u)
-    slow = convolution_nonlinear_term(u)
+    slow = SpectralField.from_full(grid, convolution_nonlinear_term(u))
     gap = l2_norm(fast.with_coeffs(fast.coeffs - slow.coeffs))
     assert gap <= 1e-12 * max(l2_norm(slow), 1e-300)
 
@@ -374,14 +375,18 @@ def _complex_kernel(fc, gc, grid):
         for j in range(3):
             acc += fp[j] * (np.fft.ifftn(1j * kk[j] * gc[i]).real * n**3)
         out_phys[i] = acc
-    return np.fft.fftn(out_phys, axes=(1, 2, 3)) / n**3 * grid.dealias_mask, fmax
+    cut = DEALIAS_FRACTION * n / 2.0
+    k1, k2, k3 = _full_grids(grid.axis_wavenumbers)
+    mask = (np.abs(k1) <= cut) & (np.abs(k2) <= cut) & (np.abs(k3) <= cut)
+    return np.fft.fftn(out_phys, axes=(1, 2, 3)) / n**3 * mask, fmax
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 16, 32])
 def test_half_spectrum_kernel_matches_complex_kernel(n):
     grid = GridSpec(n)
     f, g = _white_spectrum(n, 2 * n), _white_spectrum(n, 2 * n + 1)
-    half, fmax = _advect_arrays(f, g, grid)
+    h = n // 2 + 1
+    half, fmax = _advect_arrays(f[..., :h], g[..., :h], grid)
     fast = _mirror(half, n)
     slow, slow_fmax = _complex_kernel(f, g, grid)
     assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
@@ -393,16 +398,15 @@ def test_real_transform_pair_matches_complex_transforms(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal((3, n, n, n))
     ref = np.fft.fftn(x, axes=(1, 2, 3)) / n**3
-    c = _mirror(_to_spectral(x, n), n)
+    c = _mirror(_to_spectral(x), n)
     assert np.max(np.abs(c - ref)) <= 1e-13 * np.max(np.abs(ref))
     # the k3 < 0 half is the exact conjugate mirror of the transformed half
     h = n // 2 + 1
     mirror = np.conj(np.roll(c[:, ::-1, ::-1, ::-1], (1, 1, 1), axis=(1, 2, 3)))
     assert np.array_equal(c[..., h:], mirror[..., h:])
-    # synthesis reads the half spectrum only, from a full or a half array
-    back = _to_physical(ref, n)
+    # synthesis from the half spectrum
+    back = _to_physical(np.ascontiguousarray(ref[..., :h]), n)
     assert np.max(np.abs(back - np.fft.ifftn(ref, axes=(1, 2, 3)).real * n**3)) <= 1e-13
-    assert np.array_equal(_to_physical(np.ascontiguousarray(ref[..., :h]), n), back)
 
 
 @pytest.mark.parametrize("n", [6, 16])
@@ -414,37 +418,132 @@ def test_leray_matches_two_pass_formula(n):
     safe = np.where(kk > 0.0, kk, 1.0)
     kdotc = np.where(kk > 0.0, (k1 * c[0] + k2 * c[1] + k3 * c[2]) / safe, 0.0)
     old = np.stack((c[0] - k1 * kdotc, c[1] - k2 * kdotc, c[2] - k3 * kdotc))
-    assert divergence_defect(SpectralField(grid, c)) > 0.1
-    assert np.array_equal(leray_project(SpectralField(grid, c)).coeffs, old)
+    field = SpectralField.from_full(grid, c)
+    assert divergence_defect(field) > 0.1
+    assert np.array_equal(leray_project(field).coeffs, old[..., : n // 2 + 1])
 
 
 @pytest.mark.parametrize("n", [4, 6, 16])
 def test_broadcast_wavenumber_grids_match_full_grids(n):
+    # the grid's arrays cover the stored half k3 >= 0 of the full grids
     grid = GridSpec(n)
-    shapes = ((n, 1, 1), (1, n, 1), (1, 1, n))
+    h = n // 2 + 1
+    shapes = ((n, 1, 1), (1, n, 1), (1, 1, h))
     for views, k in (
         (grid.wavenumbers, grid.axis_wavenumbers),
         (grid.deriv_wavenumbers, grid.deriv_axis_wavenumbers),
     ):
         for view, shape, full in zip(views, shapes, _full_grids(k)):
             assert view.shape == shape and not view.flags.writeable
-            assert np.array_equal(np.broadcast_to(view, (n, n, n)), full)
+            assert np.array_equal(np.broadcast_to(view, (n, n, h)), full[..., :h])
     k1, k2, k3 = _full_grids(grid.axis_wavenumbers)
-    assert np.array_equal(grid.k_squared, k1 * k1 + k2 * k2 + k3 * k3)
+    assert np.array_equal(grid.k_squared, (k1 * k1 + k2 * k2 + k3 * k3)[..., :h])
     d1, d2, d3 = _full_grids(grid.deriv_axis_wavenumbers)
-    assert np.array_equal(grid.deriv_k_squared, d1 * d1 + d2 * d2 + d3 * d3)
+    assert np.array_equal(grid.deriv_k_squared, (d1 * d1 + d2 * d2 + d3 * d3)[..., :h])
     assert not grid.deriv_k_squared.flags.writeable
 
 
 def test_coefficients_are_read_only(grid8):
     # no in-place edit can outlive the flags a field was built with
     u = random_solenoidal_init(grid8, 2.0, 1)
-    built = SpectralField(grid8, np.zeros((3, 8, 8, 8), dtype=complex))
+    built = SpectralField.from_full(grid8, np.zeros((3, 8, 8, 8), dtype=complex))
     for f in (u, u.with_coeffs(2.0 * u.coeffs), leray_project(u), built):
         with pytest.raises(ValueError):
             f.coeffs[0, 1, 0, 0] = 1.0
         with pytest.raises(ValueError):
             f.coeffs *= 2.0
+
+
+# ----------------------------------------------------------------------
+# storage: a field is its half spectrum k3 >= 0; full arrays enter through
+# `SpectralField.from_full` and leave through `SpectralField.full`
+
+
+def _every_field_output(grid, tmp_path):
+    """Fields returned by each public function that returns fields."""
+    from torusflow import (
+        WeightPartition,
+        binary_blend,
+        blend,
+        dyadic_block,
+        paraproduct_decompose,
+        pressure_solve,
+        reassemble,
+        regularize,
+        step_mild,
+        step_strong,
+        unified_reconstruction,
+        weighted_blend,
+    )
+    from torusflow.snapshots import read_snapshot, write_snapshot
+
+    u, v = random_solenoidal_init(grid, 2.0, 1), taylor_green_init(grid)
+    spec, w = MollifierSpec(0.3), WeightPartition(1.0, 3.0)
+    p = SolverParams(nu=0.1, dt=1e-3, t_end=2e-3, forcing=shear_init(grid))
+    traj = run(u, p)
+    write_snapshot(tmp_path / "u.sns1", u)
+    return [
+        u, v, shear_init(grid), forward_transform(inverse_transform(u)),
+        leray_project(u), heat_semigroup(u, 1.0, 0.1), divergence(u), gradient(u), curl(u),
+        dealias(u), zero_mean(u), advect(u, v), nonlinear_term(u), step_strong(u, p),
+        step_mild(u, p), *traj.snapshots, p.forcing, pressure_solve(u), smooth(u, spec),
+        regularize(u, spec), weighted_blend(u, v, u, w), blend(u, v, u, w, spec),
+        binary_blend(u, v, spec), dyadic_block(u, 1), reassemble(u), *paraproduct_decompose(u),
+        *unified_reconstruction(traj, traj, traj, w, spec), *weak_test_battery(grid),
+        read_snapshot(tmp_path / "u.sns1")[0], SpectralField.from_full(grid, u.full()),
+    ]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_every_returned_field_is_half_shaped_and_read_only(n, tmp_path):
+    fields = _every_field_output(GridSpec(n), tmp_path)
+    assert len(fields) == 47
+    for f in fields:
+        assert f.coeffs.shape == (3, n, n, n // 2 + 1) and f.coeffs.dtype == np.complex128
+        assert not f.coeffs.flags.writeable
+
+
+def _bits(c):
+    return np.ascontiguousarray(c).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
+def test_from_full_inverts_full_bitwise(n):
+    grid = GridSpec(n)
+    white = np.random.default_rng(n).standard_normal((3, n, n, n))
+    sources = [forward_transform(PhysicalField(grid, white)), random_solenoidal_init(grid, 2.0, n)]
+    for scheme in ("strong-imex", "mild-duhamel"):
+        p = SolverParams(nu=0.1, dt=1e-3, t_end=3e-3, scheme=scheme)
+        sources += run(random_solenoidal_init(grid, 2.0, n + 1), p).snapshots
+    for f in sources:
+        full = f.full()
+        assert full.shape == (3, n, n, n)
+        back = SpectralField.from_full(grid, full, f.time)
+        assert np.array_equal(back.full(), full) and back.time == f.time
+        np.testing.assert_array_equal(_bits(back.full()), _bits(full))
+        np.testing.assert_array_equal(_bits(back.coeffs), _bits(f.coeffs))
+        assert hermitian_defect(f) <= 1e-13
+
+
+def test_constructor_takes_only_the_half_spectrum(grid8):
+    # no dispatch on shape: a full spectrum goes through from_full
+    full = taylor_green_init(grid8).full()
+    for c in (full, full[..., :4], full[..., :6], full[0]):
+        with pytest.raises(ValueError):
+            SpectralField(grid8, c)
+    with pytest.raises(ValueError):
+        SpectralField.from_full(grid8, full[..., :5])
+
+
+def test_half_stored_field_departs_from_realness_only_on_self_conjugate_planes(grid8):
+    # k and -k are both stored on the planes k3 = 0 and k3 = n/2 only
+    c = taylor_green_init(grid8).coeffs.copy()
+    c[0, 1, 2, 1] += 1.0  # a k3 = 1 mode: its mirror is built from it
+    assert hermitian_defect(SpectralField(grid8, c)) == 0.0
+    for k3 in (0, 4):
+        c = taylor_green_init(grid8).coeffs.copy()
+        c[0, 1, 2, k3] += 1.0
+        assert hermitian_defect(SpectralField(grid8, c)) > 0.1
 
 
 _finite_or_tie = st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, -math.inf]))

@@ -5,11 +5,13 @@
 Runs every case below through the CLI, in this process, with torusflow
 imported from SRC (default: this checkout's ``src``), writing each case's
 artifacts under OUT/<case>.  Prints one ``sha256  path`` line per file and
-a summary line.  With ``--against DIR`` (an OUT written earlier, for
-example by another checkout via ``--src``) it also compares the two trees
-byte by byte, names the first differing file, and says for each differing
-SNS1 snapshot whether the difference is confined to the sign bits of zero
-coefficients.  Exit code 0 when nothing differs, 1 otherwise.
+a summary line.  Every SNS1 snapshot written is read back with
+``read_snapshot`` and re-encoded with ``snapshot_bytes``, and must give its
+own bytes.  With ``--against DIR`` (an OUT written earlier, for example by
+another checkout via ``--src``) it also compares the two trees byte by byte,
+names the first differing file, and says for each differing SNS1 snapshot
+whether the difference is confined to the sign bits of zero coefficients.
+Exit code 0 when every snapshot reads back and nothing differs, 1 otherwise.
 
 The cases are the four benchmark workload configs (perfbench/workloads.py)
 at seeds 0 and 1, ``convergence`` with both mollifiers, ``blocks`` with
@@ -104,6 +106,27 @@ def zero_sign_doubles(a: bytes, b: bytes) -> int | None:
     return None
 
 
+def reread(tree: Path) -> bool:
+    """Read every SNS1 file under tree and re-encode it; True when each gives its bytes back."""
+    from torusflow.snapshots import read_snapshot, snapshot_bytes
+
+    names = [rel for rel in files(tree) if rel.endswith(".sns1")]
+    bad = 0
+    for rel in names:
+        raw = (tree / rel).read_bytes()
+        try:
+            field, nu = read_snapshot(tree / rel)
+        except ValueError as exc:
+            problem = f"refused ({exc})"
+        else:
+            problem = None if snapshot_bytes(field, nu) == raw else "re-encodes to other bytes"
+        if problem is not None:
+            bad += 1
+            print(f"re-read: {rel}: {problem}")
+    print(f"re-read: {len(names) - bad} of {len(names)} SNS1 files give their bytes back")
+    return bad == 0
+
+
 def compare(tree: Path, other: Path) -> bool:
     ours, theirs = files(tree), files(other)
     missing = sorted(set(theirs) - set(ours))
@@ -151,9 +174,10 @@ def main(argv: list[str] | None = None) -> int:
     print(manifest, end="")
     print(f"artifacts: {manifest.count(chr(10))} files in {len(cases())} cases, "
           f"manifest sha256 {hashlib.sha256(manifest.encode()).hexdigest()}")
-    if args.against is None:
-        return 0
-    return 0 if compare(out, args.against.resolve()) else 1
+    same = reread(out)
+    if args.against is not None:
+        same = compare(out, args.against.resolve()) and same
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
