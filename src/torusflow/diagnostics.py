@@ -40,7 +40,8 @@ from .spectral import (
     GridSpec,
     PhysicalField,
     SpectralField,
-    _full_sum,
+    _lattice_sum,
+    _power_sum,
     _require_same_grid,
     _worst,
     advect,
@@ -93,8 +94,7 @@ def kinetic_energy(u: SpectralField) -> float:
 
 def enstrophy(u: SpectralField) -> float:
     """||grad u||_L2^2 = sum_k |k|^2 |uhat(k)|^2."""
-    mag2 = (np.abs(u.coeffs) ** 2).sum(axis=0)
-    return float(_full_sum(u.grid.k_squared * mag2, u.grid.n))
+    return _power_sum(u.coeffs, u.grid, u.grid.k_squared)
 
 
 # ----------------------------------------------------------------------
@@ -273,8 +273,8 @@ def residual_defects(
             if b != 0.0:
                 term -= b * inner_product(conv, mode)
                 # <grad u, grad v> = sum_k |k|^2 uhat . conj(vhat)
-                term -= p.nu * b * float(
-                    _full_sum(k2 * (u.coeffs * np.conj(mode.coeffs)).sum(axis=0), grid.n).real
+                term -= p.nu * b * _lattice_sum(
+                    k2 * (u.coeffs * np.conj(mode.coeffs)).real, grid.n
                 )
                 if p.forcing is not None:
                     term += b * inner_product(p.forcing, mode)

@@ -18,7 +18,7 @@ from .errors import IndexOutOfRange, SupportViolation, ZeroField
 from .spectral import (
     GridSpec,
     SpectralField,
-    _full_sum,
+    _power_sum,
     _read_only,
     _require_solenoidal,
     _to_physical,
@@ -76,9 +76,7 @@ def almost_orthogonality_ratio(u: SpectralField) -> float:
     total = l2_norm(u) ** 2
     if total == 0.0:
         raise ZeroField("almost-orthogonality ratio of a zero field")
-    mag2 = (np.abs(u.coeffs) ** 2).sum(axis=0)
-    acc = sum(float(_full_sum(w**2 * mag2, u.grid.n)) for w in block_weights(u.grid).values())
-    return acc / total
+    return _power_sum(u.coeffs, u.grid, sum(w**2 for w in block_weights(u.grid).values())) / total
 
 
 def lattice_lp_norm(f: SpectralField, p: float) -> float:
@@ -119,12 +117,10 @@ def bernstein_check(
     """
     if p > q:
         raise ValueError("need p <= q")
-    mag2 = (np.abs(u.coeffs) ** 2).sum(axis=0)
-    total = float(_full_sum(mag2, u.grid.n))
+    total = _power_sum(u.coeffs, u.grid)
     if total > 0.0:
         r = u.grid.k_magnitude
-        annulus = (r >= 2.0 ** (j - 1)) & (r <= 2.0 ** (j + 1))
-        outside = float(_full_sum(np.where(annulus, 0.0, mag2), u.grid.n))
+        outside = _power_sum(u.coeffs, u.grid, (r < 2.0 ** (j - 1)) | (r > 2.0 ** (j + 1)))
         if np.sqrt(outside / total) > 1e-10:
             raise SupportViolation(f"spectrum leaks outside the 2^{j} annulus")
     block = dyadic_block(u, j)

@@ -9,7 +9,7 @@ with no lattice factors.  Storage order per axis is 0, 1, ..., n/2,
 Fields are real: a field and the grid's wavenumber arrays store only the half
 spectrum k3 >= 0 ([..., :n//2+1]), the rest being its mirror coeff(-k) =
 conj(coeff(k)).  `SpectralField.from_full` and `.full` convert full spectra;
-norms and inner products sum over the mirrored lattice in full-spectrum order.
+norms, inner products and energies are weighted half sums (`_lattice_sum`).
 """
 
 from __future__ import annotations
@@ -239,10 +239,19 @@ def _mirror(half: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _full_sum(half: np.ndarray, n: int):
-    """Sum of a half-spectrum array over the whole lattice (the k3 < 0 block
-    as its mirror), added in full-spectrum storage order."""
-    return np.sum(_mirror(half, n))
+def _lattice_sum(half: np.ndarray, n: int) -> float:
+    """Lattice sum (and over leading axes) of a real half-spectrum array: the self-conjugate
+    planes k3 = 0, n/2 count once, the others twice; all weights > 0 keep the sum monotone."""
+    planes = half[..., 0].sum() + half[..., n // 2].sum()
+    return float(planes + 2.0 * half[..., 1 : n // 2].sum())
+
+
+def _power_sum(c: np.ndarray, grid: GridSpec, weight: np.ndarray | None = None) -> float:
+    """sum_k weight(k) |c(k)|^2 over the lattice and every component of the half spectrum c."""
+    power = c.real**2 + c.imag**2
+    if weight is not None:
+        power *= weight
+    return _lattice_sum(power, grid.n)
 
 
 # ----------------------------------------------------------------------
@@ -250,10 +259,8 @@ def _full_sum(half: np.ndarray, n: int):
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm: ( sum_k (1+|k|^2)^s |uhat(k)|^2 )^(1/2)."""
-    mag2 = (f.coeffs.real**2 + f.coeffs.imag**2).sum(axis=0)
-    if s != 0.0:
-        mag2 *= (1.0 + f.grid.k_squared) ** s
-    return float(np.sqrt(_full_sum(mag2, f.grid.n)))
+    weight = None if s == 0.0 else (1.0 + f.grid.k_squared) ** s
+    return math.sqrt(_power_sum(f.coeffs, f.grid, weight))
 
 
 def l2_norm(f: SpectralField) -> float:
@@ -263,7 +270,7 @@ def l2_norm(f: SpectralField) -> float:
 def inner_product(f: SpectralField, g: SpectralField) -> float:
     """Volume-normalized L2 inner product, evaluated on coefficients."""
     _require_same_grid(f, g)
-    return float(_full_sum(f.coeffs * np.conj(g.coeffs), f.grid.n).real)
+    return _lattice_sum((f.coeffs * np.conj(g.coeffs)).real, f.grid.n)
 
 
 def physical_l2_norm(f: PhysicalField) -> float:
@@ -299,10 +306,10 @@ def _leray(c: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def heat_semigroup(f: SpectralField, nu: float, t: float) -> SpectralField:
     """Multiply by e^{-nu t |k|^2}; contraction on every H^s."""
-    if not nu > 0.0:
-        raise ValueError("viscosity must be positive")
-    if not t >= 0.0:
-        raise ValueError("time must be nonnegative")
+    if not 0.0 < nu < math.inf:
+        raise ValueError("viscosity must be positive and finite")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("time must be nonnegative and finite")
     mult = np.exp(-nu * t * f.grid.k_squared)
     return f.with_coeffs(f.coeffs * mult)
 
@@ -355,14 +362,10 @@ def zero_mean(f: SpectralField) -> SpectralField:
 
 def divergence_defect(f: SpectralField) -> float:
     """Relative solenoidality defect: ||k.uhat||_l2 / ||  |k| |uhat| ||_l2."""
-    k1, k2, k3 = f.grid.deriv_wavenumbers
-    c = f.coeffs
-    num = np.abs(k1 * c[0] + k2 * c[1] + k3 * c[2]) ** 2
-    den = f.grid.deriv_k_squared * (np.abs(c) ** 2).sum(axis=0)
-    total = _full_sum(den, f.grid.n)
-    if total == 0.0:
-        return 0.0
-    return float(np.sqrt(_full_sum(num, f.grid.n) / total))
+    c, grid = f.coeffs, f.grid
+    k1, k2, k3 = grid.deriv_wavenumbers
+    total = _power_sum(c, grid, grid.deriv_k_squared)
+    return math.sqrt(_power_sum(k1 * c[0] + k2 * c[1] + k3 * c[2], grid) / total) if total else 0.0
 
 
 # ----------------------------------------------------------------------

@@ -117,6 +117,34 @@ def test_compare_classifies_each_difference(tmp_path, snapshot, capsys):
     assert "first differing file: run/diagnostics.csv" in out
 
 
+def test_compare_reports_how_large_each_change_is(tmp_path, snapshot, capsys):
+    def nudge(doubles):
+        doubles[np.argmax(np.abs(doubles))] *= 1.0 + 1e-12
+
+    a = _tree(tmp_path / "a", {
+        "run/snap_000001.sns1": _with_doubles(snapshot, nudge),
+        "run/diagnostics.csv": b"t,energy,h1\n0,1.0,np.float64(2.0)\n1,0.5,3.0,9\n",
+    })
+    b = _tree(tmp_path / "b", {
+        "run/snap_000001.sns1": snapshot,
+        "run/diagnostics.csv": b"t,energy,h1\n0,1.0,2.0\n1,0.5000000000001,3.0\n2,0.25,4.0\n",
+    })
+    assert not artifacts.compare(a, b)
+    out = capsys.readouterr().out
+    report = out.splitlines()
+    snap = report.index("differs: run/snap_000001.sns1")
+    assert re.fullmatch(r"  largest coefficient change 1e-12 of the largest \|coefficient\|",
+                        report[snap + 1])
+    csv = report.index("differs: run/diagnostics.csv")
+    assert report[csv + 1 : csv + 6] == [
+        "  energy: largest relative change 2e-13, largest absolute change 1e-13",
+        "  h1: 2 cell(s) changed as text",
+        "  column 4: 1 cell(s) changed as text",
+        "  t: 1 cell(s) changed as text",
+        "  energy: 1 cell(s) changed as text",
+    ]
+
+
 def test_a_missing_or_extra_file_alone_is_a_difference(tmp_path, snapshot, capsys):
     a = _tree(tmp_path / "a", {"snap.sns1": snapshot})
     b = _tree(tmp_path / "b", {"snap.sns1": snapshot, "abort.txt": b"cfl"})

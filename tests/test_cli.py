@@ -110,6 +110,19 @@ def test_convergence_experiment(tmp_path):
     assert 1.8 <= summary["slope"] <= 2.2
 
 
+@pytest.mark.parametrize("mollifier", ["gaussian", "bump"])
+def test_convergence_csv_cells_are_plain_numbers(tmp_path, mollifier):
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text(f"experiment = convergence\nn = 8\nmollifier = {mollifier}\n")
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    header, *rows = (out / "convergence.csv").read_text().strip().splitlines()
+    assert header == "eps,h1_error" and rows
+    for row in rows:
+        eps, err = (float(cell) for cell in row.split(","))
+        assert eps > 0.0 and err >= 0.0
+
+
 def test_eps_flag_replaces_eps_list(tmp_path):
     out = tmp_path / "eps"
     code = main(["blocks", "--n", "8", "--eps", "0.5", "--out", str(out)])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import full_k_squared
 from torusflow import (
     GridSpec,
     MollifierSpec,
@@ -48,7 +49,9 @@ from torusflow.solvers import lifespan_lower_bound
 from torusflow.spectral import (
     DEALIAS_FRACTION,
     _advect_arrays,
+    _lattice_sum,
     _mirror,
+    _power_sum,
     _to_physical,
     _to_spectral,
     _worst,
@@ -224,6 +227,11 @@ def test_heat_validates_inputs(random_fields_16):
         heat_semigroup(random_fields_16[0], 0.0, 1.0)
     with pytest.raises(ValueError):
         heat_semigroup(random_fields_16[0], 1.0, -1.0)
+    # an infinite rate or time would give -inf * 0 = NaN at k = 0
+    with pytest.raises(ValueError):
+        heat_semigroup(random_fields_16[0], math.inf, 1.0)
+    with pytest.raises(ValueError):
+        heat_semigroup(random_fields_16[0], 1.0, math.inf)
 
 
 def test_curl_of_shear(grid8):
@@ -407,6 +415,33 @@ def test_real_transform_pair_matches_complex_transforms(n):
     # synthesis from the half spectrum
     back = _to_physical(np.ascontiguousarray(ref[..., :h]), n)
     assert np.max(np.abs(back - np.fft.ifftn(ref, axes=(1, 2, 3)).real * n**3)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 12, 16, 32, 64])
+def test_half_sums_match_full_lattice_sums(n):
+    grid = GridSpec(n)
+    rng = np.random.default_rng(n)
+    f, g = (forward_transform(PhysicalField(grid, rng.standard_normal((3, n, n, n))))
+            for _ in range(2))
+    ff, gf = f.full(), g.full()
+    for weight, full_weight in ((None, 1.0), (grid.k_squared, full_k_squared(grid))):
+        full = np.sum(full_weight * (ff.real**2 + ff.imag**2))
+        assert abs(_power_sum(f.coeffs, grid, weight) - full) <= 1e-14 * full
+    full = np.sum(ff * np.conj(gf)).real
+    half = _lattice_sum((f.coeffs * np.conj(g.coeffs)).real, n)
+    assert abs(half - full) <= 1e-14 * l2_norm(f) * l2_norm(g)
+
+
+@given(seed=st.integers(0, 10_000), n=st.sampled_from([4, 6, 8]), by_ulp=st.booleans())
+def test_lattice_sum_is_monotone(seed, n, by_ulp):
+    # every plane's weight is positive, so raising entries never lowers the sum
+    rng = np.random.default_rng(seed)
+    shape = (3, n, n, n // 2 + 1)
+    y = rng.random(shape) * 10.0 ** rng.uniform(-12.0, 12.0, shape)
+    y[rng.random(shape) < 0.2] = 0.0
+    raised = np.nextafter(y, np.inf) if by_ulp else y * (1.0 + rng.random(shape))
+    x = np.where(rng.random(shape) < 0.3, raised, y)
+    assert _lattice_sum(x, n) >= _lattice_sum(y, n)
 
 
 @pytest.mark.parametrize("n", [6, 16])

@@ -9,8 +9,11 @@ a summary line.  Every SNS1 snapshot written is read back with
 ``read_snapshot`` and re-encoded with ``snapshot_bytes``, and must give its
 own bytes.  With ``--against DIR`` (an OUT written earlier, for example by
 another checkout via ``--src``) it also compares the two trees byte by byte,
-names the first differing file, and says for each differing SNS1 snapshot
-whether the difference is confined to the sign bits of zero coefficients.
+names the first differing file, and says how large each difference is: for
+an SNS1 snapshot, whether it is confined to the sign bits of zero
+coefficients, else its largest coefficient change relative to the largest
+|coefficient|; for a CSV file, the largest relative and absolute change in
+each column (a cell that is not a number on both sides is a text change).
 Exit code 0 when every snapshot reads back and nothing differs, 1 otherwise.
 
 The cases are the four benchmark workload configs (perfbench/workloads.py)
@@ -25,9 +28,12 @@ on one machine and do not commit digests.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
+import itertools
+import math
 import struct
 import sys
 import tempfile
@@ -106,6 +112,57 @@ def zero_sign_doubles(a: bytes, b: bytes) -> int | None:
     return None
 
 
+def coefficient_change(a: bytes, b: bytes) -> float | None:
+    """Largest |coefficient change| of two SNS1 files relative to their largest
+    |coefficient|; None when their headers or sizes differ."""
+    if len(a) != len(b) or a[:SNS1_HEADER] != b[:SNS1_HEADER]:
+        return None
+    x = np.frombuffer(a, dtype="<c16", offset=SNS1_HEADER)
+    y = np.frombuffer(b, dtype="<c16", offset=SNS1_HEADER)
+    scale = max(np.max(np.abs(x)), np.max(np.abs(y)))
+    return float(np.max(np.abs(x - y)) / scale) if scale != 0.0 else 0.0
+
+
+def csv_changes(a: bytes, b: bytes) -> list[str]:
+    """One line per changed CSV column, named by the first file's header: its
+    largest relative and absolute changes, and how many of its cells changed as
+    text (not a number on both sides, or present on one side only)."""
+    rows = [[line.split(",") for line in raw.decode("utf-8", "replace").splitlines()]
+            for raw in (a, b)]
+    header = rows[0][0] if rows[0] else []
+    largest: dict[str, tuple[float, float]] = {}
+    text: collections.Counter[str] = collections.Counter()
+    for ra, rb in itertools.zip_longest(*rows, fillvalue=[]):
+        for i, (x, y) in enumerate(itertools.zip_longest(ra, rb)):
+            if x == y:
+                continue
+            name = header[i] if i < len(header) else f"column {i + 1}"
+            try:
+                fx, fy = float(x), float(y)
+            except (TypeError, ValueError):
+                text[name] += 1
+                continue
+            if fx != fy:
+                diff = abs(fx - fy) if math.isfinite(fx - fy) else math.inf
+                rel = diff / max(abs(fx), abs(fy)) if diff < math.inf else math.inf
+                largest[name] = tuple(map(max, largest.get(name, (0.0, 0.0)), (rel, diff)))
+    lines = [f"{name}: largest relative change {rel:.3g}, largest absolute change {absolute:.3g}"
+             for name, (rel, absolute) in largest.items()]
+    return lines + [f"{name}: {count} cell(s) changed as text" for name, count in text.items()]
+
+
+def change_sizes(rel: str, a: bytes, b: bytes) -> list[str]:
+    """How large the difference between two versions of the file rel is, one line per finding."""
+    if rel.endswith(".csv"):
+        return csv_changes(a, b)
+    if rel.endswith(".sns1"):
+        change = coefficient_change(a, b)
+        if change is None:
+            return ["the headers or sizes differ"]
+        return [f"largest coefficient change {change:.3g} of the largest |coefficient|"]
+    return []
+
+
 def reread(tree: Path) -> bool:
     """Read every SNS1 file under tree and re-encode it; True when each gives its bytes back."""
     from torusflow.snapshots import read_snapshot, snapshot_bytes
@@ -146,6 +203,8 @@ def compare(tree: Path, other: Path) -> bool:
             zero_signs += 1
             note = f"{rel} (only the sign bits of {flipped} zero coefficients)"
         print(f"differs: {note}")
+        for line in change_sizes(rel, a, b) if flipped is None else []:
+            print(f"  {line}")
         first = note if first == "none" else first
     for rel in missing:
         print(f"missing: {rel}")
