@@ -194,16 +194,12 @@ def blend(
     step that can break solenoidality)."""
     _require_same_grid(low, mid, high)
     grid = low.grid
-    bands = band_weights(w, grid.k_magnitude)
-    win = spatial_window(spec, grid)
-    return low.with_coeffs(_blend_half(low.coeffs, mid.coeffs, high.coeffs, bands, win, grid))
+    g = _band_sum(band_weights(w, grid.k_magnitude), low.coeffs, mid.coeffs, high.coeffs)
+    return low.with_coeffs(_smear(g, spatial_window(spec, grid), grid))
 
 
-def _blend_half(
-    low: np.ndarray, mid: np.ndarray, high: np.ndarray, bands, win: np.ndarray, grid: GridSpec
-) -> np.ndarray:
-    """`blend` on coefficients, given its `band_weights` triple and its window."""
-    g = _band_sum(bands, low, mid, high)
+def _smear(g: np.ndarray, win: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """`blend` after its band sum: the window pair, then the Leray projection."""
     return _leray(_to_spectral(win * _to_physical(g, grid.n)), grid)
 
 
@@ -213,15 +209,18 @@ def _regularized_blend(
     """smooth(blend(regularize(low), regularize(mid), regularize(high))) as a
     function of three fields on `grid`, returning the coefficients.
 
-    The symbol, band weights and window are built once, here.
+    P, the symbol and the band weights are Fourier multipliers, so the three
+    P S fold into one on the band sum: S P W P S (sum), W the window pair,
+    equal to the three-regularization order up to round-off.  The symbol,
+    band weights and window are built once, here.
     """
     sym = mollifier_symbol(spec, grid.k_magnitude)
     bands = band_weights(w, grid.k_magnitude)
     win = spatial_window(spec, grid)
 
     def merge(*fields: SpectralField) -> np.ndarray:
-        low, mid, high = (_leray(f.coeffs * sym, grid) for f in fields)
-        return _blend_half(low, mid, high, bands, win, grid) * sym
+        g = _leray(_band_sum(bands, *(f.coeffs for f in fields)) * sym, grid)
+        return _smear(g, win, grid) * sym
 
     return merge
 

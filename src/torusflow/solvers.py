@@ -95,8 +95,9 @@ class Trajectory:
             raise ValueError("a trajectory needs at least one snapshot")
         _require_same_grid(*self.snapshots)
         times = [s.time for s in self.snapshots]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("snapshot times must be strictly increasing")
+        # written as "all finite and a < b" so that a NaN time fails
+        if not (all(map(math.isfinite, times)) and all(a < b for a, b in zip(times, times[1:]))):
+            raise ValueError("snapshot times must be finite and strictly increasing")
 
     @property
     def times(self) -> np.ndarray:
@@ -266,9 +267,9 @@ def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
     """Evolve u0 to t_end, recording every `cadence`-th step (plus endpoints).
 
     The datum is settled by the steps' rule (projected, mean-free, cut off).
-    A datum with a non-finite coefficient raises NonFiniteField.  A blow-up
-    guard raises BlowUpDetected (carrying the partial trajectory) when the
-    H^2 norm exceeds 1e3 times its initial value or is not finite, or the
+    A datum with a non-finite coefficient or time raises NonFiniteField.  A
+    blow-up guard raises BlowUpDetected (carrying the partial trajectory) when
+    the H^2 norm exceeds 1e3 times its initial value or is not finite, or the
     vorticity maximum passes 1e6; the partial holds only snapshots the guard
     passed.  A step that fails the CFL gate raises CflViolation with the
     partial trajectory attached the same way.
@@ -284,6 +285,8 @@ def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
     if not math.isfinite(guard_norm0):
         # a NaN norm would switch off the guards and the CFL gate below
         raise NonFiniteField("initial datum has a non-finite coefficient")
+    if not math.isfinite(u0.time):
+        raise NonFiniteField(f"initial datum has the non-finite time {u0.time}")
     step = step_mild if mild else step_strong
 
     snapshots = [u]

@@ -124,10 +124,18 @@ def test_compare_reports_how_large_each_change_is(tmp_path, snapshot, capsys):
     a = _tree(tmp_path / "a", {
         "run/snap_000001.sns1": _with_doubles(snapshot, nudge),
         "run/diagnostics.csv": b"t,energy,h1\n0,1.0,np.float64(2.0)\n1,0.5,3.0,9\n",
+        "run/summary.json": b'{"monotone": true, "final_error": 1.0, "checks": '
+                            b'[{"name": "a", "value": 2.0}, {"name": "b", "value": null}], '
+                            b'"extra": 1}',
+        "run/broken.json": b'{"final_error": 1.0',
     })
     b = _tree(tmp_path / "b", {
         "run/snap_000001.sns1": snapshot,
         "run/diagnostics.csv": b"t,energy,h1\n0,1.0,2.0\n1,0.5000000000001,3.0\n2,0.25,4.0\n",
+        "run/summary.json": b'{"monotone": 1, "final_error": 1.5, "checks": '
+                            b'[{"name": "a", "value": 2.0}, {"name": "b", "value": 3}, '
+                            b'{"name": "c", "value": 4.0}]}',
+        "run/broken.json": b'{"final_error": 1.5}',
     })
     assert not artifacts.compare(a, b)
     out = capsys.readouterr().out
@@ -143,6 +151,20 @@ def test_compare_reports_how_large_each_change_is(tmp_path, snapshot, capsys):
         "  t: 1 cell(s) changed as text",
         "  energy: 1 cell(s) changed as text",
     ]
+    # JSON: one line per differing leaf, by key path; true against 1, null
+    # against a number and a leaf on one side only are text changes
+    summary = report.index("differs: run/summary.json")
+    assert report[summary + 1 : summary + 7] == [
+        "  monotone: changed as text",
+        "  final_error: relative change 0.333, absolute change 0.5",
+        "  checks[1].value: changed as text",
+        "  extra: changed as text",
+        "  checks[2].name: changed as text",
+        "  checks[2].value: changed as text",
+    ]
+    assert not report[summary + 7].startswith("  ")
+    broken = report.index("differs: run/broken.json")
+    assert report[broken + 1] == "  not valid JSON on both sides"
 
 
 def test_a_missing_or_extra_file_alone_is_a_difference(tmp_path, snapshot, capsys):

@@ -308,6 +308,32 @@ def test_non_finite_datum_raises(grid8):
             run(tg.with_coeffs(bad), SolverParams(nu=0.1, dt=1e-2, t_end=0.05, scheme=scheme))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_snapshot_times_are_refused(grid8, bad):
+    # NaN compares False both ways, so a "b <= a" test would let it through
+    p = SolverParams(nu=0.1, dt=1e-2, t_end=0.05)
+    f = shear_init(grid8)
+    for times in ([0.0, bad], [bad, 0.0], [bad]):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            solvers.Trajectory(p, [f.with_coeffs(f.coeffs, time=t) for t in times])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        solvers.Trajectory(p, [f, f])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_datum_time_raises_before_the_first_step(grid8, bad, monkeypatch):
+    def no_step(u, p):
+        raise AssertionError("stepped a datum with a non-finite time")
+
+    monkeypatch.setattr(solvers, "step_strong", no_step)
+    monkeypatch.setattr(solvers, "step_mild", no_step)
+    tg = taylor_green_init(grid8)
+    for scheme in ("strong-imex", "mild-duhamel"):
+        with pytest.raises(NonFiniteField, match="time"):
+            run(tg.with_coeffs(tg.coeffs, time=bad),
+                SolverParams(nu=0.1, dt=1e-2, t_end=0.05, scheme=scheme))
+
+
 def test_non_real_datum_raises(grid8):
     # a field stores only its half spectrum k3 >= 0; a full datum whose other
     # half is not its mirror is refused where it enters, not silently repaired

@@ -13,7 +13,10 @@ names the first differing file, and says how large each difference is: for
 an SNS1 snapshot, whether it is confined to the sign bits of zero
 coefficients, else its largest coefficient change relative to the largest
 |coefficient|; for a CSV file, the largest relative and absolute change in
-each column (a cell that is not a number on both sides is a text change).
+each column (a cell that is not a number on both sides is a text change);
+for a JSON file, the relative and absolute change of each differing numeric
+leaf, by key path (a leaf that is not a number on both sides, or present on
+one side only, is a text change).
 Exit code 0 when every snapshot reads back and nothing differs, 1 otherwise.
 
 The cases are the four benchmark workload configs (perfbench/workloads.py)
@@ -33,6 +36,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import math
 import struct
 import sys
@@ -123,6 +127,12 @@ def coefficient_change(a: bytes, b: bytes) -> float | None:
     return float(np.max(np.abs(x - y)) / scale) if scale != 0.0 else 0.0
 
 
+def number_change(x: float, y: float) -> tuple[float, float]:
+    """(relative, absolute) change between two numbers; inf when not finite."""
+    diff = abs(x - y) if math.isfinite(x - y) else math.inf
+    return (diff / max(abs(x), abs(y)) if diff < math.inf else math.inf), diff
+
+
 def csv_changes(a: bytes, b: bytes) -> list[str]:
     """One line per changed CSV column, named by the first file's header: its
     largest relative and absolute changes, and how many of its cells changed as
@@ -143,18 +153,50 @@ def csv_changes(a: bytes, b: bytes) -> list[str]:
                 text[name] += 1
                 continue
             if fx != fy:
-                diff = abs(fx - fy) if math.isfinite(fx - fy) else math.inf
-                rel = diff / max(abs(fx), abs(fy)) if diff < math.inf else math.inf
-                largest[name] = tuple(map(max, largest.get(name, (0.0, 0.0)), (rel, diff)))
+                sizes = number_change(fx, fy)
+                largest[name] = tuple(map(max, largest.get(name, (0.0, 0.0)), sizes))
     lines = [f"{name}: largest relative change {rel:.3g}, largest absolute change {absolute:.3g}"
              for name, (rel, absolute) in largest.items()]
     return lines + [f"{name}: {count} cell(s) changed as text" for name, count in text.items()]
+
+
+def json_leaves(node, path: str = "") -> dict:
+    """Each leaf of a parsed JSON document by its key path, e.g. ``checks[3].value``."""
+    if isinstance(node, dict):
+        items = [(f"{path}.{k}" if path else str(k), v) for k, v in node.items()]
+    elif isinstance(node, list):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(node)]
+    else:
+        return {path: node}
+    return {key: leaf for p, v in items for key, leaf in json_leaves(v, p).items()}
+
+
+def json_changes(a: bytes, b: bytes) -> list[str]:
+    """One line per differing JSON leaf, in document order: its relative and
+    absolute change when it is a number on both sides, else a text change."""
+    try:
+        la, lb = (json_leaves(json.loads(raw)) for raw in (a, b))
+    except ValueError:
+        return ["not valid JSON on both sides"]
+    lines = []
+    missing = object()
+    for key in [*la, *(k for k in lb if k not in la)]:
+        x, y = la.get(key, missing), lb.get(key, missing)
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+            if x != y:
+                rel, absolute = number_change(x, y)
+                lines.append(f"{key}: relative change {rel:.3g}, absolute change {absolute:.3g}")
+        elif x != y or type(x) is not type(y):
+            lines.append(f"{key}: changed as text")
+    return lines
 
 
 def change_sizes(rel: str, a: bytes, b: bytes) -> list[str]:
     """How large the difference between two versions of the file rel is, one line per finding."""
     if rel.endswith(".csv"):
         return csv_changes(a, b)
+    if rel.endswith(".json"):
+        return json_changes(a, b)
     if rel.endswith(".sns1"):
         change = coefficient_change(a, b)
         if change is None:
