@@ -48,6 +48,7 @@ from .solvers import (
     random_solenoidal_init,
     run,
     shear_init,
+    step_count,
     taylor_green_init,
 )
 from .spectral import (
@@ -364,12 +365,10 @@ def paraproduct_reassembly(fields: list[SpectralField]) -> float:
     return float(_worst(0.0, *gaps))
 
 
-def advection_constant_envelope(fields: list[SpectralField], seed: int) -> float:
-    """Commutator ratio of five fresh fields (seeds seed+100..) minus 1.5 C_s of `fields`."""
-    cs = dyadic.commutator_constant(fields, 2.0)
-    grid = fields[0].grid
+def advection_constant_envelope(grid: GridSpec, c_s: float, seed: int) -> float:
+    """Commutator ratio of five fresh fields (seeds seed+100..) minus 1.5 c_s."""
     fresh = [random_solenoidal_init(grid, 2.0, seed + 100 + i) for i in range(5)]
-    return dyadic.commutator_constant(fresh, 2.0) - 1.5 * cs
+    return dyadic.commutator_constant(fresh, 2.0) - 1.5 * c_s
 
 
 # --- nonlinearity --------------------------------------------------------
@@ -420,9 +419,8 @@ def lifespan_formula() -> float:
     return _worst(v1, v2)
 
 
-def lifespan_bounded_run(u0: SpectralField, calibration: list[SpectralField]) -> float:
-    """Max H^2 growth factor minus 2 over every step to T0, with C_s fitted on `calibration`."""
-    c_s = dyadic.commutator_constant(calibration, 2.0)
+def lifespan_bounded_run(u0: SpectralField, c_s: float) -> float:
+    """Max H^2 growth factor minus 2 over every step to T0 for the commutator constant c_s."""
     t0 = lifespan_lower_bound(sobolev_norm(u0, 2.0), 0.0, 0.1, c_s)
     steps = max(2, math.ceil(t0 / 2e-3))
     dt = t0 / steps
@@ -446,47 +444,47 @@ def shear_formulation_residuals(traj: Trajectory) -> float:
     return _worst(weak, mild[-1], *strong)
 
 
-def energy_identity_second_order(u0: SpectralField) -> float:
-    """|ratio - 4| of the summed energy-identity defects when dt halves."""
-    sums = []
-    for dt in (2e-3, 1e-3):
-        p = SolverParams(nu=0.1, dt=dt, t_end=0.04, scheme="strong-imex")
-        sums.append(float(np.sum(diag.energy_identity_residual(run(u0, p)))))
-    return abs(sums[0] / sums[1] - 4.0)
-
-
-# the scheme checks' Taylor-Green runs; run(u0, REFERENCE_PARAMS) is the
-# `reference` the Galerkin checks compare against
+# the scheme checks' table: params -> Taylor-Green run; runs(REFERENCE_PARAMS) is the reference
+Runs = Callable[[SolverParams], Trajectory]
 REFERENCE_PARAMS = SolverParams(nu=0.1, dt=2e-3, t_end=0.048, scheme="strong-imex")
 
 
-def scheme_coincidence_rate(u0: SpectralField, dts: tuple[float, ...]) -> float:
+def _head(traj: Trajectory, t_end: float) -> Trajectory:
+    """The t in [start, start + t_end] prefix of a cadence-1 trajectory."""
+    snaps = traj.snapshots[: step_count(t_end, traj.params.dt) + 1]
+    return Trajectory(replace(traj.params, t_end=t_end), snaps)
+
+
+def energy_identity_second_order(runs: Runs) -> float:
+    """|ratio - 4| of the summed energy-identity defects on [0, 0.04] when dt halves."""
+    heads = (_head(runs(replace(REFERENCE_PARAMS, dt=dt)), 0.04) for dt in (2e-3, 1e-3))
+    coarse, fine = (float(np.sum(diag.energy_identity_residual(h))) for h in heads)
+    return abs(coarse / fine - 4.0)
+
+
+def scheme_coincidence_rate(runs: Runs, dts: tuple[float, ...]) -> float:
     """3 minus the smallest factor by which the mild/strong H^1 gap falls per dt step."""
     gaps = []
     for dt in dts:
-        tm = run(u0, replace(REFERENCE_PARAMS, dt=dt, scheme="mild-duhamel"))
-        ts = run(u0, replace(REFERENCE_PARAMS, dt=dt))
+        tm = runs(replace(REFERENCE_PARAMS, dt=dt, scheme="mild-duhamel"))
+        ts = runs(replace(REFERENCE_PARAMS, dt=dt))
         gaps.append(_worst(*(_diff_norm(a, b, 1.0) for a, b in zip(tm.snapshots, ts.snapshots))))
     return _worst(*(3.0 - gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1)))
 
 
-def galerkin_gap_monotone(
-    u0: SpectralField, reference: Trajectory, cutoffs: tuple[float, ...]
-) -> float:
-    """Largest rise of the final Galerkin-vs-`reference` gap as the cutoff grows."""
-    gaps = []
-    for lam in cutoffs:
-        p = replace(REFERENCE_PARAMS, scheme="weak-galerkin", galerkin_modes=lam)
-        gaps.append(_diff_norm(run(u0, p).snapshots[-1], reference.snapshots[-1]))
+def galerkin_gap_monotone(runs: Runs, cutoffs: tuple[float, ...]) -> float:
+    """Largest rise of the final Galerkin-vs-reference gap as the cutoff grows."""
+    reference = runs(REFERENCE_PARAMS).snapshots[-1]
+    cut = (replace(REFERENCE_PARAMS, scheme="weak-galerkin", galerkin_modes=lam) for lam in cutoffs)
+    gaps = [_diff_norm(runs(p).snapshots[-1], reference) for p in cut]
     return _worst(*(b - a for a, b in zip(gaps, gaps[1:])))
 
 
-def galerkin_full_is_strong(u0: SpectralField, reference: Trajectory) -> float:
-    """0 when 10 uncut Galerkin steps from u0 equal the first 11 `reference` snapshots bitwise."""
-    tw = run(u0, replace(REFERENCE_PARAMS, t_end=0.02, scheme="weak-galerkin"))
-    same = all(
-        np.array_equal(a.coeffs, b.coeffs) for a, b in zip(tw.snapshots, reference.snapshots[:11])
-    )
+def galerkin_full_is_strong(runs: Runs) -> float:
+    """0 when 10 uncut Galerkin steps equal the first 11 reference snapshots bitwise."""
+    tw = runs(replace(REFERENCE_PARAMS, t_end=0.02, scheme="weak-galerkin")).snapshots
+    ref = runs(REFERENCE_PARAMS).snapshots[:11]
+    same = len(tw) == 11 and all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(tw, ref))
     return 0.0 if same else 1.0
 
 
@@ -511,10 +509,11 @@ class VerifyInputs(NamedTuple):
     fields: list[SpectralField]  # 20 random solenoidal fields, seeds cfg.seed + 0..19
     weights: WeightPartition
     cfg: ExperimentConfig
+    c_s: float  # commutator constant of fields[:10] at s = 2
     # n=4 mild shear run (nu = 1, dt = 1e-3, T = 1); built on first call, not held before
     shear: Callable[[], Trajectory]
-    # run(tg, REFERENCE_PARAMS), built on first call
-    tg_reference: Callable[[], Trajectory]
+    # run(tg, params), each built on first call and held until verify_checks returns
+    runs: Runs
 
 
 # (name, bound, value): a check passes when value(inputs) <= bound
@@ -546,7 +545,7 @@ CHECKS = (
     ("bernstein_ratios", 1e-12, lambda v: bernstein_ratios(v.grid, v.fields[:10])),
     ("paraproduct_reassembly", 1e-10, lambda v: paraproduct_reassembly([v.tg])),
     ("advection_constant_envelope", 0.0,
-     lambda v: advection_constant_envelope(v.fields[:10], v.cfg.seed)),
+     lambda v: advection_constant_envelope(v.grid, v.c_s, v.cfg.seed)),
     ("advection_shear_vanishes", 1e-13, lambda v: advection_shear_vanishes(v.grid)),
     ("advection_convolution_oracle", 1e-10,
      lambda v: advection_convolution_oracle([taylor_green_init(GridSpec(8))])),
@@ -554,16 +553,14 @@ CHECKS = (
     ("taylor_green_datum", 1e-13, lambda v: taylor_green_datum(v.tg)),
     ("pressure_gradient_bound", 1e-12, lambda v: pressure_gradient_bound(v.grid, v.fields)),
     ("lifespan_formula", 0.0, lambda v: lifespan_formula()),
-    ("lifespan_bounded_run", 0.0, lambda v: lifespan_bounded_run(v.tg, v.fields[:10])),
+    ("lifespan_bounded_run", 0.0, lambda v: lifespan_bounded_run(v.tg, v.c_s)),
     ("shear_exact_decay", 1e-6, lambda v: shear_exact_decay(v.shear())),
     ("shear_formulation_residuals", 1e-5,
-     lambda v: shear_formulation_residuals(  # on the t in [0, 0.5] prefix
-         Trajectory(replace(v.shear().params, t_end=0.5), v.shear().snapshots[:501]))),
-    ("energy_identity_second_order", 0.5, lambda v: energy_identity_second_order(v.tg)),
-    ("scheme_coincidence_rate", 0.0, lambda v: scheme_coincidence_rate(v.tg, (4e-3, 2e-3, 1e-3))),
-    ("galerkin_gap_monotone", 0.0,
-     lambda v: galerkin_gap_monotone(v.tg, v.tg_reference(), (4.0, 16.0, 36.0))),
-    ("galerkin_full_is_strong", 0.0, lambda v: galerkin_full_is_strong(v.tg, v.tg_reference())),
+     lambda v: shear_formulation_residuals(_head(v.shear(), 0.5))),
+    ("energy_identity_second_order", 0.5, lambda v: energy_identity_second_order(v.runs)),
+    ("scheme_coincidence_rate", 0.0, lambda v: scheme_coincidence_rate(v.runs, (4e-3, 2e-3, 1e-3))),
+    ("galerkin_gap_monotone", 0.0, lambda v: galerkin_gap_monotone(v.runs, (4.0, 16.0, 36.0))),
+    ("galerkin_full_is_strong", 0.0, lambda v: galerkin_full_is_strong(v.runs)),
     ("snapshot_bitwise_roundtrip", 0.0, lambda v: snapshot_bitwise_roundtrip(v.fields[12])),
     ("reconstruction_parseval", 1e-12,
      lambda v: reconstruction_parseval(
@@ -574,15 +571,17 @@ CHECKS = (
 def verify_checks(cfg: ExperimentConfig) -> list[Check]:
     grid = GridSpec(cfg.n)
     tg = taylor_green_init(grid)
+    fields = [random_solenoidal_init(grid, 2.0, cfg.seed + i) for i in range(20)]
     shear_params = SolverParams(nu=1.0, dt=1e-3, t_end=1.0, scheme="mild-duhamel")
     inputs = VerifyInputs(
         grid=grid,
         tg=tg,
-        fields=[random_solenoidal_init(grid, 2.0, cfg.seed + i) for i in range(20)],
+        fields=fields,
         weights=WeightPartition(*cfg.weight_edges()),
         cfg=cfg,
+        c_s=dyadic.commutator_constant(fields[:10], 2.0),
         shear=cache(lambda: run(shear_init(GridSpec(4)), shear_params)),
-        tg_reference=cache(lambda: run(tg, REFERENCE_PARAMS)),
+        runs=cache(lambda p: run(tg, p)),
     )
     return [Check(name, float(value(inputs)), bound) for name, bound, value in CHECKS]
 

@@ -68,7 +68,10 @@ def _bump_table() -> tuple[np.ndarray, np.ndarray]:
     profile = np.exp(-1.0 / (1.0 - s**2))
     mass = np.sum(w * profile * s**2)
     r = np.linspace(0.0, _BUMP_RMAX, _BUMP_SAMPLES)
-    vals = (np.sinc(np.outer(r, s) / np.pi) * (profile * s**2 * w)).sum(axis=1) / mass
+    # summed in blocks of 256 rows: the whole 4097 x 400 product holds ~50 MiB
+    kernel = profile * s**2 * w
+    blocks = (np.sinc(np.outer(r[i : i + 256], s) / np.pi) * kernel for i in range(0, r.size, 256))
+    vals = np.concatenate([b.sum(axis=1) for b in blocks]) / mass
     # the exact transform oscillates below zero past its first root; the
     # symbol contract wants [0, 1] and radial non-increase, so clamp + cummin
     table = np.minimum.accumulate(np.clip(vals, 0.0, 1.0))

@@ -4,9 +4,10 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 PASS/FAIL lines.  Criteria 1-10, 12 and 13 call the verify battery's check
 functions (named and bounded in `torusflow.experiments.CHECKS`) on larger
 inputs.  Shared heavyweight runs (the dt = 1e-4 shear trajectory, the
-n = 32 vortex sweeps) are session fixtures.
+table of n = 32 vortex runs that criteria 9 and 10 read) are module fixtures.
 """
 
+import functools
 import json
 
 import pytest
@@ -62,6 +63,12 @@ def shear_benchmark():
 def vortex32():
     grid = GridSpec(32)
     return grid, taylor_green_init(grid)
+
+
+@pytest.fixture(scope="module")
+def vortex32_runs(vortex32):
+    """params -> run of the n = 32 vortex, each run once for criteria 9 and 10."""
+    return functools.cache(lambda p: run(vortex32[1], p))
 
 
 def test_criterion_01_transform_unitarity(fields16):
@@ -152,18 +159,15 @@ def test_criterion_08_exact_solution_reproduction(shear_benchmark):
     )
 
 
-def test_criterion_09_energy_identity(vortex32):
-    grid, tg = vortex32
-    defect = ex.energy_identity_second_order(tg)
+def test_criterion_09_energy_identity(vortex32_runs):
+    defect = ex.energy_identity_second_order(vortex32_runs)
     ok = defect <= BOUND["energy_identity_second_order"]
     assert report(9, "energy-identity-order", ok, f"|halving ratio - 4| {defect:.2e}")
 
 
-def test_criterion_10_scheme_coincidence(vortex32):
-    grid, tg = vortex32
-    rate = ex.scheme_coincidence_rate(tg, (4e-3, 2e-3, 1e-3, 5e-4))
-    reference = run(tg, ex.REFERENCE_PARAMS)
-    rise = ex.galerkin_gap_monotone(tg, reference, (16.0, 64.0, 144.0))
+def test_criterion_10_scheme_coincidence(vortex32_runs):
+    rate = ex.scheme_coincidence_rate(vortex32_runs, (4e-3, 2e-3, 1e-3, 5e-4))
+    rise = ex.galerkin_gap_monotone(vortex32_runs, (16.0, 64.0, 144.0))
     ok = rate <= BOUND["scheme_coincidence_rate"] and rise <= BOUND["galerkin_gap_monotone"]
     assert report(
         10, "scheme-coincidence", ok,
@@ -198,12 +202,10 @@ def test_criterion_12_pressure_multiplier_bound(fields16):
     assert report(12, "pressure-multiplier-bound", ok, f"max ratio 1 + {excess:.3e}")
 
 
-def test_criterion_13_lifespan_formula(vortex32):
+def test_criterion_13_lifespan_formula(vortex32, advection_constant_16):
     grid, tg = vortex32
     formula = ex.lifespan_formula()
-    grid16 = GridSpec(16)
-    battery = [random_solenoidal_init(grid16, 2.0, seed) for seed in range(200)]
-    growth = ex.lifespan_bounded_run(tg, battery)
+    growth = ex.lifespan_bounded_run(tg, advection_constant_16)
     ok = formula <= BOUND["lifespan_formula"] and growth <= BOUND["lifespan_bounded_run"]
     assert report(
         13, "lifespan-formula", ok,

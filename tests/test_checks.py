@@ -1,11 +1,21 @@
-"""A NaN value reaching a verify check fails it: the check functions keep NaN."""
+"""The verify battery's checks: a NaN value reaching a check fails it (the
+check functions keep NaN), and the scheme checks read one table of runs."""
 
+import functools
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from torusflow import GridSpec, random_solenoidal_init
+from torusflow import (
+    GridSpec,
+    Trajectory,
+    parse_config,
+    random_solenoidal_init,
+    run,
+    taylor_green_init,
+)
 from torusflow import experiments as ex
 from torusflow.experiments import CHECKS, Check
 
@@ -44,3 +54,31 @@ def test_nan_check_value_is_written_as_json_null(tmp_path):
     ex._write_json(path, {"checks": [Check("x", math.nan, 0.0).as_dict()]})
     checks = json.loads(path.read_text(), parse_constant=reject)["checks"]
     assert checks == [{"name": "x", "value": None, "bound": 0.0, "pass": False}]
+
+
+def test_verify_runs_each_trajectory_once(monkeypatch):
+    params = []
+
+    def counting_run(u0, p, cadence=1):
+        params.append(p)
+        return run(u0, p, cadence)
+
+    monkeypatch.setattr(ex, "run", counting_run)
+    checks = ex.verify_checks(parse_config("experiment = verify\nn = 8\n"))
+    assert all(c.passed for c in checks)
+    assert len(params) == 12
+    assert len(set(params)) == 12
+
+
+def test_galerkin_full_is_strong_needs_eleven_snapshots():
+    tg = taylor_green_init(GridSpec(8))
+    runs = functools.cache(lambda p: run(tg, p))
+    assert ex.galerkin_full_is_strong(runs) == 0.0
+
+    def short_galerkin(p):
+        traj = runs(p)
+        if p.scheme != "weak-galerkin":
+            return traj
+        return Trajectory(replace(p, t_end=0.01), traj.snapshots[:6])
+
+    assert ex.galerkin_full_is_strong(short_galerkin) == 1.0

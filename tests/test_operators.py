@@ -85,6 +85,22 @@ def test_bump_table_ends_at_zero():
     assert mollifier_symbol(MollifierSpec(1.0, "bump"), r[-1] + 1.0) == 0.0
 
 
+def test_bump_table_matches_one_shot_quadrature():
+    # the reference sums the whole 4097 x 400 quadrature in one np.outer
+    # product; the table sums it in row blocks and must keep every bit
+    nodes, weights = np.polynomial.legendre.leggauss(400)
+    s = 0.5 * (nodes + 1.0)
+    w = 0.5 * weights
+    profile = np.exp(-1.0 / (1.0 - s**2))
+    mass = np.sum(w * profile * s**2)
+    r = np.linspace(0.0, 8.0, 4097)
+    vals = (np.sinc(np.outer(r, s) / np.pi) * (profile * s**2 * w)).sum(axis=1) / mass
+    reference = np.minimum.accumulate(np.clip(vals, 0.0, 1.0))
+    grid_r, table = _bump_table()
+    assert np.array_equal(grid_r.view(np.uint64), r.view(np.uint64))
+    assert np.array_equal(table.view(np.uint64), reference.view(np.uint64))
+
+
 def test_smoothing_gain_product_bounded_along_sequence():
     grid = GridSpec(32)
     kmag = grid.k_magnitude.copy()

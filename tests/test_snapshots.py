@@ -1,3 +1,4 @@
+import math
 import struct
 import tracemalloc
 
@@ -17,6 +18,7 @@ from torusflow import (
     run,
     shear_init,
 )
+from torusflow.errors import NonFiniteField
 from torusflow.snapshots import (
     FLAG_MEAN_FREE,
     FLAG_SOLENOIDAL,
@@ -165,13 +167,32 @@ def test_snapshot_rejects_short_header(tmp_path):
 
 
 def test_snapshot_rejects_non_finite_coefficient(tmp_path, grid8):
+    # the writer refuses NaN, so the file is a valid snapshot with one
+    # coefficient's real part patched to NaN
     u = random_solenoidal_init(grid8, 2.0, 3)
-    coeffs = u.coeffs.copy()
-    coeffs[1, 2, 0, 0] = np.nan
+    raw = bytearray(snapshot_bytes(u))
+    at = 25 + 16 * int(np.ravel_multi_index((1, 2, 0, 0), (3, 8, 8, 8)))
+    raw[at : at + 8] = struct.pack("<d", float("nan"))
     path = tmp_path / "nan.sns1"
-    write_snapshot(path, u.with_coeffs(coeffs))
+    path.write_bytes(raw)
     with pytest.raises(ValueError, match="non-finite"):
         read_snapshot(path)
+
+
+@pytest.mark.parametrize("what", ["time", "viscosity", "coefficient"])
+def test_snapshot_writer_refuses_non_finite_data(tmp_path, grid8, what):
+    u = random_solenoidal_init(grid8, 2.0, 3)
+    nu = math.inf if what == "viscosity" else 0.5
+    if what == "time":
+        u = SpectralField(grid8, u.coeffs, math.nan)
+    if what == "coefficient":
+        coeffs = u.coeffs.copy()
+        coeffs[1, 2, 0, 0] = np.nan
+        u = u.with_coeffs(coeffs)
+    path = tmp_path / "bad.sns1"
+    with pytest.raises(NonFiniteField, match="non-finite"):
+        write_snapshot(path, u, nu=nu)
+    assert not path.exists()
 
 
 def test_snapshot_rejects_false_solenoidal_flag(tmp_path, grid8):

@@ -236,6 +236,20 @@ def test_weak_galerkin_full_resolution_bitwise(grid16):
     assert tw.params.scheme == "weak-galerkin"
 
 
+@pytest.mark.parametrize("scheme", ["strong-imex", "mild-duhamel", "weak-galerkin"])
+def test_shorter_run_is_bitwise_prefix_of_longer(grid8, scheme):
+    # the verify battery reads short runs as heads of longer ones with the same params
+    u0 = random_solenoidal_init(grid8, 2.0, 6)
+    cut = 16.0 if scheme == "weak-galerkin" else None
+    p = SolverParams(nu=0.1, dt=2e-3, t_end=0.048, scheme=scheme, galerkin_modes=cut)
+    long = run(u0, p).snapshots
+    short = run(u0, SolverParams(0.1, 2e-3, 0.04, scheme, galerkin_modes=cut)).snapshots
+    assert len(short) == 21 and len(long) == 25
+    for a, b in zip(short, long):
+        assert a.time == b.time
+        assert np.array_equal(_bits(a.coeffs), _bits(b.coeffs))
+
+
 def test_weak_galerkin_shear_any_cutoff(grid8):
     sh = shear_init(grid8)
     for lam in (1.0, 4.0):

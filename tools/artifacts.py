@@ -21,9 +21,10 @@ Exit code 0 when every snapshot reads back and nothing differs, 1 otherwise.
 
 The cases are the four benchmark workload configs (perfbench/workloads.py)
 at seeds 0 and 1, ``convergence`` with both mollifiers, ``blocks`` with
-Taylor-Green and random data, ``unify`` at n=12 with the bump mollifier (a
-grid divisible by 3), an n=8 shear mild run, n=8 weak-galerkin runs with a
-cutoff, and an n=16 CFL abort (``abort.txt`` and ``partial/``).
+Taylor-Green and random data, ``unify`` and ``verify`` at n=12 with the
+bump mollifier (a grid divisible by 3), an n=8 shear mild run, n=8
+weak-galerkin runs with a cutoff, and an n=16 CFL abort (``abort.txt`` and
+``partial/``).
 pocketfft bytes may differ across numpy builds, so compare trees written
 on one machine and do not commit digests.
 """
@@ -55,6 +56,7 @@ EXTRA_CASES = {
     "blocks-random": {"experiment": "blocks", "n": 16, "init": "random", "seed": 3},
     "unify-n12-bump": {"experiment": "unify", "n": 12, "init": "random", "seed": 2,
                        "mollifier": "bump", "dt": 1e-3, "t_end": 0.005, "cadence": 1},
+    "verify-n12-bump": {"experiment": "verify", "n": 12, "mollifier": "bump"},
     "run-n8-shear-mild": {"experiment": "run", "n": 8, "init": "shear", "nu": 0.1,
                           "scheme": "mild-duhamel", "dt": 1e-3, "t_end": 0.02, "cadence": 5},
     "run-n8-galerkin-taylor-green": {"experiment": "run", "n": 8, "init": "taylor-green",
