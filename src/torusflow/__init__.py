@@ -11,6 +11,7 @@ from .config import ExperimentConfig, parse_config
 from .diagnostics import (
     ConvergenceStudy,
     DiagnosticsRecord,
+    RecordPass,
     convergence_study,
     diagnostics_csv,
     energy_identity_residual,

@@ -12,17 +12,21 @@ mild    : defect of the Duhamel integral identity at each snapshot time,
 strong  : pointwise momentum-equation residual at interior snapshot times,
           with centered differences in time.
 
-All three come from one streaming pass over the snapshots
-(`residual_defects`) that evaluates (u.grad)u once per snapshot: the
-product enters the weak quadrature and its Leray projection the mild and
-strong defects.  `weak_form_residual`, `mild_residual`, `strong_residual`
-and `records_for_trajectory` read that pass.  Every residual takes the
-viscosity and forcing of the trajectory's own run (`traj.params`).
+All three come from one streaming pass over the snapshots (`RecordPass`)
+that evaluates (u.grad)u once per snapshot: the product enters the weak
+quadrature and its Leray projection the mild and strong defects.  `run`
+feeds the pass as it records, handing over the projected product its next
+step computed and its guard's H^2 norm and vorticity maximum; over a stored
+trajectory (`residual_defects`, `records_for_trajectory`) the pass computes
+them itself.  `weak_form_residual`, `mild_residual` and `strong_residual`
+read `residual_defects`.  Every residual takes the viscosity and forcing of
+the trajectory's own run (`traj.params`).
 """
 
 from __future__ import annotations
 
 import math
+import operator as op
 from dataclasses import astuple, dataclass, fields
 from typing import Callable, Sequence
 
@@ -35,7 +39,7 @@ from .errors import (
     TooFewSnapshots,
 )
 from .operators import MollifierSpec, WeightPartition, _regularized_blend
-from .solvers import Trajectory
+from .solvers import SolverParams, Trajectory
 from .spectral import (
     GridSpec,
     PhysicalField,
@@ -243,7 +247,7 @@ def residual_defects(
     the trapezoidal rule with only decaying propagator factors.
     strong: L2 norm of dt u + P[(u.grad)u] - nu lap u - P f with centered
     differences, 0.0 at the endpoints where no stencil exists.
-    The pass streams: it holds two tendencies, never one per snapshot.
+    The pass is `RecordPass`'s, driven over the stored snapshots.
     """
     for i, mode in enumerate(modes):
         if not divergence_defect(mode) <= 1e-12:
@@ -251,83 +255,130 @@ def residual_defects(
     snaps = traj.snapshots
     if len(snaps) < 2:
         return [0.0] * len(snaps), [0.0] * len(snaps), 0.0
-    p = traj.params
-    grid = traj.grid
-    k2 = grid.k_squared
-    u0 = snaps[0]
-    norm0 = sobolev_norm(u0, 1.0)
-    scale = norm0 if norm0 > 0.0 else 1.0
-    forcing = None if p.forcing is None else p.forcing.coeffs
     times = traj.times
     qw = _time_quadrature_weights(times)
     bump, bump_dt = _time_bump(times)
-    weak = [0.0] * len(modes)
-
-    def proj_nl(m: int) -> np.ndarray:
-        # snapshot m's (u.grad)u enters the weak sums, then leaves projected
-        u = snaps[m]
-        conv = advect(u, u)
-        b, bdot = bump[m], bump_dt[m]
-        for i, mode in enumerate(modes):
-            term = bdot * inner_product(u, mode)
-            if b != 0.0:
-                term -= b * inner_product(conv, mode)
-                # <grad u, grad v> = sum_k |k|^2 uhat . conj(vhat)
-                term -= p.nu * b * _lattice_sum(
-                    k2 * (u.coeffs * np.conj(mode.coeffs)).real, grid.n
-                )
-                if p.forcing is not None:
-                    term += b * inner_product(p.forcing, mode)
-            weak[i] += qw[m] * term
-        return leray_project(conv).coeffs
-
-    def strong_defect(m: int, nl: np.ndarray) -> float:
-        # a function scope frees dudt and res before the next kernel call
-        u = snaps[m]
-        dt_left = u.time - snaps[m - 1].time
-        dt_right = snaps[m + 1].time - u.time
-        dudt = (snaps[m + 1].coeffs - snaps[m - 1].coeffs) / (dt_left + dt_right)
-        res = dudt + nl + p.nu * k2 * u.coeffs
-        if forcing is not None:
-            res = res - forcing
-        return l2_norm(u.with_coeffs(res))
-
-    mild = [0.0]
-    strong = [0.0] * len(snaps)
-    integral = np.zeros_like(u0.coeffs)
-    propagated = u0.coeffs
-    n_prev = proj_nl(0)
-    for m in range(1, len(snaps)):
-        if m >= 2:
-            # snapshot m-1 is interior now that its right neighbour is known;
-            # evaluated before n_curr exists, so the two peaks do not stack
-            strong[m - 1] = strong_defect(m - 1, n_prev)
-        dt = snaps[m].time - snaps[m - 1].time
-        decay = np.exp(-p.nu * dt * k2)
-        n_curr = proj_nl(m)
-        integral = decay * (integral + 0.5 * dt * n_prev) + 0.5 * dt * n_curr
-        propagated = decay * propagated
-        expected = propagated - integral
-        if forcing is not None:
-            # steady forcing integrates exactly: int_0^t e^{nu (t-tau) lap} d tau
-            t = snaps[m].time - snaps[0].time
-            z = -p.nu * t * k2
-            denom = p.nu * k2
-            safe = np.where(denom > 0.0, denom, 1.0)
-            phi = np.where(denom > 0.0, -np.expm1(z) / safe, t)
-            expected = expected + phi * forcing
-        diff = snaps[m].with_coeffs(snaps[m].coeffs - expected)
-        mild.append(sobolev_norm(diff, 1.0) / scale)
-        n_prev = n_curr
+    walk = RecordPass(traj.params, modes, (qw, bump, bump_dt))
+    walk._finish(traj)
 
     span = float(times[-1] - times[0])
     bump_scale = math.sqrt(sum(w * (b**2 + bdot**2) for w, b, bdot in zip(qw, bump, bump_dt)))
     weak_defects = (
-        abs(total + bump[0] * inner_product(u0, mode))
+        abs(total + bump[0] * inner_product(snaps[0], mode))
         / (bump_scale * sobolev_norm(mode, 1.0) * max(span, 1.0))
-        for total, mode in zip(weak, modes)
+        for total, mode in zip(walk.weak, modes)
     )
-    return mild, strong, _worst(0.0, *weak_defects)
+    return walk.mild, walk.strong, _worst(0.0, *weak_defects)
+
+
+class RecordPass:
+    """The records of one trajectory, from one streaming pass over its snapshots.
+
+    `push` (`run`'s `observe` hook) takes the snapshots in time order, each
+    with what its producer has: `nl`, P[(u.grad)u] of the previous snapshot,
+    and the snapshot's H^2 norm and vorticity maximum.  A tendency enters the
+    mild/strong recurrence at once, or is dropped while an earlier one is
+    missing: the pass holds two tendencies, never one per snapshot.
+    `records_for_trajectory(traj, online)` pushes the snapshots not pushed
+    yet and computes what nobody handed over.  `residual_defects` adds the
+    weak test `modes` and their time `weights` (quadrature, bump, bump
+    derivative per snapshot).
+    """
+
+    def __init__(self, p: SolverParams, modes: Sequence[SpectralField] = (), weights=None):
+        self.p, self._modes, self._weights = p, modes, weights
+        self.snaps: list[SpectralField] = []
+        self._handed: list[tuple[float | None, float | None]] = []  # (h2, wmax) per snapshot
+        self.mild, self.strong, self.weak = [0.0], [0.0], [0.0] * len(modes)
+        self._entered = 0  # snapshots whose tendency has entered the recurrence
+        self._nl = None  # the last tendency that entered
+
+    def push(self, u: SpectralField, nl=None, h2: float | None = None, wmax: float | None = None):
+        if nl is not None and self._entered == len(self.snaps) - 1:
+            self._enter(nl)
+        self.snaps.append(u)
+        self._handed.append((h2, wmax))
+
+    def _enter(self, nl: np.ndarray | None = None):
+        """Snapshot m's tendency nl (computed when None) enters: the strong
+        defect of m - 1 and the mild defect of m follow."""
+        m = self._entered
+        snaps, p = self.snaps, self.p
+        k2 = snaps[0].grid.k_squared
+        forcing = None if p.forcing is None else p.forcing.coeffs
+        if m >= 2:
+            # snapshot m-1 is interior now that its right neighbour is known;
+            # evaluated before a computed nl exists, so the two peaks do not stack
+            self.strong.append(self._strong_defect(m - 1, forcing))
+        if nl is None:
+            nl = self._proj_nl(m)
+        if m == 0:
+            norm0 = sobolev_norm(snaps[0], 1.0)
+            self._scale = norm0 if norm0 > 0.0 else 1.0
+            self._integral = np.zeros_like(snaps[0].coeffs)
+            self._propagated = snaps[0].coeffs
+        else:
+            dt = snaps[m].time - snaps[m - 1].time
+            decay = np.exp(-p.nu * dt * k2)
+            self._integral = decay * (self._integral + 0.5 * dt * self._nl) + 0.5 * dt * nl
+            self._propagated = decay * self._propagated
+            expected = self._propagated - self._integral
+            if forcing is not None:
+                # steady forcing integrates exactly: int_0^t e^{nu (t-tau) lap} d tau
+                t = snaps[m].time - snaps[0].time
+                z = -p.nu * t * k2
+                denom = p.nu * k2
+                safe = np.where(denom > 0.0, denom, 1.0)
+                phi = np.where(denom > 0.0, -np.expm1(z) / safe, t)
+                expected = expected + phi * forcing
+            diff = snaps[m].with_coeffs(snaps[m].coeffs - expected)
+            self.mild.append(sobolev_norm(diff, 1.0) / self._scale)
+        self._nl = nl
+        self._entered += 1
+
+    def _proj_nl(self, m: int) -> np.ndarray:
+        # snapshot m's (u.grad)u enters the weak sums, then leaves projected
+        u = self.snaps[m]
+        conv = advect(u, u)
+        if self._modes:
+            p, grid = self.p, u.grid
+            qw, bump, bump_dt = self._weights
+            b, bdot = bump[m], bump_dt[m]
+            for i, mode in enumerate(self._modes):
+                term = bdot * inner_product(u, mode)
+                if b != 0.0:
+                    term -= b * inner_product(conv, mode)
+                    # <grad u, grad v> = sum_k |k|^2 uhat . conj(vhat)
+                    term -= p.nu * b * _lattice_sum(
+                        grid.k_squared * (u.coeffs * np.conj(mode.coeffs)).real, grid.n
+                    )
+                    if p.forcing is not None:
+                        term += b * inner_product(p.forcing, mode)
+                self.weak[i] += qw[m] * term
+        return leray_project(conv).coeffs
+
+    def _strong_defect(self, m: int, forcing: np.ndarray | None) -> float:
+        # a method scope frees dudt and res before the next kernel call
+        snaps, u = self.snaps, self.snaps[m]
+        dt_left = u.time - snaps[m - 1].time
+        dt_right = snaps[m + 1].time - u.time
+        dudt = (snaps[m + 1].coeffs - snaps[m - 1].coeffs) / (dt_left + dt_right)
+        res = dudt + self._nl + self.p.nu * u.grid.k_squared * u.coeffs
+        if forcing is not None:
+            res = res - forcing
+        return l2_norm(u.with_coeffs(res))
+
+    def _finish(self, traj: Trajectory):
+        """Push the snapshots of traj not pushed yet, then enter every tendency left."""
+        pushed = len(self.snaps)
+        if pushed > len(traj.snapshots) or any(map(op.is_not, self.snaps, traj.snapshots)):
+            raise ValueError("the trajectory does not continue the pushed snapshots")
+        for u in traj.snapshots[pushed:]:
+            self.push(u)
+        if len(self.snaps) > 1:
+            while self._entered < len(self.snaps):
+                self._enter()
+            self.strong.append(0.0)
 
 
 def weak_form_residual(traj: Trajectory, modes: Sequence[SpectralField]) -> float:
@@ -355,24 +406,32 @@ def strong_residual(traj: Trajectory) -> float:
 # ----------------------------------------------------------------------
 # per-trajectory records and CSV
 
-def records_for_trajectory(traj: Trajectory) -> list[DiagnosticsRecord]:
-    snaps = traj.snapshots
-    mild, strong, _ = residual_defects(traj)
+def records_for_trajectory(
+    traj: Trajectory, online: RecordPass | None = None
+) -> list[DiagnosticsRecord]:
+    """One validated record per snapshot of traj.  `online` is the pass that
+    `run` fed while it stepped (its `observe` hook); every value it was not
+    handed is computed here, so both ways give the same bits."""
+    walk = RecordPass(traj.params) if online is None else online
+    walk._finish(traj)
+    snaps = walk.snaps
     energies = [kinetic_energy(s) for s in snaps]
     dissip = [enstrophy(s) for s in snaps]
     energy_defects = _energy_defects(traj, energies, dissip)
     records = []
-    for m, s in enumerate(snaps):
+    for m, (s, (h2, wmax)) in enumerate(zip(snaps, walk._handed)):
         rec = DiagnosticsRecord(
             t=s.time,
             energy=energies[m],
             enstrophy=dissip[m],
-            bkm=vorticity_max(s),
+            bkm=vorticity_max(s) if wmax is None else wmax,
             div_defect=divergence_defect(s),
             res_weak=float(energy_defects[m - 1]) if m > 0 else 0.0,
-            res_mild=float(mild[m]),
-            res_strong=float(strong[m]),
-            h1=sobolev_norm(s, 1.0), h2=sobolev_norm(s, 2.0), h3=sobolev_norm(s, 3.0),
+            res_mild=float(walk.mild[m]),
+            res_strong=float(walk.strong[m]),
+            h1=sobolev_norm(s, 1.0),
+            h2=sobolev_norm(s, 2.0) if h2 is None else h2,
+            h3=sobolev_norm(s, 3.0),
         )
         rec.validate()
         records.append(rec)

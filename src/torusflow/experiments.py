@@ -643,10 +643,12 @@ print("wrote", path.with_suffix(".png"))
 def experiment_run(cfg: ExperimentConfig, out: Path) -> int:
     grid = GridSpec(cfg.n)
     u0 = _initial_field(cfg, grid)
-    traj = run(u0, _solver_params(cfg), cadence=cfg.cadence)
+    p = _solver_params(cfg)
+    online = diag.RecordPass(p)
+    traj = run(u0, p, cadence=cfg.cadence, observe=online.push)
     write_trajectory(out, traj)
-    records = diag.records_for_trajectory(traj)
-    (out / "diagnostics.csv").write_text(diag.diagnostics_csv(records), encoding="utf-8")
+    csv = diag.diagnostics_csv(diag.records_for_trajectory(traj, online))
+    (out / "diagnostics.csv").write_text(csv, encoding="utf-8")
     (out / "plot_diagnostics.py").write_text(PLOT_SCRIPT, encoding="utf-8")
     return EXIT_OK
 

@@ -9,8 +9,9 @@ SNS1 layout (little-endian):
   3*n^3 c16   coefficients, component-major, axes k1 (slowest), k2, k3,
               each axis ordered 0, 1, ..., n/2, -n/2+1, ..., -1
 
-The writer stores finite data only: a NaN or infinite time, viscosity or
-coefficient raises NonFiniteField before any byte is written.  It derives
+The writer stores finite data only: a NaN or infinite viscosity or
+coefficient raises NonFiniteField before any byte is written (a field's time
+is finite by construction).  It derives
 both flags from the coefficients: the solenoidal bit is set exactly when the
 divergence defect is within SOLENOIDAL_TOL, the mean-free bit exactly when
 the k = 0 mode is zero; the coefficients are the full spectrum
@@ -39,8 +40,8 @@ FLAG_MEAN_FREE = 2
 
 
 def snapshot_bytes(f: SpectralField, nu: float = 0.0) -> bytes:
-    if not (math.isfinite(f.time) and math.isfinite(nu) and np.isfinite(f.coeffs).all()):
-        raise NonFiniteField(f"non-finite time, viscosity or coefficient (t={f.time!r}, nu={nu!r})")
+    if not (math.isfinite(nu) and np.isfinite(f.coeffs).all()):
+        raise NonFiniteField(f"non-finite viscosity or coefficient (nu={nu!r})")
     solenoidal = divergence_defect(f) <= SOLENOIDAL_TOL
     mean_free = not np.any(f.coeffs[:, 0, 0, 0])
     flags = (FLAG_SOLENOIDAL if solenoidal else 0) | (FLAG_MEAN_FREE if mean_free else 0)

@@ -94,10 +94,9 @@ class Trajectory:
         if not self.snapshots:
             raise ValueError("a trajectory needs at least one snapshot")
         _require_same_grid(*self.snapshots)
-        times = [s.time for s in self.snapshots]
-        # written as "all finite and a < b" so that a NaN time fails
-        if not (all(map(math.isfinite, times)) and all(a < b for a, b in zip(times, times[1:]))):
-            raise ValueError("snapshot times must be finite and strictly increasing")
+        times = [s.time for s in self.snapshots]  # finite: a field refuses any other time
+        if not all(a < b for a, b in zip(times, times[1:])):
+            raise ValueError("snapshot times must be strictly increasing")
 
     @property
     def times(self) -> np.ndarray:
@@ -227,29 +226,39 @@ def _gate_cfl(dt: float, umax: float, grid: GridSpec):
         raise CflViolation(f"dt = {dt:g} exceeds advective limit {limit:g}")
 
 
+def _step(u: SpectralField, p: SolverParams, mult: _Multipliers, time: float):
+    """One step of u to `time` by the scheme of `mult` (mild when it has phi
+    weights), and P[(u.grad)u] of u when p is unforced (None when forced).
+
+    No divergence check: `run` steps only states it has just settled.
+    """
+    grid = u.grid
+    n0, umax = _tendency(u.coeffs, p, grid)
+    _gate_cfl(p.dt, umax, grid)
+    if mult.dt_phi1 is None:
+        decay = mult.decay
+        n1, _ = _tendency(decay * (u.coeffs + p.dt * n0), p, grid)
+        c = decay * u.coeffs + 0.5 * p.dt * (decay * n0 + n1)
+    else:
+        predictor = mult.decay * u.coeffs + mult.dt_phi1 * n0
+        n1, _ = _tendency(predictor, p, grid)
+        c = predictor + mult.dt_phi2 * (n1 - n0)
+    # unforced, n0 = -P[(u.grad)u], and negation is exact
+    nl = None if p.forcing is not None else np.negative(n0, out=n0)
+    return _settle(grid, c, time, mult), nl
+
+
 def step_strong(u: SpectralField, p: SolverParams) -> SpectralField:
     """One integrating-factor Heun step, re-projected, mean-free and cut off."""
     _require_solenoidal(u, "step_strong")
-    grid = u.grid
-    mult = _step_multipliers(grid, p, mild=False)
-    n0, umax = _tendency(u.coeffs, p, grid)
-    _gate_cfl(p.dt, umax, grid)
-    decay = mult.decay
-    n1, _ = _tendency(decay * (u.coeffs + p.dt * n0), p, grid)
-    return _settle(grid, decay * u.coeffs + 0.5 * p.dt * (decay * n0 + n1), u.time + p.dt, mult)
+    return _step(u, p, _step_multipliers(u.grid, p, mild=False), u.time + p.dt)[0]
 
 
 def step_mild(u: SpectralField, p: SolverParams) -> SpectralField:
     """One exponential-trapezoidal step of the Duhamel integral, re-projected,
     mean-free and cut off."""
     _require_solenoidal(u, "step_mild")
-    grid = u.grid
-    mult = _step_multipliers(grid, p, mild=True)
-    n0, umax = _tendency(u.coeffs, p, grid)
-    _gate_cfl(p.dt, umax, grid)
-    predictor = mult.decay * u.coeffs + mult.dt_phi1 * n0
-    n1, _ = _tendency(predictor, p, grid)
-    return _settle(grid, predictor + mult.dt_phi2 * (n1 - n0), u.time + p.dt, mult)
+    return _step(u, p, _step_multipliers(u.grid, p, mild=True), u.time + p.dt)[0]
 
 
 # ----------------------------------------------------------------------
@@ -263,37 +272,48 @@ def step_count(t_end: float, dt: float) -> int:
     return round(ratio)
 
 
-def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
+def run(u0: SpectralField, p: SolverParams, cadence: int = 1, observe=None) -> Trajectory:
     """Evolve u0 to t_end, recording every `cadence`-th step (plus endpoints).
 
     The datum is settled by the steps' rule (projected, mean-free, cut off).
-    A datum with a non-finite coefficient or time raises NonFiniteField.  A
-    blow-up guard raises BlowUpDetected (carrying the partial trajectory) when
-    the H^2 norm exceeds 1e3 times its initial value or is not finite, or the
+    A datum with a non-finite coefficient raises NonFiniteField.  A blow-up
+    guard raises BlowUpDetected (carrying the partial trajectory) when the
+    H^2 norm exceeds 1e3 times its initial value or is not finite, or the
     vorticity maximum passes 1e6; the partial holds only snapshots the guard
     passed.  A step that fails the CFL gate raises CflViolation with the
     partial trajectory attached the same way.
+
+    `observe(u, nl, h2, wmax)`, if given, is called with each recorded state
+    once the guard has passed it, in time order, together with what the run
+    already has: P[(u.grad)u] of the previous recorded state when u is the
+    step right after it (the step's own tendency), and u's H^2 norm (the
+    guard's, GUARD_NORM_INDEX = 2) and vorticity maximum when the guard
+    computed them; each is None otherwise.
     """
     if cadence < 1:
         raise ValueError("cadence must be >= 1")
     steps = step_count(p.t_end, p.dt)
     grid = u0.grid
-    mild = p.scheme == "mild-duhamel"
-    mult = _step_multipliers(grid, p, mild)
+    mult = _step_multipliers(grid, p, p.scheme == "mild-duhamel")
     u = _settle(grid, u0.coeffs, u0.time, mult)
     guard_norm0 = sobolev_norm(u, GUARD_NORM_INDEX)
     if not math.isfinite(guard_norm0):
         # a NaN norm would switch off the guards and the CFL gate below
         raise NonFiniteField("initial datum has a non-finite coefficient")
-    if not math.isfinite(u0.time):
-        raise NonFiniteField(f"initial datum has the non-finite time {u0.time}")
-    step = step_mild if mild else step_strong
+    if observe is not None:
+        observe(u, None, guard_norm0, None)
 
     snapshots = [u]
+    recorded = True
     try:
         for m in range(1, steps + 1):
-            u = SpectralField(u.grid, step(u, p).coeffs, u0.time + m * p.dt)
-            recorded = m % cadence == 0 or m == steps
+            u, nl = _step(u, p, mult, u0.time + m * p.dt)
+            # the tendency of a recorded state rides along only to the next step
+            # if that step is recorded too; it is never held across steps
+            before, recorded = recorded, m % cadence == 0 or m == steps
+            if not (before and recorded):
+                nl = None
+            hs = wmax = None
             if guard_norm0 > 0.0:
                 hs = sobolev_norm(u, GUARD_NORM_INDEX)
                 if hs > BLOWUP_NORM_FACTOR * guard_norm0 or not math.isfinite(hs):
@@ -309,6 +329,8 @@ def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
                         )
             if recorded:
                 snapshots.append(u)
+                if observe is not None:
+                    observe(u, nl, hs, wmax)
     except NumericalAbort as exc:
         exc.trajectory = Trajectory(p, snapshots)
         raise

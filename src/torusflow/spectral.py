@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, NotSolenoidal, SymmetryViolation
+from .errors import GridMismatch, NonFiniteField, NotSolenoidal, SymmetryViolation
 
 TWO_PI = 2.0 * np.pi
 
@@ -124,7 +124,8 @@ class SpectralField:
 
     coeffs is the half spectrum k3 >= 0, shape (3, n, n, n//2+1), complex128,
     read-only; `full` mirrors the rest.  Solenoidality and mean-freeness are
-    read from the coefficients (`divergence_defect`, the k = 0 mode).
+    read from the coefficients (`divergence_defect`, the k = 0 mode).  A NaN
+    or infinite time raises NonFiniteField.
     """
 
     grid: GridSpec
@@ -135,6 +136,8 @@ class SpectralField:
         n = self.grid.n
         if self.coeffs.shape != (3, n, n, n // 2 + 1):
             raise ValueError(f"coeffs must be the half spectrum (3, {n}, {n}, {n // 2 + 1})")
+        if not math.isfinite(self.time):
+            raise NonFiniteField(f"a field needs a finite time, not {self.time}")
         if self.coeffs.dtype != np.complex128:
             object.__setattr__(self, "coeffs", self.coeffs.astype(np.complex128))
         self.coeffs.flags.writeable = False
@@ -203,18 +206,30 @@ def inverse_transform(f: SpectralField) -> PhysicalField:
 
 
 # The transform pair is real-to-complex on the stored half spectrum; the 1/n^3
-# of the coefficient convention is the forward normalization.
-_AXES = (-3, -2, -1)
+# of the coefficient convention is the forward normalization.  Both run
+# numpy's own axis passes (`irfftn`, `rfftn`), with the complex passes written
+# into one array instead of a new array per pass; the bits are numpy's.
+
+@cache
+def _scratch(shape: tuple[int, ...]) -> np.ndarray:
+    """The complex work array of `_to_physical` for one shape; never returned."""
+    return np.empty(shape, dtype=np.complex128)
 
 
 def _to_physical(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Real samples of a half spectrum."""
-    return np.fft.irfftn(coeffs, s=(n, n, n), axes=_AXES, norm="forward")
+    work = _scratch(coeffs.shape)
+    np.fft.ifft(coeffs, n, axis=-3, norm="forward", out=work)
+    np.fft.ifft(work, n, axis=-2, norm="forward", out=work)
+    return np.fft.irfft(work, n, axis=-1, norm="forward")
 
 
 def _to_spectral(samples: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Half spectrum of real samples; mask, if given, multiplies it."""
-    half = np.fft.rfftn(samples, axes=_AXES, norm="forward")
+    n = samples.shape[-1]
+    half = np.fft.rfft(samples, n, axis=-1, norm="forward")
+    np.fft.fft(half, n, axis=-2, norm="forward", out=half)
+    np.fft.fft(half, n, axis=-3, norm="forward", out=half)
     if mask is not None:
         half *= mask
     return half

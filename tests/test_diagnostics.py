@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from torusflow import (
     SolverParams,
     SpectralField,
     PhysicalField,
+    RecordPass,
     Trajectory,
     WeightPartition,
     convergence_study,
@@ -19,6 +21,7 @@ from torusflow import (
     forward_transform,
     kinetic_energy,
     l2_norm,
+    parse_config,
     mild_residual,
     physical_l2_norm,
     inverse_transform,
@@ -35,13 +38,15 @@ from torusflow import (
     weak_form_residual,
     weak_test_battery,
 )
-from torusflow import diagnostics, spectral
+from torusflow import diagnostics, experiments, solvers, spectral
 from torusflow.diagnostics import CSV_HEADER
 from torusflow.experiments import shear_formulation_residuals
+from torusflow.snapshots import read_trajectory
 from torusflow.spectral import _advect_arrays, _lattice_sum, _mirror, advect
 from torusflow.errors import (
     DegenerateSequence,
     NonSolenoidalTest,
+    NumericalAbort,
     TimeGridMismatch,
     TooFewSnapshots,
 )
@@ -560,3 +565,124 @@ def test_nan_snapshot_poisons_weak_and_strong_residuals(grid8):
     poisoned = Trajectory(traj.params, snaps)
     assert math.isnan(weak_form_residual(poisoned, weak_test_battery(grid8)))
     assert math.isnan(strong_residual(poisoned))
+
+
+# ----------------------------------------------------------------------
+# the records pass fed by `run` against the same pass over the stored trajectory
+
+
+def _record_bits(records):
+    return np.array([astuple(r) for r in records]).view(np.uint64)
+
+
+@pytest.mark.parametrize("cadence", [1, 3])
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("scheme", ["strong-imex", "mild-duhamel", "weak-galerkin"])
+@pytest.mark.parametrize("datum", ["random", "zero"])
+def test_online_records_equal_stored_records_bitwise(scheme, forced, cadence, datum):
+    grid = GridSpec(8)
+    u0 = random_solenoidal_init(grid, 1.5, 3)
+    # the zero datum switches the guard off: no norm or vorticity maximum is handed over
+    u0 = u0.with_coeffs(u0.coeffs * (4.0 if datum == "random" else 0.0))
+    p = SolverParams(
+        nu=0.1, dt=2e-3, t_end=0.02, scheme=scheme,
+        galerkin_modes=6.0 if scheme == "weak-galerkin" else None,
+        forcing=shear_init(grid) if forced else None,
+    )
+    handed = []
+    online = RecordPass(p)
+
+    def observe(u, nl, h2, wmax):
+        handed.append((nl is not None, h2 is not None, wmax is not None))
+        online.push(u, nl, h2, wmax)
+
+    traj = run(u0, p, cadence=cadence, observe=observe)
+    assert np.array_equal(_record_bits(records_for_trajectory(traj, online)),
+                          _record_bits(records_for_trajectory(traj)))
+    # a tendency rides along only from a recorded state to the next step, and
+    # never when forced; at cadence 3 the datum and steps 3, 6, 9 and 10 are
+    # recorded, so only step 10 follows a recorded state
+    if cadence == 1:
+        expected = [False] + [not forced] * 10
+    else:
+        expected = [False, False, False, False, not forced]
+    assert [nl for nl, _, _ in handed] == expected
+    guarded = datum == "random"
+    assert [h2 for _, h2, _ in handed] == [True] + [guarded] * (len(handed) - 1)
+    assert [w for _, _, w in handed] == [False] + [guarded] * (len(handed) - 1)
+
+
+def test_the_pass_refuses_a_trajectory_that_does_not_continue_its_snapshots(grid8):
+    p = SolverParams(nu=0.1, dt=1e-2, t_end=0.03)
+    traj = run(taylor_green_init(grid8), p)
+    other = run(shear_init(grid8), p)
+    online = RecordPass(p)
+    online.push(traj.snapshots[0])
+    with pytest.raises(ValueError, match="does not continue"):
+        records_for_trajectory(other, online)
+
+
+def _tiny_forced_blowup(grid):
+    tiny = shear_init(grid)
+    p = SolverParams(nu=1e-6, dt=1e-3, t_end=0.1, forcing=shear_init(grid))
+    return tiny.with_coeffs(1e-9 * tiny.coeffs), p
+
+
+@pytest.mark.parametrize("case", ["norm-guard", "nan-step", "cfl"])
+def test_an_aborted_run_with_the_pass_raises_the_same_abort(case, grid8, monkeypatch):
+    if case == "norm-guard":
+        u0, p = _tiny_forced_blowup(grid8)
+    else:
+        u0 = taylor_green_init(grid8)
+        p = SolverParams(nu=0.1, dt=1e-2 if case == "nan-step" else 0.5, t_end=1.0)
+    if case == "nan-step":
+        real_step = solvers._step
+
+        def failing_step(u, p, mult, time):
+            out, nl = real_step(u, p, mult, time)
+            bad = time > 0.035
+            return (out.with_coeffs(out.coeffs * np.nan) if bad else out), nl
+
+        monkeypatch.setattr(solvers, "_step", failing_step)
+    caught = []
+    for observe in (None, RecordPass(p)):
+        with pytest.raises(NumericalAbort) as excinfo:
+            run(u0, p, observe=None if observe is None else observe.push)
+        caught.append((type(excinfo.value), str(excinfo.value),
+                       [s.coeffs.tobytes() for s in excinfo.value.trajectory.snapshots]))
+        if observe is not None:
+            # the pass saw exactly the states the guard passed
+            partial = excinfo.value.trajectory.snapshots
+            assert len(observe.snaps) == len(partial)
+            assert all(a is b for a, b in zip(observe.snaps, partial))
+    assert caught[0] == caught[1]
+    assert len(caught[0][2]) >= 1
+
+
+def test_a_cadence_one_run_experiment_makes_one_kernel_call_of_its_own(tmp_path, monkeypatch):
+    steps = 6
+    cfg = parse_config(f"experiment = run\nn = 8\ninit = random\ndt = 1e-3\n"
+                       f"t_end = {steps * 1e-3}\ncadence = 1\nout = {tmp_path}\n")
+    kernel, vort = [], []
+    real_kernel, real_vort = spectral._advect_arrays, spectral.vorticity_max
+
+    def counting_kernel(*args):
+        kernel.append(1)
+        return real_kernel(*args)
+
+    def counting_vort(u):
+        vort.append(1)
+        return real_vort(u)
+
+    for module in (spectral, solvers):
+        monkeypatch.setattr(module, "_advect_arrays", counting_kernel)
+    for module in (spectral, solvers, diagnostics):
+        monkeypatch.setattr(module, "vorticity_max", counting_vort)
+    assert experiments.experiment_run(cfg, tmp_path) == 0
+    # two kernel calls per step, one for the last snapshot; the guard's
+    # vorticity maximum of every stepped state, one for the datum
+    assert (len(kernel), len(vort)) == (2 * steps + 1, steps + 1)
+    monkeypatch.undo()
+    traj = read_trajectory(tmp_path)
+    assert (tmp_path / "diagnostics.csv").read_text() == diagnostics_csv(
+        records_for_trajectory(traj))

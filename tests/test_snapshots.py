@@ -184,7 +184,10 @@ def test_snapshot_writer_refuses_non_finite_data(tmp_path, grid8, what):
     u = random_solenoidal_init(grid8, 2.0, 3)
     nu = math.inf if what == "viscosity" else 0.5
     if what == "time":
-        u = SpectralField(grid8, u.coeffs, math.nan)
+        # a field refuses a non-finite time, so the writer never meets one
+        with pytest.raises(NonFiniteField, match="finite time"):
+            SpectralField(grid8, u.coeffs, math.nan)
+        return
     if what == "coefficient":
         coeffs = u.coeffs.copy()
         coeffs[1, 2, 0, 0] = np.nan

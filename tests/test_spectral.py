@@ -633,3 +633,26 @@ def test_fields_on_two_grids_are_refused():
     params = SolverParams(nu=0.1, dt=1e-3, t_end=1e-3)
     with pytest.raises(GridMismatch):
         Trajectory(params, [f16, g8.with_coeffs(g8.coeffs, time=1e-3)])
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16, 64])
+def test_scratch_transforms_match_numpy_bitwise(n):
+    # _to_physical runs irfftn's axis passes through one cached complex array,
+    # _to_spectral runs rfftn's complex passes in place: numpy's bits either way
+    rng = np.random.default_rng(n)
+    h = n // 2 + 1
+    for lead in ((3,), ()):
+        shape = lead + (n, n, h)
+        c, other = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+        x = rng.standard_normal(lead + (n, n, n))
+        phys = _to_physical(c, n)
+        expected = np.fft.irfftn(c, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+        assert np.array_equal(phys.view(np.uint64), expected.view(np.uint64))
+        half = _to_spectral(x)
+        expected = np.fft.rfftn(x, axes=(-3, -2, -1), norm="forward")
+        assert np.array_equal(half.view(np.uint64), expected.view(np.uint64))
+        # a returned array never aliases the scratch: a second transform
+        # leaves the first result as it was
+        kept = phys.copy()
+        _to_physical(other, n)
+        assert np.array_equal(phys.view(np.uint64), kept.view(np.uint64))
