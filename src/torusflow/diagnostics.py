@@ -14,20 +14,22 @@ strong  : pointwise momentum-equation residual at interior snapshot times,
 
 All three come from one streaming pass over the snapshots (`RecordPass`)
 that evaluates (u.grad)u once per snapshot: the product enters the weak
-quadrature and its Leray projection the mild and strong defects.  `run`
-feeds the pass as it records, handing over the projected product its next
-step computed and its guard's H^2 norm and vorticity maximum; over a stored
-trajectory (`residual_defects`, `records_for_trajectory`) the pass computes
-them itself.  `weak_form_residual`, `mild_residual` and `strong_residual`
-read `residual_defects`.  Every residual takes the viscosity and forcing of
-the trajectory's own run (`traj.params`).
+quadrature and its Leray projection the mild and strong defects.  The pass
+consumes a stream of (u, nl, h2, wmax) and holds only the three snapshots
+its recurrence still reads.  The `run` experiment feeds it the solver's
+stream (`solvers._states`), which hands over the projected product its next
+step computed and the guard's H^2 norm and vorticity maximum; a stored
+trajectory (`residual_defects`, `records_for_trajectory`) is the stream
+(u, None, None, None), and the pass computes those values itself.
+`weak_form_residual`, `mild_residual` and `strong_residual` read
+`residual_defects`.  Every residual takes the viscosity and forcing of the
+trajectory's own run (`traj.params`).
 """
 
 from __future__ import annotations
 
 import math
-import operator as op
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -108,23 +110,25 @@ def energy_identity_residual(traj: Trajectory) -> np.ndarray:
     """Per-interval defect |dE + nu int ||grad u||^2 dt - int <f,u> dt| (trapezoidal)."""
     if len(traj.snapshots) < 2:
         raise TooFewSnapshots("energy identity needs at least two snapshots")
-    snaps = traj.snapshots
-    return _energy_defects(traj, [kinetic_energy(s) for s in snaps], [enstrophy(s) for s in snaps])
-
-
-def _energy_defects(traj: Trajectory, energies: list[float], dissip: list[float]) -> np.ndarray:
-    """`energy_identity_residual` from the per-snapshot energies and enstrophies."""
-    snaps = traj.snapshots
     p = traj.params
-    power = [0.0] * len(snaps)
-    if p.forcing is not None:
-        power = [inner_product(p.forcing, s) for s in snaps]
+    return _energy_defects(p.nu, [
+        (s.time, kinetic_energy(s), enstrophy(s), _power(p, s)) for s in traj.snapshots
+    ])
+
+
+def _power(p: SolverParams, u: SpectralField) -> float:
+    """The forcing's power <f, u>, 0.0 unforced."""
+    return 0.0 if p.forcing is None else inner_product(p.forcing, u)
+
+
+def _energy_defects(nu: float, rows: Sequence[tuple[float, float, float, float]]) -> np.ndarray:
+    """`energy_identity_residual` from per-snapshot (time, energy, enstrophy, power) rows."""
     out = []
-    for m in range(len(snaps) - 1):
-        dt = snaps[m + 1].time - snaps[m].time
-        visc = 0.5 * dt * (dissip[m] + dissip[m + 1])
-        work = 0.5 * dt * (power[m] + power[m + 1])
-        out.append(abs(energies[m + 1] - energies[m] + p.nu * visc - work))
+    for (t0, e0, d0, w0), (t1, e1, d1, w1) in zip(rows, rows[1:]):
+        dt = t1 - t0
+        visc = 0.5 * dt * (d0 + d1)
+        work = 0.5 * dt * (w0 + w1)
+        out.append(abs(e1 - e0 + nu * visc - work))
     return np.asarray(out)
 
 
@@ -259,7 +263,9 @@ def residual_defects(
     qw = _time_quadrature_weights(times)
     bump, bump_dt = _time_bump(times)
     walk = RecordPass(traj.params, modes, (qw, bump, bump_dt))
-    walk._finish(traj)
+    for u in snaps:
+        walk.push(u)
+    walk.finish()
 
     span = float(times[-1] - times[0])
     bump_scale = math.sqrt(sum(w * (b**2 + bdot**2) for w, b, bdot in zip(qw, bump, bump_dt)))
@@ -274,37 +280,66 @@ def residual_defects(
 class RecordPass:
     """The records of one trajectory, from one streaming pass over its snapshots.
 
-    `push` (`run`'s `observe` hook) takes the snapshots in time order, each
-    with what its producer has: `nl`, P[(u.grad)u] of the previous snapshot,
-    and the snapshot's H^2 norm and vorticity maximum.  A tendency enters the
-    mild/strong recurrence at once, or is dropped while an earlier one is
-    missing: the pass holds two tendencies, never one per snapshot.
-    `records_for_trajectory(traj, online)` pushes the snapshots not pushed
-    yet and computes what nobody handed over.  `residual_defects` adds the
-    weak test `modes` and their time `weights` (quadrature, bump, bump
-    derivative per snapshot).
+    `push(u, nl, h2, wmax)` takes the snapshots in time order, each with what
+    its producer has: `nl`, P[(u.grad)u] of the previous snapshot, and the
+    snapshot's H^2 norm and vorticity maximum (all None for a stored
+    snapshot).  The previous snapshot's tendency enters the mild/strong
+    recurrence at once, computed when it was not handed over, so the pass
+    holds the three snapshots the recurrence still reads and one tendency;
+    `finish` enters the last.  A records pass keeps each snapshot's scalars
+    (`rows`) and `records` finishes it; `residual_defects` adds the weak test
+    `modes` and their time `weights` (quadrature, bump, bump derivative per
+    snapshot) instead.
     """
 
     def __init__(self, p: SolverParams, modes: Sequence[SpectralField] = (), weights=None):
         self.p, self._modes, self._weights = p, modes, weights
-        self.snaps: list[SpectralField] = []
-        self._handed: list[tuple[float | None, float | None]] = []  # (h2, wmax) per snapshot
+        self.snaps: list[SpectralField | None] = []  # None once the recurrence is past it
+        self.rows: list[DiagnosticsRecord] | None = [] if weights is None else None
+        self._power: list[float] = []  # <f, u> per row, for the energy identity
         self.mild, self.strong, self.weak = [0.0], [0.0], [0.0] * len(modes)
-        self._entered = 0  # snapshots whose tendency has entered the recurrence
         self._nl = None  # the last tendency that entered
 
     def push(self, u: SpectralField, nl=None, h2: float | None = None, wmax: float | None = None):
-        if nl is not None and self._entered == len(self.snaps) - 1:
-            self._enter(nl)
+        if self.snaps:
+            self._enter(len(self.snaps) - 1, nl)
         self.snaps.append(u)
-        self._handed.append((h2, wmax))
+        if len(self.snaps) > 3:
+            self.snaps[-4] = None
+        if self.rows is not None:
+            self._power.append(_power(self.p, u))
+            self.rows.append(DiagnosticsRecord(
+                t=u.time, energy=kinetic_energy(u), enstrophy=enstrophy(u),
+                bkm=vorticity_max(u) if wmax is None else wmax, div_defect=divergence_defect(u),
+                res_weak=0.0, res_mild=0.0, res_strong=0.0, h1=sobolev_norm(u, 1.0),
+                h2=sobolev_norm(u, 2.0) if h2 is None else h2, h3=sobolev_norm(u, 3.0),
+            ))
 
-    def _enter(self, nl: np.ndarray | None = None):
+    def finish(self):
+        """Enter the last snapshot's tendency; the defects are complete after it."""
+        if len(self.snaps) > 1:
+            self._enter(len(self.snaps) - 1)
+            self.strong.append(0.0)
+
+    def records(self) -> list[DiagnosticsRecord]:
+        """Finish a records pass; its validated records."""
+        self.finish()
+        rows = [(r.t, r.energy, r.enstrophy, w) for r, w in zip(self.rows, self._power)]
+        records = [
+            replace(r, res_weak=float(e), res_mild=float(mild), res_strong=float(strong))
+            for r, e, mild, strong in zip(
+                self.rows, [0.0, *_energy_defects(self.p.nu, rows)], self.mild, self.strong
+            )
+        ]
+        for r in records:
+            r.validate()
+        return records
+
+    def _enter(self, m: int, nl: np.ndarray | None = None):
         """Snapshot m's tendency nl (computed when None) enters: the strong
         defect of m - 1 and the mild defect of m follow."""
-        m = self._entered
         snaps, p = self.snaps, self.p
-        k2 = snaps[0].grid.k_squared
+        k2 = snaps[m].grid.k_squared
         forcing = None if p.forcing is None else p.forcing.coeffs
         if m >= 2:
             # snapshot m-1 is interior now that its right neighbour is known;
@@ -315,6 +350,7 @@ class RecordPass:
         if m == 0:
             norm0 = sobolev_norm(snaps[0], 1.0)
             self._scale = norm0 if norm0 > 0.0 else 1.0
+            self._t0 = snaps[0].time
             self._integral = np.zeros_like(snaps[0].coeffs)
             self._propagated = snaps[0].coeffs
         else:
@@ -325,7 +361,7 @@ class RecordPass:
             expected = self._propagated - self._integral
             if forcing is not None:
                 # steady forcing integrates exactly: int_0^t e^{nu (t-tau) lap} d tau
-                t = snaps[m].time - snaps[0].time
+                t = snaps[m].time - self._t0
                 z = -p.nu * t * k2
                 denom = p.nu * k2
                 safe = np.where(denom > 0.0, denom, 1.0)
@@ -334,7 +370,6 @@ class RecordPass:
             diff = snaps[m].with_coeffs(snaps[m].coeffs - expected)
             self.mild.append(sobolev_norm(diff, 1.0) / self._scale)
         self._nl = nl
-        self._entered += 1
 
     def _proj_nl(self, m: int) -> np.ndarray:
         # snapshot m's (u.grad)u enters the weak sums, then leaves projected
@@ -368,18 +403,6 @@ class RecordPass:
             res = res - forcing
         return l2_norm(u.with_coeffs(res))
 
-    def _finish(self, traj: Trajectory):
-        """Push the snapshots of traj not pushed yet, then enter every tendency left."""
-        pushed = len(self.snaps)
-        if pushed > len(traj.snapshots) or any(map(op.is_not, self.snaps, traj.snapshots)):
-            raise ValueError("the trajectory does not continue the pushed snapshots")
-        for u in traj.snapshots[pushed:]:
-            self.push(u)
-        if len(self.snaps) > 1:
-            while self._entered < len(self.snaps):
-                self._enter()
-            self.strong.append(0.0)
-
 
 def weak_form_residual(traj: Trajectory, modes: Sequence[SpectralField]) -> float:
     """Max normalized weak-form defect over the test `modes` (see `residual_defects`)."""
@@ -406,36 +429,13 @@ def strong_residual(traj: Trajectory) -> float:
 # ----------------------------------------------------------------------
 # per-trajectory records and CSV
 
-def records_for_trajectory(
-    traj: Trajectory, online: RecordPass | None = None
-) -> list[DiagnosticsRecord]:
-    """One validated record per snapshot of traj.  `online` is the pass that
-    `run` fed while it stepped (its `observe` hook); every value it was not
-    handed is computed here, so both ways give the same bits."""
-    walk = RecordPass(traj.params) if online is None else online
-    walk._finish(traj)
-    snaps = walk.snaps
-    energies = [kinetic_energy(s) for s in snaps]
-    dissip = [enstrophy(s) for s in snaps]
-    energy_defects = _energy_defects(traj, energies, dissip)
-    records = []
-    for m, (s, (h2, wmax)) in enumerate(zip(snaps, walk._handed)):
-        rec = DiagnosticsRecord(
-            t=s.time,
-            energy=energies[m],
-            enstrophy=dissip[m],
-            bkm=vorticity_max(s) if wmax is None else wmax,
-            div_defect=divergence_defect(s),
-            res_weak=float(energy_defects[m - 1]) if m > 0 else 0.0,
-            res_mild=float(walk.mild[m]),
-            res_strong=float(walk.strong[m]),
-            h1=sobolev_norm(s, 1.0),
-            h2=sobolev_norm(s, 2.0) if h2 is None else h2,
-            h3=sobolev_norm(s, 3.0),
-        )
-        rec.validate()
-        records.append(rec)
-    return records
+def records_for_trajectory(traj: Trajectory) -> list[DiagnosticsRecord]:
+    """One validated record per snapshot of traj: the records pass over the
+    stream of its snapshots, which computes every value itself."""
+    walk = RecordPass(traj.params)
+    for u in traj.snapshots:
+        walk.push(u)
+    return walk.records()
 
 
 CSV_HEADER = ",".join(f.name for f in fields(DiagnosticsRecord))

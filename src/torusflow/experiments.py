@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -38,11 +39,13 @@ from .operators import (
     weighted_blend,
 )
 from .oracles import convolution_nonlinear_term
-from .snapshots import _INEXACT_DEALIASING, read_snapshot, write_snapshot, write_trajectory
+from .snapshots import _INEXACT_DEALIASING, _write_manifest, _write_snap
+from .snapshots import read_snapshot, write_snapshot, write_trajectory
 from .solvers import (
     SCHEMES,
     SolverParams,
     Trajectory,
+    _states,
     lifespan_lower_bound,
     pressure_solve,
     random_solenoidal_init,
@@ -641,13 +644,29 @@ print("wrote", path.with_suffix(".png"))
 
 
 def experiment_run(cfg: ExperimentConfig, out: Path) -> int:
+    """Stream the run into `out`: snapshot i is written when state i arrives, the
+    manifest and `diagnostics.csv` after the last.  On a NumericalAbort the
+    snapshots written move to `out/partial` beside their manifest, the layout
+    `run_experiment` writes for a trajectory `run` attaches, and the abort
+    propagates with none attached."""
     grid = GridSpec(cfg.n)
     u0 = _initial_field(cfg, grid)
     p = _solver_params(cfg)
-    online = diag.RecordPass(p)
-    traj = run(u0, p, cadence=cfg.cadence, observe=online.push)
-    write_trajectory(out, traj)
-    csv = diag.diagnostics_csv(diag.records_for_trajectory(traj, online))
+    walk = diag.RecordPass(p)
+    names = []
+    try:
+        for u, nl, h2, wmax in _states(u0, p, cfg.cadence):
+            walk.push(u, nl, h2, wmax)
+            names.append(_write_snap(out, len(names), u, p.nu, walk.rows[-1].div_defect))
+    except NumericalAbort:
+        partial = out / "partial"
+        partial.mkdir(exist_ok=True)
+        for name in names:
+            os.replace(out / name, partial / name)
+        _write_manifest(partial, p, grid.n, names)
+        raise
+    _write_manifest(out, p, grid.n, names)
+    csv = diag.diagnostics_csv(walk.records())
     (out / "diagnostics.csv").write_text(csv, encoding="utf-8")
     (out / "plot_diagnostics.py").write_text(PLOT_SCRIPT, encoding="utf-8")
     return EXIT_OK
@@ -724,6 +743,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         return dispatch[cfg.experiment](cfg, out)
     except NumericalAbort as exc:
         (out / "abort.txt").write_text(f"numerical abort: {exc}\n", encoding="utf-8")
+        # `run` attaches its partial trajectory; `experiment_run` has written its own
         if exc.trajectory is not None:
             write_trajectory(out / "partial", exc.trajectory)
         return EXIT_NUMERICAL_ABORT

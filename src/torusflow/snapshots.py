@@ -40,9 +40,16 @@ FLAG_MEAN_FREE = 2
 
 
 def snapshot_bytes(f: SpectralField, nu: float = 0.0) -> bytes:
+    return _sns1_bytes(f, nu)
+
+
+def _sns1_bytes(f: SpectralField, nu: float, div_defect: float | None = None) -> bytes:
+    """`snapshot_bytes`; a writer that has measured f's divergence defect passes it."""
     if not (math.isfinite(nu) and np.isfinite(f.coeffs).all()):
         raise NonFiniteField(f"non-finite viscosity or coefficient (nu={nu!r})")
-    solenoidal = divergence_defect(f) <= SOLENOIDAL_TOL
+    if div_defect is None:
+        div_defect = divergence_defect(f)
+    solenoidal = div_defect <= SOLENOIDAL_TOL
     mean_free = not np.any(f.coeffs[:, 0, 0, 0])
     flags = (FLAG_SOLENOIDAL if solenoidal else 0) | (FLAG_MEAN_FREE if mean_free else 0)
     header = _HEADER.pack(MAGIC, f.grid.n, f.time, nu, flags)
@@ -90,22 +97,33 @@ def write_trajectory(directory: str | Path, traj: Trajectory) -> None:
     """Snapshot files plus a key=value manifest, deterministically named."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, snap in enumerate(traj.snapshots):
-        name = f"snap_{i:06d}.sns1"
-        write_snapshot(directory / name, snap, nu=traj.params.nu)
-        names.append(name)
+    names = [_write_snap(directory, i, s, traj.params.nu) for i, s in enumerate(traj.snapshots)]
+    _write_manifest(directory, traj.params, traj.grid.n, names)
+
+
+def _write_snap(
+    directory: Path, i: int, f: SpectralField, nu: float, div_defect: float | None = None
+) -> str:
+    """Write f as snapshot i of a trajectory in directory; returns the file name.
+    A streaming writer passes the divergence defect its records measured."""
+    name = f"snap_{i:06d}.sns1"
+    (directory / name).write_bytes(_sns1_bytes(f, nu, div_defect))
+    return name
+
+
+def _write_manifest(directory: Path, params: SolverParams, n: int, names: list[str]) -> None:
+    """The manifest of the snapshot files `names` of a run by params on n modes per axis."""
     manifest = "".join(
         (
-            f"scheme={traj.params.scheme}\n",
-            f"nu={traj.params.nu!r}\n",
-            f"dt={traj.params.dt!r}\n",
-            f"n={traj.grid.n}\n",
-            f"seed={traj.params.seed}\n",
+            f"scheme={params.scheme}\n",
+            f"nu={params.nu!r}\n",
+            f"dt={params.dt!r}\n",
+            f"n={n}\n",
+            f"seed={params.seed}\n",
             f"snapshots={','.join(names)}\n",
         )
     )
-    if traj.grid.n % 3 == 0:
+    if n % 3 == 0:
         manifest += f"dealiasing={_INEXACT_DEALIASING}\n"
     (directory / "manifest.txt").write_text(manifest, encoding="utf-8")
 

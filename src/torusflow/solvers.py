@@ -272,7 +272,7 @@ def step_count(t_end: float, dt: float) -> int:
     return round(ratio)
 
 
-def run(u0: SpectralField, p: SolverParams, cadence: int = 1, observe=None) -> Trajectory:
+def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
     """Evolve u0 to t_end, recording every `cadence`-th step (plus endpoints).
 
     The datum is settled by the steps' rule (projected, mean-free, cut off).
@@ -281,14 +281,27 @@ def run(u0: SpectralField, p: SolverParams, cadence: int = 1, observe=None) -> T
     H^2 norm exceeds 1e3 times its initial value or is not finite, or the
     vorticity maximum passes 1e6; the partial holds only snapshots the guard
     passed.  A step that fails the CFL gate raises CflViolation with the
-    partial trajectory attached the same way.
+    partial trajectory attached the same way.  The trajectory is the stream
+    of `_states`, collected.
+    """
+    snapshots = []
+    try:
+        for u, _, _, _ in _states(u0, p, cadence):
+            snapshots.append(u)
+    except NumericalAbort as exc:
+        exc.trajectory = Trajectory(p, snapshots)
+        raise
+    return Trajectory(p, snapshots)
 
-    `observe(u, nl, h2, wmax)`, if given, is called with each recorded state
-    once the guard has passed it, in time order, together with what the run
-    already has: P[(u.grad)u] of the previous recorded state when u is the
-    step right after it (the step's own tendency), and u's H^2 norm (the
-    guard's, GUARD_NORM_INDEX = 2) and vorticity maximum when the guard
-    computed them; each is None otherwise.
+
+def _states(u0: SpectralField, p: SolverParams, cadence: int):
+    """The recorded states of `run`, each as (u, nl, h2, wmax) once the guard
+    has passed it, in time order; the errors are run's, with nothing attached.
+
+    Beside u come what the run already has: nl, P[(u.grad)u] of the previous
+    recorded state when u is the step right after it (the step's own
+    tendency), and u's H^2 norm (the guard's, GUARD_NORM_INDEX = 2) and
+    vorticity maximum when the guard computed them; each is None otherwise.
     """
     if cadence < 1:
         raise ValueError("cadence must be >= 1")
@@ -300,41 +313,32 @@ def run(u0: SpectralField, p: SolverParams, cadence: int = 1, observe=None) -> T
     if not math.isfinite(guard_norm0):
         # a NaN norm would switch off the guards and the CFL gate below
         raise NonFiniteField("initial datum has a non-finite coefficient")
-    if observe is not None:
-        observe(u, None, guard_norm0, None)
+    yield u, None, guard_norm0, None
 
-    snapshots = [u]
     recorded = True
-    try:
-        for m in range(1, steps + 1):
-            u, nl = _step(u, p, mult, u0.time + m * p.dt)
-            # the tendency of a recorded state rides along only to the next step
-            # if that step is recorded too; it is never held across steps
-            before, recorded = recorded, m % cadence == 0 or m == steps
-            if not (before and recorded):
-                nl = None
-            hs = wmax = None
-            if guard_norm0 > 0.0:
-                hs = sobolev_norm(u, GUARD_NORM_INDEX)
-                if hs > BLOWUP_NORM_FACTOR * guard_norm0 or not math.isfinite(hs):
-                    raise BlowUpDetected(
-                        f"H^{GUARD_NORM_INDEX:g} norm {hs:.3e} exceeds guard at t = {u.time:g}"
-                    )
-                if recorded:
-                    # vorticity maximum needs physical samples; check at snapshot cadence
-                    wmax = vorticity_max(u)
-                    if wmax > BLOWUP_BKM_LIMIT:
-                        raise BlowUpDetected(
-                            f"vorticity maximum {wmax:.3e} exceeds guard at t = {u.time:g}"
-                        )
+    for m in range(1, steps + 1):
+        u, nl = _step(u, p, mult, u0.time + m * p.dt)
+        # the tendency of a recorded state rides along only to the next step
+        # if that step is recorded too; it is never held across steps
+        before, recorded = recorded, m % cadence == 0 or m == steps
+        if not (before and recorded):
+            nl = None
+        hs = wmax = None
+        if guard_norm0 > 0.0:
+            hs = sobolev_norm(u, GUARD_NORM_INDEX)
+            if hs > BLOWUP_NORM_FACTOR * guard_norm0 or not math.isfinite(hs):
+                raise BlowUpDetected(
+                    f"H^{GUARD_NORM_INDEX:g} norm {hs:.3e} exceeds guard at t = {u.time:g}"
+                )
             if recorded:
-                snapshots.append(u)
-                if observe is not None:
-                    observe(u, nl, hs, wmax)
-    except NumericalAbort as exc:
-        exc.trajectory = Trajectory(p, snapshots)
-        raise
-    return Trajectory(p, snapshots)
+                # vorticity maximum needs physical samples; check at snapshot cadence
+                wmax = vorticity_max(u)
+                if wmax > BLOWUP_BKM_LIMIT:
+                    raise BlowUpDetected(
+                        f"vorticity maximum {wmax:.3e} exceeds guard at t = {u.time:g}"
+                    )
+        if recorded:
+            yield u, nl, hs, wmax
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import astuple
 
 import numpy as np
@@ -38,10 +39,10 @@ from torusflow import (
     weak_form_residual,
     weak_test_battery,
 )
-from torusflow import diagnostics, experiments, solvers, spectral
+from torusflow import diagnostics, experiments, snapshots, solvers, spectral
 from torusflow.diagnostics import CSV_HEADER
 from torusflow.experiments import shear_formulation_residuals
-from torusflow.snapshots import read_trajectory
+from torusflow.snapshots import read_trajectory, write_trajectory
 from torusflow.spectral import _advect_arrays, _lattice_sum, _mirror, advect
 from torusflow.errors import (
     DegenerateSequence,
@@ -568,11 +569,20 @@ def test_nan_snapshot_poisons_weak_and_strong_residuals(grid8):
 
 
 # ----------------------------------------------------------------------
-# the records pass fed by `run` against the same pass over the stored trajectory
+# the records pass fed by the solver's stream against the same pass over the
+# stored trajectory
 
 
 def _record_bits(records):
     return np.array([astuple(r) for r in records]).view(np.uint64)
+
+
+def _stream_params(scheme, forced, grid):
+    return SolverParams(
+        nu=0.1, dt=2e-3, t_end=0.02, scheme=scheme,
+        galerkin_modes=6.0 if scheme == "weak-galerkin" else None,
+        forcing=shear_init(grid) if forced else None,
+    )
 
 
 @pytest.mark.parametrize("cadence", [1, 3])
@@ -584,20 +594,14 @@ def test_online_records_equal_stored_records_bitwise(scheme, forced, cadence, da
     u0 = random_solenoidal_init(grid, 1.5, 3)
     # the zero datum switches the guard off: no norm or vorticity maximum is handed over
     u0 = u0.with_coeffs(u0.coeffs * (4.0 if datum == "random" else 0.0))
-    p = SolverParams(
-        nu=0.1, dt=2e-3, t_end=0.02, scheme=scheme,
-        galerkin_modes=6.0 if scheme == "weak-galerkin" else None,
-        forcing=shear_init(grid) if forced else None,
-    )
+    p = _stream_params(scheme, forced, grid)
     handed = []
     online = RecordPass(p)
-
-    def observe(u, nl, h2, wmax):
+    for u, nl, h2, wmax in solvers._states(u0, p, cadence):
         handed.append((nl is not None, h2 is not None, wmax is not None))
         online.push(u, nl, h2, wmax)
-
-    traj = run(u0, p, cadence=cadence, observe=observe)
-    assert np.array_equal(_record_bits(records_for_trajectory(traj, online)),
+    traj = run(u0, p, cadence=cadence)
+    assert np.array_equal(_record_bits(online.records()),
                           _record_bits(records_for_trajectory(traj)))
     # a tendency rides along only from a recorded state to the next step, and
     # never when forced; at cadence 3 the datum and steps 3, 6, 9 and 10 are
@@ -612,14 +616,22 @@ def test_online_records_equal_stored_records_bitwise(scheme, forced, cadence, da
     assert [w for _, _, w in handed] == [False] + [guarded] * (len(handed) - 1)
 
 
-def test_the_pass_refuses_a_trajectory_that_does_not_continue_its_snapshots(grid8):
-    p = SolverParams(nu=0.1, dt=1e-2, t_end=0.03)
-    traj = run(taylor_green_init(grid8), p)
-    other = run(shear_init(grid8), p)
-    online = RecordPass(p)
-    online.push(traj.snapshots[0])
-    with pytest.raises(ValueError, match="does not continue"):
-        records_for_trajectory(other, online)
+@pytest.mark.parametrize("cadence", [1, 3])
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+def test_the_pass_drops_each_snapshot_once_three_newer_ones_are_pushed(cadence, forced):
+    grid = GridSpec(8)
+    p = _stream_params("strong-imex", forced, grid)
+    walk = RecordPass(p)
+    refs = []
+    for u, nl, h2, wmax in solvers._states(random_solenoidal_init(grid, 1.5, 3), p, cadence):
+        walk.push(u, nl, h2, wmax)
+        refs.append(weakref.ref(u))
+        del u, nl
+        held = [r() is not None for r in refs]
+        # snapshot i is gone once i + 3 is pushed; the newest three stay
+        assert held == [i >= len(refs) - 3 for i in range(len(refs))]
+    assert len(refs) == (11 if cadence == 1 else 5)
+    assert len(walk.records()) == len(refs)
 
 
 def _tiny_forced_blowup(grid):
@@ -628,13 +640,14 @@ def _tiny_forced_blowup(grid):
     return tiny.with_coeffs(1e-9 * tiny.coeffs), p
 
 
-@pytest.mark.parametrize("case", ["norm-guard", "nan-step", "cfl"])
-def test_an_aborted_run_with_the_pass_raises_the_same_abort(case, grid8, monkeypatch):
+def _abort_case(case, grid, monkeypatch):
+    """Datum and parameters of a run that aborts: on the H^2 guard after many
+    steps, on a NaN step after several streamed snapshots, or on the CFL gate
+    at the first step."""
     if case == "norm-guard":
-        u0, p = _tiny_forced_blowup(grid8)
-    else:
-        u0 = taylor_green_init(grid8)
-        p = SolverParams(nu=0.1, dt=1e-2 if case == "nan-step" else 0.5, t_end=1.0)
+        return _tiny_forced_blowup(grid)
+    u0 = taylor_green_init(grid)
+    p = SolverParams(nu=0.1, dt=1e-2 if case == "nan-step" else 0.5, t_end=1.0)
     if case == "nan-step":
         real_step = solvers._step
 
@@ -644,44 +657,81 @@ def test_an_aborted_run_with_the_pass_raises_the_same_abort(case, grid8, monkeyp
             return (out.with_coeffs(out.coeffs * np.nan) if bad else out), nl
 
         monkeypatch.setattr(solvers, "_step", failing_step)
-    caught = []
-    for observe in (None, RecordPass(p)):
-        with pytest.raises(NumericalAbort) as excinfo:
-            run(u0, p, observe=None if observe is None else observe.push)
-        caught.append((type(excinfo.value), str(excinfo.value),
-                       [s.coeffs.tobytes() for s in excinfo.value.trajectory.snapshots]))
-        if observe is not None:
-            # the pass saw exactly the states the guard passed
-            partial = excinfo.value.trajectory.snapshots
-            assert len(observe.snaps) == len(partial)
-            assert all(a is b for a, b in zip(observe.snaps, partial))
-    assert caught[0] == caught[1]
-    assert len(caught[0][2]) >= 1
+    return u0, p
+
+
+@pytest.mark.parametrize("case", ["norm-guard", "nan-step", "cfl"])
+def test_an_aborted_run_with_the_pass_raises_the_same_abort(case, grid8, monkeypatch):
+    u0, p = _abort_case(case, grid8, monkeypatch)
+    with pytest.raises(NumericalAbort) as excinfo:
+        run(u0, p)
+    partial = excinfo.value.trajectory.snapshots
+    walk, streamed = RecordPass(p), []
+    with pytest.raises(NumericalAbort) as streamed_info:
+        for u, nl, h2, wmax in solvers._states(u0, p, 1):
+            walk.push(u, nl, h2, wmax)
+            streamed.append(u)
+    # the stream carries no trajectory; the pass saw exactly the states the guard passed
+    assert streamed_info.value.trajectory is None
+    assert (type(streamed_info.value), str(streamed_info.value)) == (
+        type(excinfo.value), str(excinfo.value))
+    assert [s.coeffs.tobytes() for s in streamed] == [s.coeffs.tobytes() for s in partial]
+    assert [r.t for r in walk.rows] == [s.time for s in partial]
+    assert len(partial) >= (4 if case == "nan-step" else 1)
+
+
+def _tree_bytes(root):
+    return {f.relative_to(root).as_posix(): f.read_bytes()
+            for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+@pytest.mark.parametrize("case", ["norm-guard", "nan-step", "cfl"])
+def test_an_aborted_run_experiment_leaves_the_layout_of_the_partial_trajectory(
+    case, tmp_path, monkeypatch
+):
+    grid = GridSpec(8)
+    u0, p = _abort_case(case, grid, monkeypatch)
+    with pytest.raises(NumericalAbort) as excinfo:
+        run(u0, p)
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    (expected / "abort.txt").write_text(f"numerical abort: {excinfo.value}\n", encoding="utf-8")
+    write_trajectory(expected / "partial", excinfo.value.trajectory)
+
+    out = tmp_path / "out"
+    cfg = parse_config(f"experiment = run\nn = 8\ncadence = 1\nout = {out}\n")
+    monkeypatch.setattr(experiments, "_initial_field", lambda cfg, grid: u0)
+    monkeypatch.setattr(experiments, "_solver_params", lambda cfg, scheme=None: p)
+    assert experiments.run_experiment(cfg) == experiments.EXIT_NUMERICAL_ABORT
+    assert _tree_bytes(out) == _tree_bytes(expected)
 
 
 def test_a_cadence_one_run_experiment_makes_one_kernel_call_of_its_own(tmp_path, monkeypatch):
     steps = 6
     cfg = parse_config(f"experiment = run\nn = 8\ninit = random\ndt = 1e-3\n"
                        f"t_end = {steps * 1e-3}\ncadence = 1\nout = {tmp_path}\n")
-    kernel, vort = [], []
-    real_kernel, real_vort = spectral._advect_arrays, spectral.vorticity_max
+    calls = {"_advect_arrays": 0, "vorticity_max": 0, "divergence_defect": 0}
 
-    def counting_kernel(*args):
-        kernel.append(1)
-        return real_kernel(*args)
+    def counting(name):
+        real = getattr(spectral, name)
 
-    def counting_vort(u):
-        vort.append(1)
-        return real_vort(u)
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
 
-    for module in (spectral, solvers):
-        monkeypatch.setattr(module, "_advect_arrays", counting_kernel)
-    for module in (spectral, solvers, diagnostics):
-        monkeypatch.setattr(module, "vorticity_max", counting_vort)
+        return counted
+
+    for name in calls:
+        wrapper = counting(name)
+        for module in (spectral, solvers, diagnostics, snapshots, experiments):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
     assert experiments.experiment_run(cfg, tmp_path) == 0
     # two kernel calls per step, one for the last snapshot; the guard's
-    # vorticity maximum of every stepped state, one for the datum
-    assert (len(kernel), len(vort)) == (2 * steps + 1, steps + 1)
+    # vorticity maximum of every stepped state, one for the datum; one
+    # divergence defect per snapshot, which its record and its SNS1 flag share
+    assert (calls["_advect_arrays"], calls["vorticity_max"]) == (2 * steps + 1, steps + 1)
+    assert calls["divergence_defect"] == steps + 1
     monkeypatch.undo()
     traj = read_trajectory(tmp_path)
     assert (tmp_path / "diagnostics.csv").read_text() == diagnostics_csv(

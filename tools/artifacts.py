@@ -23,7 +23,9 @@ The cases are the four benchmark workload configs (perfbench/workloads.py)
 at seeds 0 and 1, ``convergence`` with both mollifiers, ``blocks`` with
 Taylor-Green and random data, ``unify`` and ``verify`` at n=12 with the
 bump mollifier (a grid divisible by 3), an n=8 shear mild run, n=8
-weak-galerkin runs with a cutoff, and an n=16 CFL abort (``abort.txt`` and
+weak-galerkin runs with a cutoff, an n=16 random run at cadence 3 (five
+snapshots; the records pass computes four of their five tendencies itself,
+while the state is streamed), and an n=16 CFL abort (``abort.txt`` and
 ``partial/``).
 pocketfft bytes may differ across numpy builds, so compare trees written
 on one machine and do not commit digests.
@@ -65,6 +67,9 @@ EXTRA_CASES = {
     "run-n8-galerkin-random": {"experiment": "run", "n": 8, "init": "random",
                                "scheme": "weak-galerkin", "galerkin_modes": 4.0,
                                "nu": 0.1, "dt": 1e-3, "t_end": 0.01},
+    # steps 0, 3, 6, 9 and 10 recorded: only step 10 hands its predecessor's tendency over
+    "run-n16-random-cadence3": {"experiment": "run", "n": 16, "init": "random",
+                                "dt": 1e-3, "t_end": 0.01, "cadence": 3},
     # dt = 0.04 exceeds the Taylor-Green CFL limit 0.5 / 16 at the first step
     "run-n16-cfl-abort": {"experiment": "run", "n": 16, "init": "taylor-green",
                           "dt": 0.04, "t_end": 0.4},
