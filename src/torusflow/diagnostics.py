@@ -461,7 +461,7 @@ def unified_reconstruction(
 ) -> list[SpectralField]:
     """Per snapshot: regularize each scheme's field, blend the three bands,
     then apply the low-pass smoothing; returns the blended fields.  The
-    multipliers are built once per call (`operators._regularized_blend`)."""
+    multipliers are built once per call (`_merger`)."""
     trajs = (weak_traj, mild_traj, strong_traj)
     _require_same_grid(*trajs)
     times = [t.times for t in trajs]
@@ -469,9 +469,14 @@ def unified_reconstruction(
         np.max(np.abs(tv - times[0])) > 1e-12 for tv in times[1:]
     ):
         raise TimeGridMismatch("trajectories must share the snapshot time grid")
+    return list(map(_merger(weak_traj.grid, w, spec), zip(*[t.snapshots for t in trajs])))
 
-    merge = _regularized_blend(weak_traj.grid, w, spec)
-    return [fs[1].with_coeffs(merge(*fs)) for fs in zip(*[t.snapshots for t in trajs])]
+
+def _merger(grid: GridSpec, w: WeightPartition, spec: MollifierSpec) -> Callable:
+    """The reconstruction of a (weak, mild, strong) snapshot triple on `grid`, at
+    the mild time; its multipliers are built once, here (`_regularized_blend`)."""
+    merge = _regularized_blend(grid, w, spec)
+    return lambda fs: fs[1].with_coeffs(merge(*fs))
 
 
 def _reconstruct(
@@ -479,7 +484,7 @@ def _reconstruct(
 ) -> SpectralField:
     """`unified_reconstruction` of one (weak, mild, strong) snapshot, at the mild time."""
     _require_same_grid(*fs)
-    return fs[1].with_coeffs(_regularized_blend(fs[0].grid, w, spec)(*fs))
+    return _merger(fs[0].grid, w, spec)(fs)
 
 
 MIN_SCALES = 4  # fewest scales a log-log slope fit is trusted on

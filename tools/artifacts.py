@@ -25,8 +25,8 @@ Taylor-Green and random data, ``unify`` and ``verify`` at n=12 with the
 bump mollifier (a grid divisible by 3), an n=8 shear mild run, n=8
 weak-galerkin runs with a cutoff, an n=16 random run at cadence 3 (five
 snapshots; the records pass computes four of their five tendencies itself,
-while the state is streamed), and an n=16 CFL abort (``abort.txt`` and
-``partial/``).
+while the state is streamed), and n=16 CFL aborts of ``run`` and of
+``unify`` (``abort.txt`` and ``partial/``).
 pocketfft bytes may differ across numpy builds, so compare trees written
 on one machine and do not commit digests.
 """
@@ -73,6 +73,9 @@ EXTRA_CASES = {
     # dt = 0.04 exceeds the Taylor-Green CFL limit 0.5 / 16 at the first step
     "run-n16-cfl-abort": {"experiment": "run", "n": 16, "init": "taylor-green",
                           "dt": 0.04, "t_end": 0.4},
+    # every scheme fails that gate: the weak run's abort, the first in SCHEMES order
+    "unify-n16-cfl-abort": {"experiment": "unify", "n": 16, "init": "taylor-green",
+                            "dt": 0.04, "t_end": 0.4},
 }
 
 
