@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import (
     DegenerateSequence,
+    NonFiniteField,
     NonSolenoidalTest,
     TimeGridMismatch,
     TooFewSnapshots,
@@ -84,8 +85,9 @@ class DiagnosticsRecord:
     h3: float
 
     def validate(self):
-        if not all(math.isfinite(v) for v in astuple(self)):
-            raise ValueError("diagnostics entries must be finite")
+        bad = [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]
+        if bad:
+            raise NonFiniteField(f"diagnostics {', '.join(bad)} not finite at t = {self.t}")
         if min(self.energy, self.enstrophy, self.bkm, self.div_defect) < 0.0:
             raise ValueError("energy, enstrophy, bkm and div_defect must be nonnegative")
 
@@ -460,8 +462,8 @@ def unified_reconstruction(
     spec: MollifierSpec,
 ) -> list[SpectralField]:
     """Per snapshot: regularize each scheme's field, blend the three bands,
-    then apply the low-pass smoothing; returns the blended fields.  The
-    multipliers are built once per call (`_merger`)."""
+    then apply the low-pass smoothing; returns the blended fields, each at the
+    mild time.  The multipliers are built once per call (`_regularized_blend`)."""
     trajs = (weak_traj, mild_traj, strong_traj)
     _require_same_grid(*trajs)
     times = [t.times for t in trajs]
@@ -469,22 +471,8 @@ def unified_reconstruction(
         np.max(np.abs(tv - times[0])) > 1e-12 for tv in times[1:]
     ):
         raise TimeGridMismatch("trajectories must share the snapshot time grid")
-    return list(map(_merger(weak_traj.grid, w, spec), zip(*[t.snapshots for t in trajs])))
-
-
-def _merger(grid: GridSpec, w: WeightPartition, spec: MollifierSpec) -> Callable:
-    """The reconstruction of a (weak, mild, strong) snapshot triple on `grid`, at
-    the mild time; its multipliers are built once, here (`_regularized_blend`)."""
-    merge = _regularized_blend(grid, w, spec)
-    return lambda fs: fs[1].with_coeffs(merge(*fs))
-
-
-def _reconstruct(
-    fs: Sequence[SpectralField], w: WeightPartition, spec: MollifierSpec
-) -> SpectralField:
-    """`unified_reconstruction` of one (weak, mild, strong) snapshot, at the mild time."""
-    _require_same_grid(*fs)
-    return _merger(fs[0].grid, w, spec)(fs)
+    merge = _regularized_blend(weak_traj.grid, w, spec)
+    return list(map(merge, *[t.snapshots for t in trajs]))
 
 
 MIN_SCALES = 4  # fewest scales a log-log slope fit is trusted on

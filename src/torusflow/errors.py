@@ -35,7 +35,8 @@ class ZeroField(TorusflowError):
 
 
 class NonFiniteField(TorusflowError):
-    """A field holds a NaN or infinite coefficient where finite data is required."""
+    """A field holds a NaN or infinite coefficient, or a diagnostics record a NaN
+    or infinite value, where finite data is required."""
 
 
 class BadCutoff(TorusflowError):

@@ -30,6 +30,7 @@ from .operators import (
     RAMP_HALF_WIDTH,
     MollifierSpec,
     WeightPartition,
+    _regularized_blend,
     band_weights,
     binary_blend,
     binary_cutoff,
@@ -322,10 +323,8 @@ def unified_pipeline_collapse(
 ) -> float:
     phi = shear_init(grid)
     base = sobolev_norm(phi, 1.0)
-    errs = [
-        _diff_norm(diag._reconstruct((phi,) * 3, weights, MollifierSpec(e, kind)), phi, 1.0) / base
-        for e in eps_list
-    ]
+    merges = (_regularized_blend(grid, weights, MollifierSpec(e, kind)) for e in eps_list)
+    errs = [_diff_norm(m(phi, phi, phi), phi, 1.0) / base for m in merges]
     rising = [b - a for a, b in zip(errs, errs[1:])] or [0.0]  # 0.0 for one eps
     return _worst(*rising, errs[-1] - 1e-3)
 
@@ -501,7 +500,7 @@ def snapshot_bitwise_roundtrip(f: SpectralField) -> float:
 
 def reconstruction_parseval(grid: GridSpec, weights: WeightPartition, spec: MollifierSpec) -> float:
     phi = shear_init(grid)
-    return parseval_identity([diag._reconstruct((phi,) * 3, weights, spec)])
+    return parseval_identity([_regularized_blend(grid, weights, spec)(phi, phi, phi)])
 
 
 class VerifyInputs(NamedTuple):
@@ -680,7 +679,9 @@ def experiment_unify(cfg: ExperimentConfig, out: Path) -> int:
     u0 = _initial_field(cfg, grid)
     weights = WeightPartition(*cfg.weight_edges())
     params = [_solver_params(cfg, s) for s in SCHEMES]
-    merges = [diag._merger(grid, weights, MollifierSpec(e, cfg.mollifier)) for e in cfg.eps_list]
+    merges = [
+        _regularized_blend(grid, weights, MollifierSpec(e, cfg.mollifier)) for e in cfg.eps_list
+    ]
     worst, norms = [-math.inf] * len(merges), []
     streams = [_states(u0, p, cfg.cadence) for p in params]
     try:
@@ -689,7 +690,7 @@ def experiment_unify(cfg: ExperimentConfig, out: Path) -> int:
         # would keep an old triple alive
         for fs in map(lambda *states: [s[0] for s in states], *streams):
             norms.append(sobolev_norm(fs[1], 1.0))
-            worst = [_worst(w, _diff_norm(m(fs), fs[1], 1.0)) for w, m in zip(worst, merges)]
+            worst = [_worst(w, _diff_norm(m(*fs), fs[1], 1.0)) for w, m in zip(worst, merges)]
     except NumericalAbort:
         # report the first abort in SCHEMES order, with its partial trajectory:
         # the streams are deterministic, so that is running the schemes in turn

@@ -208,9 +208,9 @@ def _smear(g: np.ndarray, win: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def _regularized_blend(
     grid: GridSpec, w: WeightPartition, spec: MollifierSpec
-) -> Callable[..., np.ndarray]:
-    """smooth(blend(regularize(low), regularize(mid), regularize(high))) as a
-    function of three fields on `grid`, returning the coefficients.
+) -> Callable[[SpectralField, SpectralField, SpectralField], SpectralField]:
+    """The reconstruction smooth(blend(regularize(weak), regularize(mild),
+    regularize(strong))) of a snapshot triple on `grid`, at the mild time.
 
     P, the symbol and the band weights are Fourier multipliers, so the three
     P S fold into one on the band sum: S P W P S (sum), W the window pair,
@@ -221,9 +221,9 @@ def _regularized_blend(
     bands = band_weights(w, grid.k_magnitude)
     win = spatial_window(spec, grid)
 
-    def merge(*fields: SpectralField) -> np.ndarray:
-        g = _leray(_band_sum(bands, *(f.coeffs for f in fields)) * sym, grid)
-        return _smear(g, win, grid) * sym
+    def merge(weak: SpectralField, mild: SpectralField, strong: SpectralField) -> SpectralField:
+        g = _leray(_band_sum(bands, weak.coeffs, mild.coeffs, strong.coeffs) * sym, grid)
+        return mild.with_coeffs(_smear(g, win, grid) * sym)
 
     return merge
 

@@ -224,14 +224,12 @@ def _to_physical(coeffs: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(work, n, axis=-1, norm="forward")
 
 
-def _to_spectral(samples: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Half spectrum of real samples; mask, if given, multiplies it."""
+def _to_spectral(samples: np.ndarray) -> np.ndarray:
+    """Half spectrum of real samples."""
     n = samples.shape[-1]
     half = np.fft.rfft(samples, n, axis=-1, norm="forward")
     np.fft.fft(half, n, axis=-2, norm="forward", out=half)
     np.fft.fft(half, n, axis=-3, norm="forward", out=half)
-    if mask is not None:
-        half *= mask
     return half
 
 
@@ -404,7 +402,9 @@ def _advect_arrays(fc: np.ndarray, gc: np.ndarray, grid: GridSpec):
         prod = _to_physical(grad, n)
         prod *= fp
         np.sum(prod, axis=0, out=out_phys[i])
-    return _to_spectral(out_phys, grid.dealias_mask), fmax
+    out = _to_spectral(out_phys)
+    out *= grid.dealias_mask
+    return out, fmax
 
 
 def _require_solenoidal(u: SpectralField, what: str):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,31 @@ def test_every_case_config_passes_the_config_rules(tmp_path):
         cfg = parse_config(text.replace("{out}", str(tmp_path / name)))
         assert cfg.experiment == experiment, name
     assert not any(tmp_path.iterdir())
+
+
+def test_a_case_that_raises_is_reported_and_the_others_still_run(tmp_path, monkeypatch, capsys):
+    import torusflow.cli
+
+    real_main = torusflow.cli.main
+
+    def main(argv):
+        if argv[0] == "run":
+            raise ValueError("boom")
+        return real_main(argv)
+
+    text = "n = 8\ninit = taylor-green\nout = {out}\n"
+    monkeypatch.setattr(artifacts, "cases", lambda: {
+        "raises": ("run", "experiment = run\n" + text),
+        "blocks": ("blocks", "experiment = blocks\n" + text),
+    })
+    monkeypatch.setattr(torusflow.cli, "main", main)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # write_artifacts prepends src
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert not artifacts.write_artifacts(tmp_path, src)
+    err = capsys.readouterr().err
+    assert "# raises: raised ValueError: boom" in err
+    assert "# blocks: exit 0" in err
+    assert artifacts.files(tmp_path) == ["blocks/blocks.csv", "blocks/symbols.csv"]
 
 
 @pytest.fixture(scope="module")

@@ -218,6 +218,23 @@ def test_bad_input_is_config_error(tmp_path, capsys, text, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--nu", "1e308", "--t-end", "0.002"],  # nu |k|^2 u overflows
+    ["--dt", "1e-320", "--t-end", "1e-319"],  # the centered difference over 2 dt overflows
+], ids=["viscosity", "denormal-dt"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_overflowing_diagnostics_are_a_typed_error(tmp_path, capsys, flags):
+    # the config is valid and the run writes its snapshots and manifest, but the
+    # strong residual of the records is not finite: no diagnostics.csv is written
+    out = tmp_path / "out"
+    assert main(["run", "--n", "8", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: diagnostics res_strong not finite at t = " in err
+    assert "Traceback" not in err
+    assert not (out / "diagnostics.csv").exists()
+    assert len(read_trajectory(out).snapshots) >= 3
+
+
 @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
 def test_out_naming_a_file_is_config_error(tmp_path, capsys, sub):
     taken = tmp_path / "taken"

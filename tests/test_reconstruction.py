@@ -2,7 +2,7 @@
 pipeline they replace.
 
 `_reference_blend` and `_reference_reconstruct` are the full-spectrum bodies
-of `blend` and `diagnostics._reconstruct` on full (3, n, n, n) arrays:
+of `blend` and `operators._regularized_blend` on full (3, n, n, n) arrays:
 three `regularize`, the blend with its window pair and Leray projection,
 then `smooth`.  That order is the definition of the reconstruction.  The
 half-spectrum `blend` must give the same k3 >= 0 block bit for bit and the
@@ -33,9 +33,8 @@ from torusflow import (
     unified_reconstruction,
 )
 from torusflow import operators
-from torusflow.diagnostics import _reconstruct
 from torusflow.errors import SymmetryViolation
-from torusflow.operators import band_weights, spatial_window
+from torusflow.operators import _regularized_blend, band_weights, spatial_window
 from torusflow.spectral import _mirror, _to_physical, _to_spectral
 
 GRIDS = (4, 6, 8, 12, 16)
@@ -55,7 +54,7 @@ def _reference_blend(grid, low, mid, high, w, spec):
 
 
 def _reference_reconstruct(fs, w, spec):
-    """Full-spectrum `_reconstruct`: three `regularize`, `blend`, `smooth`."""
+    """Full-spectrum `_regularized_blend`: three `regularize`, `blend`, `smooth`."""
     grid = fs[0].grid
     sym = mollifier_symbol(spec, np.sqrt(full_k_squared(grid)))
     rw, rm, rs = (full_leray(f.full() * sym, grid) for f in fs)
@@ -124,11 +123,12 @@ def test_unified_reconstruction_matches_full_spectrum_pipeline(source, n, kind):
     for eps in EPS:
         spec = MollifierSpec(eps, kind)
         merged = unified_reconstruction(*trajs, w, spec)
+        merge = _regularized_blend(GridSpec(n), w, spec)
         for m, fs in enumerate(zip(*[t.snapshots for t in trajs])):
             ref = _reference_reconstruct(fs, w, spec)
-            assert merged[m].time == _reconstruct(fs, w, spec).time == fs[1].time
+            assert merged[m].time == merge(*fs).time == fs[1].time
             _assert_close(merged[m], ref)
-            _assert_close(_reconstruct(fs, w, spec), ref)
+            _assert_close(merge(*fs), ref)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -145,6 +145,17 @@ def test_blend_matches_full_spectrum_blend(n, kind):
             _assert_same(blend(*fields, w, spec), ref)
 
 
+def test_the_merge_carries_the_mild_time_and_grid():
+    # a triple of three different times: the merge is stamped with the mild
+    # field's time and grid, whatever the weak and strong fields carry
+    grid = GridSpec(8)
+    weak, mild, strong = (_noise(grid, seed, t) for seed, t in ((0, 0.5), (1, 0.25), (2, 2.0)))
+    merged = _regularized_blend(grid, _weights(8), MollifierSpec(0.5))(weak, mild, strong)
+    assert isinstance(merged, SpectralField)
+    assert merged.time == 0.25
+    assert merged.grid is mild.grid
+
+
 def test_one_merge_projects_twice(monkeypatch):
     # one P S on the band sum and the blend's P: two projections per snapshot,
     # where regularizing each scheme's field first takes four
@@ -158,7 +169,7 @@ def test_one_merge_projects_twice(monkeypatch):
     monkeypatch.setattr(operators, "_leray", counted)
     grid = GridSpec(8)
     fs = [_noise(grid, seed) for seed in range(3)]
-    _reconstruct(fs, _weights(8), MollifierSpec(0.5))
+    _regularized_blend(grid, _weights(8), MollifierSpec(0.5))(*fs)
     assert len(calls) == 2
     trajs = _noise_trajectories(grid)
     calls.clear()

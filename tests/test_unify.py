@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from torusflow import MollifierSpec, WeightPartition, run, solvers, unified_reconstruction
-from torusflow import diagnostics as diag
 from torusflow import experiments
 from torusflow.config import parse_config
 from torusflow.errors import BlowUpDetected, CflViolation, NumericalAbort
@@ -77,7 +76,7 @@ def test_lockstep_unify_writes_the_files_of_the_whole_trajectory_method(
 def test_lockstep_unify_drops_each_triple_once_the_next_arrives(tmp_path, monkeypatch):
     cfg = _config(tmp_path, 8, "random", t_end=0.005)
     refs = {s: [] for s in SCHEMES}
-    real_states, real_merger = experiments._states, diag._merger
+    real_states, real_blend = experiments._states, experiments._regularized_blend
 
     def recording_states(u0, p, cadence):
         for state in real_states(u0, p, cadence):
@@ -86,21 +85,21 @@ def test_lockstep_unify_drops_each_triple_once_the_next_arrives(tmp_path, monkey
 
     merged = []
 
-    def checking_merger(grid, w, spec):
-        merge = real_merger(grid, w, spec)
+    def checking_blend(grid, w, spec):
+        merge = real_blend(grid, w, spec)
 
-        def checked(fs):
+        def checked(*fs):
             m = len(refs[SCHEMES[0]]) - 1
             # triple m is the only one alive, in every scheme
             for scheme in SCHEMES:
                 assert [r() is not None for r in refs[scheme]] == [i == m for i in range(m + 1)]
             merged.append(m)
-            return merge(fs)
+            return merge(*fs)
 
         return checked
 
     monkeypatch.setattr(experiments, "_states", recording_states)
-    monkeypatch.setattr(diag, "_merger", checking_merger)
+    monkeypatch.setattr(experiments, "_regularized_blend", checking_blend)
     experiments.run_experiment(cfg)
     assert merged == [m for m in range(6) for _ in cfg.eps_list]
 

@@ -17,7 +17,10 @@ each column (a cell that is not a number on both sides is a text change);
 for a JSON file, the relative and absolute change of each differing numeric
 leaf, by key path (a leaf that is not a number on both sides, or present on
 one side only, is a text change).
-Exit code 0 when every snapshot reads back and nothing differs, 1 otherwise.
+A case that raises is reported as ``# <case>: raised <Type>: <message>``
+with its traceback on stderr, and the remaining cases still run.
+Exit code 0 when every case runs, every snapshot reads back and nothing
+differs, 1 otherwise.
 
 The cases are the four benchmark workload configs (perfbench/workloads.py)
 at seeds 0 and 1, ``convergence`` with both mollifiers, ``blocks`` with
@@ -25,8 +28,10 @@ Taylor-Green and random data, ``unify`` and ``verify`` at n=12 with the
 bump mollifier (a grid divisible by 3), an n=8 shear mild run, n=8
 weak-galerkin runs with a cutoff, an n=16 random run at cadence 3 (five
 snapshots; the records pass computes four of their five tendencies itself,
-while the state is streamed), and n=16 CFL aborts of ``run`` and of
-``unify`` (``abort.txt`` and ``partial/``).
+while the state is streamed), n=16 CFL aborts of ``run`` and of
+``unify`` (``abort.txt`` and ``partial/``), and an n=8 Taylor-Green run
+with ``nu = 1e308``, whose diagnostics overflow (snapshots and manifest,
+no ``diagnostics.csv``).
 pocketfft bytes may differ across numpy builds, so compare trees written
 on one machine and do not commit digests.
 """
@@ -44,6 +49,7 @@ import math
 import struct
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +82,9 @@ EXTRA_CASES = {
     # every scheme fails that gate: the weak run's abort, the first in SCHEMES order
     "unify-n16-cfl-abort": {"experiment": "unify", "n": 16, "init": "taylor-green",
                             "dt": 0.04, "t_end": 0.4},
+    # nu |k|^2 u overflows in the strong residual: snapshots and manifest, no CSV
+    "run-n8-viscosity-overflow": {"experiment": "run", "n": 8, "init": "taylor-green",
+                                  "nu": 1e308, "dt": 1e-3, "t_end": 0.002},
 }
 
 
@@ -95,18 +104,27 @@ def cases() -> dict[str, tuple[str, str]]:
     return found
 
 
-def write_artifacts(out: Path, src: Path) -> None:
+def write_artifacts(out: Path, src: Path) -> bool:
+    """Run every case into out/<case>; False when any case raised."""
     sys.path.insert(0, str(src))
     from torusflow.cli import main
 
+    clean = True
     with tempfile.TemporaryDirectory() as configs:
         for name, (experiment, text) in cases().items():
             path = Path(configs) / f"{name}.txt"
             path.write_text(text.replace("{out}", str(out / name)), encoding="utf-8")
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = main([experiment, "--config", str(path)])
-            print(f"# {name}: exit {code}", file=sys.stderr)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main([experiment, "--config", str(path)])
+            except Exception as exc:  # keep the other cases and the summary
+                print(f"# {name}: raised {type(exc).__name__}: {exc}", file=sys.stderr)
+                traceback.print_exc(file=sys.stderr)
+                clean = False
+            else:
+                print(f"# {name}: exit {code}", file=sys.stderr)
+    return clean
 
 
 def files(tree: Path) -> list[str]:
@@ -278,14 +296,14 @@ def main(argv: list[str] | None = None) -> int:
     out = args.out.resolve()
     if out.exists() and any(out.iterdir()):
         parser.error(f"{out} is not empty")
-    write_artifacts(out, args.src.resolve())
+    clean = write_artifacts(out, args.src.resolve())
     manifest = "".join(
         f"{hashlib.sha256((out / rel).read_bytes()).hexdigest()}  {rel}\n" for rel in files(out)
     )
     print(manifest, end="")
     print(f"artifacts: {manifest.count(chr(10))} files in {len(cases())} cases, "
           f"manifest sha256 {hashlib.sha256(manifest.encode()).hexdigest()}")
-    same = reread(out)
+    same = reread(out) and clean
     if args.against is not None:
         same = compare(out, args.against.resolve()) and same
     return 0 if same else 1
