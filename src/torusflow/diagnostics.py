@@ -6,15 +6,17 @@ Residual conventions
 weak    : space-time integral against divergence-free test functions built
           from a cubic B-spline time bump, derived from the snapshot times,
           and a battery of solenoidal Fourier modes (the twelve lowest from
-          `weak_test_battery`), plus the initial-datum term.
+          `weak_test_battery`); the bump vanishes at the first snapshot, so
+          the initial-datum term does too.
 mild    : defect of the Duhamel integral identity at each snapshot time,
           with a semigroup-stable trapezoidal recurrence for the integral.
 strong  : pointwise momentum-equation residual at interior snapshot times,
           with centered differences in time.
 
 All three come from one streaming pass over the snapshots (`RecordPass`)
-that evaluates (u.grad)u once per snapshot: the product enters the weak
-quadrature and its Leray projection the mild and strong defects.  The pass
+that reads one projected product P[(u.grad)u] per snapshot: it enters the
+weak quadrature, where <(u.grad)u, v> = <P[(u.grad)u], v> for every
+divergence-free test field v, and the mild and strong defects.  The pass
 consumes a stream of (u, nl, h2, wmax) and holds only the three snapshots
 its recurrence still reads.  The `run` experiment feeds it the solver's
 stream (`solvers._states`), which hands over the projected product its next
@@ -184,8 +186,9 @@ def weak_test_battery(grid: GridSpec) -> list[SpectralField]:
 def _time_bump(times: np.ndarray) -> tuple[list[float], list[float]]:
     """One cubic B-spline bump and its time derivative at each snapshot time.
 
-    The bump is supported strictly inside (times[0], times[-1]), so the
-    initial-datum term vanishes for the weak test functions.  On a uniform
+    The bump is supported strictly inside (times[0], times[-1]): it and its
+    derivative are 0.0 at both end times, so the weak residual has no
+    initial-datum term <u0, v(t0)> and no final-time term.  On a uniform
     grid of at least 13 snapshots the spline knots snap to even snapshot
     indices; the B-spline's third derivative jumps then sit on quadrature
     panel boundaries instead of inside panels, and the same bump is reused
@@ -244,10 +247,11 @@ def residual_defects(
 
     weak: max over test functions v = bump * mode, with the time bump of
     `_time_bump` on the snapshot times, of the normalized
-    space-time quadrature of <u, dt v> - <(u.grad)u, v> - nu <grad u, grad v>
-    + <f, v> plus the initial-datum term <u0, v(0)>; every mode is checked
-    divergence-free, so the pressure term <p, div v> vanishes.  0.0 without
-    modes.
+    space-time quadrature of <u, dt v> - <P[(u.grad)u], v> - nu <grad u, grad v>
+    + <f, v>.  Every mode is checked divergence-free, so the pressure term
+    <p, div v> vanishes and <(u.grad)u, v> = <P[(u.grad)u], v>; the
+    initial-datum term <u0, v(t0)> vanishes because the bump is 0.0 at the
+    first snapshot.  0.0 without modes.
     mild: normalized Duhamel-identity defect in H^1, from the recurrence
     I_m = e^{nu dt lap}(I_{m-1} + dt/2 N_{m-1}) + dt/2 N_m, which reproduces
     the trapezoidal rule with only decaying propagator factors.
@@ -272,8 +276,7 @@ def residual_defects(
     span = float(times[-1] - times[0])
     bump_scale = math.sqrt(sum(w * (b**2 + bdot**2) for w, b, bdot in zip(qw, bump, bump_dt)))
     weak_defects = (
-        abs(total + bump[0] * inner_product(snaps[0], mode))
-        / (bump_scale * sobolev_norm(mode, 1.0) * max(span, 1.0))
+        abs(total) / (bump_scale * sobolev_norm(mode, 1.0) * max(span, 1.0))
         for total, mode in zip(walk.weak, modes)
     )
     return walk.mild, walk.strong, _worst(0.0, *weak_defects)
@@ -291,7 +294,8 @@ class RecordPass:
     `finish` enters the last.  A records pass keeps each snapshot's scalars
     (`rows`) and `records` finishes it; `residual_defects` adds the weak test
     `modes` and their time `weights` (quadrature, bump, bump derivative per
-    snapshot) instead.
+    snapshot) instead; each tendency, handed over or computed, enters the
+    weak sums too, so such a pass takes the solver's stream as well.
     """
 
     def __init__(self, p: SolverParams, modes: Sequence[SpectralField] = (), weights=None):
@@ -338,61 +342,53 @@ class RecordPass:
         return records
 
     def _enter(self, m: int, nl: np.ndarray | None = None):
-        """Snapshot m's tendency nl (computed when None) enters: the strong
-        defect of m - 1 and the mild defect of m follow."""
-        snaps, p = self.snaps, self.p
-        k2 = snaps[m].grid.k_squared
+        """Snapshot m's tendency nl (computed when None) enters: the weak sums
+        at m, the strong defect of m - 1 and the mild defect of m follow."""
+        snaps, p, u = self.snaps, self.p, self.snaps[m]
+        k2, n = u.grid.k_squared, u.grid.n
         forcing = None if p.forcing is None else p.forcing.coeffs
         if m >= 2:
             # snapshot m-1 is interior now that its right neighbour is known;
             # evaluated before a computed nl exists, so the two peaks do not stack
             self.strong.append(self._strong_defect(m - 1, forcing))
         if nl is None:
-            nl = self._proj_nl(m)
+            nl = leray_project(advect(u, u)).coeffs
+        if self._modes:
+            qw, bump, bump_dt = self._weights
+            b, bdot = bump[m], bump_dt[m]
+            for i, mode in enumerate(self._modes):
+                term = bdot * inner_product(u, mode)
+                if b != 0.0:
+                    # <(u.grad)u, v> = <P[(u.grad)u], v> for a divergence-free v
+                    term -= b * _lattice_sum((nl * np.conj(mode.coeffs)).real, n)
+                    # <grad u, grad v> = sum_k |k|^2 uhat . conj(vhat)
+                    term -= p.nu * b * _lattice_sum(k2 * (u.coeffs * np.conj(mode.coeffs)).real, n)
+                    if forcing is not None:
+                        term += b * inner_product(p.forcing, mode)
+                self.weak[i] += qw[m] * term
         if m == 0:
-            norm0 = sobolev_norm(snaps[0], 1.0)
+            norm0 = sobolev_norm(u, 1.0)
             self._scale = norm0 if norm0 > 0.0 else 1.0
-            self._t0 = snaps[0].time
-            self._integral = np.zeros_like(snaps[0].coeffs)
-            self._propagated = snaps[0].coeffs
+            self._t0 = u.time
+            self._integral = np.zeros_like(u.coeffs)
+            self._propagated = u.coeffs
         else:
-            dt = snaps[m].time - snaps[m - 1].time
+            dt = u.time - snaps[m - 1].time
             decay = np.exp(-p.nu * dt * k2)
             self._integral = decay * (self._integral + 0.5 * dt * self._nl) + 0.5 * dt * nl
             self._propagated = decay * self._propagated
             expected = self._propagated - self._integral
             if forcing is not None:
                 # steady forcing integrates exactly: int_0^t e^{nu (t-tau) lap} d tau
-                t = snaps[m].time - self._t0
+                t = u.time - self._t0
                 z = -p.nu * t * k2
                 denom = p.nu * k2
                 safe = np.where(denom > 0.0, denom, 1.0)
                 phi = np.where(denom > 0.0, -np.expm1(z) / safe, t)
                 expected = expected + phi * forcing
-            diff = snaps[m].with_coeffs(snaps[m].coeffs - expected)
+            diff = u.with_coeffs(u.coeffs - expected)
             self.mild.append(sobolev_norm(diff, 1.0) / self._scale)
         self._nl = nl
-
-    def _proj_nl(self, m: int) -> np.ndarray:
-        # snapshot m's (u.grad)u enters the weak sums, then leaves projected
-        u = self.snaps[m]
-        conv = advect(u, u)
-        if self._modes:
-            p, grid = self.p, u.grid
-            qw, bump, bump_dt = self._weights
-            b, bdot = bump[m], bump_dt[m]
-            for i, mode in enumerate(self._modes):
-                term = bdot * inner_product(u, mode)
-                if b != 0.0:
-                    term -= b * inner_product(conv, mode)
-                    # <grad u, grad v> = sum_k |k|^2 uhat . conj(vhat)
-                    term -= p.nu * b * _lattice_sum(
-                        grid.k_squared * (u.coeffs * np.conj(mode.coeffs)).real, grid.n
-                    )
-                    if p.forcing is not None:
-                        term += b * inner_product(p.forcing, mode)
-                self.weak[i] += qw[m] * term
-        return leray_project(conv).coeffs
 
     def _strong_defect(self, m: int, forcing: np.ndarray | None) -> float:
         # a method scope frees dudt and res before the next kernel call

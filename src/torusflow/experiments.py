@@ -755,7 +755,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         "blocks": experiment_blocks,
     }
     try:
-        return dispatch[cfg.experiment](cfg, out)
+        # a non-finite value still ends in a typed error, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return dispatch[cfg.experiment](cfg, out)
     except NumericalAbort as exc:
         (out / "abort.txt").write_text(f"numerical abort: {exc}\n", encoding="utf-8")
         # `run` attaches its partial trajectory; `experiment_run` has written its own

@@ -222,17 +222,26 @@ def test_bad_input_is_config_error(tmp_path, capsys, text, argv):
     ["--nu", "1e308", "--t-end", "0.002"],  # nu |k|^2 u overflows
     ["--dt", "1e-320", "--t-end", "1e-319"],  # the centered difference over 2 dt overflows
 ], ids=["viscosity", "denormal-dt"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_overflowing_diagnostics_are_a_typed_error(tmp_path, capsys, flags):
     # the config is valid and the run writes its snapshots and manifest, but the
     # strong residual of the records is not finite: no diagnostics.csv is written
+    # and the typed error is the only line on stderr, with no numpy warning
     out = tmp_path / "out"
     assert main(["run", "--n", "8", *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "error: diagnostics res_strong not finite at t = " in err
-    assert "Traceback" not in err
+    assert err.startswith("error: diagnostics res_strong not finite at t = ")
+    assert err.count("\n") == 1
     assert not (out / "diagnostics.csv").exists()
     assert len(read_trajectory(out).snapshots) >= 3
+
+
+@pytest.mark.parametrize("experiment", ["unify", "blocks"])
+def test_an_overflowing_mollifier_symbol_warns_nothing(tmp_path, capsys, experiment):
+    # at eps = 1e300 the gaussian symbol's r^2 overflows to inf, and the
+    # symbol exp(-r^2 / 2) is 0.0 as it should be
+    out = tmp_path / "out"
+    assert main([experiment, "--n", "8", "--eps", "1e300", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])

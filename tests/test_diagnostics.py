@@ -536,6 +536,21 @@ def _mild_duhamel_16_cadence_3():
     return run(random_solenoidal_init(GridSpec(16), 2.0, 7), p, cadence=3)
 
 
+@pytest.mark.parametrize("t0", [0.0, 0.3], ids=["t0-zero", "t0-shifted"])
+@pytest.mark.parametrize("steps", [
+    (0, 1), tuple(range(12)), tuple(range(13)), tuple(range(501)), (0, 3, 6, 9, 10),
+], ids=["2", "12", "13-snapped", "501", "cadence-3-tail"])
+def test_the_time_bump_vanishes_with_its_derivative_at_both_end_times(steps, t0):
+    # the weak residual relies on this: it carries no initial-datum term
+    times = t0 + 2e-3 * np.asarray(steps, dtype=float)
+    bump, bump_dt = diagnostics._time_bump(times)
+    assert (bump[0], bump_dt[0], bump[-1], bump_dt[-1]) == (0.0, 0.0, 0.0, 0.0)
+    if len(steps) == 13:
+        # the first snapped grid: support [t0 + 2 dt, t0 + 10 dt], knots at round-off
+        support = {i for i, b in enumerate(bump) if b != 0.0}
+        assert set(range(3, 10)) <= support <= set(range(2, 11))
+
+
 @pytest.mark.parametrize("case", ["shear", "forced", "random8", "mild16-cadence3"])
 def test_one_pass_equals_separate_walks_bitwise(case, shear_traj_fine):
     traj = {
@@ -614,6 +629,31 @@ def test_online_records_equal_stored_records_bitwise(scheme, forced, cadence, da
     guarded = datum == "random"
     assert [h2 for _, h2, _ in handed] == [True] + [guarded] * (len(handed) - 1)
     assert [w for _, _, w in handed] == [False] + [guarded] * (len(handed) - 1)
+
+
+@pytest.mark.parametrize("cadence", [1, 3])
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("scheme", ["strong-imex", "mild-duhamel", "weak-galerkin"])
+def test_a_weak_pass_fed_by_the_stream_equals_the_stored_pass_bitwise(scheme, forced, cadence):
+    # a handed-over tendency enters the weak sums as a computed one does
+    grid = GridSpec(8)
+    u0 = random_solenoidal_init(grid, 1.5, 3)
+    u0 = u0.with_coeffs(u0.coeffs * 4.0)
+    p = _stream_params(scheme, forced, grid)
+    traj = run(u0, p, cadence=cadence)
+    times, modes = traj.times, weak_test_battery(grid)
+    weights = (diagnostics._time_quadrature_weights(times), *diagnostics._time_bump(times))
+    streamed, stored = RecordPass(p, modes, weights), RecordPass(p, modes, weights)
+    for u, nl, h2, wmax in solvers._states(u0, p, cadence):
+        streamed.push(u, nl, h2, wmax)
+    for u in traj.snapshots:
+        stored.push(u)
+    streamed.finish()
+    stored.finish()
+    assert all(w != 0.0 for w in stored.weak)
+    for name in ("weak", "mild", "strong"):
+        bits = [np.asarray(getattr(w, name)).view(np.uint64) for w in (streamed, stored)]
+        assert np.array_equal(*bits), name
 
 
 @pytest.mark.parametrize("cadence", [1, 3])
