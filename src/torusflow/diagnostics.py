@@ -251,7 +251,8 @@ def residual_defects(
     + <f, v>.  Every mode is checked divergence-free, so the pressure term
     <p, div v> vanishes and <(u.grad)u, v> = <P[(u.grad)u], v>; the
     initial-datum term <u0, v(t0)> vanishes because the bump is 0.0 at the
-    first snapshot.  0.0 without modes.
+    first snapshot.  0.0 without modes; with modes, TooFewSnapshots unless
+    there is an interior snapshot for the bump to weigh.
     mild: normalized Duhamel-identity defect in H^1, from the recurrence
     I_m = e^{nu dt lap}(I_{m-1} + dt/2 N_{m-1}) + dt/2 N_m, which reproduces
     the trapezoidal rule with only decaying propagator factors.
@@ -263,6 +264,10 @@ def residual_defects(
         if not divergence_defect(mode) <= 1e-12:
             raise NonSolenoidalTest(f"test mode {i} is not divergence-free")
     snaps = traj.snapshots
+    if modes and len(snaps) < 3:
+        # the bump vanishes at both end times, so with no interior snapshot
+        # every weak defect would be 0/0
+        raise TooFewSnapshots("weak residual needs an interior snapshot (at least three)")
     if len(snaps) < 2:
         return [0.0] * len(snaps), [0.0] * len(snaps), 0.0
     times = traj.times
@@ -372,23 +377,29 @@ class RecordPass:
             self._t0 = u.time
             self._integral = np.zeros_like(u.coeffs)
             self._propagated = u.coeffs
-        else:
-            dt = u.time - snaps[m - 1].time
-            decay = np.exp(-p.nu * dt * k2)
-            self._integral = decay * (self._integral + 0.5 * dt * self._nl) + 0.5 * dt * nl
-            self._propagated = decay * self._propagated
-            expected = self._propagated - self._integral
-            if forcing is not None:
-                # steady forcing integrates exactly: int_0^t e^{nu (t-tau) lap} d tau
-                t = u.time - self._t0
-                z = -p.nu * t * k2
-                denom = p.nu * k2
-                safe = np.where(denom > 0.0, denom, 1.0)
-                phi = np.where(denom > 0.0, -np.expm1(z) / safe, t)
-                expected = expected + phi * forcing
-            diff = u.with_coeffs(u.coeffs - expected)
-            self.mild.append(sobolev_norm(diff, 1.0) / self._scale)
+            self._nl = nl
+            return
+        dt = u.time - snaps[m - 1].time
+        decay = np.exp(-p.nu * dt * k2)
+        # decay * (I + dt/2 nl_prev) + dt/2 nl, in place: the same bits, since
+        # IEEE multiplication commutes
+        integral = self._integral
+        integral += 0.5 * dt * self._nl
+        integral *= decay
+        integral += 0.5 * dt * nl
         self._nl = nl
+        self._propagated = decay * self._propagated
+        expected = self._propagated - integral
+        if forcing is not None:
+            # steady forcing integrates exactly: int_0^t e^{nu (t-tau) lap} d tau
+            t = u.time - self._t0
+            z = -p.nu * t * k2
+            denom = p.nu * k2
+            safe = np.where(denom > 0.0, denom, 1.0)
+            phi = np.where(denom > 0.0, -np.expm1(z) / safe, t)
+            expected += phi * forcing
+        diff = np.subtract(u.coeffs, expected, out=expected)
+        self.mild.append(sobolev_norm(u.with_coeffs(diff), 1.0) / self._scale)
 
     def _strong_defect(self, m: int, forcing: np.ndarray | None) -> float:
         # a method scope frees dudt and res before the next kernel call
@@ -404,8 +415,8 @@ class RecordPass:
 
 def weak_form_residual(traj: Trajectory, modes: Sequence[SpectralField]) -> float:
     """Max normalized weak-form defect over the test `modes` (see `residual_defects`)."""
-    if len(traj.snapshots) < 2:
-        raise TooFewSnapshots("weak residual needs at least two snapshots")
+    if len(traj.snapshots) < 3:
+        raise TooFewSnapshots("weak residual needs an interior snapshot (at least three)")
     return residual_defects(traj, modes)[2]
 
 

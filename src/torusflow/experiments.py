@@ -649,12 +649,12 @@ def experiment_run(cfg: ExperimentConfig, out: Path) -> int:
     `run_experiment` writes for a trajectory `run` attaches, and the abort
     propagates with none attached."""
     grid = GridSpec(cfg.n)
-    u0 = _initial_field(cfg, grid)
     p = _solver_params(cfg)
     walk = diag.RecordPass(p)
     names = []
     try:
-        for u, nl, h2, wmax in _states(u0, p, cfg.cadence):
+        # the raw datum goes straight to the stream, which drops it once settled
+        for u, nl, h2, wmax in _states(_initial_field(cfg, grid), p, cfg.cadence):
             walk.push(u, nl, h2, wmax)
             names.append(_write_snap(out, len(names), u, p.nu, walk.rows[-1].div_defect))
     except NumericalAbort:

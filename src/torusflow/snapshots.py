@@ -30,7 +30,7 @@ import numpy as np
 
 from .solvers import SolverParams, Trajectory
 from .errors import NonFiniteField, SymmetryViolation
-from .spectral import SOLENOIDAL_TOL, GridSpec, SpectralField, divergence_defect
+from .spectral import SOLENOIDAL_TOL, GridSpec, SpectralField, _mirror, divergence_defect
 
 MAGIC = b"SNS1"
 _HEADER = struct.Struct("<4sIddB")
@@ -40,11 +40,12 @@ FLAG_MEAN_FREE = 2
 
 
 def snapshot_bytes(f: SpectralField, nu: float = 0.0) -> bytes:
-    return _sns1_bytes(f, nu)
+    return _sns1_header(f, nu) + np.ascontiguousarray(f.full(), dtype="<c16").tobytes()
 
 
-def _sns1_bytes(f: SpectralField, nu: float, div_defect: float | None = None) -> bytes:
-    """`snapshot_bytes`; a writer that has measured f's divergence defect passes it."""
+def _sns1_header(f: SpectralField, nu: float, div_defect: float | None = None) -> bytes:
+    """The SNS1 header of f, after the finiteness check; a writer that has
+    measured f's divergence defect passes it."""
     if not (math.isfinite(nu) and np.isfinite(f.coeffs).all()):
         raise NonFiniteField(f"non-finite viscosity or coefficient (nu={nu!r})")
     if div_defect is None:
@@ -52,12 +53,21 @@ def _sns1_bytes(f: SpectralField, nu: float, div_defect: float | None = None) ->
     solenoidal = div_defect <= SOLENOIDAL_TOL
     mean_free = not np.any(f.coeffs[:, 0, 0, 0])
     flags = (FLAG_SOLENOIDAL if solenoidal else 0) | (FLAG_MEAN_FREE if mean_free else 0)
-    header = _HEADER.pack(MAGIC, f.grid.n, f.time, nu, flags)
-    return header + np.ascontiguousarray(f.full(), dtype="<c16").tobytes()
+    return _HEADER.pack(MAGIC, f.grid.n, f.time, nu, flags)
 
 
 def write_snapshot(path: str | Path, f: SpectralField, nu: float = 0.0) -> None:
-    Path(path).write_bytes(snapshot_bytes(f, nu))
+    _write_sns1(Path(path), f, nu)
+
+
+def _write_sns1(path: Path, f: SpectralField, nu: float, div_defect: float | None = None) -> None:
+    """The bytes of `snapshot_bytes` into path, one component's full spectrum
+    at a time; a field the header refuses leaves no file."""
+    header = _sns1_header(f, nu, div_defect)
+    with path.open("wb") as fh:
+        fh.write(header)
+        for c in f.coeffs:
+            fh.write(_mirror(c, f.grid.n).astype("<c16", copy=False))
 
 
 def read_snapshot(path: str | Path) -> tuple[SpectralField, float]:
@@ -107,7 +117,7 @@ def _write_snap(
     """Write f as snapshot i of a trajectory in directory; returns the file name.
     A streaming writer passes the divergence defect its records measured."""
     name = f"snap_{i:06d}.sns1"
-    (directory / name).write_bytes(_sns1_bytes(f, nu, div_defect))
+    _write_sns1(directory / name, f, nu, div_defect)
     return name
 
 

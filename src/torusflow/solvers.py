@@ -309,6 +309,8 @@ def _states(u0: SpectralField, p: SolverParams, cadence: int):
     grid = u0.grid
     mult = _step_multipliers(grid, p, p.scheme == "mild-duhamel")
     u = _settle(grid, u0.coeffs, u0.time, mult)
+    t0 = u0.time
+    del u0  # the stream holds no reference to the raw datum
     guard_norm0 = sobolev_norm(u, GUARD_NORM_INDEX)
     if not math.isfinite(guard_norm0):
         # a NaN norm would switch off the guards and the CFL gate below
@@ -317,7 +319,7 @@ def _states(u0: SpectralField, p: SolverParams, cadence: int):
 
     recorded = True
     for m in range(1, steps + 1):
-        u, nl = _step(u, p, mult, u0.time + m * p.dt)
+        u, nl = _step(u, p, mult, t0 + m * p.dt)
         # the tendency of a recorded state rides along only to the next step
         # if that step is recorded too; it is never held across steps
         before, recorded = recorded, m % cadence == 0 or m == steps

@@ -111,8 +111,10 @@ class GridSpec:
         mask = (np.abs(k1) <= cut) & (np.abs(k2) <= cut) & (np.abs(k3) <= cut)
         return _read_only(mask.astype(np.float64))
 
-    @cached_property
+    @property
     def coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only x1, x2, x3 samples, each (n, n, n), computed on each access:
+        a grid holds no n^3 array for its readers, the initial data and test modes."""
         x = TWO_PI * np.arange(self.n) / self.n
         g = np.meshgrid(x, x, x, indexing="ij")
         return tuple(_read_only(a) for a in g)
@@ -212,16 +214,18 @@ def inverse_transform(f: SpectralField) -> PhysicalField:
 
 @cache
 def _scratch(shape: tuple[int, ...]) -> np.ndarray:
-    """The complex work array of `_to_physical` for one shape; never returned."""
+    """The complex work array of `_to_physical` for one shape; never returned.
+    The advection kernel forms each gradient triple in it and transforms it in place."""
     return np.empty(shape, dtype=np.complex128)
 
 
-def _to_physical(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Real samples of a half spectrum."""
+def _to_physical(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Real samples of a half spectrum, written into `out` when given; `coeffs`
+    may be the work array itself, whose passes then all run in place."""
     work = _scratch(coeffs.shape)
     np.fft.ifft(coeffs, n, axis=-3, norm="forward", out=work)
     np.fft.ifft(work, n, axis=-2, norm="forward", out=work)
-    return np.fft.irfft(work, n, axis=-1, norm="forward")
+    return np.fft.irfft(work, n, axis=-1, norm="forward", out=out)
 
 
 def _to_spectral(samples: np.ndarray) -> np.ndarray:
@@ -388,20 +392,24 @@ def _advect_arrays(fc: np.ndarray, gc: np.ndarray, grid: GridSpec):
     """Dealiased coefficients of (f . grad) g, plus max |f| on the lattice.
 
     Five transforms: f in, the gradient of each component of g in (three
-    fields per call), the product out.
+    fields per call), the product out.  Each gradient triple is formed in the
+    transforms' work array and transformed there into one product buffer, so
+    the kernel's real arrays are f's samples, that buffer and the output samples.
     """
     n = grid.n
     ik = [1j * k for k in grid.deriv_wavenumbers]
     fp = _to_physical(fc, n)
     fmax = float(np.sqrt((fp**2).sum(axis=0)).max())
     out_phys = np.empty_like(fp)
-    grad = np.empty_like(gc)
+    grad = _scratch(gc.shape)
+    prod = np.empty_like(fp)
     for i in range(3):
         for j in range(3):
             np.multiply(ik[j], gc[i], out=grad[j])
-        prod = _to_physical(grad, n)
+        _to_physical(grad, n, out=prod)
         prod *= fp
         np.sum(prod, axis=0, out=out_phys[i])
+    del fp, prod
     out = _to_spectral(out_phys)
     out *= grid.dealias_mask
     return out, fmax

@@ -572,6 +572,95 @@ def test_one_pass_equals_separate_walks_bitwise(case, shear_traj_fine):
     assert diagnostics.residual_defects(traj) == (ref_mild, ref_strong, 0.0)
 
 
+class _OutOfPlacePass(RecordPass):
+    """The records pass with the mild recurrence it had before the integral
+    was updated in place: each step builds a new integral and a new diff."""
+
+    def _enter(self, m, nl=None):
+        snaps, p, u = self.snaps, self.p, self.snaps[m]
+        k2, n = u.grid.k_squared, u.grid.n
+        forcing = None if p.forcing is None else p.forcing.coeffs
+        if m >= 2:
+            self.strong.append(self._strong_defect(m - 1, forcing))
+        if nl is None:
+            nl = spectral.leray_project(advect(u, u)).coeffs
+        if self._modes:
+            qw, bump, bump_dt = self._weights
+            b, bdot = bump[m], bump_dt[m]
+            for i, mode in enumerate(self._modes):
+                term = bdot * spectral.inner_product(u, mode)
+                if b != 0.0:
+                    term -= b * _lattice_sum((nl * np.conj(mode.coeffs)).real, n)
+                    term -= p.nu * b * _lattice_sum(k2 * (u.coeffs * np.conj(mode.coeffs)).real, n)
+                    if forcing is not None:
+                        term += b * spectral.inner_product(p.forcing, mode)
+                self.weak[i] += qw[m] * term
+        if m == 0:
+            norm0 = sobolev_norm(u, 1.0)
+            self._scale = norm0 if norm0 > 0.0 else 1.0
+            self._t0 = u.time
+            self._integral = np.zeros_like(u.coeffs)
+            self._propagated = u.coeffs
+        else:
+            dt = u.time - snaps[m - 1].time
+            decay = np.exp(-p.nu * dt * k2)
+            self._integral = decay * (self._integral + 0.5 * dt * self._nl) + 0.5 * dt * nl
+            self._propagated = decay * self._propagated
+            expected = self._propagated - self._integral
+            if forcing is not None:
+                t = u.time - self._t0
+                z = -p.nu * t * k2
+                denom = p.nu * k2
+                safe = np.where(denom > 0.0, denom, 1.0)
+                phi = np.where(denom > 0.0, -np.expm1(z) / safe, t)
+                expected = expected + phi * forcing
+            diff = u.with_coeffs(u.coeffs - expected)
+            self.mild.append(sobolev_norm(diff, 1.0) / self._scale)
+        self._nl = nl
+
+
+@pytest.mark.parametrize("cadence", [1, 3])
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("scheme", ["strong-imex", "mild-duhamel"])
+def test_the_in_place_mild_recurrence_equals_the_out_of_place_one_bitwise(scheme, forced, cadence):
+    grid = GridSpec(8)
+    u0 = random_solenoidal_init(grid, 1.5, 3)
+    u0 = u0.with_coeffs(u0.coeffs * 4.0)
+    p = _stream_params(scheme, forced, grid)
+    traj = run(u0, p, cadence=cadence)
+    times, modes = traj.times, weak_test_battery(grid)
+    weights = (diagnostics._time_quadrature_weights(times), *diagnostics._time_bump(times))
+    passes = RecordPass(p, modes, weights), _OutOfPlacePass(p, modes, weights)
+    for walk in passes:
+        for u in traj.snapshots:
+            walk.push(u)
+        walk.finish()
+    assert all(d > 0.0 for d in passes[1].mild[1:])
+    for name in ("weak", "mild", "strong"):
+        bits = [np.asarray(getattr(w, name)).view(np.uint64) for w in passes]
+        assert np.array_equal(*bits), name
+
+
+def test_weak_residual_without_an_interior_snapshot_is_refused(grid8):
+    # the bump vanishes at both end times, so two snapshots leave nothing to
+    # weigh; it used to come out as 0/0
+    traj = run(taylor_green_init(grid8), SolverParams(nu=0.1, dt=1e-2, t_end=1e-2))
+    assert len(traj.snapshots) == 2
+    modes = weak_test_battery(grid8)
+    with pytest.raises(TooFewSnapshots, match="interior snapshot"):
+        weak_form_residual(traj, modes)
+    with pytest.raises(TooFewSnapshots, match="interior snapshot"):
+        diagnostics.residual_defects(traj, modes)
+    with pytest.raises(TooFewSnapshots, match="interior snapshot"):
+        diagnostics.residual_defects(Trajectory(traj.params, traj.snapshots[:1]), modes)
+    # without modes the mild and strong defects stand; three snapshots are enough
+    mild, strong, weak = diagnostics.residual_defects(traj)
+    assert (len(mild), strong, weak) == (2, [0.0, 0.0], 0.0)
+    assert mild_residual(traj) == mild[-1] and math.isfinite(mild[-1])
+    longer = run(taylor_green_init(grid8), SolverParams(nu=0.1, dt=1e-2, t_end=2e-2))
+    assert math.isfinite(weak_form_residual(longer, modes))
+
+
 def test_nan_snapshot_poisons_weak_and_strong_residuals(grid8):
     traj = run(taylor_green_init(grid8), SolverParams(nu=0.1, dt=1e-2, t_end=0.1))
     snaps = list(traj.snapshots)

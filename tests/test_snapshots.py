@@ -29,6 +29,7 @@ from torusflow.snapshots import (
     write_snapshot,
     write_trajectory,
 )
+from torusflow.snapshots import _write_snap
 from torusflow.spectral import SOLENOIDAL_TOL, divergence_defect
 
 
@@ -196,6 +197,12 @@ def test_snapshot_writer_refuses_non_finite_data(tmp_path, grid8, what):
     with pytest.raises(NonFiniteField, match="non-finite"):
         write_snapshot(path, u, nu=nu)
     assert not path.exists()
+    # the streamed trajectory writer refuses before it opens the file too,
+    # also when it is handed a divergence defect
+    for div_defect in (None, 0.0):
+        with pytest.raises(NonFiniteField, match="non-finite"):
+            _write_snap(tmp_path, 0, u, nu, div_defect)
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_snapshot_rejects_false_solenoidal_flag(tmp_path, grid8):
@@ -326,3 +333,18 @@ def test_writer_and_reader_agree(fuzz_path, n, kind, seed):
     assert np.array_equal(back.coeffs, field.coeffs) and nu == 0.5
     solenoidal = divergence_defect(field) <= SOLENOIDAL_TOL
     assert bool(fuzz_path.read_bytes()[24] & FLAG_SOLENOIDAL) == solenoidal
+
+
+@pytest.mark.parametrize("n", [4, 64])
+@pytest.mark.parametrize("kind", [0, 2], ids=["solenoidal", "white-noise"])
+def test_streamed_writer_writes_the_bytes_of_snapshot_bytes(tmp_path, n, kind):
+    # one component's full spectrum at a time, header first: the same file as
+    # the whole-field encoding, with or without a measured defect handed over
+    field = _seeded_field(n, kind, 5)
+    expected = snapshot_bytes(field, 0.25)
+    assert _write_snap(tmp_path, 7, field, 0.25) == "snap_000007.sns1"
+    assert (tmp_path / "snap_000007.sns1").read_bytes() == expected
+    _write_snap(tmp_path, 8, field, 0.25, divergence_defect(field))
+    assert (tmp_path / "snap_000008.sns1").read_bytes() == expected
+    write_snapshot(tmp_path / "one.sns1", field, 0.25)
+    assert (tmp_path / "one.sns1").read_bytes() == expected

@@ -52,6 +52,7 @@ from torusflow.spectral import (
     _lattice_sum,
     _mirror,
     _power_sum,
+    _scratch,
     _to_physical,
     _to_spectral,
     _worst,
@@ -656,3 +657,52 @@ def test_scratch_transforms_match_numpy_bitwise(n):
         kept = phys.copy()
         _to_physical(other, n)
         assert np.array_equal(phys.view(np.uint64), kept.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_to_physical_of_the_work_array_in_place_matches_a_fresh_copy(n):
+    # the kernel forms each gradient triple in the work array and transforms it
+    # there, into a product buffer it owns; the bits are those of a fresh input
+    rng = np.random.default_rng(n)
+    shape = (3, n, n, n // 2 + 1)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    expected = _to_physical(c.copy(), n)
+    work = _scratch(shape)
+    work[...] = c
+    out = np.empty((3, n, n, n))
+    assert _to_physical(work, n, out=out) is out
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+
+def _allocating_advect_arrays(fc, gc, grid):
+    """The kernel with a new gradient array per call and a new product array
+    per component, which forming the gradients in the work array replaced."""
+    n = grid.n
+    ik = [1j * k for k in grid.deriv_wavenumbers]
+    fp = _to_physical(fc, n)
+    fmax = float(np.sqrt((fp**2).sum(axis=0)).max())
+    out_phys = np.empty_like(fp)
+    grad = np.empty_like(gc)
+    for i in range(3):
+        for j in range(3):
+            np.multiply(ik[j], gc[i], out=grad[j])
+        prod = _to_physical(grad, n)
+        prod *= fp
+        np.sum(prod, axis=0, out=out_phys[i])
+    out = _to_spectral(out_phys)
+    out *= grid.dealias_mask
+    return out, fmax
+
+
+@pytest.mark.parametrize("n", [4, 6, 16, 32])
+@pytest.mark.parametrize("kind", ["random", "taylor-green"])
+def test_kernel_in_its_work_array_equals_the_allocating_kernel_bitwise(n, kind):
+    grid = GridSpec(n)
+    if kind == "random":
+        f, g = (random_solenoidal_init(grid, 2.0, seed).coeffs for seed in (n, n + 1))
+    else:
+        f = g = taylor_green_init(grid).coeffs
+    out, fmax = _advect_arrays(f, g, grid)
+    ref, ref_fmax = _allocating_advect_arrays(f, g, grid)
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    assert fmax == ref_fmax
