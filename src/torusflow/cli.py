@@ -3,7 +3,7 @@
 Subcommands: run, verify, unify, convergence, blocks.  A config file may
 set every knob; command-line flags override it, and the merged settings
 are validated once.  Exit codes: 0 pass, 1 check failure, 2 usage or
-config error, 3 numerical abort.
+config error or a run too large to allocate, 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ def main(argv: list[str] | None = None) -> int:
     except RangeError as exc:  # an output directory that cannot be created
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except TorusflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TorusflowError, MemoryError) as exc:  # or a valid config too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -40,7 +39,7 @@ from .operators import (
     weighted_blend,
 )
 from .oracles import convolution_nonlinear_term
-from .snapshots import _INEXACT_DEALIASING, _write_manifest, _write_snap
+from .snapshots import _INEXACT_DEALIASING, _write_stream
 from .snapshots import read_snapshot, write_snapshot, write_trajectory
 from .solvers import (
     SCHEMES,
@@ -643,28 +642,22 @@ print("wrote", path.with_suffix(".png"))
 
 
 def experiment_run(cfg: ExperimentConfig, out: Path) -> int:
-    """Stream the run into `out`: snapshot i is written when state i arrives, the
-    manifest and `diagnostics.csv` after the last.  On a NumericalAbort the
-    snapshots written move to `out/partial` beside their manifest, the layout
-    `run_experiment` writes for a trajectory `run` attaches, and the abort
-    propagates with none attached."""
+    """Stream the run into `out` through `snapshots._write_stream`, which writes
+    snapshot i with its record's divergence defect when state i arrives and the
+    manifest after the last; then `diagnostics.csv`.  On a NumericalAbort the
+    writer has moved the snapshots into `out/partial` beside their manifest, and
+    the abort propagates with no trajectory attached."""
     grid = GridSpec(cfg.n)
     p = _solver_params(cfg)
     walk = diag.RecordPass(p)
-    names = []
-    try:
+
+    def recorded():
         # the raw datum goes straight to the stream, which drops it once settled
         for u, nl, h2, wmax in _states(_initial_field(cfg, grid), p, cfg.cadence):
             walk.push(u, nl, h2, wmax)
-            names.append(_write_snap(out, len(names), u, p.nu, walk.rows[-1].div_defect))
-    except NumericalAbort:
-        partial = out / "partial"
-        partial.mkdir(exist_ok=True)
-        for name in names:
-            os.replace(out / name, partial / name)
-        _write_manifest(partial, p, grid.n, names)
-        raise
-    _write_manifest(out, p, grid.n, names)
+            yield u, walk.rows[-1].div_defect
+
+    _write_stream(out, p, grid.n, recorded())
     csv = diag.diagnostics_csv(walk.records())
     (out / "diagnostics.csv").write_text(csv, encoding="utf-8")
     (out / "plot_diagnostics.py").write_text(PLOT_SCRIPT, encoding="utf-8")

@@ -11,25 +11,26 @@ SNS1 layout (little-endian):
 
 The writer stores finite data only: a NaN or infinite viscosity or
 coefficient raises NonFiniteField before any byte is written (a field's time
-is finite by construction).  It derives
-both flags from the coefficients: the solenoidal bit is set exactly when the
-divergence defect is within SOLENOIDAL_TOL, the mean-free bit exactly when
-the k = 0 mode is zero; the coefficients are the full spectrum
-(`SpectralField.full`).  A reader accepts a file only when its
-time, viscosity and coefficients are finite, its k3 < 0 block mirrors the
-rest to HERMITIAN_TOL, and its flags hold for the data.
+is finite by construction).  It derives both flags from the coefficients: the
+solenoidal bit is set exactly when the divergence defect is within
+SOLENOIDAL_TOL, the mean-free bit exactly when the k = 0 mode is zero; each
+component's full spectrum is mirrored from its half as it is written.  A
+reader accepts a file only when its time, viscosity and coefficients are
+finite, its k3 < 0 block mirrors the rest to HERMITIAN_TOL, and its flags
+hold for the data.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .solvers import SolverParams, Trajectory
-from .errors import NonFiniteField, SymmetryViolation
+from .errors import NonFiniteField, NumericalAbort, SymmetryViolation
 from .spectral import SOLENOIDAL_TOL, GridSpec, SpectralField, _mirror, divergence_defect
 
 MAGIC = b"SNS1"
@@ -40,12 +41,24 @@ FLAG_MEAN_FREE = 2
 
 
 def snapshot_bytes(f: SpectralField, nu: float = 0.0) -> bytes:
-    return _sns1_header(f, nu) + np.ascontiguousarray(f.full(), dtype="<c16").tobytes()
+    return b"".join(_sns1_chunks(f, nu))
 
 
-def _sns1_header(f: SpectralField, nu: float, div_defect: float | None = None) -> bytes:
-    """The SNS1 header of f, after the finiteness check; a writer that has
-    measured f's divergence defect passes it."""
+def write_snapshot(
+    path: str | Path, f: SpectralField, nu: float = 0.0, div_defect: float | None = None
+) -> None:
+    """The bytes of `snapshot_bytes` into path; a field the header refuses
+    leaves no file.  A writer that has measured f's divergence defect passes it."""
+    chunks = _sns1_chunks(f, nu, div_defect)
+    header = next(chunks)
+    with Path(path).open("wb") as fh:
+        fh.write(header)
+        fh.writelines(chunks)
+
+
+def _sns1_chunks(f: SpectralField, nu: float, div_defect: float | None = None):
+    """The SNS1 encoding of f: the header, after the finiteness check, then
+    each component's full spectrum, so one component's mirror is alive at a time."""
     if not (math.isfinite(nu) and np.isfinite(f.coeffs).all()):
         raise NonFiniteField(f"non-finite viscosity or coefficient (nu={nu!r})")
     if div_defect is None:
@@ -53,21 +66,9 @@ def _sns1_header(f: SpectralField, nu: float, div_defect: float | None = None) -
     solenoidal = div_defect <= SOLENOIDAL_TOL
     mean_free = not np.any(f.coeffs[:, 0, 0, 0])
     flags = (FLAG_SOLENOIDAL if solenoidal else 0) | (FLAG_MEAN_FREE if mean_free else 0)
-    return _HEADER.pack(MAGIC, f.grid.n, f.time, nu, flags)
-
-
-def write_snapshot(path: str | Path, f: SpectralField, nu: float = 0.0) -> None:
-    _write_sns1(Path(path), f, nu)
-
-
-def _write_sns1(path: Path, f: SpectralField, nu: float, div_defect: float | None = None) -> None:
-    """The bytes of `snapshot_bytes` into path, one component's full spectrum
-    at a time; a field the header refuses leaves no file."""
-    header = _sns1_header(f, nu, div_defect)
-    with path.open("wb") as fh:
-        fh.write(header)
-        for c in f.coeffs:
-            fh.write(_mirror(c, f.grid.n).astype("<c16", copy=False))
+    yield _HEADER.pack(MAGIC, f.grid.n, f.time, nu, flags)
+    for c in f.coeffs:
+        yield _mirror(c, f.grid.n).astype("<c16", copy=False)
 
 
 def read_snapshot(path: str | Path) -> tuple[SpectralField, float]:
@@ -107,31 +108,35 @@ def write_trajectory(directory: str | Path, traj: Trajectory) -> None:
     """Snapshot files plus a key=value manifest, deterministically named."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = [_write_snap(directory, i, s, traj.params.nu) for i, s in enumerate(traj.snapshots)]
-    _write_manifest(directory, traj.params, traj.grid.n, names)
+    _write_stream(directory, traj.params, traj.grid.n, ((s, None) for s in traj.snapshots))
 
 
-def _write_snap(
-    directory: Path, i: int, f: SpectralField, nu: float, div_defect: float | None = None
-) -> str:
-    """Write f as snapshot i of a trajectory in directory; returns the file name.
-    A streaming writer passes the divergence defect its records measured."""
-    name = f"snap_{i:06d}.sns1"
-    _write_sns1(directory / name, f, nu, div_defect)
-    return name
+def _write_stream(directory: Path, params: SolverParams, n: int, stream) -> None:
+    """Write each (field, div_defect) of a run's stream as the next
+    `snap_%06d.sns1` in directory when it arrives, then the manifest; a None
+    defect is measured.  On a NumericalAbort the files written move to
+    directory/partial beside their manifest, and the abort propagates."""
+    names = []
+    try:
+        for f, div_defect in stream:
+            name = f"snap_{len(names):06d}.sns1"
+            write_snapshot(directory / name, f, params.nu, div_defect)
+            names.append(name)
+    except NumericalAbort:
+        partial = directory / "partial"
+        partial.mkdir(exist_ok=True)
+        for name in names:
+            os.replace(directory / name, partial / name)
+        _write_manifest(partial, params, n, names)
+        raise
+    _write_manifest(directory, params, n, names)
 
 
 def _write_manifest(directory: Path, params: SolverParams, n: int, names: list[str]) -> None:
     """The manifest of the snapshot files `names` of a run by params on n modes per axis."""
-    manifest = "".join(
-        (
-            f"scheme={params.scheme}\n",
-            f"nu={params.nu!r}\n",
-            f"dt={params.dt!r}\n",
-            f"n={n}\n",
-            f"seed={params.seed}\n",
-            f"snapshots={','.join(names)}\n",
-        )
+    manifest = (
+        f"scheme={params.scheme}\nnu={params.nu!r}\ndt={params.dt!r}\nn={n}\n"
+        f"seed={params.seed}\nsnapshots={','.join(names)}\n"
     )
     if n % 3 == 0:
         manifest += f"dealiasing={_INEXACT_DEALIASING}\n"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from torusflow import GridSpec, MollifierSpec, SolverParams, WeightPartition
+from torusflow import GridSpec, MollifierSpec, SolverParams, WeightPartition, experiments, solvers
 from torusflow.cli import _build_parser, _load_config, main
 from torusflow.errors import RangeError
 from torusflow.experiments import CHECKS
@@ -183,6 +183,31 @@ def test_cfl_violation_is_numerical_abort(tmp_path):
     partial = read_trajectory(out / "partial")
     assert [s.time for s in partial.snapshots] == [0.0]
     assert not (out / "diagnostics.csv").exists()
+
+
+def test_vorticity_guard_is_numerical_abort(tmp_path, monkeypatch):
+    # a BKM limit below the datum's vorticity maximum: exit 3, and the stream
+    # writer has moved the one snapshot it wrote into partial/
+    monkeypatch.setattr(solvers, "BLOWUP_BKM_LIMIT", 1e-3)
+    out = tmp_path / "bkm"
+    assert main(["run", "--n", "8", "--out", str(out)]) == 3
+    assert "vorticity maximum" in (out / "abort.txt").read_text()
+    partial = read_trajectory(out / "partial")
+    assert [s.time for s in partial.snapshots] == [0.0]
+    assert sorted(f.name for f in out.iterdir()) == ["abort.txt", "partial"]
+    assert sorted(f.name for f in (out / "partial").iterdir()) == [
+        "manifest.txt", "snap_000000.sns1"]
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 1.50 TiB for an array"])
+def test_an_allocation_failure_is_one_error_line(tmp_path, capsys, monkeypatch, message):
+    # a valid config whose arrays do not fit: exit 2 with one line, no traceback
+    def out_of_memory(cfg, grid):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(experiments, "_initial_field", out_of_memory)
+    assert main(["run", "--n", "8", "--out", str(tmp_path / "oom")]) == 2
+    assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
 
 
 # malformed settings, from flags or a file, that must exit 2 before any

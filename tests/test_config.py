@@ -80,6 +80,8 @@ def test_malformed_line_reports_position():
         ("n = four", ParseError),
         ("seed = 1.5", ParseError),
         ("eps_list = ", ParseError),
+        ("eps_list = ,", ParseError),
+        ("= 3", ParseError),
         ("nu = nan", RangeError),
         ("dt = inf", RangeError),
         ("t_end = 1e999", RangeError),

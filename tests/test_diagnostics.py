@@ -45,6 +45,7 @@ from torusflow.experiments import shear_formulation_residuals
 from torusflow.snapshots import read_trajectory, write_trajectory
 from torusflow.spectral import _advect_arrays, _lattice_sum, _mirror, advect
 from torusflow.errors import (
+    BlowUpDetected,
     DegenerateSequence,
     NonSolenoidalTest,
     NumericalAbort,
@@ -771,12 +772,14 @@ def _tiny_forced_blowup(grid):
 
 def _abort_case(case, grid, monkeypatch):
     """Datum and parameters of a run that aborts: on the H^2 guard after many
-    steps, on a NaN step after several streamed snapshots, or on the CFL gate
-    at the first step."""
+    steps, on a NaN step after several streamed snapshots, on a lowered
+    vorticity (BKM) guard or on the CFL gate at the first step."""
     if case == "norm-guard":
         return _tiny_forced_blowup(grid)
+    if case == "bkm-guard":
+        monkeypatch.setattr(solvers, "BLOWUP_BKM_LIMIT", 1e-3)
     u0 = taylor_green_init(grid)
-    p = SolverParams(nu=0.1, dt=1e-2 if case == "nan-step" else 0.5, t_end=1.0)
+    p = SolverParams(nu=0.1, dt=0.5 if case == "cfl" else 1e-2, t_end=1.0)
     if case == "nan-step":
         real_step = solvers._step
 
@@ -789,7 +792,7 @@ def _abort_case(case, grid, monkeypatch):
     return u0, p
 
 
-@pytest.mark.parametrize("case", ["norm-guard", "nan-step", "cfl"])
+@pytest.mark.parametrize("case", ["norm-guard", "nan-step", "bkm-guard", "cfl"])
 def test_an_aborted_run_with_the_pass_raises_the_same_abort(case, grid8, monkeypatch):
     u0, p = _abort_case(case, grid8, monkeypatch)
     with pytest.raises(NumericalAbort) as excinfo:
@@ -807,6 +810,11 @@ def test_an_aborted_run_with_the_pass_raises_the_same_abort(case, grid8, monkeyp
     assert [s.coeffs.tobytes() for s in streamed] == [s.coeffs.tobytes() for s in partial]
     assert [r.t for r in walk.rows] == [s.time for s in partial]
     assert len(partial) >= (4 if case == "nan-step" else 1)
+    if case == "bkm-guard":
+        # the first recorded step trips the guard: the partial is the datum alone
+        assert isinstance(excinfo.value, BlowUpDetected)
+        assert "vorticity maximum" in str(excinfo.value)
+        assert [s.time for s in partial] == [0.0]
 
 
 def _tree_bytes(root):
@@ -814,7 +822,7 @@ def _tree_bytes(root):
             for f in sorted(root.rglob("*")) if f.is_file()}
 
 
-@pytest.mark.parametrize("case", ["norm-guard", "nan-step", "cfl"])
+@pytest.mark.parametrize("case", ["norm-guard", "nan-step", "bkm-guard", "cfl"])
 def test_an_aborted_run_experiment_leaves_the_layout_of_the_partial_trajectory(
     case, tmp_path, monkeypatch
 ):
@@ -839,10 +847,10 @@ def test_a_cadence_one_run_experiment_makes_one_kernel_call_of_its_own(tmp_path,
     steps = 6
     cfg = parse_config(f"experiment = run\nn = 8\ninit = random\ndt = 1e-3\n"
                        f"t_end = {steps * 1e-3}\ncadence = 1\nout = {tmp_path}\n")
-    calls = {"_advect_arrays": 0, "vorticity_max": 0, "divergence_defect": 0}
+    calls = {"_advect_arrays": 0, "vorticity_max": 0, "divergence_defect": 0, "write_snapshot": 0}
 
     def counting(name):
-        real = getattr(spectral, name)
+        real = getattr(spectral if hasattr(spectral, name) else snapshots, name)
 
         def counted(*args):
             calls[name] += 1
@@ -858,9 +866,10 @@ def test_a_cadence_one_run_experiment_makes_one_kernel_call_of_its_own(tmp_path,
     assert experiments.experiment_run(cfg, tmp_path) == 0
     # two kernel calls per step, one for the last snapshot; the guard's
     # vorticity maximum of every stepped state, one for the datum; one
-    # divergence defect per snapshot, which its record and its SNS1 flag share
+    # divergence defect per snapshot, which its record and its SNS1 flag share;
+    # each snapshot's file is written by the public writer
     assert (calls["_advect_arrays"], calls["vorticity_max"]) == (2 * steps + 1, steps + 1)
-    assert calls["divergence_defect"] == steps + 1
+    assert calls["divergence_defect"] == calls["write_snapshot"] == steps + 1
     monkeypatch.undo()
     traj = read_trajectory(tmp_path)
     assert (tmp_path / "diagnostics.csv").read_text() == diagnostics_csv(

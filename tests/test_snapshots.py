@@ -29,7 +29,6 @@ from torusflow.snapshots import (
     write_snapshot,
     write_trajectory,
 )
-from torusflow.snapshots import _write_snap
 from torusflow.spectral import SOLENOIDAL_TOL, divergence_defect
 
 
@@ -70,6 +69,14 @@ def test_snapshot_rejects_bad_magic(tmp_path):
     path = tmp_path / "bogus.sns1"
     path.write_bytes(b"XXXX" + bytes(100))
     with pytest.raises(ValueError):
+        read_snapshot(path)
+
+
+def test_snapshot_rejects_an_odd_n_of_the_right_size(tmp_path):
+    # 3 * 3^3 coefficients after the header: the size matches, the grid does not
+    path = tmp_path / "odd.sns1"
+    path.write_bytes(struct.pack("<4sIddB", MAGIC, 3, 0.0, 0.0, 0) + bytes(3 * 3**3 * 16))
+    with pytest.raises(ValueError, match="odd.sns1: .*even"):
         read_snapshot(path)
 
 
@@ -193,15 +200,11 @@ def test_snapshot_writer_refuses_non_finite_data(tmp_path, grid8, what):
         coeffs = u.coeffs.copy()
         coeffs[1, 2, 0, 0] = np.nan
         u = u.with_coeffs(coeffs)
-    path = tmp_path / "bad.sns1"
-    with pytest.raises(NonFiniteField, match="non-finite"):
-        write_snapshot(path, u, nu=nu)
-    assert not path.exists()
-    # the streamed trajectory writer refuses before it opens the file too,
-    # also when it is handed a divergence defect
+    # the writer refuses before it opens the file, also when it is handed the
+    # divergence defect a run's records measured
     for div_defect in (None, 0.0):
         with pytest.raises(NonFiniteField, match="non-finite"):
-            _write_snap(tmp_path, 0, u, nu, div_defect)
+            write_snapshot(tmp_path / "bad.sns1", u, nu, div_defect)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -338,13 +341,16 @@ def test_writer_and_reader_agree(fuzz_path, n, kind, seed):
 @pytest.mark.parametrize("n", [4, 64])
 @pytest.mark.parametrize("kind", [0, 2], ids=["solenoidal", "white-noise"])
 def test_streamed_writer_writes_the_bytes_of_snapshot_bytes(tmp_path, n, kind):
-    # one component's full spectrum at a time, header first: the same file as
-    # the whole-field encoding, with or without a measured defect handed over
+    # the writers encode one component's full spectrum at a time, header
+    # first: the same bytes as the whole-field encoding built here, with or
+    # without a measured defect handed over
     field = _seeded_field(n, kind, 5)
-    expected = snapshot_bytes(field, 0.25)
-    assert _write_snap(tmp_path, 7, field, 0.25) == "snap_000007.sns1"
-    assert (tmp_path / "snap_000007.sns1").read_bytes() == expected
-    _write_snap(tmp_path, 8, field, 0.25, divergence_defect(field))
-    assert (tmp_path / "snap_000008.sns1").read_bytes() == expected
+    # a solenoidal init is solenoidal and mean-free, white noise neither
+    flags = FLAG_SOLENOIDAL | FLAG_MEAN_FREE if kind == 0 else 0
+    expected = struct.pack("<4sIddB", MAGIC, n, field.time, 0.25, flags)
+    expected += field.full().astype("<c16").tobytes()
+    assert snapshot_bytes(field, 0.25) == expected
     write_snapshot(tmp_path / "one.sns1", field, 0.25)
     assert (tmp_path / "one.sns1").read_bytes() == expected
+    write_snapshot(tmp_path / "two.sns1", field, 0.25, divergence_defect(field))
+    assert (tmp_path / "two.sns1").read_bytes() == expected

@@ -37,7 +37,7 @@ from torusflow import (
     zero_mean,
 )
 from torusflow.diagnostics import convergence_study, residual_defects
-from torusflow.dyadic import commutator_bound_ratio
+from torusflow.dyadic import commutator_bound_ratio, lattice_lp_norm
 from torusflow.errors import (
     DegenerateSequence,
     GridMismatch,
@@ -622,6 +622,22 @@ NAN_RANGE_CASES = {
 def test_nan_fails_range_checks(case, grid8):
     error, call = NAN_RANGE_CASES[case]
     with pytest.raises(error):
+        call(random_solenoidal_init(grid8, 2.0, 0))
+
+
+# each library entry's check of an argument out of its range, and its message
+OUT_OF_RANGE_CASES = {
+    "run-cadence": (
+        "cadence", lambda u: run(u, SolverParams(nu=0.1, dt=1e-2, t_end=1e-2), cadence=0)),
+    "physical-shape": ("shape", lambda u: PhysicalField(u.grid, np.zeros((3, 8, 8, 5)))),
+    "lp-exponent": ("p must be", lambda u: lattice_lp_norm(u, 3)),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE_CASES)
+def test_out_of_range_arguments_fail_range_checks(case, grid8):
+    message, call = OUT_OF_RANGE_CASES[case]
+    with pytest.raises(ValueError, match=message):
         call(random_solenoidal_init(grid8, 2.0, 0))
 
 
