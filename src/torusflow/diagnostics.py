@@ -478,8 +478,8 @@ def unified_reconstruction(
         np.max(np.abs(tv - times[0])) > 1e-12 for tv in times[1:]
     ):
         raise TimeGridMismatch("trajectories must share the snapshot time grid")
-    merge = _regularized_blend(weak_traj.grid, w, spec)
-    return list(map(merge, *[t.snapshots for t in trajs]))
+    merge = _regularized_blend(weak_traj.grid, w, [spec])
+    return [f for fs in zip(*[t.snapshots for t in trajs]) for f in merge(*fs)]
 
 
 MIN_SCALES = 4  # fewest scales a log-log slope fit is trusted on

@@ -322,8 +322,8 @@ def unified_pipeline_collapse(
 ) -> float:
     phi = shear_init(grid)
     base = sobolev_norm(phi, 1.0)
-    merges = (_regularized_blend(grid, weights, MollifierSpec(e, kind)) for e in eps_list)
-    errs = [_diff_norm(m(phi, phi, phi), phi, 1.0) / base for m in merges]
+    merge = _regularized_blend(grid, weights, [MollifierSpec(e, kind) for e in eps_list])
+    errs = [_diff_norm(f, phi, 1.0) / base for f in merge(phi, phi, phi)]
     rising = [b - a for a, b in zip(errs, errs[1:])] or [0.0]  # 0.0 for one eps
     return _worst(*rising, errs[-1] - 1e-3)
 
@@ -499,7 +499,7 @@ def snapshot_bitwise_roundtrip(f: SpectralField) -> float:
 
 def reconstruction_parseval(grid: GridSpec, weights: WeightPartition, spec: MollifierSpec) -> float:
     phi = shear_init(grid)
-    return parseval_identity([_regularized_blend(grid, weights, spec)(phi, phi, phi)])
+    return parseval_identity(list(_regularized_blend(grid, weights, [spec])(phi, phi, phi)))
 
 
 class VerifyInputs(NamedTuple):
@@ -665,25 +665,26 @@ def experiment_run(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def experiment_unify(cfg: ExperimentConfig, out: Path) -> int:
-    """Run the three schemes in lockstep, one (weak, mild, strong) snapshot
-    triple alive at a time, and fold each eps's H^1 gap to the mild run into its
-    worst; divide by the largest mild H^1 norm at the end."""
+    """Run the schemes in lockstep, one (weak, mild, strong) snapshot triple
+    alive at a time, and fold each eps's H^1 gap to the mild run into its
+    worst; divide by the largest mild H^1 norm at the end.  An uncut weak run
+    steps with the strong run's multipliers, so the strong stream fills its slot."""
     grid = GridSpec(cfg.n)
     u0 = _initial_field(cfg, grid)
-    weights = WeightPartition(*cfg.weight_edges())
+    specs = [MollifierSpec(e, cfg.mollifier) for e in cfg.eps_list]
+    merge = _regularized_blend(grid, WeightPartition(*cfg.weight_edges()), specs)
+    worst, norms = [-math.inf] * len(specs), []
     params = [_solver_params(cfg, s) for s in SCHEMES]
-    merges = [
-        _regularized_blend(grid, weights, MollifierSpec(e, cfg.mollifier)) for e in cfg.eps_list
-    ]
-    worst, norms = [-math.inf] * len(merges), []
-    streams = [_states(u0, p, cfg.cadence) for p in params]
+    uncut = params[0].galerkin_modes is None
+    streams = [_states(u0, p, cfg.cadence) for p in params[uncut:]]
     try:
         # no time check: each stream stamps step m with u0.time + m * dt, one dt
-        # and cadence for all three; map, not zip, whose reused result tuple
-        # would keep an old triple alive
-        for fs in map(lambda *states: [s[0] for s in states], *streams):
+        # and cadence for all; map, not zip, whose reused result tuple would
+        # keep an old triple alive; uncut, the strong state s[-1] leads the triple
+        for fs in map(lambda *s: [x[0] for x in s[-1:] * uncut + s], *streams):
             norms.append(sobolev_norm(fs[1], 1.0))
-            worst = [_worst(w, _diff_norm(m(*fs), fs[1], 1.0)) for w, m in zip(worst, merges)]
+            # map again, so that each merged field is dropped before the next is formed
+            worst = list(map(lambda w, f: _worst(w, _diff_norm(f, fs[1], 1.0)), worst, merge(*fs)))
     except NumericalAbort:
         # report the first abort in SCHEMES order, with its partial trajectory:
         # the streams are deterministic, so that is running the schemes in turn

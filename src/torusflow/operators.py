@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -195,10 +195,8 @@ def blend(
     """Partition-of-unity blend of three band sources, spectrum smearing via
     the spatial window, then a Leray projection (the windowing is the only
     step that can break solenoidality)."""
-    _require_same_grid(low, mid, high)
-    grid = low.grid
-    g = _band_sum(band_weights(w, grid.k_magnitude), low.coeffs, mid.coeffs, high.coeffs)
-    return low.with_coeffs(_smear(g, spatial_window(spec, grid), grid))
+    g = weighted_blend(low, mid, high, w)
+    return g.with_coeffs(_smear(g.coeffs, spatial_window(spec, g.grid), g.grid))
 
 
 def _smear(g: np.ndarray, win: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -207,23 +205,24 @@ def _smear(g: np.ndarray, win: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def _regularized_blend(
-    grid: GridSpec, w: WeightPartition, spec: MollifierSpec
-) -> Callable[[SpectralField, SpectralField, SpectralField], SpectralField]:
-    """The reconstruction smooth(blend(regularize(weak), regularize(mild),
-    regularize(strong))) of a snapshot triple on `grid`, at the mild time.
+    grid: GridSpec, w: WeightPartition, specs: Iterable[MollifierSpec]
+) -> Callable[[SpectralField, SpectralField, SpectralField], Iterator[SpectralField]]:
+    """Per snapshot triple on `grid`, the reconstruction smooth(blend(regularize(weak),
+    regularize(mild), regularize(strong))) of each spec in turn, at the mild time.
 
     P, the symbol and the band weights are Fourier multipliers, so the three
     P S fold into one on the band sum: S P W P S (sum), W the window pair,
-    equal to the three-regularization order up to round-off.  The symbol,
-    band weights and window are built once, here.
+    equal to the three-regularization order up to round-off.  The band weights
+    and each spec's symbol and window are built once, here; the merge forms the
+    band sum once per triple and yields the fields lazily, one alive at a time.
     """
-    sym = mollifier_symbol(spec, grid.k_magnitude)
     bands = band_weights(w, grid.k_magnitude)
-    win = spatial_window(spec, grid)
+    multipliers = [(mollifier_symbol(s, grid.k_magnitude), spatial_window(s, grid)) for s in specs]
 
-    def merge(weak: SpectralField, mild: SpectralField, strong: SpectralField) -> SpectralField:
-        g = _leray(_band_sum(bands, weak.coeffs, mild.coeffs, strong.coeffs) * sym, grid)
-        return mild.with_coeffs(_smear(g, win, grid) * sym)
+    def merge(weak: SpectralField, mild: SpectralField, strong: SpectralField):
+        g = _band_sum(bands, weak.coeffs, mild.coeffs, strong.coeffs)
+        for sym, win in multipliers:
+            yield mild.with_coeffs(_smear(_leray(g * sym, grid), win, grid) * sym)
 
     return merge
 

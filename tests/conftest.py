@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -82,3 +84,26 @@ def full_leray(c, grid):
     kdotc = np.divide(d1 * c[0] + d2 * c[1] + d3 * c[2], kk,
                       out=np.zeros_like(c[0]), where=kk > 0.0)
     return np.stack([c[i] - k * kdotc for i, k in enumerate((d1, d2, d3))])
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of each named function at every binding of its name
+    across the loaded torusflow modules; returns the live {name: calls} dict.
+    Every binding of a name must hold one object, which is the one counted."""
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "torusflow"]
+    calls = dict.fromkeys(names, 0)
+
+    def counter(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in names:
+        holders = [m for m in modules if name in vars(m)]
+        (real,) = {vars(m)[name] for m in holders}
+        wrapper = counter(name, real)
+        for m in holders:
+            monkeypatch.setattr(m, name, wrapper)
+    return calls

@@ -5,7 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from conftest import full_k_squared, full_leray
+from conftest import count_calls, full_k_squared, full_leray
 from torusflow import (
     GridSpec,
     MollifierSpec,
@@ -847,22 +847,8 @@ def test_a_cadence_one_run_experiment_makes_one_kernel_call_of_its_own(tmp_path,
     steps = 6
     cfg = parse_config(f"experiment = run\nn = 8\ninit = random\ndt = 1e-3\n"
                        f"t_end = {steps * 1e-3}\ncadence = 1\nout = {tmp_path}\n")
-    calls = {"_advect_arrays": 0, "vorticity_max": 0, "divergence_defect": 0, "write_snapshot": 0}
-
-    def counting(name):
-        real = getattr(spectral if hasattr(spectral, name) else snapshots, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return counted
-
-    for name in calls:
-        wrapper = counting(name)
-        for module in (spectral, solvers, diagnostics, snapshots, experiments):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapper)
+    calls = count_calls(monkeypatch, "_advect_arrays", "vorticity_max", "divergence_defect",
+                        "write_snapshot")
     assert experiments.experiment_run(cfg, tmp_path) == 0
     # two kernel calls per step, one for the last snapshot; the guard's
     # vorticity maximum of every stepped state, one for the datum; one

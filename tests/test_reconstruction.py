@@ -120,15 +120,18 @@ def _noise_trajectories(grid: GridSpec, seed: int = 0) -> list[Trajectory]:
 def test_unified_reconstruction_matches_full_spectrum_pipeline(source, n, kind):
     trajs = source(GridSpec(n))
     w = _weights(n)
-    for eps in EPS:
-        spec = MollifierSpec(eps, kind)
-        merged = unified_reconstruction(*trajs, w, spec)
-        merge = _regularized_blend(GridSpec(n), w, spec)
-        for m, fs in enumerate(zip(*[t.snapshots for t in trajs])):
+    specs = [MollifierSpec(eps, kind) for eps in EPS]
+    merged = [unified_reconstruction(*trajs, w, spec) for spec in specs]
+    # one merge for all specs: one band sum per triple, then one field per spec
+    merge = _regularized_blend(GridSpec(n), w, specs)
+    for m, fs in enumerate(zip(*[t.snapshots for t in trajs])):
+        fields = list(merge(*fs))
+        assert len(fields) == len(specs)
+        for spec, by_spec, field in zip(specs, merged, fields):
             ref = _reference_reconstruct(fs, w, spec)
-            assert merged[m].time == merge(*fs).time == fs[1].time
-            _assert_close(merged[m], ref)
-            _assert_close(merge(*fs), ref)
+            assert by_spec[m].time == field.time == fs[1].time
+            _assert_close(by_spec[m], ref)
+            _assert_close(field, ref)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -150,7 +153,7 @@ def test_the_merge_carries_the_mild_time_and_grid():
     # field's time and grid, whatever the weak and strong fields carry
     grid = GridSpec(8)
     weak, mild, strong = (_noise(grid, seed, t) for seed, t in ((0, 0.5), (1, 0.25), (2, 2.0)))
-    merged = _regularized_blend(grid, _weights(8), MollifierSpec(0.5))(weak, mild, strong)
+    [merged] = _regularized_blend(grid, _weights(8), [MollifierSpec(0.5)])(weak, mild, strong)
     assert isinstance(merged, SpectralField)
     assert merged.time == 0.25
     assert merged.grid is mild.grid
@@ -169,8 +172,11 @@ def test_one_merge_projects_twice(monkeypatch):
     monkeypatch.setattr(operators, "_leray", counted)
     grid = GridSpec(8)
     fs = [_noise(grid, seed) for seed in range(3)]
-    _regularized_blend(grid, _weights(8), MollifierSpec(0.5))(*fs)
+    list(_regularized_blend(grid, _weights(8), [MollifierSpec(0.5)])(*fs))
     assert len(calls) == 2
+    calls.clear()
+    list(_regularized_blend(grid, _weights(8), [MollifierSpec(e) for e in EPS])(*fs))
+    assert len(calls) == 2 * len(EPS)
     trajs = _noise_trajectories(grid)
     calls.clear()
     unified_reconstruction(*trajs, _weights(8), MollifierSpec(0.1, "bump"))

@@ -2,8 +2,9 @@
 
 Its files must equal, byte for byte, those of the whole-trajectory method:
 three `run` trajectories merged by `unified_reconstruction` once per eps.
-It holds one snapshot triple at a time, and an abort leaves the layout of
-the first scheme in SCHEMES order that aborts when the schemes run in turn.
+It holds one snapshot triple at a time, steps an uncut weak run once, as
+the strong run, and an abort leaves the layout of the first scheme in
+SCHEMES order that aborts when the schemes run in turn.
 """
 
 import json
@@ -11,6 +12,8 @@ import weakref
 
 import numpy as np
 import pytest
+
+from conftest import count_calls
 
 from torusflow import MollifierSpec, WeightPartition, run, solvers, unified_reconstruction
 from torusflow import experiments
@@ -21,10 +24,12 @@ from torusflow.solvers import SCHEMES
 from torusflow.spectral import GridSpec, sobolev_norm
 
 
-def _config(tmp_path, n, init, mollifier="gaussian", cadence=1, dt=1e-3, t_end=0.004, nu=0.1):
+def _config(tmp_path, n, init, mollifier="gaussian", cadence=1, dt=1e-3, t_end=0.004, nu=0.1,
+            galerkin_modes="full"):
     return parse_config(
         f"experiment = unify\nn = {n}\ninit = {init}\nseed = 5\nmollifier = {mollifier}\n"
-        f"nu = {nu}\ndt = {dt}\nt_end = {t_end}\ncadence = {cadence}\nout = {tmp_path / 'out'}\n"
+        f"nu = {nu}\ndt = {dt}\nt_end = {t_end}\ncadence = {cadence}\n"
+        f"galerkin_modes = {galerkin_modes}\nout = {tmp_path / 'out'}\n"
     )
 
 
@@ -64,17 +69,26 @@ def _whole_trajectory_files(cfg, tmp_path):
 @pytest.mark.parametrize("cadence", [1, 2])
 # inviscid, the random datum's worst gap at n=12 is at the last snapshot, not the datum
 @pytest.mark.parametrize("nu", [0.1, 0.0])
+# uncut, two streams fill the three slots; with a cutoff, three streams run.  The
+# weak band's weight reaches only |k| < r1 = n/8, so the cutoff is small enough to
+# change those modes of the random datum at n=12: a wrong branch shows in unify.csv
+@pytest.mark.parametrize("galerkin_modes", ["full", 2])
 def test_lockstep_unify_writes_the_files_of_the_whole_trajectory_method(
-    tmp_path, n, init, mollifier, cadence, nu
+    tmp_path, n, init, mollifier, cadence, nu, galerkin_modes
 ):
-    cfg = _config(tmp_path, n, init, mollifier, cadence, nu=nu)
+    cfg = _config(tmp_path, n, init, mollifier, cadence, nu=nu, galerkin_modes=galerkin_modes)
     expected, code = _whole_trajectory_files(cfg, tmp_path)
     assert experiments.run_experiment(cfg) == code
     assert _tree_bytes(tmp_path / "out") == _tree_bytes(expected)
 
 
-def test_lockstep_unify_drops_each_triple_once_the_next_arrives(tmp_path, monkeypatch):
-    cfg = _config(tmp_path, 8, "random", t_end=0.005)
+@pytest.mark.parametrize("galerkin_modes", ["full", 2])
+def test_lockstep_unify_drops_each_triple_once_the_next_arrives(
+    tmp_path, monkeypatch, galerkin_modes
+):
+    cfg = _config(tmp_path, 8, "random", t_end=0.005, galerkin_modes=galerkin_modes)
+    # an uncut weak run is the strong run, so its slot takes the strong stream's state
+    streamed = SCHEMES[1:] if galerkin_modes == "full" else SCHEMES
     refs = {s: [] for s in SCHEMES}
     real_states, real_blend = experiments._states, experiments._regularized_blend
 
@@ -85,23 +99,47 @@ def test_lockstep_unify_drops_each_triple_once_the_next_arrives(tmp_path, monkey
 
     merged = []
 
-    def checking_blend(grid, w, spec):
-        merge = real_blend(grid, w, spec)
+    def checking_blend(grid, w, specs):
+        merge = real_blend(grid, w, specs)
 
         def checked(*fs):
-            m = len(refs[SCHEMES[0]]) - 1
-            # triple m is the only one alive, in every scheme
-            for scheme in SCHEMES:
-                assert [r() is not None for r in refs[scheme]] == [i == m for i in range(m + 1)]
-            merged.append(m)
-            return merge(*fs)
+            m = len(refs["mild-duhamel"]) - 1
+            assert (fs[0] is fs[2]) == (galerkin_modes == "full")
+            last = None
+            for field in merge(*fs):
+                # triple m is the only one alive, in every stream, and the
+                # merge's previous field is gone once its next one arrives
+                for scheme in SCHEMES:
+                    alive = [i == m for i in range(m + 1)] if scheme in streamed else []
+                    assert [r() is not None for r in refs[scheme]] == alive
+                assert last is None or last() is None
+                merged.append(m)
+                last = weakref.ref(field)
+                yield field
 
         return checked
 
     monkeypatch.setattr(experiments, "_states", recording_states)
     monkeypatch.setattr(experiments, "_regularized_blend", checking_blend)
-    experiments.run_experiment(cfg)
+    assert experiments.run_experiment(cfg) == experiments.EXIT_OK
     assert merged == [m for m in range(6) for _ in cfg.eps_list]
+
+
+@pytest.mark.parametrize("galerkin_modes, streams", [("full", 2), (2, 3)])
+def test_unify_makes_a_pinned_count_of_each_operation(tmp_path, monkeypatch, galerkin_modes,
+                                                      streams):
+    steps = 5
+    cfg = _config(tmp_path, 8, "random", t_end=steps * 1e-3, galerkin_modes=galerkin_modes)
+    calls = count_calls(monkeypatch, "_states", "_advect_arrays", "vorticity_max", "_band_sum",
+                        "_smear")
+    assert experiments.run_experiment(cfg) == experiments.EXIT_OK
+    # one stream per distinct trajectory, each with two kernel calls per step
+    # and the guard's vorticity maximum of each stepped state; one band sum
+    # per snapshot triple, and one smearing per triple and eps
+    assert (calls["_states"], calls["_advect_arrays"]) == (streams, 2 * steps * streams)
+    assert calls["vorticity_max"] == steps * streams
+    assert calls["_band_sum"] == steps + 1
+    assert calls["_smear"] == (steps + 1) * len(cfg.eps_list)
 
 
 def _expected_abort(cfg, tmp_path):

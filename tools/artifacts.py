@@ -25,13 +25,14 @@ differs, 1 otherwise.
 The cases are the four benchmark workload configs (perfbench/workloads.py)
 at seeds 0 and 1, ``convergence`` with both mollifiers, ``blocks`` with
 Taylor-Green and random data, ``unify`` and ``verify`` at n=12 with the
-bump mollifier (a grid divisible by 3), an n=8 shear mild run, n=8
-weak-galerkin runs with a cutoff, an n=16 random run at cadence 3 (five
-snapshots; the records pass computes four of their five tendencies itself,
-while the state is streamed), n=16 CFL aborts of ``run`` and of
-``unify`` (``abort.txt`` and ``partial/``), and an n=8 Taylor-Green run
-with ``nu = 1e308``, whose diagnostics overflow (snapshots and manifest,
-no ``diagnostics.csv``).
+bump mollifier (a grid divisible by 3), the same ``unify`` with a weak
+cutoff (``galerkin_modes = 2``, so three schemes are stepped), an n=8
+shear mild run, n=8 weak-galerkin runs with a cutoff, an n=16 random run
+at cadence 3 (five snapshots; the records pass computes four of their five
+tendencies itself, while the state is streamed), n=16 CFL aborts of
+``run`` and of ``unify`` (``abort.txt`` and ``partial/``), and an n=8
+Taylor-Green run with ``nu = 1e308``, whose diagnostics overflow
+(snapshots and manifest, no ``diagnostics.csv``).
 pocketfft bytes may differ across numpy builds, so compare trees written
 on one machine and do not commit digests.
 """
@@ -64,6 +65,10 @@ EXTRA_CASES = {
     "blocks-random": {"experiment": "blocks", "n": 16, "init": "random", "seed": 3},
     "unify-n12-bump": {"experiment": "unify", "n": 12, "init": "random", "seed": 2,
                        "mollifier": "bump", "dt": 1e-3, "t_end": 0.005, "cadence": 1},
+    # a weak cutoff: three streams; k^2 <= 2 cuts modes that the weak band weighs
+    "unify-n12-galerkin": {"experiment": "unify", "n": 12, "init": "random", "seed": 2,
+                           "mollifier": "bump", "galerkin_modes": 2.0, "dt": 1e-3,
+                           "t_end": 0.005, "cadence": 1},
     "verify-n12-bump": {"experiment": "verify", "n": 12, "mollifier": "bump"},
     "run-n8-shear-mild": {"experiment": "run", "n": 8, "init": "shear", "nu": 0.1,
                           "scheme": "mild-duhamel", "dt": 1e-3, "t_end": 0.02, "cadence": 5},
