@@ -111,14 +111,18 @@ class Trajectory:
 # canonical initial data
 
 def taylor_green_init(grid: GridSpec) -> SpectralField:
-    """u = (sin x1 cos x2 cos x3, -cos x1 sin x2 cos x3, 0); eight active modes."""
-    x1, x2, x3 = grid.coordinates
-    samples = np.stack((
-        np.sin(x1) * np.cos(x2) * np.cos(x3),
-        -np.cos(x1) * np.sin(x2) * np.cos(x3),
-        np.zeros_like(x1),
-    ))
-    return forward_transform(PhysicalField(grid, samples))
+    """u = (sin x1 cos x2 cos x3, -cos x1 sin x2 cos x3, 0); eight active modes.
+
+    Built from its exact coefficients, -i s1/8 and i s2/8 at k = (s1, s2, s3)
+    with s_a = +-1, so it is zero off them (band-limited for the kernel).
+    """
+    c = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=np.complex128)
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            # the half spectrum stores k3 = +1; k3 = -1 is its mirror
+            c[0, s1, s2, 1] = -0.125j * s1
+            c[1, s1, s2, 1] = 0.125j * s2
+    return SpectralField(grid, c)
 
 
 def shear_init(grid: GridSpec) -> SpectralField:
@@ -126,11 +130,12 @@ def shear_init(grid: GridSpec) -> SpectralField:
 
     Under viscosity nu with no forcing the exact solution is e^{-nu t} times
     the datum, which makes it the closed-form benchmark for every scheme
-    and residual.
+    and residual.  Built from its exact coefficients, -+i/2 at k1 = +-1.
     """
-    x1, _, _ = grid.coordinates
-    samples = np.stack((np.zeros_like(x1), np.sin(x1), np.zeros_like(x1)))
-    return forward_transform(PhysicalField(grid, samples))
+    c = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=np.complex128)
+    c[1, 1, 0, 0] = -0.5j
+    c[1, -1, 0, 0] = 0.5j
+    return SpectralField(grid, c)
 
 
 def random_solenoidal_init(grid: GridSpec, s: float, seed: int) -> SpectralField:

@@ -215,7 +215,8 @@ def inverse_transform(f: SpectralField) -> PhysicalField:
 @cache
 def _scratch(shape: tuple[int, ...]) -> np.ndarray:
     """The complex work array of `_to_physical` for one shape; never returned.
-    The advection kernel forms each gradient triple in it and transforms it in place."""
+    The convective kernel forms each gradient triple in it and transforms it in
+    place; the divergence-form kernel transforms its second product triple into it."""
     return np.empty(shape, dtype=np.complex128)
 
 
@@ -228,10 +229,10 @@ def _to_physical(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> n
     return np.fft.irfft(work, n, axis=-1, norm="forward", out=out)
 
 
-def _to_spectral(samples: np.ndarray) -> np.ndarray:
-    """Half spectrum of real samples."""
+def _to_spectral(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectrum of real samples, written into `out` when given."""
     n = samples.shape[-1]
-    half = np.fft.rfft(samples, n, axis=-1, norm="forward")
+    half = np.fft.rfft(samples, n, axis=-1, norm="forward", out=out)
     np.fft.fft(half, n, axis=-2, norm="forward", out=half)
     np.fft.fft(half, n, axis=-3, norm="forward", out=half)
     return half
@@ -391,10 +392,31 @@ def divergence_defect(f: SpectralField) -> float:
 def _advect_arrays(fc: np.ndarray, gc: np.ndarray, grid: GridSpec):
     """Dealiased coefficients of (f . grad) g, plus max |f| on the lattice.
 
-    Five transforms: f in, the gradient of each component of g in (three
-    fields per call), the product out.  Each gradient triple is formed in the
-    transforms' work array and transformed there into one product buffer, so
-    the kernel's real arrays are f's samples, that buffer and the output samples.
+    A band-limited f advecting itself (`gc is fc`, zero at every mode with
+    3 |k_axis| >= n) takes the divergence form, 9 transformed fields instead
+    of 15: its products are exact after the 2/3 mask, so it equals the
+    convective form up to round-off whenever f is solenoidal.  Every other
+    input takes the convective form.
+    """
+    if gc is fc and _band_limited(fc, grid.n):
+        return _advect_divergence(fc, grid)
+    return _advect_convective(fc, gc, grid)
+
+
+def _band_limited(c: np.ndarray, n: int) -> bool:
+    """Whether the half spectrum c is zero at every mode with 3 |k_axis| >= n.
+    Storage indices m..n-m hold |k| >= m = ceil(n/3) on the full axes, m.. on the half."""
+    m = -(-n // 3)
+    return not (c[..., m:].any() or c[:, :, m:n - m + 1].any() or c[:, m:n - m + 1].any())
+
+
+def _advect_convective(fc: np.ndarray, gc: np.ndarray, grid: GridSpec):
+    """`_advect_arrays` as f_j d_j g_i: five transforms, f in, the gradient of
+    each component of g in (three fields per call), the product out.
+
+    Each gradient triple is formed in the transforms' work array and
+    transformed there into one product buffer, so the kernel's real arrays are
+    f's samples, that buffer and the output samples.
     """
     n = grid.n
     ik = [1j * k for k in grid.deriv_wavenumbers]
@@ -415,13 +437,48 @@ def _advect_arrays(fc: np.ndarray, gc: np.ndarray, grid: GridSpec):
     return out, fmax
 
 
+def _advect_divergence(fc: np.ndarray, grid: GridSpec):
+    """`_advect_arrays(fc, fc, grid)` as d_j (u_j u_i): three transforms, u in
+    and the six products H_ij = u_i u_j out as two triples, (H_00, H_01, H_02)
+    and (H_11, H_12, H_22).
+
+    The first triple is formed in one product buffer, the second over u's
+    samples, which are transformed into the work array.  Both are formed
+    before the first transform out, so the output spectrum is allocated once
+    u's samples are freed: allocated while they lived, it raised the peak RSS
+    of an n=64 run by 2.5 % (glibc malloc) at the same traced peak.
+    """
+    n = grid.n
+    up = _to_physical(fc, n)
+    umax = float(np.sqrt((up**2).sum(axis=0)).max())
+    prod = np.multiply(up[0], up)
+    np.multiply(up[1], up[1], out=up[0])
+    np.multiply(up[1], up[2], out=up[1])
+    np.multiply(up[2], up[2], out=up[2])
+    h1 = _to_spectral(up, out=_scratch(fc.shape))
+    del up
+    out = _to_spectral(prod)
+    del prod
+    k1, k2, k3 = grid.deriv_wavenumbers
+    # out holds (H_00, H_01, H_02): row 0 reads all three before any is written
+    out[0] = k1 * out[0] + k2 * out[1] + k3 * out[2]
+    out[1] = k1 * out[1] + k2 * h1[0] + k3 * h1[1]
+    out[2] = k1 * out[2] + k2 * h1[1] + k3 * h1[2]
+    out *= grid.dealias_mask
+    out *= 1j
+    return out, umax
+
+
 def _require_solenoidal(u: SpectralField, what: str):
     if not divergence_defect(u) <= SOLENOIDAL_TOL:  # NaN fails too
         raise NotSolenoidal(f"{what} requires a divergence-free field")
 
 
 def advect(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Pseudospectral (f . grad) g with 2/3-rule dealiasing; no projection."""
+    """Pseudospectral (f . grad) g with 2/3-rule dealiasing; no projection.
+
+    For a band-limited f passed as both arguments this is d_j (f_j f), which
+    is (f . grad) f up to round-off when f is solenoidal (`_advect_arrays`)."""
     _require_same_grid(f, g)
     out, _ = _advect_arrays(f.coeffs, g.coeffs, f.grid)
     return f.with_coeffs(out)

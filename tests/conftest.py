@@ -86,24 +86,35 @@ def full_leray(c, grid):
     return np.stack([c[i] - k * kdotc for i, k in enumerate((d1, d2, d3))])
 
 
+def _counter(calls, name, real):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    return counted
+
+
 def count_calls(monkeypatch, *names):
     """Count the calls of each named function at every binding of its name
     across the loaded torusflow modules; returns the live {name: calls} dict.
     Every binding of a name must hold one object, which is the one counted."""
     modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "torusflow"]
     calls = dict.fromkeys(names, 0)
-
-    def counter(name, real):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        return counted
-
     for name in names:
         holders = [m for m in modules if name in vars(m)]
         (real,) = {vars(m)[name] for m in holders}
-        wrapper = counter(name, real)
+        wrapper = _counter(calls, name, real)
         for m in holders:
             monkeypatch.setattr(m, name, wrapper)
+    return calls
+
+
+FFT_ENTRY_POINTS = ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn")
+
+
+def count_fft_calls(monkeypatch):
+    """Count the calls of each numpy.fft entry point; returns the live {name: calls} dict."""
+    calls = dict.fromkeys(FFT_ENTRY_POINTS, 0)
+    for name in FFT_ENTRY_POINTS:
+        monkeypatch.setattr(np.fft, name, _counter(calls, name, getattr(np.fft, name)))
     return calls

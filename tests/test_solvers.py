@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import full_k_squared, full_leray
+from conftest import count_calls, full_k_squared, full_leray
 from torusflow import (
     PhysicalField,
     SolverParams,
@@ -411,6 +411,47 @@ def test_blowup_partial_holds_only_guarded_snapshots(tmp_path, grid8, monkeypatc
     assert all(np.isfinite(s.coeffs).all() for s in back.snapshots)
 
 
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_exact_initial_data_equal_their_sampled_transforms(n):
+    grid = GridSpec(n)
+    x1, x2, x3 = grid.coordinates
+    zero = np.zeros_like(x1)
+    sampled = {
+        "taylor-green": np.stack((np.sin(x1) * np.cos(x2) * np.cos(x3),
+                                  -np.cos(x1) * np.sin(x2) * np.cos(x3), zero)),
+        "shear": np.stack((zero, np.sin(x1), zero)),
+    }
+    # (component, k1, k2, k3) of the stored nonzero coefficients
+    modes = {
+        "taylor-green": {(a, s1, s2, 1) for a in (0, 1) for s1 in (1, -1) for s2 in (1, -1)},
+        "shear": {(1, 1, 0, 0), (1, -1, 0, 0)},
+    }
+    for name, init in (("taylor-green", taylor_green_init), ("shear", shear_init)):
+        c = init(grid).coeffs
+        ref = forward_transform(PhysicalField(grid, sampled[name])).coeffs
+        assert np.max(np.abs(c - ref)) <= 1e-16
+        nonzero = {(a, (i1 + n // 2) % n - n // 2, (i2 + n // 2) % n - n // 2, i3)
+                   for a, i1, i2, i3 in zip(*np.nonzero(c))}
+        assert nonzero == modes[name]
+
+
+@pytest.mark.parametrize("scheme", ["strong-imex", "mild-duhamel"])
+@pytest.mark.parametrize("init", ["taylor-green", "random"])
+def test_a_run_takes_the_divergence_form_exactly_when_its_datum_is_band_limited(
+    init, scheme, monkeypatch
+):
+    # the steps keep a band-limited datum's exact zeros: the tendency is masked
+    # and every multiplier is diagonal
+    grid = GridSpec(16)
+    u0 = taylor_green_init(grid) if init == "taylor-green" else random_solenoidal_init(grid, 2.0, 0)
+    calls = count_calls(monkeypatch, "_advect_arrays", "_advect_divergence", "_advect_convective")
+    run(u0, SolverParams(nu=0.05, dt=1e-3, t_end=5e-3, scheme=scheme))
+    kernels = 2 * 5
+    divergence = kernels if init == "taylor-green" else 0
+    assert calls == {"_advect_arrays": kernels, "_advect_divergence": divergence,
+                     "_advect_convective": kernels - divergence}
+
+
 def test_pressure_shear_zero(grid16):
     assert l2_norm(pressure_solve(shear_init(grid16))) <= 1e-15
 
@@ -504,8 +545,8 @@ def test_divergent_field_is_rejected_by_every_checked_entry(grid8):
 # (3, n, n, n) arrays
 
 def _reference_rhs(c, grid, p):
-    h = grid.n // 2 + 1
-    adv = _mirror(_advect_arrays(c[..., :h], c[..., :h], grid)[0], grid.n)
+    half = c[..., : grid.n // 2 + 1]  # one view as both arguments: the solver's kernel
+    adv = _mirror(_advect_arrays(half, half, grid)[0], grid.n)
     rhs = -full_leray(adv, grid)
     if p.forcing is not None:
         rhs = rhs + p.forcing.full()

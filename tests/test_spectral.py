@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import full_k_squared
+from conftest import count_calls, count_fft_calls, full_k_squared
 from torusflow import (
     GridSpec,
     MollifierSpec,
@@ -49,6 +49,10 @@ from torusflow.solvers import lifespan_lower_bound
 from torusflow.spectral import (
     DEALIAS_FRACTION,
     _advect_arrays,
+    _advect_convective,
+    _advect_divergence,
+    _band_limited,
+    _leray,
     _lattice_sum,
     _mirror,
     _power_sum,
@@ -718,7 +722,106 @@ def test_kernel_in_its_work_array_equals_the_allocating_kernel_bitwise(n, kind):
         f, g = (random_solenoidal_init(grid, 2.0, seed).coeffs for seed in (n, n + 1))
     else:
         f = g = taylor_green_init(grid).coeffs
-    out, fmax = _advect_arrays(f, g, grid)
+    out, fmax = _advect_convective(f, g, grid)
     ref, ref_fmax = _allocating_advect_arrays(f, g, grid)
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
     assert fmax == ref_fmax
+
+
+# ----------------------------------------------------------------------
+# the divergence-form kernel body, which a band-limited field advecting
+# itself takes
+
+
+def _band_limited_field(n, seed):
+    """Coefficients of a random solenoidal field cut to 3 |k_axis| < n."""
+    grid = GridSpec(n)
+    in1, in2, in3 = (3 * np.abs(k) < n for k in grid.wavenumbers)
+    c = random_solenoidal_init(grid, 2.0, seed).coeffs * (in1 & in2 & in3)
+    assert _band_limited(c, n)
+    return c
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_divergence_form_equals_convective_form_on_band_limited_fields(n, seed):
+    grid = GridSpec(n)
+    u = _band_limited_field(n, seed)
+    div, umax = _advect_divergence(u, grid)
+    conv, conv_umax = _advect_convective(u, u, grid)
+    assert umax == conv_umax
+    slow = _leray(conv, grid)
+    assert np.max(np.abs(_leray(div, grid) - slow)) <= 1e-14 * np.max(np.abs(slow))
+
+
+@pytest.mark.parametrize("body", ["divergence", "convective"])
+def test_each_kernel_body_matches_convolution_oracle(body, grid8):
+    # the other oracle comparisons pass band-limited fields, which the
+    # dispatch sends to the divergence form; this one checks both bodies
+    from torusflow.oracles import convolution_nonlinear_term
+
+    kernel = {"divergence": lambda c: _advect_divergence(c, grid8),
+              "convective": lambda c: _advect_convective(c, c, grid8)}[body]
+    band = leray_project(SpectralField(grid8, _band_limited_field(8, 5)))
+    for u in (taylor_green_init(grid8), band):
+        fast = leray_project(u.with_coeffs(kernel(u.coeffs)[0]))
+        slow = SpectralField.from_full(grid8, convolution_nonlinear_term(u))
+        assert l2_norm(fast.with_coeffs(fast.coeffs - slow.coeffs)) <= 1e-12 * l2_norm(slow)
+
+
+def _with_mode(c, axis, k):
+    out = c.copy()
+    index = [0, 0, 0, 0]
+    index[1 + axis] = k  # a negative k indexes from the end, where -k is stored
+    out[tuple(index)] = 1e-3
+    return out
+
+
+@pytest.mark.parametrize(("n", "axis", "k"), [
+    (12, 0, 4), (12, 0, -4), (12, 1, 4), (12, 1, -4), (12, 2, 4),  # 3 |k| = n
+    (16, 0, 8), (16, 1, -6), (16, 2, 6),  # the Nyquist slot and 3 |k| = n + 2
+])
+def test_the_kernel_declines_a_field_with_content_on_the_band_edge(n, axis, k, monkeypatch):
+    grid = GridSpec(n)
+    u = _with_mode(_band_limited_field(n, 0), axis, k)
+    assert not _band_limited(u, n)
+    calls = count_calls(monkeypatch, "_advect_divergence", "_advect_convective")
+    out, umax = _advect_arrays(u, u, grid)
+    assert calls == {"_advect_divergence": 0, "_advect_convective": 1}
+    monkeypatch.undo()
+    ref, ref_umax = _advect_convective(u, u, grid)
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64)) and umax == ref_umax
+
+
+def test_an_n12_field_on_the_band_edge_differs_between_the_two_forms():
+    # the two forms alias the surviving boundary triad differently, which is
+    # why the dispatch excludes 3 |k| = n
+    grid = GridSpec(12)
+    u = dealias(random_solenoidal_init(grid, 2.0, 0)).coeffs
+    conv = _leray(_advect_convective(u, u, grid)[0], grid)
+    gap = np.max(np.abs(_leray(_advect_divergence(u, grid)[0], grid) - conv))
+    assert gap > 1e-8 * np.max(np.abs(conv))
+
+
+@pytest.mark.parametrize("case", ["band-limited", "not band-limited", "f is not g"])
+def test_the_kernel_takes_the_divergence_form_only_for_a_band_limited_field_advecting_itself(
+    case, monkeypatch
+):
+    grid = GridSpec(16)
+    u = random_solenoidal_init(grid, 2.0, 4).coeffs if case == "not band-limited" else (
+        _band_limited_field(16, 4))
+    g = u.copy() if case == "f is not g" else u
+    calls = count_calls(monkeypatch, "_advect_divergence", "_advect_convective")
+    ffts = count_fft_calls(monkeypatch)
+    out, umax = _advect_arrays(u, g, grid)
+    taken = case == "band-limited"
+    assert calls == {"_advect_divergence": int(taken), "_advect_convective": int(not taken)}
+    # divergence form: u in and two product triples out, three passes each;
+    # convective form: f in, three gradient triples in and the product out
+    assert sum(ffts.values()) == (9 if taken else 15)
+    monkeypatch.undo()
+    if taken:
+        ref, ref_umax = _advect_divergence(u, grid)
+    else:
+        ref, ref_umax = _advect_convective(u, g, grid)
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64)) and umax == ref_umax

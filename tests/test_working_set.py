@@ -3,9 +3,9 @@ deterministic) of the advection kernel and of a whole `run` experiment."""
 
 import tracemalloc
 
-from torusflow import GridSpec, parse_config, random_solenoidal_init
+from torusflow import GridSpec, dealias, parse_config, random_solenoidal_init
 from torusflow import experiments
-from torusflow.spectral import _advect_arrays
+from torusflow.spectral import _advect_arrays, _band_limited
 
 N = 32
 REAL = 3 * N**3 * 8  # one real (3, n, n, n) array
@@ -31,10 +31,21 @@ def test_the_kernel_holds_three_real_arrays_besides_its_work_array():
     assert peak <= 3 * REAL + HALF + (64 << 10)
 
 
+def test_the_divergence_form_holds_within_the_kernel_bound():
+    # u's samples and one product buffer, then that buffer and the output
+    # spectrum; the second product triple's spectrum is the work array
+    grid = GridSpec(N)
+    u = dealias(random_solenoidal_init(grid, 2.0, 0)).coeffs
+    assert _band_limited(u, N)
+    _advect_arrays(u, u, grid)
+    peak = _traced_peak(lambda: _advect_arrays(u, u, grid))
+    assert peak <= 3 * REAL + HALF + (64 << 10)
+
+
 def test_a_run_experiment_holds_under_nine_half_spectra(tmp_path):
     # at its peak, in the records pass's last step, the run holds two
     # snapshots, the pass's integral and a tendency, the work array, and
-    # either the kernel's three real buffers or the mild recurrence's
+    # either the kernel's buffers (three real arrays at most) or the mild recurrence's
     # propagated and expected fields: about 7.8 halves.  A warm-up run fills
     # the caches (work array, step multipliers)
     cfg = parse_config(
