@@ -14,15 +14,16 @@ strong  : pointwise momentum-equation residual at interior snapshot times,
           with centered differences in time.
 
 All three come from one streaming pass over the snapshots (`RecordPass`)
-that reads one projected product P[(u.grad)u] per snapshot: it enters the
-weak quadrature, where <(u.grad)u, v> = <P[(u.grad)u], v> for every
-divergence-free test field v, and the mild and strong defects.  The pass
-consumes a stream of (u, nl, h2, wmax) and holds only the three snapshots
-its recurrence still reads.  The `run` experiment feeds it the solver's
-stream (`solvers._states`), which hands over the projected product its next
-step computed and the guard's H^2 norm and vorticity maximum; a stored
-trajectory (`residual_defects`, `records_for_trajectory`) is the stream
-(u, None, None, None), and the pass computes those values itself.
+that reads one advection term a = -P[(u.grad)u] per snapshot: it enters the
+weak quadrature, where <(u.grad)u, v> = -<a, v> for every divergence-free
+test field v, and the mild and strong defects.  The pass consumes a stream of
+(u, a, h2, wmax), enters each snapshot as it arrives, and holds only the
+three snapshots its recurrence still reads.  The `run` experiment feeds it
+the solver's stream (`solvers._states`), which hands over each state's term
+(the step from it computed it first) and the guard's H^2 norm and vorticity
+maximum; a stored trajectory (`residual_defects`, `records_for_trajectory`)
+is the stream (u, None, None, None), and the pass computes those values
+itself, the term with the solver's `_advection`.
 `weak_form_residual`, `mild_residual` and `strong_residual` read
 `residual_defects`.  Every residual takes the viscosity and forcing of the
 trajectory's own run (`traj.params`).
@@ -44,7 +45,7 @@ from .errors import (
     TooFewSnapshots,
 )
 from .operators import MollifierSpec, WeightPartition, _regularized_blend
-from .solvers import SolverParams, Trajectory
+from .solvers import SolverParams, Trajectory, _advection
 from .spectral import (
     GridSpec,
     PhysicalField,
@@ -53,12 +54,10 @@ from .spectral import (
     _power_sum,
     _require_same_grid,
     _worst,
-    advect,
     divergence_defect,
     forward_transform,
     inner_product,
     l2_norm,
-    leray_project,
     sobolev_norm,
     vorticity_max,
 )
@@ -276,7 +275,6 @@ def residual_defects(
     walk = RecordPass(traj.params, modes, (qw, bump, bump_dt))
     for u in snaps:
         walk.push(u)
-    walk.finish()
 
     span = float(times[-1] - times[0])
     bump_scale = math.sqrt(sum(w * (b**2 + bdot**2) for w, b, bdot in zip(qw, bump, bump_dt)))
@@ -290,17 +288,16 @@ def residual_defects(
 class RecordPass:
     """The records of one trajectory, from one streaming pass over its snapshots.
 
-    `push(u, nl, h2, wmax)` takes the snapshots in time order, each with what
-    its producer has: `nl`, P[(u.grad)u] of the previous snapshot, and the
-    snapshot's H^2 norm and vorticity maximum (all None for a stored
-    snapshot).  The previous snapshot's tendency enters the mild/strong
-    recurrence at once, computed when it was not handed over, so the pass
-    holds the three snapshots the recurrence still reads and one tendency;
-    `finish` enters the last.  A records pass keeps each snapshot's scalars
-    (`rows`) and `records` finishes it; `residual_defects` adds the weak test
-    `modes` and their time `weights` (quadrature, bump, bump derivative per
-    snapshot) instead; each tendency, handed over or computed, enters the
-    weak sums too, so such a pass takes the solver's stream as well.
+    `push(u, a, h2, wmax)` takes the snapshots in time order, each with what
+    its producer has: `a`, the snapshot's advection term -P[(u.grad)u], and
+    its H^2 norm and vorticity maximum (all None for a stored snapshot).  The
+    snapshot enters the weak sums and the mild/strong recurrence at once, its
+    term computed (`solvers._advection`) when it was not handed over, so the
+    pass holds the three snapshots the recurrence still reads and one term.
+    A records pass keeps each snapshot's scalars (`rows`) for `records`;
+    `residual_defects` adds the weak test `modes` and their time `weights`
+    (quadrature, bump, bump derivative per snapshot) instead, so such a pass
+    takes the solver's stream as well.
     """
 
     def __init__(self, p: SolverParams, modes: Sequence[SpectralField] = (), weights=None):
@@ -308,15 +305,14 @@ class RecordPass:
         self.snaps: list[SpectralField | None] = []  # None once the recurrence is past it
         self.rows: list[DiagnosticsRecord] | None = [] if weights is None else None
         self._power: list[float] = []  # <f, u> per row, for the energy identity
-        self.mild, self.strong, self.weak = [0.0], [0.0], [0.0] * len(modes)
-        self._nl = None  # the last tendency that entered
+        self.mild, self.strong, self.weak = [], [], [0.0] * len(modes)
+        self._a = None  # the last advection term that entered
 
-    def push(self, u: SpectralField, nl=None, h2: float | None = None, wmax: float | None = None):
-        if self.snaps:
-            self._enter(len(self.snaps) - 1, nl)
+    def push(self, u: SpectralField, a=None, h2: float | None = None, wmax: float | None = None):
         self.snaps.append(u)
         if len(self.snaps) > 3:
             self.snaps[-4] = None
+        self._enter(len(self.snaps) - 1, a)
         if self.rows is not None:
             self._power.append(_power(self.p, u))
             self.rows.append(DiagnosticsRecord(
@@ -326,15 +322,8 @@ class RecordPass:
                 h2=sobolev_norm(u, 2.0) if h2 is None else h2, h3=sobolev_norm(u, 3.0),
             ))
 
-    def finish(self):
-        """Enter the last snapshot's tendency; the defects are complete after it."""
-        if len(self.snaps) > 1:
-            self._enter(len(self.snaps) - 1)
-            self.strong.append(0.0)
-
     def records(self) -> list[DiagnosticsRecord]:
-        """Finish a records pass; its validated records."""
-        self.finish()
+        """The validated records of a records pass."""
         rows = [(r.t, r.energy, r.enstrophy, w) for r, w in zip(self.rows, self._power)]
         records = [
             replace(r, res_weak=float(e), res_mild=float(mild), res_strong=float(strong))
@@ -346,26 +335,26 @@ class RecordPass:
             r.validate()
         return records
 
-    def _enter(self, m: int, nl: np.ndarray | None = None):
-        """Snapshot m's tendency nl (computed when None) enters: the weak sums
-        at m, the strong defect of m - 1 and the mild defect of m follow."""
+    def _enter(self, m: int, a: np.ndarray | None):
+        """Snapshot m and its advection term a (computed when None) enter: the
+        strong defect of m - 1, the weak sums at m and the mild defect of m."""
         snaps, p, u = self.snaps, self.p, self.snaps[m]
         k2, n = u.grid.k_squared, u.grid.n
         forcing = None if p.forcing is None else p.forcing.coeffs
+        self.strong.append(0.0)  # until a right neighbour makes m interior
         if m >= 2:
-            # snapshot m-1 is interior now that its right neighbour is known;
-            # evaluated before a computed nl exists, so the two peaks do not stack
-            self.strong.append(self._strong_defect(m - 1, forcing))
-        if nl is None:
-            nl = leray_project(advect(u, u)).coeffs
+            # evaluated before a computed term exists, so the two peaks do not stack
+            self.strong[m - 1] = self._strong_defect(m - 1, forcing)
+        if a is None:
+            a = _advection(u.coeffs, u.grid)[0]
         if self._modes:
             qw, bump, bump_dt = self._weights
             b, bdot = bump[m], bump_dt[m]
             for i, mode in enumerate(self._modes):
                 term = bdot * inner_product(u, mode)
                 if b != 0.0:
-                    # <(u.grad)u, v> = <P[(u.grad)u], v> for a divergence-free v
-                    term -= b * _lattice_sum((nl * np.conj(mode.coeffs)).real, n)
+                    # -<(u.grad)u, v> = <a, v> for a divergence-free v
+                    term += b * _lattice_sum((a * np.conj(mode.coeffs)).real, n)
                     # <grad u, grad v> = sum_k |k|^2 uhat . conj(vhat)
                     term -= p.nu * b * _lattice_sum(k2 * (u.coeffs * np.conj(mode.coeffs)).real, n)
                     if forcing is not None:
@@ -375,21 +364,25 @@ class RecordPass:
             norm0 = sobolev_norm(u, 1.0)
             self._scale = norm0 if norm0 > 0.0 else 1.0
             self._t0 = u.time
-            self._integral = np.zeros_like(u.coeffs)
             self._propagated = u.coeffs
-            self._nl = nl
+            self._a = a
+            self.mild.append(0.0)
             return
         dt = u.time - snaps[m - 1].time
         decay = np.exp(-p.nu * dt * k2)
-        # decay * (I + dt/2 nl_prev) + dt/2 nl, in place: the same bits, since
+        if m == 1:
+            # allocated only now: a run holds no integral while it steps to its
+            # second snapshot
+            self._integral = np.zeros_like(u.coeffs)
+        # decay * (I + dt/2 a_prev) + dt/2 a, in place: the same bits, since
         # IEEE multiplication commutes
         integral = self._integral
-        integral += 0.5 * dt * self._nl
+        integral += 0.5 * dt * self._a
         integral *= decay
-        integral += 0.5 * dt * nl
-        self._nl = nl
+        integral += 0.5 * dt * a
+        self._a = a
         self._propagated = decay * self._propagated
-        expected = self._propagated - integral
+        expected = self._propagated + integral
         if forcing is not None:
             # steady forcing integrates exactly: int_0^t e^{nu (t-tau) lap} d tau
             t = u.time - self._t0
@@ -402,12 +395,13 @@ class RecordPass:
         self.mild.append(sobolev_norm(u.with_coeffs(diff), 1.0) / self._scale)
 
     def _strong_defect(self, m: int, forcing: np.ndarray | None) -> float:
-        # a method scope frees dudt and res before the next kernel call
+        # a method scope frees dudt and res before the next kernel call; the
+        # last term that entered is snapshot m's
         snaps, u = self.snaps, self.snaps[m]
         dt_left = u.time - snaps[m - 1].time
         dt_right = snaps[m + 1].time - u.time
         dudt = (snaps[m + 1].coeffs - snaps[m - 1].coeffs) / (dt_left + dt_right)
-        res = dudt + self._nl + self.p.nu * u.grid.k_squared * u.coeffs
+        res = dudt - self._a + self.p.nu * u.grid.k_squared * u.coeffs
         if forcing is not None:
             res = res - forcing
         return l2_norm(u.with_coeffs(res))

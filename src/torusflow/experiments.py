@@ -39,7 +39,7 @@ from .operators import (
     weighted_blend,
 )
 from .oracles import convolution_nonlinear_term
-from .snapshots import _INEXACT_DEALIASING, _write_stream
+from .snapshots import _write_stream
 from .snapshots import read_snapshot, write_snapshot, write_trajectory
 from .solvers import (
     SCHEMES,
@@ -55,6 +55,7 @@ from .solvers import (
     taylor_green_init,
 )
 from .spectral import (
+    _INEXACT_DEALIASING,
     GridSpec,
     SpectralField,
     _power_sum,
@@ -653,8 +654,8 @@ def experiment_run(cfg: ExperimentConfig, out: Path) -> int:
 
     def recorded():
         # the raw datum goes straight to the stream, which drops it once settled
-        for u, nl, h2, wmax in _states(_initial_field(cfg, grid), p, cfg.cadence):
-            walk.push(u, nl, h2, wmax)
+        for u, a, h2, wmax in _states(_initial_field(cfg, grid), p, cfg.cadence):
+            walk.push(u, a, h2, wmax)
             yield u, walk.rows[-1].div_defect
 
     _write_stream(out, p, grid.n, recorded())

@@ -31,7 +31,8 @@ import numpy as np
 
 from .solvers import SolverParams, Trajectory
 from .errors import NonFiniteField, NumericalAbort, SymmetryViolation
-from .spectral import SOLENOIDAL_TOL, GridSpec, SpectralField, _mirror, divergence_defect
+from .spectral import SOLENOIDAL_TOL, _INEXACT_DEALIASING, GridSpec, SpectralField, _mirror
+from .spectral import divergence_defect
 
 MAGIC = b"SNS1"
 _HEADER = struct.Struct("<4sIddB")
@@ -99,9 +100,6 @@ def read_snapshot(path: str | Path) -> tuple[SpectralField, float]:
     if flags & FLAG_MEAN_FREE and np.any(field.coeffs[:, 0, 0, 0]):
         raise ValueError(f"{path}: flagged mean-free but the k = 0 mode is not zero")
     return field, nu
-
-
-_INEXACT_DEALIASING = "n divisible by 3: 2/3 dealiasing is inexact (one boundary triad aliases)"
 
 
 def write_trajectory(directory: str | Path, traj: Trajectory) -> None:

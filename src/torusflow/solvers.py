@@ -198,15 +198,19 @@ def _step_multipliers(grid: GridSpec, p: SolverParams, mild: bool) -> _Multiplie
     return _multipliers(grid, p.nu, p.dt, mild, cutoff)
 
 
-def _tendency(c: np.ndarray, p: SolverParams, grid: GridSpec):
-    """Projected tendency -P[(u.grad)u] + P f of coefficients c, and the lattice max |u|."""
+def _advection(c: np.ndarray, grid: GridSpec):
+    """The advection term -P[(u.grad)u] of coefficients c, and the lattice max |u|."""
     adv, umax = _advect_arrays(c, c, grid)
-    rhs = -_leray(adv, grid)
-    if p.forcing is not None:
-        if p.forcing.grid != grid:
-            raise GridMismatch(f"forcing on n = {p.forcing.grid.n}, state on n = {grid.n}")
-        rhs = rhs + p.forcing.coeffs
-    return rhs, umax
+    return -_leray(adv, grid), umax
+
+
+def _forced(a: np.ndarray, p: SolverParams, grid: GridSpec) -> np.ndarray:
+    """The projected tendency a + P f of advection term a (a itself unforced)."""
+    if p.forcing is None:
+        return a
+    if p.forcing.grid != grid:
+        raise GridMismatch(f"forcing on n = {p.forcing.grid.n}, state on n = {grid.n}")
+    return a + p.forcing.coeffs
 
 
 def _settle(grid: GridSpec, c: np.ndarray, time: float, mult: _Multipliers) -> SpectralField:
@@ -231,39 +235,40 @@ def _gate_cfl(dt: float, umax: float, grid: GridSpec):
         raise CflViolation(f"dt = {dt:g} exceeds advective limit {limit:g}")
 
 
-def _step(u: SpectralField, p: SolverParams, mult: _Multipliers, time: float):
-    """One step of u to `time` by the scheme of `mult` (mild when it has phi
-    weights), and P[(u.grad)u] of u when p is unforced (None when forced).
+def _step(u: SpectralField, a0: np.ndarray, umax: float, p: SolverParams, mult: _Multipliers,
+          time: float) -> SpectralField:
+    """One step of u, whose advection term is a0 and lattice max |u| umax, to
+    `time` by the scheme of `mult` (mild when it has phi weights).
 
     No divergence check: `run` steps only states it has just settled.
     """
     grid = u.grid
-    n0, umax = _tendency(u.coeffs, p, grid)
+    n0 = _forced(a0, p, grid)
     _gate_cfl(p.dt, umax, grid)
     if mult.dt_phi1 is None:
         decay = mult.decay
-        n1, _ = _tendency(decay * (u.coeffs + p.dt * n0), p, grid)
+        n1 = _forced(_advection(decay * (u.coeffs + p.dt * n0), grid)[0], p, grid)
         c = decay * u.coeffs + 0.5 * p.dt * (decay * n0 + n1)
     else:
         predictor = mult.decay * u.coeffs + mult.dt_phi1 * n0
-        n1, _ = _tendency(predictor, p, grid)
+        n1 = _forced(_advection(predictor, grid)[0], p, grid)
         c = predictor + mult.dt_phi2 * (n1 - n0)
-    # unforced, n0 = -P[(u.grad)u], and negation is exact
-    nl = None if p.forcing is not None else np.negative(n0, out=n0)
-    return _settle(grid, c, time, mult), nl
+    return _settle(grid, c, time, mult)
 
 
 def step_strong(u: SpectralField, p: SolverParams) -> SpectralField:
     """One integrating-factor Heun step, re-projected, mean-free and cut off."""
     _require_solenoidal(u, "step_strong")
-    return _step(u, p, _step_multipliers(u.grid, p, mild=False), u.time + p.dt)[0]
+    mult = _step_multipliers(u.grid, p, mild=False)
+    return _step(u, *_advection(u.coeffs, u.grid), p, mult, u.time + p.dt)
 
 
 def step_mild(u: SpectralField, p: SolverParams) -> SpectralField:
     """One exponential-trapezoidal step of the Duhamel integral, re-projected,
     mean-free and cut off."""
     _require_solenoidal(u, "step_mild")
-    return _step(u, p, _step_multipliers(u.grid, p, mild=True), u.time + p.dt)[0]
+    mult = _step_multipliers(u.grid, p, mild=True)
+    return _step(u, *_advection(u.coeffs, u.grid), p, mult, u.time + p.dt)
 
 
 # ----------------------------------------------------------------------
@@ -300,13 +305,15 @@ def run(u0: SpectralField, p: SolverParams, cadence: int = 1) -> Trajectory:
 
 
 def _states(u0: SpectralField, p: SolverParams, cadence: int):
-    """The recorded states of `run`, each as (u, nl, h2, wmax) once the guard
+    """The recorded states of `run`, each as (u, a, h2, wmax) once the guard
     has passed it, in time order; the errors are run's, with nothing attached.
 
-    Beside u come what the run already has: nl, P[(u.grad)u] of the previous
-    recorded state when u is the step right after it (the step's own
-    tendency), and u's H^2 norm (the guard's, GUARD_NORM_INDEX = 2) and
-    vorticity maximum when the guard computed them; each is None otherwise.
+    Beside u come what the run already has: a, u's advection term
+    -P[(u.grad)u], which the step from u computes first (None for the last
+    state, from which nothing steps), and u's H^2 norm (the guard's,
+    GUARD_NORM_INDEX = 2) and vorticity maximum when the guard computed them
+    (None otherwise).  Each state is yielded before the CFL gate of the step
+    from it.
     """
     if cadence < 1:
         raise ValueError("cadence must be >= 1")
@@ -316,20 +323,18 @@ def _states(u0: SpectralField, p: SolverParams, cadence: int):
     u = _settle(grid, u0.coeffs, u0.time, mult)
     t0 = u0.time
     del u0  # the stream holds no reference to the raw datum
-    guard_norm0 = sobolev_norm(u, GUARD_NORM_INDEX)
+    guard_norm0 = hs = sobolev_norm(u, GUARD_NORM_INDEX)
     if not math.isfinite(guard_norm0):
         # a NaN norm would switch off the guards and the CFL gate below
         raise NonFiniteField("initial datum has a non-finite coefficient")
-    yield u, None, guard_norm0, None
-
-    recorded = True
+    recorded, wmax = True, None
     for m in range(1, steps + 1):
-        u, nl = _step(u, p, mult, t0 + m * p.dt)
-        # the tendency of a recorded state rides along only to the next step
-        # if that step is recorded too; it is never held across steps
-        before, recorded = recorded, m % cadence == 0 or m == steps
-        if not (before and recorded):
-            nl = None
+        a, umax = _advection(u.coeffs, grid)
+        if recorded:
+            yield u, a, hs, wmax
+        u = _step(u, a, umax, p, mult, t0 + m * p.dt)
+        del a  # not held through the next state's kernel call
+        recorded = m % cadence == 0 or m == steps
         hs = wmax = None
         if guard_norm0 > 0.0:
             hs = sobolev_norm(u, GUARD_NORM_INDEX)
@@ -344,8 +349,7 @@ def _states(u0: SpectralField, p: SolverParams, cadence: int):
                     raise BlowUpDetected(
                         f"vorticity maximum {wmax:.3e} exceeds guard at t = {u.time:g}"
                     )
-        if recorded:
-            yield u, nl, hs, wmax
+    yield u, None, hs, wmax
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ SOLENOIDAL_TOL = 1e-9
 
 # retained-mode fraction per axis for quadratic products (the 2/3 rule)
 DEALIAS_FRACTION = 2.0 / 3.0
+_INEXACT_DEALIASING = "n divisible by 3: 2/3 dealiasing is inexact (one boundary triad aliases)"
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

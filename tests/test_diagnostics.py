@@ -355,19 +355,12 @@ def test_records_and_csv(case, shear_traj_fine, monkeypatch):
     else:
         short = _forced_steady_shear()
     # one advection per snapshot serves the weak, mild and strong defects
-    calls = []
-    advect_arrays = spectral._advect_arrays
-
-    def counting(*args):
-        calls.append(1)
-        return advect_arrays(*args)
-
-    monkeypatch.setattr(spectral, "_advect_arrays", counting)
+    calls = count_calls(monkeypatch, "_advect_arrays")
     records = records_for_trajectory(short)
-    assert len(calls) == len(short.snapshots) == 5
-    calls.clear()
+    assert calls["_advect_arrays"] == len(short.snapshots) == 5
+    calls["_advect_arrays"] = 0
     shear_formulation_residuals(short)
-    assert len(calls) == 5
+    assert calls["_advect_arrays"] == 5
     monkeypatch.undo()
     assert records[-1].res_mild == mild_residual(short)
     assert max(r.res_strong for r in records) == strong_residual(short)
@@ -577,21 +570,22 @@ class _OutOfPlacePass(RecordPass):
     """The records pass with the mild recurrence it had before the integral
     was updated in place: each step builds a new integral and a new diff."""
 
-    def _enter(self, m, nl=None):
+    def _enter(self, m, a):
         snaps, p, u = self.snaps, self.p, self.snaps[m]
         k2, n = u.grid.k_squared, u.grid.n
         forcing = None if p.forcing is None else p.forcing.coeffs
+        self.strong.append(0.0)
         if m >= 2:
-            self.strong.append(self._strong_defect(m - 1, forcing))
-        if nl is None:
-            nl = spectral.leray_project(advect(u, u)).coeffs
+            self.strong[m - 1] = self._strong_defect(m - 1, forcing)
+        if a is None:
+            a = -spectral.leray_project(advect(u, u)).coeffs
         if self._modes:
             qw, bump, bump_dt = self._weights
             b, bdot = bump[m], bump_dt[m]
             for i, mode in enumerate(self._modes):
                 term = bdot * spectral.inner_product(u, mode)
                 if b != 0.0:
-                    term -= b * _lattice_sum((nl * np.conj(mode.coeffs)).real, n)
+                    term += b * _lattice_sum((a * np.conj(mode.coeffs)).real, n)
                     term -= p.nu * b * _lattice_sum(k2 * (u.coeffs * np.conj(mode.coeffs)).real, n)
                     if forcing is not None:
                         term += b * spectral.inner_product(p.forcing, mode)
@@ -602,12 +596,13 @@ class _OutOfPlacePass(RecordPass):
             self._t0 = u.time
             self._integral = np.zeros_like(u.coeffs)
             self._propagated = u.coeffs
+            self.mild.append(0.0)
         else:
             dt = u.time - snaps[m - 1].time
             decay = np.exp(-p.nu * dt * k2)
-            self._integral = decay * (self._integral + 0.5 * dt * self._nl) + 0.5 * dt * nl
+            self._integral = decay * (self._integral + 0.5 * dt * self._a) + 0.5 * dt * a
             self._propagated = decay * self._propagated
-            expected = self._propagated - self._integral
+            expected = self._propagated + self._integral
             if forcing is not None:
                 t = u.time - self._t0
                 z = -p.nu * t * k2
@@ -617,7 +612,7 @@ class _OutOfPlacePass(RecordPass):
                 expected = expected + phi * forcing
             diff = u.with_coeffs(u.coeffs - expected)
             self.mild.append(sobolev_norm(diff, 1.0) / self._scale)
-        self._nl = nl
+        self._a = a
 
 
 @pytest.mark.parametrize("cadence", [1, 3])
@@ -635,7 +630,6 @@ def test_the_in_place_mild_recurrence_equals_the_out_of_place_one_bitwise(scheme
     for walk in passes:
         for u in traj.snapshots:
             walk.push(u)
-        walk.finish()
     assert all(d > 0.0 for d in passes[1].mild[1:])
     for name in ("weak", "mild", "strong"):
         bits = [np.asarray(getattr(w, name)).view(np.uint64) for w in passes]
@@ -702,20 +696,16 @@ def test_online_records_equal_stored_records_bitwise(scheme, forced, cadence, da
     p = _stream_params(scheme, forced, grid)
     handed = []
     online = RecordPass(p)
-    for u, nl, h2, wmax in solvers._states(u0, p, cadence):
-        handed.append((nl is not None, h2 is not None, wmax is not None))
-        online.push(u, nl, h2, wmax)
+    for u, a, h2, wmax in solvers._states(u0, p, cadence):
+        handed.append((a is not None, h2 is not None, wmax is not None))
+        online.push(u, a, h2, wmax)
     traj = run(u0, p, cadence=cadence)
     assert np.array_equal(_record_bits(online.records()),
                           _record_bits(records_for_trajectory(traj)))
-    # a tendency rides along only from a recorded state to the next step, and
-    # never when forced; at cadence 3 the datum and steps 3, 6, 9 and 10 are
-    # recorded, so only step 10 follows a recorded state
-    if cadence == 1:
-        expected = [False] + [not forced] * 10
-    else:
-        expected = [False, False, False, False, not forced]
-    assert [nl for nl, _, _ in handed] == expected
+    # every state but the last, forced or not, comes with the advection term
+    # the step from it computed; at cadence 3 the datum and steps 3, 6, 9 and
+    # 10 are recorded
+    assert [a for a, _, _ in handed] == [True] * (10 if cadence == 1 else 4) + [False]
     guarded = datum == "random"
     assert [h2 for _, h2, _ in handed] == [True] + [guarded] * (len(handed) - 1)
     assert [w for _, _, w in handed] == [False] + [guarded] * (len(handed) - 1)
@@ -725,7 +715,7 @@ def test_online_records_equal_stored_records_bitwise(scheme, forced, cadence, da
 @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
 @pytest.mark.parametrize("scheme", ["strong-imex", "mild-duhamel", "weak-galerkin"])
 def test_a_weak_pass_fed_by_the_stream_equals_the_stored_pass_bitwise(scheme, forced, cadence):
-    # a handed-over tendency enters the weak sums as a computed one does
+    # a handed-over advection term enters the weak sums as a computed one does
     grid = GridSpec(8)
     u0 = random_solenoidal_init(grid, 1.5, 3)
     u0 = u0.with_coeffs(u0.coeffs * 4.0)
@@ -734,12 +724,10 @@ def test_a_weak_pass_fed_by_the_stream_equals_the_stored_pass_bitwise(scheme, fo
     times, modes = traj.times, weak_test_battery(grid)
     weights = (diagnostics._time_quadrature_weights(times), *diagnostics._time_bump(times))
     streamed, stored = RecordPass(p, modes, weights), RecordPass(p, modes, weights)
-    for u, nl, h2, wmax in solvers._states(u0, p, cadence):
-        streamed.push(u, nl, h2, wmax)
+    for u, a, h2, wmax in solvers._states(u0, p, cadence):
+        streamed.push(u, a, h2, wmax)
     for u in traj.snapshots:
         stored.push(u)
-    streamed.finish()
-    stored.finish()
     assert all(w != 0.0 for w in stored.weak)
     for name in ("weak", "mild", "strong"):
         bits = [np.asarray(getattr(w, name)).view(np.uint64) for w in (streamed, stored)]
@@ -753,10 +741,10 @@ def test_the_pass_drops_each_snapshot_once_three_newer_ones_are_pushed(cadence, 
     p = _stream_params("strong-imex", forced, grid)
     walk = RecordPass(p)
     refs = []
-    for u, nl, h2, wmax in solvers._states(random_solenoidal_init(grid, 1.5, 3), p, cadence):
-        walk.push(u, nl, h2, wmax)
+    for u, a, h2, wmax in solvers._states(random_solenoidal_init(grid, 1.5, 3), p, cadence):
+        walk.push(u, a, h2, wmax)
         refs.append(weakref.ref(u))
-        del u, nl
+        del u, a
         held = [r() is not None for r in refs]
         # snapshot i is gone once i + 3 is pushed; the newest three stay
         assert held == [i >= len(refs) - 3 for i in range(len(refs))]
@@ -783,10 +771,9 @@ def _abort_case(case, grid, monkeypatch):
     if case == "nan-step":
         real_step = solvers._step
 
-        def failing_step(u, p, mult, time):
-            out, nl = real_step(u, p, mult, time)
-            bad = time > 0.035
-            return (out.with_coeffs(out.coeffs * np.nan) if bad else out), nl
+        def failing_step(u, a0, umax, p, mult, time):
+            out = real_step(u, a0, umax, p, mult, time)
+            return out.with_coeffs(out.coeffs * np.nan) if time > 0.035 else out
 
         monkeypatch.setattr(solvers, "_step", failing_step)
     return u0, p
@@ -800,8 +787,8 @@ def test_an_aborted_run_with_the_pass_raises_the_same_abort(case, grid8, monkeyp
     partial = excinfo.value.trajectory.snapshots
     walk, streamed = RecordPass(p), []
     with pytest.raises(NumericalAbort) as streamed_info:
-        for u, nl, h2, wmax in solvers._states(u0, p, 1):
-            walk.push(u, nl, h2, wmax)
+        for u, a, h2, wmax in solvers._states(u0, p, 1):
+            walk.push(u, a, h2, wmax)
             streamed.append(u)
     # the stream carries no trajectory; the pass saw exactly the states the guard passed
     assert streamed_info.value.trajectory is None
@@ -843,20 +830,35 @@ def test_an_aborted_run_experiment_leaves_the_layout_of_the_partial_trajectory(
     assert _tree_bytes(out) == _tree_bytes(expected)
 
 
-def test_a_cadence_one_run_experiment_makes_one_kernel_call_of_its_own(tmp_path, monkeypatch):
+@pytest.mark.parametrize("cadence", [1, 3])
+def test_a_run_experiment_makes_one_kernel_call_of_its_own(cadence, tmp_path, monkeypatch):
     steps = 6
+    snaps = steps // cadence + 1
     cfg = parse_config(f"experiment = run\nn = 8\ninit = random\ndt = 1e-3\n"
-                       f"t_end = {steps * 1e-3}\ncadence = 1\nout = {tmp_path}\n")
+                       f"t_end = {steps * 1e-3}\ncadence = {cadence}\nout = {tmp_path}\n")
     calls = count_calls(monkeypatch, "_advect_arrays", "vorticity_max", "divergence_defect",
                         "write_snapshot")
     assert experiments.experiment_run(cfg, tmp_path) == 0
-    # two kernel calls per step, one for the last snapshot; the guard's
-    # vorticity maximum of every stepped state, one for the datum; one
+    # two kernel calls per step, one for the last snapshot, at any cadence; the
+    # guard's vorticity maximum of every recorded step, one for the datum; one
     # divergence defect per snapshot, which its record and its SNS1 flag share;
     # each snapshot's file is written by the public writer
-    assert (calls["_advect_arrays"], calls["vorticity_max"]) == (2 * steps + 1, steps + 1)
-    assert calls["divergence_defect"] == calls["write_snapshot"] == steps + 1
+    assert (calls["_advect_arrays"], calls["vorticity_max"]) == (2 * steps + 1, snaps)
+    assert calls["divergence_defect"] == calls["write_snapshot"] == snaps
     monkeypatch.undo()
     traj = read_trajectory(tmp_path)
     assert (tmp_path / "diagnostics.csv").read_text() == diagnostics_csv(
         records_for_trajectory(traj))
+
+
+@pytest.mark.parametrize("cadence", [1, 3])
+def test_the_pass_computes_only_the_last_term_of_a_forced_stream(cadence, monkeypatch):
+    grid = GridSpec(8)
+    p = _stream_params("strong-imex", True, grid)
+    stream = list(solvers._states(random_solenoidal_init(grid, 1.5, 3), p, cadence))
+    calls = count_calls(monkeypatch, "_advect_arrays")
+    walk = RecordPass(p)
+    for i, state in enumerate(stream):
+        walk.push(*state)
+        assert calls["_advect_arrays"] == (i == len(stream) - 1)
+    assert len(walk.records()) == len(stream) == (11 if cadence == 1 else 5)

@@ -174,10 +174,10 @@ def test_an_aborted_unify_reports_the_first_abort_in_scheme_order_not_in_time(
     # `earlier` aborts first, yet the weak run's abort is the one reported
     real_step = solvers._step
 
-    def failing_step(u, p, mult, time):
-        out, nl = real_step(u, p, mult, time)
+    def failing_step(u, a0, umax, p, mult, time):
+        out = real_step(u, a0, umax, p, mult, time)
         last = {"weak-galerkin": 0.0045, earlier: 0.0025}.get(p.scheme, np.inf)
-        return (out.with_coeffs(out.coeffs * np.nan) if time > last else out), nl
+        return out.with_coeffs(out.coeffs * np.nan) if time > last else out
 
     monkeypatch.setattr(solvers, "_step", failing_step)
     cfg = _config(tmp_path, 8, "random", t_end=0.01)

@@ -43,11 +43,11 @@ def test_the_divergence_form_holds_within_the_kernel_bound():
 
 
 def test_a_run_experiment_holds_under_nine_half_spectra(tmp_path):
-    # at its peak, in the records pass's last step, the run holds two
-    # snapshots, the pass's integral and a tendency, the work array, and
-    # either the kernel's buffers (three real arrays at most) or the mild recurrence's
-    # propagated and expected fields: about 7.8 halves.  A warm-up run fills
-    # the caches (work array, step multipliers)
+    # at its peak, while the run steps with the datum's advection term held
+    # for the records pass, the run holds that term, the stepped state and
+    # the step's fields, the work array and the kernel's buffers (three real
+    # arrays at most): about 8.0 halves.  A warm-up run fills the caches
+    # (work array, step multipliers)
     cfg = parse_config(
         "experiment = run\nn = 32\ninit = taylor-green\nscheme = strong-imex\n"
         f"nu = 0.05\ndt = 1e-3\nt_end = 0.01\ncadence = 10\nout = {tmp_path}\n"

@@ -28,11 +28,11 @@ Taylor-Green and random data, ``unify`` and ``verify`` at n=12 with the
 bump mollifier (a grid divisible by 3), the same ``unify`` with a weak
 cutoff (``galerkin_modes = 2``, so three schemes are stepped), an n=8
 shear mild run, n=8 weak-galerkin runs with a cutoff, an n=16 random run
-at cadence 3 (five snapshots; the records pass computes four of their five
-tendencies itself, while the state is streamed), n=16 CFL aborts of
-``run`` and of ``unify`` (``abort.txt`` and ``partial/``), and an n=8
-Taylor-Green run with ``nu = 1e308``, whose diagnostics overflow
-(snapshots and manifest, no ``diagnostics.csv``).
+at cadence 3 (five snapshots; the stream hands over the advection terms
+of the first four, and the records pass computes the last one itself),
+n=16 CFL aborts of ``run`` and of ``unify`` (``abort.txt`` and
+``partial/``), and an n=8 Taylor-Green run with ``nu = 1e308``, whose
+diagnostics overflow (snapshots and manifest, no ``diagnostics.csv``).
 pocketfft bytes may differ across numpy builds, so compare trees written
 on one machine and do not commit digests.
 """
@@ -78,7 +78,7 @@ EXTRA_CASES = {
     "run-n8-galerkin-random": {"experiment": "run", "n": 8, "init": "random",
                                "scheme": "weak-galerkin", "galerkin_modes": 4.0,
                                "nu": 0.1, "dt": 1e-3, "t_end": 0.01},
-    # steps 0, 3, 6, 9 and 10 recorded: only step 10 hands its predecessor's tendency over
+    # steps 0, 3, 6, 9 and 10 recorded: the pass computes only step 10's advection term
     "run-n16-random-cadence3": {"experiment": "run", "n": 16, "init": "random",
                                 "dt": 1e-3, "t_end": 0.01, "cadence": 3},
     # dt = 0.04 exceeds the Taylor-Green CFL limit 0.5 / 16 at the first step
