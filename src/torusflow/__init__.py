@@ -57,8 +57,7 @@ from .solvers import (
     random_solenoidal_init,
     run,
     shear_init,
-    step_mild,
-    step_strong,
+    step,
     taylor_green_init,
 )
 from .spectral import (

@@ -138,33 +138,19 @@ def _energy_defects(nu: float, rows: Sequence[tuple[float, float, float, float]]
 # ----------------------------------------------------------------------
 # weak-form test battery
 
-def _cubic_bspline(s: float) -> float:
-    """Cubic B-spline on [0, 4], maximum 2/3 at s = 2."""
+def _cubic_bspline(s: float) -> tuple[float, float]:
+    """Cubic B-spline on [0, 4] and its derivative at s; maximum 2/3 at s = 2."""
     if s <= 0.0 or s >= 4.0:
-        return 0.0
+        return 0.0, 0.0
     if s < 1.0:
-        return s**3 / 6.0
+        return s**3 / 6.0, 0.5 * s**2
     if s < 2.0:
         t = s - 1.0
-        return (-3.0 * t**3 + 3.0 * t**2 + 3.0 * t + 1.0) / 6.0
+        return (-3.0 * t**3 + 3.0 * t**2 + 3.0 * t + 1.0) / 6.0, (-9.0 * t**2 + 6.0 * t + 3.0) / 6.0
     if s < 3.0:
         t = 3.0 - s
-        return (-3.0 * t**3 + 3.0 * t**2 + 3.0 * t + 1.0) / 6.0
-    return (4.0 - s) ** 3 / 6.0
-
-
-def _cubic_bspline_dt(s: float) -> float:
-    if s <= 0.0 or s >= 4.0:
-        return 0.0
-    if s < 1.0:
-        return 0.5 * s**2
-    if s < 2.0:
-        t = s - 1.0
-        return (-9.0 * t**2 + 6.0 * t + 3.0) / 6.0
-    if s < 3.0:
-        t = 3.0 - s
-        return -(-9.0 * t**2 + 6.0 * t + 3.0) / 6.0
-    return -0.5 * (4.0 - s) ** 2
+        return (-3.0 * t**3 + 3.0 * t**2 + 3.0 * t + 1.0) / 6.0, -(-9.0 * t**2 + 6.0 * t + 3.0) / 6.0
+    return (4.0 - s) ** 3 / 6.0, -0.5 * (4.0 - s) ** 2
 
 
 def weak_test_battery(grid: GridSpec) -> list[SpectralField]:
@@ -205,8 +191,8 @@ def _time_bump(times: np.ndarray) -> tuple[list[float], list[float]]:
             while 4.0 * h >= span - 2.0 * panel and h > panel:
                 h -= panel
             lo = t0 + panel * max(1, round((span - 4.0 * h) / (2.0 * panel)))
-    s = [(t - lo) / h for t in times]
-    return [_cubic_bspline(v) for v in s], [_cubic_bspline_dt(v) / h for v in s]
+    pieces = [_cubic_bspline((t - lo) / h) for t in times]
+    return [b for b, _ in pieces], [db / h for _, db in pieces]
 
 
 def _time_quadrature_weights(times: np.ndarray) -> np.ndarray:
@@ -272,7 +258,7 @@ def residual_defects(
     times = traj.times
     qw = _time_quadrature_weights(times)
     bump, bump_dt = _time_bump(times)
-    walk = RecordPass(traj.params, modes, (qw, bump, bump_dt))
+    walk = RecordPass(traj.params, (modes, (qw, bump, bump_dt)))
     for u in snaps:
         walk.push(u)
 
@@ -294,18 +280,20 @@ class RecordPass:
     snapshot enters the weak sums and the mild/strong recurrence at once, its
     term computed (`solvers._advection`) when it was not handed over, so the
     pass holds the three snapshots the recurrence still reads and one term.
-    A records pass keeps each snapshot's scalars (`rows`) for `records`;
-    `residual_defects` adds the weak test `modes` and their time `weights`
-    (quadrature, bump, bump derivative per snapshot) instead, so such a pass
-    takes the solver's stream as well.
+    With `weak` None it is a records pass, which keeps each snapshot's
+    scalars (`rows`) for `records`.  Otherwise `weak` is `(modes, (qw, bump,
+    bump_dt))`, the weak test modes and their time weights (quadrature, bump,
+    bump derivative per snapshot), as `residual_defects` passes them; such a
+    pass keeps no rows and takes the solver's stream as well.
     """
 
-    def __init__(self, p: SolverParams, modes: Sequence[SpectralField] = (), weights=None):
-        self.p, self._modes, self._weights = p, modes, weights
+    def __init__(self, p: SolverParams, weak=None):
+        self.p = p
+        self._modes, self._weights = ((), None) if weak is None else weak
         self.snaps: list[SpectralField | None] = []  # None once the recurrence is past it
-        self.rows: list[DiagnosticsRecord] | None = [] if weights is None else None
+        self.rows: list[DiagnosticsRecord] | None = [] if weak is None else None
         self._power: list[float] = []  # <f, u> per row, for the energy identity
-        self.mild, self.strong, self.weak = [], [], [0.0] * len(modes)
+        self.mild, self.strong, self.weak = [], [], [0.0] * len(self._modes)
         self._a = None  # the last advection term that entered
 
     def push(self, u: SpectralField, a=None, h2: float | None = None, wmax: float | None = None):

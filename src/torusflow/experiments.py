@@ -46,6 +46,7 @@ from .solvers import (
     SolverParams,
     Trajectory,
     _states,
+    _step_multipliers,
     lifespan_lower_bound,
     pressure_solve,
     random_solenoidal_init,
@@ -676,7 +677,8 @@ def experiment_unify(cfg: ExperimentConfig, out: Path) -> int:
     merge = _regularized_blend(grid, WeightPartition(*cfg.weight_edges()), specs)
     worst, norms = [-math.inf] * len(specs), []
     params = [_solver_params(cfg, s) for s in SCHEMES]
-    uncut = params[0].galerkin_modes is None
+    # cached multipliers: one object exactly when the weak run steps as the strong run
+    uncut = _step_multipliers(grid, params[0]) is _step_multipliers(grid, params[2])
     streams = [_states(u0, p, cfg.cadence) for p in params[uncut:]]
     try:
         # no time check: each stream stamps step m with u0.time + m * dt, one dt

@@ -193,9 +193,10 @@ def _multipliers(
     return _Multipliers(_read_only(np.exp(z)), phi1, phi2, mask)
 
 
-def _step_multipliers(grid: GridSpec, p: SolverParams, mild: bool) -> _Multipliers:
+def _step_multipliers(grid: GridSpec, p: SolverParams) -> _Multipliers:
+    """The multipliers of scheme `p.scheme`; an uncut weak run's are the strong run's."""
     cutoff = p.galerkin_modes if p.scheme == "weak-galerkin" else None
-    return _multipliers(grid, p.nu, p.dt, mild, cutoff)
+    return _multipliers(grid, p.nu, p.dt, p.scheme == "mild-duhamel", cutoff)
 
 
 def _advection(c: np.ndarray, grid: GridSpec):
@@ -256,19 +257,11 @@ def _step(u: SpectralField, a0: np.ndarray, umax: float, p: SolverParams, mult: 
     return _settle(grid, c, time, mult)
 
 
-def step_strong(u: SpectralField, p: SolverParams) -> SpectralField:
-    """One integrating-factor Heun step, re-projected, mean-free and cut off."""
-    _require_solenoidal(u, "step_strong")
-    mult = _step_multipliers(u.grid, p, mild=False)
-    return _step(u, *_advection(u.coeffs, u.grid), p, mult, u.time + p.dt)
-
-
-def step_mild(u: SpectralField, p: SolverParams) -> SpectralField:
-    """One exponential-trapezoidal step of the Duhamel integral, re-projected,
+def step(u: SpectralField, p: SolverParams) -> SpectralField:
+    """One step of u by the scheme `p.scheme`, the step of `run`: re-projected,
     mean-free and cut off."""
-    _require_solenoidal(u, "step_mild")
-    mult = _step_multipliers(u.grid, p, mild=True)
-    return _step(u, *_advection(u.coeffs, u.grid), p, mult, u.time + p.dt)
+    _require_solenoidal(u, "step")
+    return _step(u, *_advection(u.coeffs, u.grid), p, _step_multipliers(u.grid, p), u.time + p.dt)
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +312,7 @@ def _states(u0: SpectralField, p: SolverParams, cadence: int):
         raise ValueError("cadence must be >= 1")
     steps = step_count(p.t_end, p.dt)
     grid = u0.grid
-    mult = _step_multipliers(grid, p, p.scheme == "mild-duhamel")
+    mult = _step_multipliers(grid, p)
     u = _settle(grid, u0.coeffs, u0.time, mult)
     t0 = u0.time
     del u0  # the stream holds no reference to the raw datum

@@ -418,10 +418,10 @@ def _reference_weak_test_battery(grid, t0, t1, times=None):
             lo = t0 + panel * max(1, round((span - 4.0 * h) / (2.0 * panel)))
 
     def bump(t):
-        return diagnostics._cubic_bspline((t - lo) / h)
+        return diagnostics._cubic_bspline((t - lo) / h)[0]
 
     def bump_dt(t):
-        return diagnostics._cubic_bspline_dt((t - lo) / h) / h
+        return diagnostics._cubic_bspline((t - lo) / h)[1] / h
 
     x = grid.coordinates
     modes = []
@@ -566,6 +566,12 @@ def test_one_pass_equals_separate_walks_bitwise(case, shear_traj_fine):
     assert diagnostics.residual_defects(traj) == (ref_mild, ref_strong, 0.0)
 
 
+def test_a_weak_pass_refuses_modes_without_weights_at_construction(grid8):
+    p = SolverParams(nu=0.1, dt=1e-3, t_end=2e-3)
+    with pytest.raises(ValueError):
+        RecordPass(p, weak_test_battery(grid8))
+
+
 class _OutOfPlacePass(RecordPass):
     """The records pass with the mild recurrence it had before the integral
     was updated in place: each step builds a new integral and a new diff."""
@@ -626,7 +632,7 @@ def test_the_in_place_mild_recurrence_equals_the_out_of_place_one_bitwise(scheme
     traj = run(u0, p, cadence=cadence)
     times, modes = traj.times, weak_test_battery(grid)
     weights = (diagnostics._time_quadrature_weights(times), *diagnostics._time_bump(times))
-    passes = RecordPass(p, modes, weights), _OutOfPlacePass(p, modes, weights)
+    passes = RecordPass(p, (modes, weights)), _OutOfPlacePass(p, (modes, weights))
     for walk in passes:
         for u in traj.snapshots:
             walk.push(u)
@@ -723,7 +729,7 @@ def test_a_weak_pass_fed_by_the_stream_equals_the_stored_pass_bitwise(scheme, fo
     traj = run(u0, p, cadence=cadence)
     times, modes = traj.times, weak_test_battery(grid)
     weights = (diagnostics._time_quadrature_weights(times), *diagnostics._time_bump(times))
-    streamed, stored = RecordPass(p, modes, weights), RecordPass(p, modes, weights)
+    streamed, stored = RecordPass(p, (modes, weights)), RecordPass(p, (modes, weights))
     for u, a, h2, wmax in solvers._states(u0, p, cadence):
         streamed.push(u, a, h2, wmax)
     for u in traj.snapshots:
@@ -830,20 +836,22 @@ def test_an_aborted_run_experiment_leaves_the_layout_of_the_partial_trajectory(
     assert _tree_bytes(out) == _tree_bytes(expected)
 
 
-@pytest.mark.parametrize("cadence", [1, 3])
+@pytest.mark.parametrize("cadence", [1, 3, 10])
 def test_a_run_experiment_makes_one_kernel_call_of_its_own(cadence, tmp_path, monkeypatch):
-    steps = 6
-    snaps = steps // cadence + 1
+    steps = 10
+    snaps = -(-steps // cadence) + 1
     cfg = parse_config(f"experiment = run\nn = 8\ninit = random\ndt = 1e-3\n"
                        f"t_end = {steps * 1e-3}\ncadence = {cadence}\nout = {tmp_path}\n")
-    calls = count_calls(monkeypatch, "_advect_arrays", "vorticity_max", "divergence_defect",
-                        "write_snapshot")
+    calls = count_calls(monkeypatch, "_advect_arrays", "_leray", "vorticity_max",
+                        "divergence_defect", "write_snapshot")
     assert experiments.experiment_run(cfg, tmp_path) == 0
-    # two kernel calls per step, one for the last snapshot, at any cadence; the
-    # guard's vorticity maximum of every recorded step, one for the datum; one
-    # divergence defect per snapshot, which its record and its SNS1 flag share;
-    # each snapshot's file is written by the public writer
+    # two kernel calls per step, one for the last snapshot, at any cadence; a
+    # projection per kernel call and per settled state, and the random datum's
+    # own; the guard's vorticity maximum of every recorded step, one for the
+    # datum; one divergence defect per snapshot, which its record and its SNS1
+    # flag share; each snapshot's file is written by the public writer
     assert (calls["_advect_arrays"], calls["vorticity_max"]) == (2 * steps + 1, snaps)
+    assert calls["_leray"] == 3 * steps + 3
     assert calls["divergence_defect"] == calls["write_snapshot"] == snaps
     monkeypatch.undo()
     traj = read_trajectory(tmp_path)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,7 @@ from torusflow import (
     run,
     shear_init,
     sobolev_norm,
-    step_mild,
-    step_strong,
+    step,
     taylor_green_init,
 )
 from torusflow import solvers
@@ -84,7 +84,7 @@ def test_step_strong_shear_exact_decay(grid8):
     p = SolverParams(nu=1.0, dt=1e-2, t_end=1.0, scheme="strong-imex")
     u = shear_init(grid8)
     for _ in range(10):
-        u = step_strong(u, p)
+        u = step(u, p)
     expected = np.exp(-10 * p.dt)
     assert u.coeffs[1, 1, 0, 0] == pytest.approx(
         expected * shear_init(grid8).coeffs[1, 1, 0, 0], rel=1e-12
@@ -94,8 +94,8 @@ def test_step_strong_shear_exact_decay(grid8):
 def test_step_zero_field_stays_zero(grid8):
     zero = SpectralField.from_full(grid8, np.zeros((3, 8, 8, 8), dtype=complex))
     p = SolverParams(nu=1.0, dt=1e-2, t_end=1.0)
-    assert l2_norm(step_strong(zero, p)) == 0.0
-    assert l2_norm(step_mild(zero, p)) == 0.0
+    assert l2_norm(step(zero, p)) == 0.0
+    assert l2_norm(step(zero, replace(p, scheme="mild-duhamel"))) == 0.0
 
 
 def test_step_strong_matches_convolution_oracle(grid16):
@@ -114,7 +114,7 @@ def test_step_strong_matches_convolution_oracle(grid16):
     n1 = oracle_rhs(pred)
     oracle = decay * tg.coeffs + 0.5 * dt * (decay * n0 + n1)
 
-    ours = step_strong(tg, p)
+    ours = step(tg, p)
     rel = np.linalg.norm(ours.coeffs - oracle) / np.linalg.norm(oracle)
     assert rel <= 1e-9
 
@@ -125,7 +125,7 @@ def test_step_mild_exact_linear_flow_any_dt(grid8):
     sh = shear_init(grid8)
     for dt in (0.05, 0.01, 1e-3):
         p = SolverParams(nu=1.0, dt=dt, t_end=dt, scheme="mild-duhamel")
-        out = step_mild(sh, p)
+        out = step(sh, p)
         expected = np.exp(-dt)
         assert out.coeffs[1, 1, 0, 0] == pytest.approx(
             expected * sh.coeffs[1, 1, 0, 0], rel=1e-13
@@ -206,7 +206,7 @@ def test_cfl_gate(grid8):
     assert limit == pytest.approx(0.5 / 8.0)
     p = SolverParams(nu=1.0, dt=0.2, t_end=0.2, scheme="strong-imex")
     with pytest.raises(CflViolation) as excinfo:
-        step_strong(sh, p)
+        step(sh, p)
     assert excinfo.value.trajectory is None
     with pytest.raises(CflViolation) as excinfo:
         run(sh, p)
@@ -360,9 +360,9 @@ def test_forcing_on_another_grid_is_refused():
     for n_state, n_forcing in ((16, 8), (8, 16)):
         u = taylor_green_init(GridSpec(n_state))
         p = SolverParams(nu=0.1, dt=1e-3, t_end=1e-3, forcing=shear_init(GridSpec(n_forcing)))
-        for entry in (run, step_strong, step_mild):
+        for entry, q in ((run, p), (step, p), (step, replace(p, scheme="mild-duhamel"))):
             with pytest.raises(GridMismatch):
-                entry(u, p)
+                entry(u, q)
 
 
 def _negative_mirrored_zeros(c):
@@ -383,7 +383,7 @@ def test_every_mirrored_zero_is_positive(init):
     }[init](grid)
     p = SolverParams(nu=0.1, dt=1e-3, t_end=1e-3)
     built = [forward_transform(inverse_transform(u0)), advect(u0, u0),
-             step_strong(u0, p), step_mild(u0, p)]
+             step(u0, p), step(u0, replace(p, scheme="mild-duhamel"))]
     for scheme in solvers.SCHEMES:
         cutoff = 4.0 if scheme == "weak-galerkin" else None
         p = SolverParams(nu=0.1, dt=1e-3, t_end=5e-3, scheme=scheme, galerkin_modes=cutoff)
@@ -534,7 +534,7 @@ def test_divergent_field_is_rejected_by_every_checked_entry(grid8):
         SpectralField(grid8, u.coeffs, solenoidal=True)
     p = SolverParams(nu=0.1, dt=1e-3, t_end=1e-3)
     for entry in (nonlinear_term, pressure_solve,
-                  lambda f: step_strong(f, p), lambda f: step_mild(f, p)):
+                  lambda f: step(f, p), lambda f: step(f, replace(p, scheme="mild-duhamel"))):
         with pytest.raises(NotSolenoidal):
             entry(u)
 
@@ -586,10 +586,10 @@ def _reference_run(u0, p, cadence):
     if p.scheme == "weak-galerkin" and p.galerkin_modes is not None:
         mask = (full_k_squared(grid) <= p.galerkin_modes).astype(np.float64)
     c = _reference_settle(u0.full(), grid, mask)
-    step = _reference_step_mild if p.scheme == "mild-duhamel" else _reference_step_strong
+    ref_step = _reference_step_mild if p.scheme == "mild-duhamel" else _reference_step_strong
     snapshots = [(u0.time, c)]
     for m in range(1, steps + 1):
-        c = _reference_settle(step(c, grid, p), grid, mask)
+        c = _reference_settle(ref_step(c, grid, p), grid, mask)
         if m % cadence == 0 or m == steps:
             snapshots.append((u0.time + m * p.dt, c))
     return snapshots
@@ -615,16 +615,36 @@ def test_half_spectrum_steps_match_full_spectrum_steps_bitwise(n, scheme, forced
     u = _white_solenoidal(grid, n)
     forcing = _white_solenoidal(grid, n + 1) if forced else None
     p = SolverParams(nu=0.1, dt=1e-3, t_end=1e-3, scheme=scheme, forcing=forcing)
-    step, ref = {
-        "strong-imex": (step_strong, _reference_step_strong),
-        "mild-duhamel": (step_mild, _reference_step_mild),
-    }[scheme]
+    ref = {"strong-imex": _reference_step_strong, "mild-duhamel": _reference_step_mild}[scheme]
     for _ in range(2):
         got = step(u, p)
         want = _reference_settle(ref(u.full(), grid, p), grid, None)
         assert got.time == u.time + p.dt
         assert np.array_equal(_bits(got.full()), _bits(want))
         u = got
+
+
+STEP_CASES = {
+    "strong-imex": ("strong-imex", None),
+    "mild-duhamel": ("mild-duhamel", None),
+    "weak-uncut": ("weak-galerkin", None),
+    "weak-cut": ("weak-galerkin", 4.0),
+}
+
+
+@pytest.mark.parametrize("case", STEP_CASES)
+def test_step_is_the_first_step_of_run_bitwise(case):
+    scheme, cutoff = STEP_CASES[case]
+    grid = GridSpec(8)
+    p = SolverParams(nu=0.1, dt=1e-3, t_end=2e-3, scheme=scheme, galerkin_modes=cutoff)
+    states = solvers._states(random_solenoidal_init(grid, 2.0, 7), p, 1)
+    u, want = next(states)[0], next(states)[0]  # the settled datum and the state after it
+    got = step(u, p)
+    assert got.time == want.time
+    assert np.array_equal(_bits(got.coeffs), _bits(want.coeffs))
+    if cutoff is not None:
+        beyond = got.coeffs[:, grid.k_squared > cutoff]
+        assert beyond.size > 0 and np.all(beyond == 0.0)
 
 
 @pytest.mark.parametrize("scheme", ["strong-imex", "mild-duhamel"])

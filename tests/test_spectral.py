@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -510,8 +511,7 @@ def _every_field_output(grid, tmp_path):
         pressure_solve,
         reassemble,
         regularize,
-        step_mild,
-        step_strong,
+        step,
         unified_reconstruction,
         weighted_blend,
     )
@@ -525,8 +525,8 @@ def _every_field_output(grid, tmp_path):
     return [
         u, v, shear_init(grid), forward_transform(inverse_transform(u)),
         leray_project(u), heat_semigroup(u, 1.0, 0.1), divergence(u), gradient(u), curl(u),
-        dealias(u), zero_mean(u), advect(u, v), nonlinear_term(u), step_strong(u, p),
-        step_mild(u, p), *traj.snapshots, p.forcing, pressure_solve(u), smooth(u, spec),
+        dealias(u), zero_mean(u), advect(u, v), nonlinear_term(u), step(u, p),
+        step(u, replace(p, scheme="mild-duhamel")), *traj.snapshots, p.forcing, pressure_solve(u), smooth(u, spec),
         regularize(u, spec), weighted_blend(u, v, u, w), blend(u, v, u, w, spec),
         binary_blend(u, v, spec), dyadic_block(u, 1), reassemble(u), *paraproduct_decompose(u),
         *unified_reconstruction(traj, traj, traj, w, spec), *weak_test_battery(grid),

@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import count_calls
+from conftest import count_calls, count_fft_calls
 
 from torusflow import MollifierSpec, WeightPartition, run, solvers, unified_reconstruction
 from torusflow import experiments
@@ -125,13 +125,21 @@ def test_lockstep_unify_drops_each_triple_once_the_next_arrives(
     assert merged == [m for m in range(6) for _ in cfg.eps_list]
 
 
+# projections and numpy.fft calls of an n=8 unify of 5 steps, by cutoff
+UNIFY_TRANSFORMS = {
+    "full": (117, {"fft": 126, "ifft": 264, "rfft": 63, "irfft": 132}),
+    2: (133, {"fft": 166, "ifft": 294, "rfft": 83, "irfft": 147}),
+}
+
+
 @pytest.mark.parametrize("galerkin_modes, streams", [("full", 2), (2, 3)])
 def test_unify_makes_a_pinned_count_of_each_operation(tmp_path, monkeypatch, galerkin_modes,
                                                       streams):
     steps = 5
     cfg = _config(tmp_path, 8, "random", t_end=steps * 1e-3, galerkin_modes=galerkin_modes)
-    calls = count_calls(monkeypatch, "_states", "_advect_arrays", "vorticity_max", "_band_sum",
-                        "_smear")
+    calls = count_calls(monkeypatch, "_states", "_advect_arrays", "_leray", "vorticity_max",
+                        "_band_sum", "_smear")
+    fft = count_fft_calls(monkeypatch)
     assert experiments.run_experiment(cfg) == experiments.EXIT_OK
     # one stream per distinct trajectory, each with two kernel calls per step
     # and the guard's vorticity maximum of each stepped state; one band sum
@@ -140,6 +148,9 @@ def test_unify_makes_a_pinned_count_of_each_operation(tmp_path, monkeypatch, gal
     assert calls["vorticity_max"] == steps * streams
     assert calls["_band_sum"] == steps + 1
     assert calls["_smear"] == (steps + 1) * len(cfg.eps_list)
+    leray, ffts = UNIFY_TRANSFORMS[galerkin_modes]
+    assert calls["_leray"] == leray
+    assert {name: c for name, c in fft.items() if c} == ffts
 
 
 def _expected_abort(cfg, tmp_path):
