@@ -284,12 +284,17 @@ class RecordPass:
     scalars (`rows`) for `records`.  Otherwise `weak` is `(modes, (qw, bump,
     bump_dt))`, the weak test modes and their time weights (quadrature, bump,
     bump derivative per snapshot), as `residual_defects` passes them; such a
-    pass keeps no rows and takes the solver's stream as well.
+    pass keeps no rows and takes the solver's stream as well.  A `weak` of
+    another shape raises ValueError here, before the first push.
     """
 
     def __init__(self, p: SolverParams, weak=None):
         self.p = p
-        self._modes, self._weights = ((), None) if weak is None else weak
+        try:
+            self._modes, (self._qw, self._bump, self._bump_dt) = (
+                ((), (None, None, None)) if weak is None else weak)
+        except (TypeError, ValueError):
+            raise ValueError("weak must be (modes, (qw, bump, bump_dt))") from None
         self.snaps: list[SpectralField | None] = []  # None once the recurrence is past it
         self.rows: list[DiagnosticsRecord] | None = [] if weak is None else None
         self._power: list[float] = []  # <f, u> per row, for the energy identity
@@ -336,8 +341,7 @@ class RecordPass:
         if a is None:
             a = _advection(u.coeffs, u.grid)[0]
         if self._modes:
-            qw, bump, bump_dt = self._weights
-            b, bdot = bump[m], bump_dt[m]
+            b, bdot = self._bump[m], self._bump_dt[m]
             for i, mode in enumerate(self._modes):
                 term = bdot * inner_product(u, mode)
                 if b != 0.0:
@@ -347,7 +351,7 @@ class RecordPass:
                     term -= p.nu * b * _lattice_sum(k2 * (u.coeffs * np.conj(mode.coeffs)).real, n)
                     if forcing is not None:
                         term += b * inner_product(p.forcing, mode)
-                self.weak[i] += qw[m] * term
+                self.weak[i] += self._qw[m] * term
         if m == 0:
             norm0 = sobolev_norm(u, 1.0)
             self._scale = norm0 if norm0 > 0.0 else 1.0

@@ -201,8 +201,7 @@ def _step_multipliers(grid: GridSpec, p: SolverParams) -> _Multipliers:
 
 def _advection(c: np.ndarray, grid: GridSpec):
     """The advection term -P[(u.grad)u] of coefficients c, and the lattice max |u|."""
-    adv, umax = _advect_arrays(c, c, grid)
-    return -_leray(adv, grid), umax
+    return _advect_arrays(c, c, grid, project=True)
 
 
 def _forced(a: np.ndarray, p: SolverParams, grid: GridSpec) -> np.ndarray:

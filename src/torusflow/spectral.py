@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,12 @@ SOLENOIDAL_TOL = 1e-9
 # retained-mode fraction per axis for quadratic products (the 2/3 rule)
 DEALIAS_FRACTION = 2.0 / 3.0
 _INEXACT_DEALIASING = "n divisible by 3: 2/3 dealiasing is inexact (one boundary triad aliases)"
+
+# the smallest grid on which the divergence form prunes its work to the 2/3 box:
+# below it the pruning's fixed cost per call exceeds what it saves (one kernel
+# call and projection at n = 12 was 5-8 % slower pruned, at n = 14 4-8 % faster;
+# 2-core host, numpy 2.4.6)
+PRUNE_MIN_N = 14
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -112,6 +119,15 @@ class GridSpec:
         mask = (np.abs(k1) <= cut) & (np.abs(k2) <= cut) & (np.abs(k3) <= cut)
         return _read_only(mask.astype(np.float64))
 
+    @cached_property
+    def dealias_box(self) -> "DealiasBox":
+        """`dealias_mask`'s support |k_axis| <= n//3 as a compact box (3, b, b, n//3 + 1)."""
+        m = self.n // 3
+        rows = np.r_[0 : m + 1, self.n - m : self.n]
+        k1, k2, k3 = self._axis_grids(self.deriv_axis_wavenumbers[rows])
+        return DealiasBox(_read_only(rows), m + 1, (k1, k2, k3),
+                          _read_only(k1 * k1 + k2 * k2 + k3 * k3))
+
     @property
     def coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only x1, x2, x3 samples, each (n, n, n), computed on each access:
@@ -119,6 +135,17 @@ class GridSpec:
         x = TWO_PI * np.arange(self.n) / self.n
         g = np.meshgrid(x, x, x, indexing="ij")
         return tuple(_read_only(a) for a in g)
+
+
+class DealiasBox(NamedTuple):
+    """The 2/3 box of a grid: the storage indices `rows` of |k| <= n//3 on each
+    full axis (b = 2 (n//3) + 1 of them, in storage order), the first `cols` =
+    n//3 + 1 of the half axis, and the derivative wavenumbers and |k|^2 there."""
+
+    rows: np.ndarray
+    cols: int
+    wavenumbers: tuple[np.ndarray, np.ndarray, np.ndarray]
+    k_squared: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -217,7 +244,7 @@ def inverse_transform(f: SpectralField) -> PhysicalField:
 def _scratch(shape: tuple[int, ...]) -> np.ndarray:
     """The complex work array of `_to_physical` for one shape; never returned.
     The convective kernel forms each gradient triple in it and transforms it in
-    place; the divergence-form kernel transforms its second product triple into it."""
+    place; the divergence-form kernel transforms each product triple into it."""
     return np.empty(shape, dtype=np.complex128)
 
 
@@ -233,10 +260,33 @@ def _to_physical(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> n
 def _to_spectral(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Half spectrum of real samples, written into `out` when given."""
     n = samples.shape[-1]
-    half = np.fft.rfft(samples, n, axis=-1, norm="forward", out=out)
+    return _complex_passes(np.fft.rfft(samples, n, axis=-1, norm="forward", out=out), n)
+
+
+def _complex_passes(half: np.ndarray, n: int, box: DealiasBox | None = None) -> np.ndarray:
+    """The forward transform's complex passes (k2, then k1) over its real
+    pass `half`, in place: on the whole half spectrum when `box` is None, and
+    otherwise only on the 2/3 box, returned as a view of `half`
+    (3, b, b, cols), b = 2 cols - 1, rows in storage order.
+
+    The box's passes run on its first `cols` columns along k3, and the k1
+    pass only on the box's k2 rows, packed into rows :b first; its k1 rows
+    are then packed the same way.  Each column is transformed alone, so
+    every kept mode has the bits of the whole passes.
+    """
+    if box is None:
+        np.fft.fft(half, n, axis=-2, norm="forward", out=half)
+        np.fft.fft(half, n, axis=-3, norm="forward", out=half)
+        return half
+    cols = box.cols
+    m, b = cols - 1, 2 * cols - 1
+    half = half[..., :cols]
     np.fft.fft(half, n, axis=-2, norm="forward", out=half)
-    np.fft.fft(half, n, axis=-3, norm="forward", out=half)
-    return half
+    half[:, :, cols:b] = half[:, :, n - m :]
+    pruned = half[:, :, :b]
+    np.fft.fft(pruned, n, axis=-3, norm="forward", out=pruned)
+    pruned[:, cols:b] = pruned[:, n - m :]
+    return pruned[:, :b]
 
 
 def _mirror(half: np.ndarray, n: int) -> np.ndarray:
@@ -312,8 +362,13 @@ def leray_project(f: SpectralField) -> SpectralField:
 
 def _leray(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     """leray_project on half-spectrum coefficients."""
-    k1, k2, k3 = grid.deriv_wavenumbers
-    kk = grid.deriv_k_squared
+    return _leray_at(c, grid.deriv_wavenumbers, grid.deriv_k_squared)
+
+
+def _leray_at(c: np.ndarray, k: tuple[np.ndarray, ...], kk: np.ndarray) -> np.ndarray:
+    """(I - k k^T/|k|^2) c at each mode of c, whose wavenumbers are k (three
+    arrays broadcasting against c[0]) and kk = |k|^2; kk = 0 is left unchanged."""
+    k1, k2, k3 = k
     kdotc = np.divide(k1 * c[0] + k2 * c[1] + k3 * c[2], kk,
                       out=np.zeros_like(c[0]), where=kk > 0.0)
     out = np.empty_like(c)
@@ -390,8 +445,9 @@ def divergence_defect(f: SpectralField) -> float:
 # ----------------------------------------------------------------------
 # nonlinearity
 
-def _advect_arrays(fc: np.ndarray, gc: np.ndarray, grid: GridSpec):
-    """Dealiased coefficients of (f . grad) g, plus max |f| on the lattice.
+def _advect_arrays(fc: np.ndarray, gc: np.ndarray, grid: GridSpec, project: bool = False):
+    """Dealiased coefficients of (f . grad) g, plus max |f| on the lattice;
+    with `project`, of the advection term -P[(f . grad) g] instead.
 
     A band-limited f advecting itself (`gc is fc`, zero at every mode with
     3 |k_axis| >= n) takes the divergence form, 9 transformed fields instead
@@ -400,8 +456,9 @@ def _advect_arrays(fc: np.ndarray, gc: np.ndarray, grid: GridSpec):
     input takes the convective form.
     """
     if gc is fc and _band_limited(fc, grid.n):
-        return _advect_divergence(fc, grid)
-    return _advect_convective(fc, gc, grid)
+        return _advect_divergence(fc, grid, project)
+    out, fmax = _advect_convective(fc, gc, grid)
+    return (-_leray(out, grid) if project else out), fmax
 
 
 def _band_limited(c: np.ndarray, n: int) -> bool:
@@ -438,35 +495,59 @@ def _advect_convective(fc: np.ndarray, gc: np.ndarray, grid: GridSpec):
     return out, fmax
 
 
-def _advect_divergence(fc: np.ndarray, grid: GridSpec):
-    """`_advect_arrays(fc, fc, grid)` as d_j (u_j u_i): three transforms, u in
-    and the six products H_ij = u_i u_j out as two triples, (H_00, H_01, H_02)
-    and (H_11, H_12, H_22).
+def _advect_divergence(fc: np.ndarray, grid: GridSpec, project: bool = False):
+    """`_advect_arrays(fc, fc, grid, project)` as d_j (u_j u_i): three
+    transforms, u in and the six products H_ij = u_i u_j out as two triples,
+    (H_00, H_01, H_02) and (H_11, H_12, H_22).
+
+    The term is zero off the 2/3 box, so from n = PRUNE_MIN_N on each
+    triple's spectrum is formed on the box only (`_complex_passes`), and so
+    are i k_j H_ij and its projection; the box is then scattered into the
+    returned half spectrum.  On smaller grids the pruning's per-call cost
+    exceeds what it saves, and the term is formed on the whole half
+    spectrum and masked.  Both give a kept mode the same bits and every
+    other mode zero (+0.0 when pruned).
 
     The first triple is formed in one product buffer, the second over u's
-    samples, which are transformed into the work array.  Both are formed
-    before the first transform out, so the output spectrum is allocated once
-    u's samples are freed: allocated while they lived, it raised the peak RSS
-    of an n=64 run by 2.5 % (glibc malloc) at the same traced peak.
+    samples.  Each triple's real pass runs into the work array, where its
+    spectrum stays: the first is copied out before the second triple's
+    pass, which runs once u's samples are freed.  The returned array is
+    allocated last.  The order matters: a box copied out while u's samples
+    lived, or the second box copied out too, raised the peak RSS of an n=64
+    run by 3 %.
     """
     n = grid.n
+    box = grid.dealias_box if n >= PRUNE_MIN_N else None
     up = _to_physical(fc, n)
     umax = float(np.sqrt((up**2).sum(axis=0)).max())
     prod = np.multiply(up[0], up)
     np.multiply(up[1], up[1], out=up[0])
     np.multiply(up[1], up[2], out=up[1])
     np.multiply(up[2], up[2], out=up[2])
-    h1 = _to_spectral(up, out=_scratch(fc.shape))
+    work = np.fft.rfft(up, n, axis=-1, norm="forward", out=_scratch(fc.shape))
     del up
-    out = _to_spectral(prod)
+    h1 = _complex_passes(work, n, box).copy()
+    np.fft.rfft(prod, n, axis=-1, norm="forward", out=work)
     del prod
-    k1, k2, k3 = grid.deriv_wavenumbers
-    # out holds (H_00, H_01, H_02): row 0 reads all three before any is written
-    out[0] = k1 * out[0] + k2 * out[1] + k3 * out[2]
-    out[1] = k1 * out[1] + k2 * h1[0] + k3 * h1[1]
-    out[2] = k1 * out[2] + k2 * h1[1] + k3 * h1[2]
-    out *= grid.dealias_mask
-    out *= 1j
+    h = _complex_passes(work, n, box)
+    k, kk = ((grid.deriv_wavenumbers, grid.deriv_k_squared) if box is None
+             else (box.wavenumbers, box.k_squared))
+    k1, k2, k3 = k
+    # h holds (H_00, H_01, H_02): row 0 reads all three before any is written
+    h[0] = k1 * h[0] + k2 * h[1] + k3 * h[2]
+    h[1] = k1 * h[1] + k2 * h1[0] + k3 * h1[1]
+    h[2] = k1 * h[2] + k2 * h1[1] + k3 * h1[2]
+    del h1
+    if box is None:
+        h *= grid.dealias_mask
+    h *= 1j
+    if project:
+        h = _leray_at(h, k, kk)
+        np.negative(h, out=h)
+    if box is None:
+        return (h if project else h.copy()), umax
+    out = np.zeros(fc.shape, dtype=np.complex128)
+    out[:, box.rows[:, None], box.rows, : box.cols] = h
     return out, umax
 
 

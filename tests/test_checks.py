@@ -72,8 +72,10 @@ def test_verify_runs_each_trajectory_once(monkeypatch):
     assert len(params) == 12
     assert len(set(params)) == 12
     # the README's 12 solver runs, and a pinned count of kernel calls,
-    # projections, divergence defects and numpy.fft calls
-    assert calls == {"_states": 12, "_advect_arrays": 3197, "_leray": 4591,
+    # projections, divergence defects and numpy.fft calls; the divergence-form
+    # kernel projects the 3111 advection terms of band-limited states itself,
+    # not through _leray
+    assert calls == {"_states": 12, "_advect_arrays": 3197, "_leray": 1480,
                      "divergence_defect": 59}
     assert sum(fft.values()) == 33582
 

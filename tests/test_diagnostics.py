@@ -43,7 +43,7 @@ from torusflow import diagnostics, experiments, snapshots, solvers, spectral
 from torusflow.diagnostics import CSV_HEADER
 from torusflow.experiments import shear_formulation_residuals
 from torusflow.snapshots import read_trajectory, write_trajectory
-from torusflow.spectral import _advect_arrays, _lattice_sum, _mirror, advect
+from torusflow.spectral import _advect_arrays, _band_limited, _lattice_sum, _mirror, advect
 from torusflow.errors import (
     BlowUpDetected,
     DegenerateSequence,
@@ -79,6 +79,33 @@ def test_bkm_monitor_values(grid16):
     assert vorticity_max(doubled) == pytest.approx(2.0, abs=1e-12)
     zero = SpectralField.from_full(grid16, np.zeros((3, 16, 16, 16), dtype=complex))
     assert vorticity_max(zero) == 0.0
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_two_component_maxima_are_those_of_the_vector_norm(n):
+    # u = (sin x3, sin x1, 0) is solenoidal, mean-free and band-limited; its
+    # vorticity (0, cos x3, cos x1) reaches |w| = sqrt(2) at x1 = x3 = 0, and
+    # u itself reaches sqrt(2) at x1 = x3 = pi/2, where a largest-component
+    # maximum reads 1
+    grid = GridSpec(n)
+    c = np.zeros((3, n, n, n // 2 + 1), dtype=np.complex128)
+    c[0, 0, 0, 1] = -0.5j
+    c[1, 1, 0, 0] = -0.5j
+    c[1, -1, 0, 0] = 0.5j
+    u = SpectralField(grid, c)
+    assert spectral.divergence_defect(u) == 0.0 and _band_limited(c, n)
+    assert vorticity_max(u) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert solvers._advection(c, grid)[1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_time_quadrature_integrates_linear_functions_on_an_even_node_count(m):
+    # Simpson on the first m - 1 nodes and the trapezoid on the last gap are
+    # both exact for 1 and t; the gap's weight sits on its two end nodes
+    times = 1.0 + 0.25 * np.arange(m)
+    w = diagnostics._time_quadrature_weights(times)
+    assert np.sum(w) == pytest.approx(times[-1] - times[0], rel=1e-15)
+    assert np.sum(w * times) == pytest.approx(0.5 * (times[-1] ** 2 - times[0] ** 2), rel=1e-15)
 
 
 def test_bkm_decays_along_shear_trajectory(shear_traj_fine):
@@ -568,8 +595,11 @@ def test_one_pass_equals_separate_walks_bitwise(case, shear_traj_fine):
 
 def test_a_weak_pass_refuses_modes_without_weights_at_construction(grid8):
     p = SolverParams(nu=0.1, dt=1e-3, t_end=2e-3)
-    with pytest.raises(ValueError):
-        RecordPass(p, weak_test_battery(grid8))
+    modes = weak_test_battery(grid8)
+    # no weights, a None weights slot, and two of the three weight arrays
+    for weak in (modes, (modes, None), (modes, (np.ones(3), np.ones(3)))):
+        with pytest.raises(ValueError, match="weak must be"):
+            RecordPass(p, weak)
 
 
 class _OutOfPlacePass(RecordPass):
@@ -586,8 +616,7 @@ class _OutOfPlacePass(RecordPass):
         if a is None:
             a = -spectral.leray_project(advect(u, u)).coeffs
         if self._modes:
-            qw, bump, bump_dt = self._weights
-            b, bdot = bump[m], bump_dt[m]
+            b, bdot = self._bump[m], self._bump_dt[m]
             for i, mode in enumerate(self._modes):
                 term = bdot * spectral.inner_product(u, mode)
                 if b != 0.0:
@@ -595,7 +624,7 @@ class _OutOfPlacePass(RecordPass):
                     term -= p.nu * b * _lattice_sum(k2 * (u.coeffs * np.conj(mode.coeffs)).real, n)
                     if forcing is not None:
                         term += b * spectral.inner_product(p.forcing, mode)
-                self.weak[i] += qw[m] * term
+                self.weak[i] += self._qw[m] * term
         if m == 0:
             norm0 = sobolev_norm(u, 1.0)
             self._scale = norm0 if norm0 > 0.0 else 1.0

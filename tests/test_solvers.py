@@ -11,6 +11,7 @@ from torusflow import (
     SpectralField,
     advect,
     cfl_limit,
+    energy_identity_residual,
     forward_transform,
     inverse_transform,
     kinetic_energy,
@@ -36,6 +37,7 @@ from torusflow.errors import (
     NotSolenoidal,
     SymmetryViolation,
 )
+from torusflow.experiments import shear_formulation_residuals
 from torusflow.snapshots import read_trajectory, snapshot_bytes, write_trajectory
 from torusflow.oracles import convolution_nonlinear_term
 from torusflow.spectral import (
@@ -510,6 +512,59 @@ def test_forcing_steady_state(grid8):
     traj = run(sh, p)
     drift = diff_norm(traj.snapshots[-1], sh) / l2_norm(sh)
     assert drift <= 1e-5
+
+
+# The Kolmogorov start-up: u0 = a s and f = F s with s = (0, sin x1, 0), whose
+# advection term vanishes, so u(t) = c(t) s with c(t) = F/nu + (a - F/nu) e^{-nu t}
+KOLMOGOROV_A, KOLMOGOROV_F, KOLMOGOROV_NU = 0.5, 1.0, 1.0
+
+
+def _kolmogorov_run(scheme, dt):
+    s = shear_init(GridSpec(8))
+    p = SolverParams(nu=KOLMOGOROV_NU, dt=dt, t_end=1.0, scheme=scheme,
+                     forcing=s.with_coeffs(KOLMOGOROV_F * s.coeffs))
+    return s, run(s.with_coeffs(KOLMOGOROV_A * s.coeffs), p)
+
+
+def _kolmogorov_error(s, traj):
+    """The largest ||u - c(t) s|| / ||s|| over the snapshots."""
+    steady = KOLMOGOROV_F / KOLMOGOROV_NU
+    c = [steady + (KOLMOGOROV_A - steady) * math.exp(-KOLMOGOROV_NU * u.time)
+         for u in traj.snapshots]
+    return max(diff_norm(u, s.with_coeffs(cu * s.coeffs)) for u, cu in zip(traj.snapshots, c))
+
+
+def test_the_mild_step_is_exact_on_the_forced_kolmogorov_start_up(monkeypatch):
+    calls = count_calls(monkeypatch, "_advect_divergence", "_advect_convective")
+    s, traj = _kolmogorov_run("mild-duhamel", 0.02)
+    # every state is band-limited: both kernel calls of each step take the box
+    assert calls == {"_advect_divergence": 2 * 50, "_advect_convective": 0}
+    assert _kolmogorov_error(s, traj) <= 1e-13 * l2_norm(s)
+
+
+@pytest.mark.parametrize("scheme", ["strong-imex", "weak-galerkin"])
+def test_the_heun_steps_converge_at_second_order_on_the_kolmogorov_start_up(scheme):
+    errors = [_kolmogorov_error(*_kolmogorov_run(scheme, dt)) for dt in (0.02, 0.01)]
+    assert errors[1] > 1e-8
+    assert math.log2(errors[0] / errors[1]) == pytest.approx(2.0, abs=0.1)
+
+
+def test_forced_energy_defects_shrink_at_second_order():
+    # the mild states are exact, so each interval's defect is the trapezoid
+    # error on -nu ||grad u||^2 + <f, u>, and the power <f, u> varies here
+    sums = [float(np.sum(energy_identity_residual(_kolmogorov_run("mild-duhamel", dt)[1])))
+            for dt in (0.02, 0.01)]
+    assert math.log2(sums[0] / sums[1]) == pytest.approx(2.0, abs=0.1)
+
+
+@pytest.mark.parametrize("scheme", ["mild-duhamel", "strong-imex"])
+def test_the_forced_kolmogorov_residuals_hold_the_verify_bound(scheme):
+    # criterion 8's verify bound on the weak, mild and strong residuals, at
+    # the verify battery's dt and span
+    s = shear_init(GridSpec(8))
+    p = SolverParams(nu=KOLMOGOROV_NU, dt=1e-3, t_end=0.5, scheme=scheme,
+                     forcing=s.with_coeffs(KOLMOGOROV_F * s.coeffs))
+    assert shear_formulation_residuals(run(s.with_coeffs(KOLMOGOROV_A * s.coeffs), p)) <= 1e-5
 
 
 def test_forcing_is_projected_once_on_entry(grid8):

@@ -46,6 +46,7 @@ from torusflow.errors import (
     NotSolenoidal,
     SymmetryViolation,
 )
+from torusflow import solvers, spectral
 from torusflow.solvers import lifespan_lower_bound
 from torusflow.spectral import (
     DEALIAS_FRACTION,
@@ -752,6 +753,59 @@ def test_divergence_form_equals_convective_form_on_band_limited_fields(n, seed):
     assert umax == conv_umax
     slow = _leray(conv, grid)
     assert np.max(np.abs(_leray(div, grid) - slow)) <= 1e-14 * np.max(np.abs(slow))
+
+
+def _full_array_divergence(fc, grid):
+    """The divergence-form body that forming the term on the 2/3 box replaced:
+    both product triples transformed, combined and masked on the whole half
+    spectrum."""
+    n = grid.n
+    up = _to_physical(fc, n)
+    umax = float(np.sqrt((up**2).sum(axis=0)).max())
+    prod = np.multiply(up[0], up)
+    np.multiply(up[1], up[1], out=up[0])
+    np.multiply(up[1], up[2], out=up[1])
+    np.multiply(up[2], up[2], out=up[2])
+    h1 = _to_spectral(up)
+    out = _to_spectral(prod)
+    k1, k2, k3 = grid.deriv_wavenumbers
+    out[0] = k1 * out[0] + k2 * out[1] + k3 * out[2]
+    out[1] = k1 * out[1] + k2 * h1[0] + k3 * h1[1]
+    out[2] = k1 * out[2] + k2 * h1[1] + k3 * h1[2]
+    out *= grid.dealias_mask
+    out *= 1j
+    return out, umax
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 16, 32])
+@pytest.mark.parametrize("kind", ["taylor-green", "random"])
+@pytest.mark.parametrize("pruned", [True, False])
+def test_the_box_body_equals_the_full_array_body_on_every_kept_mode(n, kind, pruned, monkeypatch):
+    # each body on every grid, whichever one the grid size selects: on the
+    # box the term is +0.0 off it; the full-array body keeps its signed zeros
+    monkeypatch.setattr(spectral, "PRUNE_MIN_N", 4 if pruned else n + 1)
+    grid = GridSpec(n)
+    u = taylor_green_init(grid).coeffs if kind == "taylor-green" else _band_limited_field(n, n)
+    # the box is exactly the mask's support
+    box = grid.dealias_box
+    support = np.zeros(u.shape[1:], dtype=bool)
+    support[box.rows[:, None], box.rows, : box.cols] = True
+    assert np.array_equal(support, grid.dealias_mask == 1.0)
+    kept = np.broadcast_to(support, u.shape)
+    ref, ref_umax = _full_array_divergence(u, grid)
+    field = SpectralField(grid, u)
+    term, umax = solvers._advection(u, grid)
+    for out, expected in (
+        (_advect_arrays(u, u, grid)[0], ref),
+        (advect(field, field).coeffs, ref),
+        (term, -_leray(ref, grid)),
+    ):
+        assert np.array_equal(out[kept].view(np.uint64), expected[kept].view(np.uint64))
+        if pruned:
+            assert not out[~kept].view(np.uint64).any()
+        else:
+            assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+    assert np.float64(umax).view(np.uint64) == np.float64(ref_umax).view(np.uint64)
 
 
 @pytest.mark.parametrize("body", ["divergence", "convective"])
