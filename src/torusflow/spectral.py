@@ -34,8 +34,12 @@ _INEXACT_DEALIASING = "n divisible by 3: 2/3 dealiasing is inexact (one boundary
 
 # the smallest grid on which the divergence form prunes its work to the 2/3 box:
 # below it the pruning's fixed cost per call exceeds what it saves (one kernel
-# call and projection at n = 12 was 5-8 % slower pruned, at n = 14 4-8 % faster;
-# 2-core host, numpy 2.4.6)
+# call and projection at n = 12 was 5-8 % slower pruned, at n = 14 4-8 % faster).
+# End to end, on verify-n16 (2501 kernel calls at n = 4; 10 alternating pairs
+# of 25 s runs each, 2-core host, numpy 2.4.6): pruning every grid read wall_s
+# +6.0 % against the whole-spectrum body (9 of 10 pairs lost, the gap 4.7 times
+# the whole-spectrum side's quartile distance) and +2.5 % against this
+# threshold (8 of 10 lost), while this threshold read -0.7 % (5 of 10 lost)
 PRUNE_MIN_N = 14
 
 

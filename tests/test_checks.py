@@ -65,17 +65,15 @@ def test_verify_runs_each_trajectory_once(monkeypatch):
         return run(u0, p, cadence)
 
     monkeypatch.setattr(ex, "run", counting_run)
-    calls = count_calls(monkeypatch, "_states", "_advect_arrays", "_leray", "divergence_defect")
+    calls = count_calls(monkeypatch, "_states", "_advect_arrays", "_leray_at", "divergence_defect")
     fft = count_fft_calls(monkeypatch)
     checks = ex.verify_checks(parse_config("experiment = verify\nn = 8\n"))
     assert all(c.passed for c in checks)
     assert len(params) == 12
     assert len(set(params)) == 12
     # the README's 12 solver runs, and a pinned count of kernel calls,
-    # projections, divergence defects and numpy.fft calls; the divergence-form
-    # kernel projects the 3111 advection terms of band-limited states itself,
-    # not through _leray
-    assert calls == {"_states": 12, "_advect_arrays": 3197, "_leray": 1480,
+    # projections, divergence defects and numpy.fft calls
+    assert calls == {"_states": 12, "_advect_arrays": 3197, "_leray_at": 4591,
                      "divergence_defect": 59}
     assert sum(fft.values()) == 33582
 

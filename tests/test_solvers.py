@@ -27,7 +27,7 @@ from torusflow import (
     step,
     taylor_green_init,
 )
-from torusflow import solvers
+from torusflow import solvers, spectral
 from torusflow.errors import (
     BadCutoff,
     BlowUpDetected,
@@ -520,7 +520,7 @@ KOLMOGOROV_A, KOLMOGOROV_F, KOLMOGOROV_NU = 0.5, 1.0, 1.0
 
 
 def _kolmogorov_run(scheme, dt):
-    s = shear_init(GridSpec(8))
+    s = shear_init(GridSpec(16))
     p = SolverParams(nu=KOLMOGOROV_NU, dt=dt, t_end=1.0, scheme=scheme,
                      forcing=s.with_coeffs(KOLMOGOROV_F * s.coeffs))
     return s, run(s.with_coeffs(KOLMOGOROV_A * s.coeffs), p)
@@ -536,9 +536,19 @@ def _kolmogorov_error(s, traj):
 
 def test_the_mild_step_is_exact_on_the_forced_kolmogorov_start_up(monkeypatch):
     calls = count_calls(monkeypatch, "_advect_divergence", "_advect_convective")
+    passes = []
+    complex_passes = spectral._complex_passes
+
+    def recording_passes(half, n, box=None):
+        passes.append(box is not None)
+        return complex_passes(half, n, box)
+
+    monkeypatch.setattr(spectral, "_complex_passes", recording_passes)
     s, traj = _kolmogorov_run("mild-duhamel", 0.02)
-    # every state is band-limited: both kernel calls of each step take the box
+    # every state is band-limited: both kernel calls of each step take the
+    # divergence form, and at n = 16 both product triples take the box
     assert calls == {"_advect_divergence": 2 * 50, "_advect_convective": 0}
+    assert passes == [True] * (2 * 2 * 50)
     assert _kolmogorov_error(s, traj) <= 1e-13 * l2_norm(s)
 
 

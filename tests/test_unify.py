@@ -125,12 +125,10 @@ def test_lockstep_unify_drops_each_triple_once_the_next_arrives(
     assert merged == [m for m in range(6) for _ in cfg.eps_list]
 
 
-# projections and numpy.fft calls of an n=8 unify of 5 steps, by cutoff; the
-# cut weak stream's states are band-limited, so the divergence-form kernel
-# projects its 10 advection terms itself, not through _leray
+# projections and numpy.fft calls of an n=8 unify of 5 steps, by cutoff
 UNIFY_TRANSFORMS = {
     "full": (117, {"fft": 126, "ifft": 264, "rfft": 63, "irfft": 132}),
-    2: (123, {"fft": 166, "ifft": 294, "rfft": 83, "irfft": 147}),
+    2: (133, {"fft": 166, "ifft": 294, "rfft": 83, "irfft": 147}),
 }
 
 
@@ -139,7 +137,7 @@ def test_unify_makes_a_pinned_count_of_each_operation(tmp_path, monkeypatch, gal
                                                       streams):
     steps = 5
     cfg = _config(tmp_path, 8, "random", t_end=steps * 1e-3, galerkin_modes=galerkin_modes)
-    calls = count_calls(monkeypatch, "_states", "_advect_arrays", "_leray", "vorticity_max",
+    calls = count_calls(monkeypatch, "_states", "_advect_arrays", "_leray_at", "vorticity_max",
                         "_band_sum", "_smear")
     fft = count_fft_calls(monkeypatch)
     assert experiments.run_experiment(cfg) == experiments.EXIT_OK
@@ -151,7 +149,7 @@ def test_unify_makes_a_pinned_count_of_each_operation(tmp_path, monkeypatch, gal
     assert calls["_band_sum"] == steps + 1
     assert calls["_smear"] == (steps + 1) * len(cfg.eps_list)
     leray, ffts = UNIFY_TRANSFORMS[galerkin_modes]
-    assert calls["_leray"] == leray
+    assert calls["_leray_at"] == leray
     assert {name: c for name, c in fft.items() if c} == ffts
 
 
