@@ -31,12 +31,15 @@ from .errors import (
     NumericalAbort,
 )
 from .spectral import (
+    PRUNE_MIN_N,
     SOLENOIDAL_TOL,
     GridSpec,
     PhysicalField,
     SpectralField,
     _advect_arrays,
+    _band_limited,
     _leray,
+    _power_sum,
     _read_only,
     _require_same_grid,
     _require_solenoidal,
@@ -199,27 +202,26 @@ def _step_multipliers(grid: GridSpec, p: SolverParams) -> _Multipliers:
     return _multipliers(grid, p.nu, p.dt, p.scheme == "mild-duhamel", cutoff)
 
 
-def _advection(c: np.ndarray, grid: GridSpec):
-    """The advection term -P[(u.grad)u] of coefficients c, and the lattice max |u|."""
-    return _advect_arrays(c, c, grid, project=True)
+def _advection(c: np.ndarray, grid: GridSpec, f: np.ndarray | None = None):
+    """-P[(u.grad)u] (+ P f when given) of coefficients c (half spectrum or 2/3 box), and max |u|."""
+    a, umax = _advect_arrays(c, c, grid, project=True)
+    return (a if f is None else a + f), umax
 
 
-def _forced(a: np.ndarray, p: SolverParams, grid: GridSpec) -> np.ndarray:
-    """The projected tendency a + P f of advection term a (a itself unforced)."""
-    if p.forcing is None:
-        return a
-    if p.forcing.grid != grid:
+def _forcing(p: SolverParams, grid: GridSpec) -> np.ndarray | None:
+    """The coefficients of P f on `grid` (None unforced); GridMismatch on another grid."""
+    if p.forcing is not None and p.forcing.grid != grid:
         raise GridMismatch(f"forcing on n = {p.forcing.grid.n}, state on n = {grid.n}")
-    return a + p.forcing.coeffs
+    return None if p.forcing is None else p.forcing.coeffs
 
 
-def _settle(grid: GridSpec, c: np.ndarray, time: float, mult: _Multipliers) -> SpectralField:
-    """The solver state of coefficients c: re-projected, mean-free, cut off."""
-    out = _leray(c, grid)
+def _settle(c: np.ndarray, grid: GridSpec, mult: _Multipliers, box=None) -> np.ndarray:
+    """Coefficients c re-projected, mean-free and cut off, on the 2/3 box when given."""
+    out = _leray(c, grid, box)
     out[:, 0, 0, 0] = 0.0
     if mult.mask is not None:
         out *= mult.mask
-    return SpectralField(grid, out, time)
+    return out
 
 
 def cfl_limit(umax: float, grid: GridSpec) -> float:
@@ -229,38 +231,34 @@ def cfl_limit(umax: float, grid: GridSpec) -> float:
     return CFL_SAFETY / (grid.n * umax)
 
 
-def _gate_cfl(dt: float, umax: float, grid: GridSpec):
+def _step(c: np.ndarray, a0: np.ndarray, umax: float, p: SolverParams, mult: _Multipliers,
+          f: np.ndarray | None, grid: GridSpec, box=None) -> np.ndarray:
+    """One step of coefficients c, whose advection term is a0 and lattice max
+    |u| umax, by the scheme of `mult` (mild when it has phi weights) under
+    forcing f; on the 2/3 box `box` when c, a0, f and `mult` are gathered on it.
+    No divergence check: `run` steps only states it has just settled."""
     limit = cfl_limit(umax, grid)
-    if dt > limit:
-        raise CflViolation(f"dt = {dt:g} exceeds advective limit {limit:g}")
-
-
-def _step(u: SpectralField, a0: np.ndarray, umax: float, p: SolverParams, mult: _Multipliers,
-          time: float) -> SpectralField:
-    """One step of u, whose advection term is a0 and lattice max |u| umax, to
-    `time` by the scheme of `mult` (mild when it has phi weights).
-
-    No divergence check: `run` steps only states it has just settled.
-    """
-    grid = u.grid
-    n0 = _forced(a0, p, grid)
-    _gate_cfl(p.dt, umax, grid)
+    if p.dt > limit:
+        raise CflViolation(f"dt = {p.dt:g} exceeds advective limit {limit:g}")
+    n0 = a0 if f is None else a0 + f
     if mult.dt_phi1 is None:
         decay = mult.decay
-        n1 = _forced(_advection(decay * (u.coeffs + p.dt * n0), grid)[0], p, grid)
-        c = decay * u.coeffs + 0.5 * p.dt * (decay * n0 + n1)
+        n1 = _advection(decay * (c + p.dt * n0), grid, f)[0]
+        c = decay * c + 0.5 * p.dt * (decay * n0 + n1)
     else:
-        predictor = mult.decay * u.coeffs + mult.dt_phi1 * n0
-        n1 = _forced(_advection(predictor, grid)[0], p, grid)
+        predictor = mult.decay * c + mult.dt_phi1 * n0
+        n1 = _advection(predictor, grid, f)[0]
         c = predictor + mult.dt_phi2 * (n1 - n0)
-    return _settle(grid, c, time, mult)
+    return _settle(c, grid, mult, box)
 
 
 def step(u: SpectralField, p: SolverParams) -> SpectralField:
     """One step of u by the scheme `p.scheme`, the step of `run`: re-projected,
     mean-free and cut off."""
     _require_solenoidal(u, "step")
-    return _step(u, *_advection(u.coeffs, u.grid), p, _step_multipliers(u.grid, p), u.time + p.dt)
+    c, grid = u.coeffs, u.grid
+    c = _step(c, *_advection(c, grid), p, _step_multipliers(grid, p), _forcing(p, grid), grid)
+    return u.with_coeffs(c, time=u.time + p.dt)
 
 
 # ----------------------------------------------------------------------
@@ -304,43 +302,56 @@ def _states(u0: SpectralField, p: SolverParams, cadence: int):
     -P[(u.grad)u], which the step from u computes first (None for the last
     state, from which nothing steps), and u's H^2 norm (the guard's,
     GUARD_NORM_INDEX = 2) and vorticity maximum when the guard computed them
-    (None otherwise).  Each state is yielded before the CFL gate of the step
-    from it.
+    (None otherwise; the guard may sum an unrecorded state's norm on the 2/3
+    box).  Each state is yielded before the CFL gate of the step from it.
     """
     if cadence < 1:
         raise ValueError("cadence must be >= 1")
     steps = step_count(p.t_end, p.dt)
-    grid = u0.grid
+    grid, n, t0 = u0.grid, u0.grid.n, u0.time
     mult = _step_multipliers(grid, p)
-    u = _settle(grid, u0.coeffs, u0.time, mult)
-    t0 = u0.time
+    c = _settle(u0.coeffs, grid, mult)
     del u0  # the stream holds no reference to the raw datum
+    u = SpectralField(grid, c, t0)
     guard_norm0 = hs = sobolev_norm(u, GUARD_NORM_INDEX)
     if not math.isfinite(guard_norm0):
         # a NaN norm would switch off the guards and the CFL gate below
         raise NonFiniteField("initial datum has a non-finite coefficient")
+    f = _forcing(p, grid)
+    # a state zero off the 2/3 box stays so (its tendency is, and every multiplier
+    # is diagonal) and steps there; on a grid divisible by 3 the box holds 3|k| = n
+    box, kk = None, grid.k_squared
+    if n >= PRUNE_MIN_N and n % 3 and _band_limited(c, n) and (f is None or _band_limited(f, n)):
+        box, kk = grid.dealias_box, grid.dealias_box.deriv_k_squared  # = k_squared there
+        c, f = box.gather(c), f if f is None else box.gather(f)
+        mult = _Multipliers(*(m if m is None else box.gather(m) for m in mult))
     recorded, wmax = True, None
     for m in range(1, steps + 1):
-        a, umax = _advection(u.coeffs, grid)
+        a, umax = _advection(c, grid)
         if recorded:
-            yield u, a, hs, wmax
-        u = _step(u, a, umax, p, mult, t0 + m * p.dt)
+            yield u, a if box is None else box.scatter(a, n), hs, wmax
+        c = _step(c, a, umax, p, mult, f, grid, box)
         del a  # not held through the next state's kernel call
+        t = t0 + m * p.dt
         recorded = m % cadence == 0 or m == steps
+        if recorded:
+            u = SpectralField(grid, c if box is None else box.scatter(c, n), t)
         hs = wmax = None
         if guard_norm0 > 0.0:
-            hs = sobolev_norm(u, GUARD_NORM_INDEX)
+            hs = sobolev_norm(u, GUARD_NORM_INDEX) if recorded else math.sqrt(
+                _power_sum(c, grid, (1.0 + kk) ** GUARD_NORM_INDEX))
             if hs > BLOWUP_NORM_FACTOR * guard_norm0 or not math.isfinite(hs):
                 raise BlowUpDetected(
-                    f"H^{GUARD_NORM_INDEX:g} norm {hs:.3e} exceeds guard at t = {u.time:g}"
+                    f"H^{GUARD_NORM_INDEX:g} norm {hs:.3e} exceeds guard at t = {t:g}"
                 )
             if recorded:
                 # vorticity maximum needs physical samples; check at snapshot cadence
                 wmax = vorticity_max(u)
                 if wmax > BLOWUP_BKM_LIMIT:
                     raise BlowUpDetected(
-                        f"vorticity maximum {wmax:.3e} exceeds guard at t = {u.time:g}"
+                        f"vorticity maximum {wmax:.3e} exceeds guard at t = {t:g}"
                     )
+    del c, mult  # nothing steps from the last state
     yield u, None, hs, wmax
 
 

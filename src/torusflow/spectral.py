@@ -32,10 +32,10 @@ SOLENOIDAL_TOL = 1e-9
 DEALIAS_FRACTION = 2.0 / 3.0
 _INEXACT_DEALIASING = "n divisible by 3: 2/3 dealiasing is inexact (one boundary triad aliases)"
 
-# the smallest grid on which the divergence form prunes its work to the 2/3 box:
-# below it the pruning's fixed cost per call exceeds what it saves (one kernel
-# call and projection at n = 12 was 5-8 % slower pruned, at n = 14 4-8 % faster).
-# End to end, on verify-n16 (2501 kernel calls at n = 4; 10 alternating pairs
+# the smallest grid on which the kernel forms its term on the 2/3 box (and a
+# band-limited run steps there): below it the pruning's fixed cost per call exceeds
+# what it saves (a kernel call and projection, n = 12: 5-8 % slower, n = 14: 4-8 %
+# faster). End to end, on verify-n16 (2501 kernel calls at n = 4; 10 alternating pairs
 # of 25 s runs each, 2-core host, numpy 2.4.6): pruning every grid read wall_s
 # +6.0 % against the whole-spectrum body (9 of 10 pairs lost, the gap 4.7 times
 # the whole-spectrum side's quartile distance) and +2.5 % against this
@@ -144,12 +144,22 @@ class GridSpec:
 class DealiasBox(NamedTuple):
     """The 2/3 box of a grid: the storage indices `rows` of |k| <= n//3 on each
     full axis (b = 2 (n//3) + 1 of them, in storage order), the first `cols` =
-    n//3 + 1 of the half axis, and the derivative wavenumbers and |k|^2 there."""
+    n//3 + 1 of the half axis, and the grid's derivative wavenumbers and |k|^2 there."""
 
     rows: np.ndarray
     cols: int
-    wavenumbers: tuple[np.ndarray, np.ndarray, np.ndarray]
-    k_squared: np.ndarray
+    deriv_wavenumbers: tuple[np.ndarray, np.ndarray, np.ndarray]
+    deriv_k_squared: np.ndarray
+
+    def gather(self, a: np.ndarray) -> np.ndarray:
+        """The compact box (..., b, b, cols) of a half-spectrum array, as a new array."""
+        return a[..., self.rows[:, None], self.rows, : self.cols]
+
+    def scatter(self, h: np.ndarray, n: int) -> np.ndarray:
+        """The half spectrum (3, n, n, n//2+1) of box coefficients h, +0.0 off the box."""
+        out = np.full((3, n, n, n // 2 + 1), 0j)  # calloc'd zeros skewed perfbench's calibration
+        out[:, self.rows[:, None], self.rows, : self.cols] = h
+        return out
 
 
 @dataclass(frozen=True)
@@ -253,31 +263,42 @@ def _scratch(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _to_physical(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Real samples of a half spectrum, written into `out` when given; `coeffs`
-    may be the work array itself, whose passes then all run in place."""
-    work = _scratch(coeffs.shape)
-    np.fft.ifft(coeffs, n, axis=-3, norm="forward", out=work)
-    np.fft.ifft(work, n, axis=-2, norm="forward", out=work)
+    """Real samples of a half spectrum, or of a 2/3 box (3, b, b, cols), written
+    into `out` when given; `coeffs` may be the work array itself, whose passes
+    then all run in place.  A box's k1 pass runs on its b x cols columns, its
+    k2 pass on cols columns, each column alone: the bits of the whole passes
+    over the box scattered into a half spectrum."""
+    work = _scratch(coeffs.shape[:-3] + (n, n, n // 2 + 1))
+    if coeffs.shape[-1] == n // 2 + 1:
+        np.fft.ifft(coeffs, n, axis=-3, norm="forward", out=work)
+        np.fft.ifft(work, n, axis=-2, norm="forward", out=work)
+    else:
+        b, cols = coeffs.shape[-2:]
+        m = b - cols
+        work[..., cols:] = 0.0
+        half = work[..., :cols]
+        half[:, :b, :b] = coeffs
+        for v in (half[:, :, :b], half.swapaxes(1, 2)):  # k1 rows, then k2 rows
+            v[:, n - m :] = v[:, cols:b]
+            v[:, cols : n - m] = 0.0
+            np.fft.ifft(v, n, axis=1, norm="forward", out=v)
     return np.fft.irfft(work, n, axis=-1, norm="forward", out=out)
 
 
-def _to_spectral(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Half spectrum of real samples, written into `out` when given."""
+def _to_spectral(samples: np.ndarray) -> np.ndarray:
+    """Half spectrum of real samples."""
     n = samples.shape[-1]
-    return _complex_passes(np.fft.rfft(samples, n, axis=-1, norm="forward", out=out), n)
+    return _complex_passes(np.fft.rfft(samples, n, axis=-1, norm="forward"), n)
 
 
 def _complex_passes(half: np.ndarray, n: int, box: DealiasBox | None = None) -> np.ndarray:
     """The forward transform's complex passes (k2, then k1) over its real
     pass `half`, in place: on the whole half spectrum when `box` is None, and
     otherwise only on the 2/3 box, returned as a view of `half`
-    (3, b, b, cols), b = 2 cols - 1, rows in storage order.
-
-    The box's passes run on its first `cols` columns along k3, and the k1
-    pass only on the box's k2 rows, packed into rows :b first; its k1 rows
-    are then packed the same way.  Each column is transformed alone, so
-    every kept mode has the bits of the whole passes.
-    """
+    (3, b, b, cols), b = 2 cols - 1, rows in storage order.  The box's k2
+    pass runs on its `cols` columns, its k1 pass on those of its k2 rows
+    (packed into rows :b first), and its k1 rows are then packed the same
+    way: each column alone, so every kept mode has the whole passes' bits."""
     if box is None:
         np.fft.fft(half, n, axis=-2, norm="forward", out=half)
         np.fft.fft(half, n, axis=-3, norm="forward", out=half)
@@ -285,12 +306,10 @@ def _complex_passes(half: np.ndarray, n: int, box: DealiasBox | None = None) -> 
     cols = box.cols
     m, b = cols - 1, 2 * cols - 1
     half = half[..., :cols]
-    np.fft.fft(half, n, axis=-2, norm="forward", out=half)
-    half[:, :, cols:b] = half[:, :, n - m :]
-    pruned = half[:, :, :b]
-    np.fft.fft(pruned, n, axis=-3, norm="forward", out=pruned)
-    pruned[:, cols:b] = pruned[:, n - m :]
-    return pruned[:, :b]
+    for v in (half.swapaxes(1, 2), half[:, :, :b]):  # k2 rows, then k1 rows
+        np.fft.fft(v, n, axis=1, norm="forward", out=v)
+        v[:, cols:b] = v[:, n - m :]
+    return half[:, :b, :b]
 
 
 def _mirror(half: np.ndarray, n: int) -> np.ndarray:
@@ -313,9 +332,9 @@ def _mirror(half: np.ndarray, n: int) -> np.ndarray:
 
 
 def _lattice_sum(half: np.ndarray, n: int) -> float:
-    """Lattice sum (and over leading axes) of a real half-spectrum array: the self-conjugate
-    planes k3 = 0, n/2 count once, the others twice; all weights > 0 keep the sum monotone."""
-    planes = half[..., 0].sum() + half[..., n // 2].sum()
+    """Lattice sum (and over leading axes) of a real half-spectrum or 2/3-box array: the planes
+    k3 = 0, n/2 (not in a box) count once, the others twice; weights > 0 keep the sum monotone."""
+    planes = half[..., 0].sum() + half[..., n // 2 :].sum()
     return float(planes + 2.0 * half[..., 1 : n // 2].sum())
 
 
@@ -364,9 +383,10 @@ def leray_project(f: SpectralField) -> SpectralField:
     return f.with_coeffs(_leray(f.coeffs, f.grid))
 
 
-def _leray(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """leray_project on half-spectrum coefficients."""
-    return _leray_at(c, grid.deriv_wavenumbers, grid.deriv_k_squared)
+def _leray(c: np.ndarray, grid: GridSpec, box: DealiasBox | None = None) -> np.ndarray:
+    """leray_project on half-spectrum coefficients, or on the 2/3 box `box`."""
+    at = grid if box is None else box
+    return _leray_at(c, at.deriv_wavenumbers, at.deriv_k_squared)
 
 
 def _leray_at(c: np.ndarray, k: tuple[np.ndarray, ...], kk: np.ndarray) -> np.ndarray:
@@ -456,13 +476,13 @@ def _advect_arrays(fc: np.ndarray, gc: np.ndarray, grid: GridSpec, project: bool
     A band-limited f advecting itself (`gc is fc`, zero at every mode with
     3 |k_axis| >= n) takes the divergence form, 9 transformed fields instead
     of 15: its products are exact after the 2/3 mask, so it equals the
-    convective form up to round-off whenever f is solenoidal.  Every other
-    input takes the convective form.
+    convective form up to round-off whenever f is solenoidal.  So does an f
+    given as its 2/3 box (`DealiasBox.gather`), whose term stays on the box.
+    Every other input takes the convective form.
     """
-    if gc is fc and _band_limited(fc, grid.n):
+    if gc is fc and (fc.shape[-1] != grid.n // 2 + 1 or _band_limited(fc, grid.n)):
         return _advect_divergence(fc, grid, project)
-    out, fmax = _advect_convective(fc, gc, grid)
-    return (-_leray(out, grid) if project else out), fmax
+    return _advect_convective(fc, gc, grid, project)
 
 
 def _band_limited(c: np.ndarray, n: int) -> bool:
@@ -472,15 +492,27 @@ def _band_limited(c: np.ndarray, n: int) -> bool:
     return not (c[..., m:].any() or c[:, :, m:n - m + 1].any() or c[:, m:n - m + 1].any())
 
 
-def _advect_convective(fc: np.ndarray, gc: np.ndarray, grid: GridSpec):
+def _kernel_output(h: np.ndarray, grid: GridSpec, box: DealiasBox | None, project: bool,
+                   compact: bool = False) -> np.ndarray:
+    """The kernel's output from its dealiased term h on `box` (None: the half
+    spectrum): -P h with `project`, scattered unless the input was `compact`."""
+    if project:
+        h = _leray(h, grid, box)
+        np.negative(h, out=h)
+    return h if box is None or compact else box.scatter(h, grid.n)
+
+
+def _advect_convective(fc: np.ndarray, gc: np.ndarray, grid: GridSpec, project: bool = False):
     """`_advect_arrays` as f_j d_j g_i: five transforms, f in, the gradient of
     each component of g in (three fields per call), the product out.
 
     Each gradient triple is formed in the transforms' work array and
     transformed there into one product buffer, so the kernel's real arrays are
-    f's samples, that buffer and the output samples.
+    f's samples, that buffer and the output samples; the product's spectrum
+    is formed as the divergence form's is.
     """
     n = grid.n
+    box = grid.dealias_box if n >= PRUNE_MIN_N else None
     ik = [1j * k for k in grid.deriv_wavenumbers]
     fp = _to_physical(fc, n)
     fmax = float(np.sqrt((fp**2).sum(axis=0)).max())
@@ -494,9 +526,12 @@ def _advect_convective(fc: np.ndarray, gc: np.ndarray, grid: GridSpec):
         prod *= fp
         np.sum(prod, axis=0, out=out_phys[i])
     del fp, prod
-    out = _to_spectral(out_phys)
-    out *= grid.dealias_mask
-    return out, fmax
+    h = np.fft.rfft(out_phys, n, axis=-1, norm="forward", out=None if box is None else grad)
+    del out_phys  # before the tail allocates: held, it raised an n=32 unify's peak RSS 3 %
+    h = _complex_passes(h, n, box)
+    if box is None:
+        h *= grid.dealias_mask
+    return _kernel_output(h, grid, box, project), fmax
 
 
 def _advect_divergence(fc: np.ndarray, grid: GridSpec, project: bool = False):
@@ -504,55 +539,45 @@ def _advect_divergence(fc: np.ndarray, grid: GridSpec, project: bool = False):
     transforms, u in and the six products H_ij = u_i u_j out as two triples,
     (H_00, H_01, H_02) and (H_11, H_12, H_22).
 
-    The term is zero off the 2/3 box, so from n = PRUNE_MIN_N on each
-    triple's spectrum is formed on the box only (`_complex_passes`), and so
-    are i k_j H_ij and its projection; the box is then scattered into the
-    returned half spectrum.  On smaller grids the pruning's per-call cost
-    exceeds what it saves, and the term is formed on the whole half
-    spectrum and masked.  Both give a kept mode the same bits and every
+    The term is zero off the 2/3 box, so from n = PRUNE_MIN_N on (and for
+    a u given as its box) each triple's spectrum is formed on the box only
+    (`_complex_passes`), and so are i k_j H_ij and its projection, then
+    scattered unless u came as its box.  On smaller grids the pruning's
+    per-call cost exceeds what it saves, and the term is formed on the whole
+    half spectrum and masked.  Both give a kept mode the same bits and every
     other mode zero (+0.0 when pruned).
 
     The first triple is formed in one product buffer, the second over u's
-    samples.  Each triple's real pass runs into the work array, where its
-    spectrum stays: the first is copied out before the second triple's
-    pass, which runs once u's samples are freed.  The returned array is
-    allocated last.  The order matters: a box copied out while u's samples
-    lived, or the second box copied out too, raised the peak RSS of an n=64
-    run by 3 %.
+    samples.  Each triple's real pass runs into the work array: the second's
+    spectrum is copied out, the first's runs once u's samples are freed, and
+    the term is formed in the copy.  A box copied out while u's samples
+    lived, or both boxes copied out, raised an n=64 run's peak RSS by 3 %.
     """
     n = grid.n
-    box = grid.dealias_box if n >= PRUNE_MIN_N else None
+    compact = fc.shape[-1] != n // 2 + 1
+    box = grid.dealias_box if compact or n >= PRUNE_MIN_N else None
     up = _to_physical(fc, n)
     umax = float(np.sqrt((up**2).sum(axis=0)).max())
     prod = np.multiply(up[0], up)
     np.multiply(up[1], up[1], out=up[0])
     np.multiply(up[1], up[2], out=up[1])
     np.multiply(up[2], up[2], out=up[2])
-    work = np.fft.rfft(up, n, axis=-1, norm="forward", out=_scratch(fc.shape))
+    work = np.fft.rfft(up, n, axis=-1, norm="forward", out=_scratch((3, n, n, n // 2 + 1)))
     del up
     h1 = _complex_passes(work, n, box).copy()
     np.fft.rfft(prod, n, axis=-1, norm="forward", out=work)
     del prod
     h = _complex_passes(work, n, box)
-    k, kk = ((grid.deriv_wavenumbers, grid.deriv_k_squared) if box is None
-             else (box.wavenumbers, box.k_squared))
-    k1, k2, k3 = k
-    # h holds (H_00, H_01, H_02): row 0 reads all three before any is written
-    h[0] = k1 * h[0] + k2 * h[1] + k3 * h[2]
-    h[1] = k1 * h[1] + k2 * h1[0] + k3 * h1[1]
-    h[2] = k1 * h[2] + k2 * h1[1] + k3 * h1[2]
-    del h1
+    k1, k2, k3 = (grid if box is None else box).deriv_wavenumbers
+    # h1 holds (H_11, H_12, H_22) and h (H_00, H_01, H_02): each row of the
+    # term is written into h1 after the last read of the row it replaces
+    h1[2] = k1 * h[2] + k2 * h1[1] + k3 * h1[2]
+    h1[1] = k1 * h[1] + k2 * h1[0] + k3 * h1[1]
+    h1[0] = k1 * h[0] + k2 * h[1] + k3 * h[2]
     if box is None:
-        h *= grid.dealias_mask
-    h *= 1j
-    if project:
-        h = _leray_at(h, k, kk)
-        np.negative(h, out=h)
-    if box is None:
-        return (h if project else h.copy()), umax
-    out = np.zeros(fc.shape, dtype=np.complex128)
-    out[:, box.rows[:, None], box.rows, : box.cols] = h
-    return out, umax
+        h1 *= grid.dealias_mask
+    h1 *= 1j
+    return _kernel_output(h1, grid, box, project, compact), umax
 
 
 def _require_solenoidal(u: SpectralField, what: str):

@@ -35,6 +35,7 @@ from torusflow.errors import (
     GridMismatch,
     NonFiniteField,
     NotSolenoidal,
+    NumericalAbort,
     SymmetryViolation,
 )
 from torusflow.experiments import shear_formulation_residuals
@@ -402,7 +403,7 @@ def test_blowup_partial_holds_only_guarded_snapshots(tmp_path, grid8, monkeypatc
     def failing_step(*args):
         calls.append(1)
         out = real_step(*args)
-        return out if len(calls) < 4 else out.with_coeffs(out.coeffs * np.nan)
+        return out if len(calls) < 4 else out * np.nan
 
     monkeypatch.setattr(solvers, "_step", failing_step)
     with pytest.raises(BlowUpDetected) as excinfo:
@@ -741,3 +742,161 @@ def test_galerkin_cutoff_differs_from_full_spectrum_loop_only_in_zero_signs(init
         assert np.array_equal(a, b)
         differ = _bits(a) != _bits(b)
         assert np.all(a.view(np.float64)[differ] == 0.0)
+
+
+# ----------------------------------------------------------------------
+# the frame of a run: a band-limited run on a grid from PRUNE_MIN_N on, not
+# divisible by 3, steps on the compact 2/3 box; every other run on the half
+# spectrum.  A patched PRUNE_MIN_N forces the half spectrum, whose stream is
+# the reference
+
+
+def _stream(u0, p, cadence, monkeypatch, full=False):
+    """The (u, a, h2, wmax) stream of `_states` and the shapes of the states
+    it stepped; the half spectrum throughout when `full`."""
+    if full:
+        monkeypatch.setattr(solvers, "PRUNE_MIN_N", 10**9)
+    shapes = set()
+    real_step = solvers._step
+
+    def recording_step(c, *args):
+        shapes.add(c.shape)
+        return real_step(c, *args)
+
+    monkeypatch.setattr(solvers, "_step", recording_step)
+    try:
+        return list(solvers._states(u0, p, cadence)), shapes
+    finally:
+        monkeypatch.undo()
+
+
+def _assert_same_stream(got, want):
+    assert len(got) == len(want)
+    for (u, a, h2, wmax), (ru, ra, rh2, rwmax) in zip(got, want):
+        assert u.time == ru.time and np.array_equal(u.coeffs, ru.coeffs)
+        assert (a is None) == (ra is None) and (a is None or np.array_equal(a, ra))
+        assert (h2, wmax) == (rh2, rwmax)
+
+
+def _box_shape(n):
+    m = n // 3
+    return (3, 2 * m + 1, 2 * m + 1, m + 1)
+
+
+SCHEME_CASES = {"strong": ("strong-imex", None), "mild": ("mild-duhamel", None),
+                "weak": ("weak-galerkin", None)}
+
+
+@pytest.mark.parametrize("n", [18, 24])
+@pytest.mark.parametrize("case", SCHEME_CASES)
+def test_a_run_on_a_grid_divisible_by_3_steps_on_the_half_spectrum(n, case, monkeypatch):
+    # the box holds 3 |k| = n there, which the kernel's band excludes: a state
+    # that the steps carry onto it takes the convective form on the half spectrum
+    scheme, cutoff = SCHEME_CASES[case]
+    p = SolverParams(nu=0.05, dt=1e-3, t_end=6e-3, scheme=scheme, galerkin_modes=cutoff)
+    u0 = taylor_green_init(GridSpec(n))
+    got, shapes = _stream(u0, p, 1, monkeypatch)
+    want, _ = _stream(u0, p, 1, monkeypatch, full=True)
+    assert shapes == {(3, n, n, n // 2 + 1)}
+    _assert_same_stream(got, want)
+
+
+def _band_limited_random(grid, seed):
+    in1, in2, in3 = (3 * np.abs(k) < grid.n for k in grid.wavenumbers)
+    u = random_solenoidal_init(grid, 2.0, seed)
+    return u.with_coeffs(u.coeffs * (in1 & in2 & in3))
+
+
+def _frame_case(case):
+    """(datum, params, cadence, on the box) of each frame case."""
+    if case.startswith("n"):  # n<grid>-<scheme>: Taylor-Green
+        n, scheme = case[1:].split("-")
+        grid = GridSpec(int(n))
+        p = SolverParams(nu=0.05, dt=1e-3, t_end=6e-3, scheme=SCHEME_CASES[scheme][0])
+        return taylor_green_init(grid), p, 4, True
+    grid = GridSpec(16)
+    s = shear_init(grid)
+    if case == "galerkin":
+        p = SolverParams(nu=0.05, dt=1e-3, t_end=6e-3, scheme="weak-galerkin", galerkin_modes=3.0)
+        return taylor_green_init(grid), p, 4, True
+    if case == "kolmogorov":
+        p = SolverParams(nu=1.0, dt=0.02, t_end=0.2, scheme="mild-duhamel",
+                         forcing=s.with_coeffs(s.coeffs))
+        return s.with_coeffs(0.5 * s.coeffs), p, 3, True
+    if case == "random-band":
+        p = SolverParams(nu=0.05, dt=1e-3, t_end=6e-3, scheme="strong-imex")
+        return _band_limited_random(GridSpec(20), 5), p, 4, True
+    # a band-limited datum forced off the band: the state leaves the box
+    p = SolverParams(nu=0.05, dt=1e-3, t_end=6e-3, forcing=random_solenoidal_init(grid, 2.0, 1))
+    return taylor_green_init(grid), p, 4, False
+
+
+FRAME_CASES = ([f"n{n}-{s}" for n in (14, 16, 20, 32) for s in SCHEME_CASES]
+               + ["galerkin", "kolmogorov", "random-band", "forced-off-band"])
+
+
+@pytest.mark.parametrize("case", FRAME_CASES)
+def test_a_run_on_the_box_streams_the_half_spectrum_runs_bits(case, monkeypatch):
+    # states, advection terms, the recorded H^2 norms and vorticity maxima;
+    # cadence > 1, so the guard also sums unrecorded states' norms on the box
+    u0, p, cadence, boxed = _frame_case(case)
+    n = u0.grid.n
+    got, shapes = _stream(u0, p, cadence, monkeypatch)
+    want, full_shapes = _stream(u0, p, cadence, monkeypatch, full=True)
+    assert shapes == {_box_shape(n) if boxed else (3, n, n, n // 2 + 1)}
+    assert full_shapes == {(3, n, n, n // 2 + 1)}
+    _assert_same_stream(got, want)
+
+
+def _abort(u0, p, cadence, monkeypatch, full):
+    """The abort `run` raises and the number of steps it took."""
+    if full:
+        monkeypatch.setattr(solvers, "PRUNE_MIN_N", 10**9)
+    calls = count_calls(monkeypatch, "_step")
+    with pytest.raises(NumericalAbort) as excinfo:
+        run(u0, p, cadence)
+    monkeypatch.undo()
+    return excinfo.value, calls["_step"]
+
+
+@pytest.mark.parametrize("guard", ["h2", "vorticity", "cfl"])
+def test_each_guard_aborts_a_run_on_the_box_where_it_aborts_on_the_half_spectrum(
+    guard, monkeypatch
+):
+    grid = GridSpec(16)
+    s = shear_init(grid)
+    if guard == "h2":
+        # a small shear forced by a unit one passes 1e3 times its H^2 norm at
+        # step 10, which cadence 7 does not record
+        u0 = s.with_coeffs(1e-5 * s.coeffs)
+        p = SolverParams(nu=1e-6, dt=1e-3, t_end=0.1, forcing=s)
+    else:
+        # the Kolmogorov start-up, max |u| = max |curl u| = 1 - 0.5 e^{-t}: past
+        # 0.6 at t = 0.22, and past the CFL limit of dt = 0.04 at t = 0.82
+        u0 = s.with_coeffs(0.5 * s.coeffs)
+        p = SolverParams(nu=1.0, dt=0.04 if guard == "cfl" else 0.02, t_end=1.2,
+                         scheme="mild-duhamel", forcing=s)
+    cadence = 3 if guard == "vorticity" else 7
+
+    def aborted(full):
+        if guard == "vorticity":
+            monkeypatch.setattr(solvers, "BLOWUP_BKM_LIMIT", 0.6)
+        return _abort(u0, p, cadence, monkeypatch, full)
+
+    (exc, steps), (ref, ref_steps) = aborted(False), aborted(True)
+    assert steps == ref_steps and 1 < steps < solvers.step_count(p.t_end, p.dt)
+    assert (type(exc), str(exc)) == (type(ref), str(ref))
+    assert isinstance(exc, CflViolation if guard == "cfl" else BlowUpDetected)
+    assert {"h2": "H^2 norm", "vorticity": "vorticity maximum", "cfl": "exceeds advective"}[
+        guard] in str(exc)
+    partial, ref_partial = exc.trajectory.snapshots, ref.trajectory.snapshots
+    assert len(partial) == len(ref_partial) > 1
+    for u, ru in zip(partial, ref_partial):
+        assert u.time == ru.time and np.array_equal(u.coeffs, ru.coeffs)
+
+
+def test_the_guard_constants_are_the_documented_ones():
+    # `run` states both: an H^2 norm beyond 1e3 times the datum's, a vorticity
+    # maximum beyond 1e6
+    assert (solvers.BLOWUP_NORM_FACTOR, solvers.BLOWUP_BKM_LIMIT) == (1e3, 1e6)
+    assert "1e3 times its initial value" in run.__doc__ and "passes 1e6" in run.__doc__

@@ -1,11 +1,12 @@
 """Working-set bounds: traced peaks (tracemalloc counts numpy's buffers and is
 deterministic) of the advection kernel and of a whole `run` experiment."""
 
+import sys
 import tracemalloc
 
-from torusflow import GridSpec, dealias, parse_config, random_solenoidal_init
-from torusflow import experiments
-from torusflow.spectral import _advect_arrays, _band_limited
+from torusflow import GridSpec, advect, dealias, parse_config, random_solenoidal_init
+from torusflow import experiments, spectral
+from torusflow.spectral import PRUNE_MIN_N, _advect_arrays, _band_limited
 
 N = 32
 REAL = 3 * N**3 * 8  # one real (3, n, n, n) array
@@ -40,6 +41,38 @@ def test_the_divergence_form_holds_within_the_kernel_bound():
     _advect_arrays(u, u, grid)
     peak = _traced_peak(lambda: _advect_arrays(u, u, grid))
     assert peak <= 3 * REAL + HALF + (64 << 10)
+
+
+def test_an_unpruned_advect_allocates_one_half_spectrum_it_returns():
+    # below PRUNE_MIN_N the divergence form of a band-limited f forms its term
+    # in the copy of one product triple's spectrum and returns that copy: what
+    # its lines keep is u's samples, one product buffer and that half spectrum
+    # (a copy of the term besides it would be a second one).  Counted line by
+    # line in the kernel body, as the growth of traced memory from line to line
+    n = 8
+    assert n < PRUNE_MIN_N
+    grid = GridSpec(n)
+    f = dealias(random_solenoidal_init(grid, 2.0, 0))
+    assert _band_limited(f.coeffs, n)
+    advect(f, f)  # warm-up: the work array
+    body, kept = spectral._advect_divergence.__code__, []
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not body:
+            return None
+        kept.append(tracemalloc.get_traced_memory()[0])
+        return tracer
+
+    tracemalloc.start()
+    sys.settrace(tracer)
+    try:
+        advect(f, f)
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    grown = sum(max(b - a, 0) for a, b in zip(kept, kept[1:]))
+    real, half = 3 * n**3 * 8, 3 * n * n * (n // 2 + 1) * 16
+    assert 2 * real + half <= grown <= 2 * real + half + (4 << 10)
 
 
 def test_a_run_experiment_holds_under_nine_half_spectra(tmp_path):

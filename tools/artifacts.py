@@ -27,8 +27,10 @@ at seeds 0 and 1, ``convergence`` with both mollifiers, ``blocks`` with
 Taylor-Green and random data, ``unify`` and ``verify`` at n=12 with the
 bump mollifier (a grid divisible by 3), the same ``unify`` with a weak
 cutoff (``galerkin_modes = 2``, so three schemes are stepped), an n=8
-shear mild run, n=8 weak-galerkin runs with a cutoff, an n=16 random run
-at cadence 3 (five snapshots; the stream hands over the advection terms
+shear mild run, n=8 weak-galerkin runs with a cutoff, Taylor-Green runs at
+n=18 (divisible by 3, so stepped on the half spectrum) and, with a cutoff,
+at n=20 (stepped on the 2/3 box), an n=16 random run at cadence 3 (five
+snapshots; the stream hands over the advection terms
 of the first four, and the records pass computes the last one itself),
 n=16 CFL aborts of ``run`` and of ``unify`` (``abort.txt`` and
 ``partial/``), and an n=8 Taylor-Green run with ``nu = 1e308``, whose
@@ -78,6 +80,13 @@ EXTRA_CASES = {
     "run-n8-galerkin-random": {"experiment": "run", "n": 8, "init": "random",
                                "scheme": "weak-galerkin", "galerkin_modes": 4.0,
                                "nu": 0.1, "dt": 1e-3, "t_end": 0.01},
+    # divisible by 3, above PRUNE_MIN_N: a band-limited run that steps on the half spectrum
+    "run-n18-taylor-green": {"experiment": "run", "n": 18, "init": "taylor-green",
+                             "nu": 0.05, "dt": 1e-3, "t_end": 0.01, "cadence": 3},
+    # a band-limited run with a cutoff that steps on the 2/3 box
+    "run-n20-galerkin-taylor-green": {"experiment": "run", "n": 20, "init": "taylor-green",
+                                      "scheme": "weak-galerkin", "galerkin_modes": 6.0,
+                                      "nu": 0.05, "dt": 1e-3, "t_end": 0.01, "cadence": 3},
     # steps 0, 3, 6, 9 and 10 recorded: the pass computes only step 10's advection term
     "run-n16-random-cadence3": {"experiment": "run", "n": 16, "init": "random",
                                 "dt": 1e-3, "t_end": 0.01, "cadence": 3},
