@@ -31,13 +31,12 @@ from .errors import (
     NumericalAbort,
 )
 from .spectral import (
-    PRUNE_MIN_N,
     SOLENOIDAL_TOL,
     GridSpec,
     PhysicalField,
     SpectralField,
     _advect_arrays,
-    _band_limited,
+    _box_for,
     _leray,
     _power_sum,
     _read_only,
@@ -203,7 +202,7 @@ def _step_multipliers(grid: GridSpec, p: SolverParams) -> _Multipliers:
 
 
 def _advection(c: np.ndarray, grid: GridSpec, f: np.ndarray | None = None):
-    """-P[(u.grad)u] (+ P f when given) of coefficients c (half spectrum or 2/3 box), and max |u|."""
+    """-P[(u.grad)u] (+ P f when given) of coefficients c (half spectrum or box), and max |u|."""
     a, umax = _advect_arrays(c, c, grid, project=True)
     return (a if f is None else a + f), umax
 
@@ -318,11 +317,9 @@ def _states(u0: SpectralField, p: SolverParams, cadence: int):
         # a NaN norm would switch off the guards and the CFL gate below
         raise NonFiniteField("initial datum has a non-finite coefficient")
     f = _forcing(p, grid)
-    # a state zero off the 2/3 box stays so (its tendency is, and every multiplier
-    # is diagonal) and steps there; on a grid divisible by 3 the box holds 3|k| = n
-    box, kk = None, grid.k_squared
-    if n >= PRUNE_MIN_N and n % 3 and _band_limited(c, n) and (f is None or _band_limited(f, n)):
-        box, kk = grid.dealias_box, grid.dealias_box.deriv_k_squared  # = k_squared there
+    box, kk = _box_for(c, f, grid), grid.k_squared
+    if box is not None:
+        kk = box.deriv_k_squared  # = k_squared there
         c, f = box.gather(c), f if f is None else box.gather(f)
         mult = _Multipliers(*(m if m is None else box.gather(m) for m in mult))
     recorded, wmax = True, None

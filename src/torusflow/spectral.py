@@ -39,7 +39,9 @@ _INEXACT_DEALIASING = "n divisible by 3: 2/3 dealiasing is inexact (one boundary
 # of 25 s runs each, 2-core host, numpy 2.4.6): pruning every grid read wall_s
 # +6.0 % against the whole-spectrum body (9 of 10 pairs lost, the gap 4.7 times
 # the whole-spectrum side's quartile distance) and +2.5 % against this
-# threshold (8 of 10 lost), while this threshold read -0.7 % (5 of 10 lost)
+# threshold (8 of 10 lost), while this threshold read -0.7 % (5 of 10 lost).
+# Stepping band-limited runs on the box at every grid (verify's n = 4, 8, 10 too)
+# read +1.5 % against it (6 of 10 lost) and peak_rss_mib +0.2 % (10 of 10 lost)
 PRUNE_MIN_N = 14
 
 
@@ -157,7 +159,7 @@ class DealiasBox(NamedTuple):
 
     def scatter(self, h: np.ndarray, n: int) -> np.ndarray:
         """The half spectrum (3, n, n, n//2+1) of box coefficients h, +0.0 off the box."""
-        out = np.full((3, n, n, n // 2 + 1), 0j)  # calloc'd zeros skewed perfbench's calibration
+        out = np.zeros((3, n, n, n // 2 + 1), dtype=np.complex128)
         out[:, self.rows[:, None], self.rows, : self.cols] = h
         return out
 
@@ -262,14 +264,15 @@ def _scratch(shape: tuple[int, ...]) -> np.ndarray:
     return np.empty(shape, dtype=np.complex128)
 
 
-def _to_physical(coeffs: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Real samples of a half spectrum, or of a 2/3 box (3, b, b, cols), written
-    into `out` when given; `coeffs` may be the work array itself, whose passes
-    then all run in place.  A box's k1 pass runs on its b x cols columns, its
-    k2 pass on cols columns, each column alone: the bits of the whole passes
-    over the box scattered into a half spectrum."""
+def _to_physical(coeffs: np.ndarray, n: int, out: np.ndarray | None = None,
+                 compact: bool = False) -> np.ndarray:
+    """Real samples of a half spectrum, or of a 2/3 box (3, b, b, cols) when
+    `compact`, written into `out` when given; `coeffs` may be the work array
+    itself, whose passes then all run in place.  A box's k1 pass runs on its
+    b x cols columns, its k2 pass on cols columns, each column alone: the bits
+    of the whole passes over the box scattered into a half spectrum."""
     work = _scratch(coeffs.shape[:-3] + (n, n, n // 2 + 1))
-    if coeffs.shape[-1] == n // 2 + 1:
+    if not compact:
         np.fft.ifft(coeffs, n, axis=-3, norm="forward", out=work)
         np.fft.ifft(work, n, axis=-2, norm="forward", out=work)
     else:
@@ -480,9 +483,11 @@ def _advect_arrays(fc: np.ndarray, gc: np.ndarray, grid: GridSpec, project: bool
     given as its 2/3 box (`DealiasBox.gather`), whose term stays on the box.
     Every other input takes the convective form.
     """
-    if gc is fc and (fc.shape[-1] != grid.n // 2 + 1 or _band_limited(fc, grid.n)):
-        return _advect_divergence(fc, grid, project)
-    return _advect_convective(fc, gc, grid, project)
+    compact = fc.shape[-1] != grid.n // 2 + 1
+    if gc is fc and (compact or _band_limited(fc, grid.n)):
+        return _advect_divergence(fc, grid, project, compact)
+    out, fmax = _advect_convective(fc, gc, grid)
+    return (-_leray(out, grid) if project else out), fmax
 
 
 def _band_limited(c: np.ndarray, n: int) -> bool:
@@ -492,27 +497,25 @@ def _band_limited(c: np.ndarray, n: int) -> bool:
     return not (c[..., m:].any() or c[:, :, m:n - m + 1].any() or c[:, m:n - m + 1].any())
 
 
-def _kernel_output(h: np.ndarray, grid: GridSpec, box: DealiasBox | None, project: bool,
-                   compact: bool = False) -> np.ndarray:
-    """The kernel's output from its dealiased term h on `box` (None: the half
-    spectrum): -P h with `project`, scattered unless the input was `compact`."""
-    if project:
-        h = _leray(h, grid, box)
-        np.negative(h, out=h)
-    return h if box is None or compact else box.scatter(h, grid.n)
+def _box_for(c: np.ndarray, f: np.ndarray | None, grid: GridSpec) -> DealiasBox | None:
+    """The 2/3 box a run from settled coefficients c under forcing f (None if
+    unforced) steps on, or None.  A state zero off the box stays so; on a grid
+    divisible by 3 the box holds 3 |k| = n, which `_band_limited` excludes."""
+    n = grid.n
+    if n >= PRUNE_MIN_N and n % 3 and _band_limited(c, n) and (f is None or _band_limited(f, n)):
+        return grid.dealias_box
+    return None
 
 
-def _advect_convective(fc: np.ndarray, gc: np.ndarray, grid: GridSpec, project: bool = False):
+def _advect_convective(fc: np.ndarray, gc: np.ndarray, grid: GridSpec):
     """`_advect_arrays` as f_j d_j g_i: five transforms, f in, the gradient of
     each component of g in (three fields per call), the product out.
 
     Each gradient triple is formed in the transforms' work array and
     transformed there into one product buffer, so the kernel's real arrays are
-    f's samples, that buffer and the output samples; the product's spectrum
-    is formed as the divergence form's is.
+    f's samples, that buffer and the output samples.
     """
     n = grid.n
-    box = grid.dealias_box if n >= PRUNE_MIN_N else None
     ik = [1j * k for k in grid.deriv_wavenumbers]
     fp = _to_physical(fc, n)
     fmax = float(np.sqrt((fp**2).sum(axis=0)).max())
@@ -526,26 +529,23 @@ def _advect_convective(fc: np.ndarray, gc: np.ndarray, grid: GridSpec, project: 
         prod *= fp
         np.sum(prod, axis=0, out=out_phys[i])
     del fp, prod
-    h = np.fft.rfft(out_phys, n, axis=-1, norm="forward", out=None if box is None else grad)
-    del out_phys  # before the tail allocates: held, it raised an n=32 unify's peak RSS 3 %
-    h = _complex_passes(h, n, box)
-    if box is None:
-        h *= grid.dealias_mask
-    return _kernel_output(h, grid, box, project), fmax
+    out = _to_spectral(out_phys)
+    out *= grid.dealias_mask
+    return out, fmax
 
 
-def _advect_divergence(fc: np.ndarray, grid: GridSpec, project: bool = False):
+def _advect_divergence(fc: np.ndarray, grid: GridSpec, project: bool = False,
+                       compact: bool = False):
     """`_advect_arrays(fc, fc, grid, project)` as d_j (u_j u_i): three
     transforms, u in and the six products H_ij = u_i u_j out as two triples,
     (H_00, H_01, H_02) and (H_11, H_12, H_22).
 
-    The term is zero off the 2/3 box, so from n = PRUNE_MIN_N on (and for
-    a u given as its box) each triple's spectrum is formed on the box only
-    (`_complex_passes`), and so are i k_j H_ij and its projection, then
-    scattered unless u came as its box.  On smaller grids the pruning's
-    per-call cost exceeds what it saves, and the term is formed on the whole
-    half spectrum and masked.  Both give a kept mode the same bits and every
-    other mode zero (+0.0 when pruned).
+    The term is zero off the 2/3 box, so from n = PRUNE_MIN_N on, and for a
+    u given as its box (`compact`), each triple's spectrum is formed on the
+    box only (`_complex_passes`), and so are i k_j H_ij and its projection,
+    then scattered unless u is `compact`.  Smaller grids form the term on the
+    whole half spectrum and mask it.  Both give a kept mode the same bits and
+    every other mode zero (+0.0 when pruned).
 
     The first triple is formed in one product buffer, the second over u's
     samples.  Each triple's real pass runs into the work array: the second's
@@ -554,9 +554,8 @@ def _advect_divergence(fc: np.ndarray, grid: GridSpec, project: bool = False):
     lived, or both boxes copied out, raised an n=64 run's peak RSS by 3 %.
     """
     n = grid.n
-    compact = fc.shape[-1] != n // 2 + 1
     box = grid.dealias_box if compact or n >= PRUNE_MIN_N else None
-    up = _to_physical(fc, n)
+    up = _to_physical(fc, n, compact=compact)
     umax = float(np.sqrt((up**2).sum(axis=0)).max())
     prod = np.multiply(up[0], up)
     np.multiply(up[1], up[1], out=up[0])
@@ -577,7 +576,10 @@ def _advect_divergence(fc: np.ndarray, grid: GridSpec, project: bool = False):
     if box is None:
         h1 *= grid.dealias_mask
     h1 *= 1j
-    return _kernel_output(h1, grid, box, project, compact), umax
+    if project:
+        h1 = _leray(h1, grid, box)
+        np.negative(h1, out=h1)
+    return (h1 if box is None or compact else box.scatter(h1, n)), umax
 
 
 def _require_solenoidal(u: SpectralField, what: str):

@@ -747,7 +747,7 @@ def test_galerkin_cutoff_differs_from_full_spectrum_loop_only_in_zero_signs(init
 # ----------------------------------------------------------------------
 # the frame of a run: a band-limited run on a grid from PRUNE_MIN_N on, not
 # divisible by 3, steps on the compact 2/3 box; every other run on the half
-# spectrum.  A patched PRUNE_MIN_N forces the half spectrum, whose stream is
+# spectrum.  A patched `_box_for` forces the half spectrum, whose stream is
 # the reference
 
 
@@ -755,7 +755,7 @@ def _stream(u0, p, cadence, monkeypatch, full=False):
     """The (u, a, h2, wmax) stream of `_states` and the shapes of the states
     it stepped; the half spectrum throughout when `full`."""
     if full:
-        monkeypatch.setattr(solvers, "PRUNE_MIN_N", 10**9)
+        monkeypatch.setattr(solvers, "_box_for", lambda c, f, grid: None)
     shapes = set()
     real_step = solvers._step
 
@@ -851,7 +851,7 @@ def test_a_run_on_the_box_streams_the_half_spectrum_runs_bits(case, monkeypatch)
 def _abort(u0, p, cadence, monkeypatch, full):
     """The abort `run` raises and the number of steps it took."""
     if full:
-        monkeypatch.setattr(solvers, "PRUNE_MIN_N", 10**9)
+        monkeypatch.setattr(solvers, "_box_for", lambda c, f, grid: None)
     calls = count_calls(monkeypatch, "_step")
     with pytest.raises(NumericalAbort) as excinfo:
         run(u0, p, cadence)

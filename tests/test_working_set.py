@@ -64,11 +64,12 @@ def test_an_unpruned_advect_allocates_one_half_spectrum_it_returns():
         return tracer
 
     tracemalloc.start()
+    prev = sys.gettrace()  # a coverage or debugger tracer, restored after
     sys.settrace(tracer)
     try:
         advect(f, f)
     finally:
-        sys.settrace(None)
+        sys.settrace(prev)
         tracemalloc.stop()
     grown = sum(max(b - a, 0) for a, b in zip(kept, kept[1:]))
     real, half = 3 * n**3 * 8, 3 * n * n * (n // 2 + 1) * 16
