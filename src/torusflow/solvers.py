@@ -201,9 +201,9 @@ def _step_multipliers(grid: GridSpec, p: SolverParams) -> _Multipliers:
     return _multipliers(grid, p.nu, p.dt, p.scheme == "mild-duhamel", cutoff)
 
 
-def _advection(c: np.ndarray, grid: GridSpec, f: np.ndarray | None = None):
+def _advection(c: np.ndarray, grid: GridSpec, f: np.ndarray | None = None, arena=None):
     """-P[(u.grad)u] (+ P f when given) of coefficients c (half spectrum or box), and max |u|."""
-    a, umax = _advect_arrays(c, c, grid, project=True)
+    a, umax = _advect_arrays(c, c, grid, project=True, arena=arena)
     return (a if f is None else a + f), umax
 
 
@@ -231,22 +231,23 @@ def cfl_limit(umax: float, grid: GridSpec) -> float:
 
 
 def _step(c: np.ndarray, a0: np.ndarray, umax: float, p: SolverParams, mult: _Multipliers,
-          f: np.ndarray | None, grid: GridSpec, box=None) -> np.ndarray:
+          f: np.ndarray | None, grid: GridSpec, box=None, arena=None) -> np.ndarray:
     """One step of coefficients c, whose advection term is a0 and lattice max
     |u| umax, by the scheme of `mult` (mild when it has phi weights) under
-    forcing f; on the 2/3 box `box` when c, a0, f and `mult` are gathered on it.
-    No divergence check: `run` steps only states it has just settled."""
+    forcing f; on the 2/3 box `box` when c, a0, f and `mult` are gathered on it
+    (the kernel's samples in `arena`).  No divergence check: `run` steps only
+    states it has just settled."""
     limit = cfl_limit(umax, grid)
     if p.dt > limit:
         raise CflViolation(f"dt = {p.dt:g} exceeds advective limit {limit:g}")
     n0 = a0 if f is None else a0 + f
     if mult.dt_phi1 is None:
         decay = mult.decay
-        n1 = _advection(decay * (c + p.dt * n0), grid, f)[0]
+        n1 = _advection(decay * (c + p.dt * n0), grid, f, arena)[0]
         c = decay * c + 0.5 * p.dt * (decay * n0 + n1)
     else:
         predictor = mult.decay * c + mult.dt_phi1 * n0
-        n1 = _advection(predictor, grid, f)[0]
+        n1 = _advection(predictor, grid, f, arena)[0]
         c = predictor + mult.dt_phi2 * (n1 - n0)
     return _settle(c, grid, mult, box)
 
@@ -302,7 +303,10 @@ def _states(u0: SpectralField, p: SolverParams, cadence: int):
     state, from which nothing steps), and u's H^2 norm (the guard's,
     GUARD_NORM_INDEX = 2) and vorticity maximum when the guard computed them
     (None otherwise; the guard may sum an unrecorded state's norm on the 2/3
-    box).  Each state is yielded before the CFL gate of the step from it.
+    box).  Each state is yielded before the CFL gate of the step from it.  On
+    the box the kernel's samples live in an arena (2, 3, n, n, n), dropped before
+    each recorded state's scatter, guard and yield and made again when stepping
+    resumes; held beside a half-spectrum run's arrays, it would raise the peak.
     """
     if cadence < 1:
         raise ValueError("cadence must be >= 1")
@@ -322,16 +326,21 @@ def _states(u0: SpectralField, p: SolverParams, cadence: int):
         kk = box.deriv_k_squared  # = k_squared there
         c, f = box.gather(c), f if f is None else box.gather(f)
         mult = _Multipliers(*(m if m is None else box.gather(m) for m in mult))
-    recorded, wmax = True, None
+    recorded, wmax, arena = True, None, None
     for m in range(1, steps + 1):
-        a, umax = _advection(c, grid)
+        if arena is None and box is not None:
+            arena = np.empty((2, 3, n, n, n))
+        a, umax = _advection(c, grid, arena=arena)
         if recorded:
+            arena = None
             yield u, a if box is None else box.scatter(a, n), hs, wmax
-        c = _step(c, a, umax, p, mult, f, grid, box)
+            arena = None if box is None else np.empty((2, 3, n, n, n))
+        c = _step(c, a, umax, p, mult, f, grid, box, arena)
         del a  # not held through the next state's kernel call
         t = t0 + m * p.dt
         recorded = m % cadence == 0 or m == steps
         if recorded:
+            arena = None
             u = SpectralField(grid, c if box is None else box.scatter(c, n), t)
         hs = wmax = None
         if guard_norm0 > 0.0:

@@ -472,7 +472,8 @@ def divergence_defect(f: SpectralField) -> float:
 # ----------------------------------------------------------------------
 # nonlinearity
 
-def _advect_arrays(fc: np.ndarray, gc: np.ndarray, grid: GridSpec, project: bool = False):
+def _advect_arrays(fc: np.ndarray, gc: np.ndarray, grid: GridSpec, project: bool = False,
+                   arena: np.ndarray | None = None):
     """Dealiased coefficients of (f . grad) g, plus max |f| on the lattice;
     with `project`, of the advection term -P[(f . grad) g] instead.
 
@@ -481,11 +482,11 @@ def _advect_arrays(fc: np.ndarray, gc: np.ndarray, grid: GridSpec, project: bool
     of 15: its products are exact after the 2/3 mask, so it equals the
     convective form up to round-off whenever f is solenoidal.  So does an f
     given as its 2/3 box (`DealiasBox.gather`), whose term stays on the box.
-    Every other input takes the convective form.
+    Every other input takes the convective form, which ignores `arena`.
     """
     compact = fc.shape[-1] != grid.n // 2 + 1
     if gc is fc and (compact or _band_limited(fc, grid.n)):
-        return _advect_divergence(fc, grid, project, compact)
+        return _advect_divergence(fc, grid, project, compact, arena)
     out, fmax = _advect_convective(fc, gc, grid)
     return (-_leray(out, grid) if project else out), fmax
 
@@ -535,7 +536,7 @@ def _advect_convective(fc: np.ndarray, gc: np.ndarray, grid: GridSpec):
 
 
 def _advect_divergence(fc: np.ndarray, grid: GridSpec, project: bool = False,
-                       compact: bool = False):
+                       compact: bool = False, arena: np.ndarray | None = None):
     """`_advect_arrays(fc, fc, grid, project)` as d_j (u_j u_i): three
     transforms, u in and the six products H_ij = u_i u_j out as two triples,
     (H_00, H_01, H_02) and (H_11, H_12, H_22).
@@ -547,21 +548,23 @@ def _advect_divergence(fc: np.ndarray, grid: GridSpec, project: bool = False,
     whole half spectrum and mask it.  Both give a kept mode the same bits and
     every other mode zero (+0.0 when pruned).
 
-    The first triple is formed in one product buffer, the second over u's
-    samples.  Each triple's real pass runs into the work array: the second's
-    spectrum is copied out, the first's runs once u's samples are freed, and
-    the term is formed in the copy.  A box copied out while u's samples
-    lived, or both boxes copied out, raised an n=64 run's peak RSS by 3 %.
+    u's samples (later the second triple) and the first triple are the halves
+    of `arena` (2, 3, n, n, n) when given, else new arrays.  Each triple's real
+    pass runs into the work array; the second's spectrum is copied out (with u's
+    samples freed first, unless in the arena) and the term is formed in the copy.
+    max |u| is sqrt of the max of H_00 + H_11 + H_22, summed in (u**2).sum(axis=0)'s
+    order into the transformed H_12 row: sqrt is monotone and correctly rounded.
     """
     n = grid.n
     box = grid.dealias_box if compact or n >= PRUNE_MIN_N else None
-    up = _to_physical(fc, n, compact=compact)
-    umax = float(np.sqrt((up**2).sum(axis=0)).max())
-    prod = np.multiply(up[0], up)
+    up = _to_physical(fc, n, None if arena is None else arena[0], compact)
+    prod = np.multiply(up[0], up, out=None if arena is None else arena[1])
     np.multiply(up[1], up[1], out=up[0])
     np.multiply(up[1], up[2], out=up[1])
     np.multiply(up[2], up[2], out=up[2])
     work = np.fft.rfft(up, n, axis=-1, norm="forward", out=_scratch((3, n, n, n // 2 + 1)))
+    np.add(prod[0], up[0], out=up[1])
+    umax = math.sqrt(np.add(up[1], up[2], out=up[1]).max())
     del up
     h1 = _complex_passes(work, n, box).copy()
     np.fft.rfft(prod, n, axis=-1, norm="forward", out=work)

@@ -808,7 +808,7 @@ def test_the_box_body_equals_the_full_array_body_on_every_kept_mode(n, kind, pru
     assert np.float64(umax).view(np.uint64) == np.float64(ref_umax).view(np.uint64)
 
 
-@pytest.mark.parametrize("n", [14, 16, 20, 32])
+@pytest.mark.parametrize("n", [14, 16, 20, 32, 64])
 @pytest.mark.parametrize("kind", ["taylor-green", "random"])
 @pytest.mark.parametrize("project", [False, True])
 def test_a_box_input_takes_the_divergence_form_on_the_box(n, kind, project, monkeypatch):
@@ -829,6 +829,29 @@ def test_a_box_input_takes_the_divergence_form_on_the_box(n, kind, project, monk
     assert sum(ffts.values()) == 9
     assert out.shape == c.shape and umax == ref_umax
     assert np.array_equal(out.view(np.uint64), box.gather(ref).view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [16, 20, 32, 64])
+@pytest.mark.parametrize("kind", ["taylor-green", "random"])
+@pytest.mark.parametrize("frame", ["box", "half"])
+@pytest.mark.parametrize("project", [False, True])
+def test_the_divergence_form_in_an_arena_keeps_every_bit(n, kind, frame, project):
+    # a run on the box hands the kernel an arena for u's samples and its first
+    # product triple: the term keeps its bits, signed zeros included, whatever
+    # the arena held, and max |u|, read from the products, is that of numpy's
+    # own samples of u
+    grid = GridSpec(n)
+    u = taylor_green_init(grid).coeffs if kind == "taylor-green" else _band_limited_field(n, n)
+    compact = frame == "box"
+    c = grid.dealias_box.gather(u) if compact else u
+    ref, ref_umax = _advect_divergence(c, grid, project, compact)
+    arena = np.full((2, 3, n, n, n), np.nan)
+    out, umax = _advect_divergence(c, grid, project, compact, arena)
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    up = np.fft.irfftn(u, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+    expected = float(np.sqrt((up**2).sum(axis=0)).max())
+    assert np.float64(umax).view(np.uint64) == np.float64(expected).view(np.uint64)
+    assert np.float64(ref_umax).view(np.uint64) == np.float64(expected).view(np.uint64)
 
 
 @pytest.mark.parametrize("body", ["divergence", "convective"])

@@ -29,7 +29,8 @@ bump mollifier (a grid divisible by 3), the same ``unify`` with a weak
 cutoff (``galerkin_modes = 2``, so three schemes are stepped), an n=8
 shear mild run, n=8 weak-galerkin runs with a cutoff, Taylor-Green runs at
 n=18 (divisible by 3, so stepped on the half spectrum) and, with a cutoff,
-at n=20 (stepped on the 2/3 box), an n=16 random run at cadence 3 (five
+at n=20 (stepped on the 2/3 box), an n=16 Taylor-Green mild run at cadence
+1 (on the box, recording every state), an n=16 random run at cadence 3 (five
 snapshots; the stream hands over the advection terms
 of the first four, and the records pass computes the last one itself),
 n=16 CFL aborts of ``run`` and of ``unify`` (``abort.txt`` and
@@ -87,6 +88,10 @@ EXTRA_CASES = {
     "run-n20-galerkin-taylor-green": {"experiment": "run", "n": 20, "init": "taylor-green",
                                       "scheme": "weak-galerkin", "galerkin_modes": 6.0,
                                       "nu": 0.05, "dt": 1e-3, "t_end": 0.01, "cadence": 3},
+    # on the 2/3 box at cadence 1: the stream drops its arena at every state and makes it again
+    "run-n16-taylor-green-mild": {"experiment": "run", "n": 16, "init": "taylor-green",
+                                  "scheme": "mild-duhamel", "nu": 0.05, "dt": 1e-3,
+                                  "t_end": 0.01, "cadence": 1},
     # steps 0, 3, 6, 9 and 10 recorded: the pass computes only step 10's advection term
     "run-n16-random-cadence3": {"experiment": "run", "n": 16, "init": "random",
                                 "dt": 1e-3, "t_end": 0.01, "cadence": 3},
