@@ -255,19 +255,14 @@ def residual_defects(
         raise TooFewSnapshots("weak residual needs an interior snapshot (at least three)")
     if len(snaps) < 2:
         return [0.0] * len(snaps), [0.0] * len(snaps), 0.0
-    times = traj.times
-    qw = _time_quadrature_weights(times)
-    bump, bump_dt = _time_bump(times)
-    walk = RecordPass(traj.params, (modes, (qw, bump, bump_dt)))
+    walk = RecordPass(traj.params, modes, traj.times)
     for u in snaps:
         walk.push(u)
-
-    span = float(times[-1] - times[0])
-    bump_scale = math.sqrt(sum(w * (b**2 + bdot**2) for w, b, bdot in zip(qw, bump, bump_dt)))
-    weak_defects = (
-        abs(total) / (bump_scale * sobolev_norm(mode, 1.0) * max(span, 1.0))
-        for total, mode in zip(walk.weak, modes)
-    )
+    span = float(snaps[-1].time - snaps[0].time)
+    weights = zip(walk._qw, walk._bump, walk._bump_dt)
+    bump_scale = math.sqrt(sum(w * (b**2 + bdot**2) for w, b, bdot in weights))
+    weak_defects = (abs(total) / (bump_scale * sobolev_norm(mode, 1.0) * max(span, 1.0))
+                    for total, mode in zip(walk.weak, modes))
     return walk.mild, walk.strong, _worst(0.0, *weak_defects)
 
 
@@ -280,23 +275,20 @@ class RecordPass:
     snapshot enters the weak sums and the mild/strong recurrence at once, its
     term computed (`solvers._advection`) when it was not handed over, so the
     pass holds the three snapshots the recurrence still reads and one term.
-    With `weak` None it is a records pass, which keeps each snapshot's
-    scalars (`rows`) for `records`.  Otherwise `weak` is `(modes, (qw, bump,
-    bump_dt))`, the weak test modes and their time weights (quadrature, bump,
-    bump derivative per snapshot), as `residual_defects` passes them; such a
-    pass keeps no rows and takes the solver's stream as well.  A `weak` of
-    another shape raises ValueError here, before the first push.
+    Without `times` it is a records pass, which keeps each snapshot's
+    scalars (`rows`) for `records`.  Given the snapshot `times`, it is the
+    residual pass of `residual_defects` over the weak test `modes`: it builds
+    their time weights (`_time_quadrature_weights`, `_time_bump`) itself,
+    keeps no rows and takes the solver's stream as well.
     """
 
-    def __init__(self, p: SolverParams, weak=None):
-        self.p = p
-        try:
-            self._modes, (self._qw, self._bump, self._bump_dt) = (
-                ((), (None, None, None)) if weak is None else weak)
-        except (TypeError, ValueError):
-            raise ValueError("weak must be (modes, (qw, bump, bump_dt))") from None
+    def __init__(self, p: SolverParams, modes: Sequence[SpectralField] = (), times=None):
+        self.p, self._modes = p, modes
+        if times is not None:
+            self._qw = _time_quadrature_weights(times)
+            self._bump, self._bump_dt = _time_bump(times)
         self.snaps: list[SpectralField | None] = []  # None once the recurrence is past it
-        self.rows: list[DiagnosticsRecord] | None = [] if weak is None else None
+        self.rows: list[DiagnosticsRecord] | None = [] if times is None else None
         self._power: list[float] = []  # <f, u> per row, for the energy identity
         self.mild, self.strong, self.weak = [], [], [0.0] * len(self._modes)
         self._a = None  # the last advection term that entered

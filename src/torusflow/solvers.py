@@ -216,7 +216,7 @@ def _forcing(p: SolverParams, grid: GridSpec) -> np.ndarray | None:
 
 def _settle(c: np.ndarray, grid: GridSpec, mult: _Multipliers, box=None) -> np.ndarray:
     """Coefficients c re-projected, mean-free and cut off, on the 2/3 box when given."""
-    out = _leray(c, grid, box)
+    out = _leray(c, box or grid)
     out[:, 0, 0, 0] = 0.0
     if mult.mask is not None:
         out *= mult.mask

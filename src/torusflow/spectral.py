@@ -265,19 +265,19 @@ def _scratch(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _to_physical(coeffs: np.ndarray, n: int, out: np.ndarray | None = None,
-                 compact: bool = False) -> np.ndarray:
-    """Real samples of a half spectrum, or of a 2/3 box (3, b, b, cols) when
-    `compact`, written into `out` when given; `coeffs` may be the work array
-    itself, whose passes then all run in place.  A box's k1 pass runs on its
-    b x cols columns, its k2 pass on cols columns, each column alone: the bits
-    of the whole passes over the box scattered into a half spectrum."""
+                 box: DealiasBox | None = None) -> np.ndarray:
+    """Real samples of a half spectrum, or of coefficients on the 2/3 box `box`
+    (3, b, b, cols), written into `out` when given; `coeffs` may be the work
+    array itself, whose passes then all run in place.  A box's k1 pass runs on
+    its b x cols columns, its k2 pass on cols columns, each column alone: the
+    bits of the whole passes over the box scattered into a half spectrum."""
     work = _scratch(coeffs.shape[:-3] + (n, n, n // 2 + 1))
-    if not compact:
+    if box is None:
         np.fft.ifft(coeffs, n, axis=-3, norm="forward", out=work)
         np.fft.ifft(work, n, axis=-2, norm="forward", out=work)
     else:
-        b, cols = coeffs.shape[-2:]
-        m = b - cols
+        cols = box.cols
+        m, b = cols - 1, 2 * cols - 1
         work[..., cols:] = 0.0
         half = work[..., :cols]
         half[:, :b, :b] = coeffs
@@ -386,16 +386,10 @@ def leray_project(f: SpectralField) -> SpectralField:
     return f.with_coeffs(_leray(f.coeffs, f.grid))
 
 
-def _leray(c: np.ndarray, grid: GridSpec, box: DealiasBox | None = None) -> np.ndarray:
-    """leray_project on half-spectrum coefficients, or on the 2/3 box `box`."""
-    at = grid if box is None else box
-    return _leray_at(c, at.deriv_wavenumbers, at.deriv_k_squared)
-
-
-def _leray_at(c: np.ndarray, k: tuple[np.ndarray, ...], kk: np.ndarray) -> np.ndarray:
-    """(I - k k^T/|k|^2) c at each mode of c, whose wavenumbers are k (three
-    arrays broadcasting against c[0]) and kk = |k|^2; kk = 0 is left unchanged."""
-    k1, k2, k3 = k
+def _leray(c: np.ndarray, at: GridSpec | DealiasBox) -> np.ndarray:
+    """leray_project, (I - k k^T/|k|^2) c with kk = |k|^2 = 0 left unchanged, on
+    coefficients c of the half spectrum of the grid `at` or on the 2/3 box `at`."""
+    (k1, k2, k3), kk = at.deriv_wavenumbers, at.deriv_k_squared
     kdotc = np.divide(k1 * c[0] + k2 * c[1] + k3 * c[2], kk,
                       out=np.zeros_like(c[0]), where=kk > 0.0)
     out = np.empty_like(c)
@@ -480,22 +474,32 @@ def _advect_arrays(fc: np.ndarray, gc: np.ndarray, grid: GridSpec, project: bool
     A band-limited f advecting itself (`gc is fc`, zero at every mode with
     3 |k_axis| >= n) takes the divergence form, 9 transformed fields instead
     of 15: its products are exact after the 2/3 mask, so it equals the
-    convective form up to round-off whenever f is solenoidal.  So does an f
-    given as its 2/3 box (`DealiasBox.gather`), whose term stays on the box.
-    Every other input takes the convective form, which ignores `arena`.
+    convective form up to round-off whenever f is solenoidal.  An f given as
+    its 2/3 box takes it on the box; from n = PRUNE_MIN_N on, a half spectrum
+    is gathered onto its box (`DealiasBox.gather`), takes it there as a run's
+    state does and has its term scattered back, and on smaller grids it takes
+    it whole.  Every other input takes the convective form, which ignores `arena`.
     """
-    compact = fc.shape[-1] != grid.n // 2 + 1
-    if gc is fc and (compact or _band_limited(fc, grid.n)):
-        return _advect_divergence(fc, grid, project, compact, arena)
+    n = grid.n
+    if fc.shape[-1] != n // 2 + 1:
+        return _advect_divergence(fc, grid, project, grid.dealias_box, arena)
+    if gc is fc and _band_limited(fc, n):
+        if n < PRUNE_MIN_N:
+            return _advect_divergence(fc, grid, project, None, arena)
+        box = grid.dealias_box  # built only for a grid that uses it
+        h, umax = _advect_divergence(box.gather(fc), grid, project, box, arena)
+        return box.scatter(h, n), umax
     out, fmax = _advect_convective(fc, gc, grid)
     return (-_leray(out, grid) if project else out), fmax
 
 
 def _band_limited(c: np.ndarray, n: int) -> bool:
     """Whether the half spectrum c is zero at every mode with 3 |k_axis| >= n.
-    Storage indices m..n-m hold |k| >= m = ceil(n/3) on the full axes, m.. on the half."""
+    Storage indices m..n-m hold |k| >= m = ceil(n/3) on the full axes, m.. on the half;
+    the plane k3 = m is read first: a random datum's tail is refused there, at one plane's cost."""
     m = -(-n // 3)
-    return not (c[..., m:].any() or c[:, :, m:n - m + 1].any() or c[:, m:n - m + 1].any())
+    return not (c[..., m].any() or c[..., m + 1:].any() or c[:, :, m:n - m + 1].any()
+                or c[:, m:n - m + 1].any())
 
 
 def _box_for(c: np.ndarray, f: np.ndarray | None, grid: GridSpec) -> DealiasBox | None:
@@ -536,17 +540,16 @@ def _advect_convective(fc: np.ndarray, gc: np.ndarray, grid: GridSpec):
 
 
 def _advect_divergence(fc: np.ndarray, grid: GridSpec, project: bool = False,
-                       compact: bool = False, arena: np.ndarray | None = None):
+                       box: DealiasBox | None = None, arena: np.ndarray | None = None):
     """`_advect_arrays(fc, fc, grid, project)` as d_j (u_j u_i): three
     transforms, u in and the six products H_ij = u_i u_j out as two triples,
     (H_00, H_01, H_02) and (H_11, H_12, H_22).
 
-    The term is zero off the 2/3 box, so from n = PRUNE_MIN_N on, and for a
-    u given as its box (`compact`), each triple's spectrum is formed on the
-    box only (`_complex_passes`), and so are i k_j H_ij and its projection,
-    then scattered unless u is `compact`.  Smaller grids form the term on the
-    whole half spectrum and mask it.  Both give a kept mode the same bits and
-    every other mode zero (+0.0 when pruned).
+    The term is formed in fc's frame: on the 2/3 box `box` when given (u's
+    samples from the box's columns; each triple's spectrum, i k_j H_ij and its
+    projection on the box only, `_complex_passes`), else on the whole half
+    spectrum, masked.  Both give a kept mode the same bits; off the box the
+    half spectrum's term holds signed zeros.
 
     u's samples (later the second triple) and the first triple are the halves
     of `arena` (2, 3, n, n, n) when given, else new arrays.  Each triple's real
@@ -556,8 +559,7 @@ def _advect_divergence(fc: np.ndarray, grid: GridSpec, project: bool = False,
     order into the transformed H_12 row: sqrt is monotone and correctly rounded.
     """
     n = grid.n
-    box = grid.dealias_box if compact or n >= PRUNE_MIN_N else None
-    up = _to_physical(fc, n, None if arena is None else arena[0], compact)
+    up = _to_physical(fc, n, None if arena is None else arena[0], box)
     prod = np.multiply(up[0], up, out=None if arena is None else arena[1])
     np.multiply(up[1], up[1], out=up[0])
     np.multiply(up[1], up[2], out=up[1])
@@ -570,7 +572,7 @@ def _advect_divergence(fc: np.ndarray, grid: GridSpec, project: bool = False,
     np.fft.rfft(prod, n, axis=-1, norm="forward", out=work)
     del prod
     h = _complex_passes(work, n, box)
-    k1, k2, k3 = (grid if box is None else box).deriv_wavenumbers
+    k1, k2, k3 = (box or grid).deriv_wavenumbers
     # h1 holds (H_11, H_12, H_22) and h (H_00, H_01, H_02): each row of the
     # term is written into h1 after the last read of the row it replaces
     h1[2] = k1 * h[2] + k2 * h1[1] + k3 * h1[2]
@@ -580,9 +582,9 @@ def _advect_divergence(fc: np.ndarray, grid: GridSpec, project: bool = False,
         h1 *= grid.dealias_mask
     h1 *= 1j
     if project:
-        h1 = _leray(h1, grid, box)
+        h1 = _leray(h1, box or grid)
         np.negative(h1, out=h1)
-    return (h1 if box is None or compact else box.scatter(h1, n)), umax
+    return h1, umax
 
 
 def _require_solenoidal(u: SpectralField, what: str):

@@ -593,15 +593,6 @@ def test_one_pass_equals_separate_walks_bitwise(case, shear_traj_fine):
     assert diagnostics.residual_defects(traj) == (ref_mild, ref_strong, 0.0)
 
 
-def test_a_weak_pass_refuses_modes_without_weights_at_construction(grid8):
-    p = SolverParams(nu=0.1, dt=1e-3, t_end=2e-3)
-    modes = weak_test_battery(grid8)
-    # no weights, a None weights slot, and two of the three weight arrays
-    for weak in (modes, (modes, None), (modes, (np.ones(3), np.ones(3)))):
-        with pytest.raises(ValueError, match="weak must be"):
-            RecordPass(p, weak)
-
-
 class _OutOfPlacePass(RecordPass):
     """The records pass with the mild recurrence it had before the integral
     was updated in place: each step builds a new integral and a new diff."""
@@ -660,8 +651,7 @@ def test_the_in_place_mild_recurrence_equals_the_out_of_place_one_bitwise(scheme
     p = _stream_params(scheme, forced, grid)
     traj = run(u0, p, cadence=cadence)
     times, modes = traj.times, weak_test_battery(grid)
-    weights = (diagnostics._time_quadrature_weights(times), *diagnostics._time_bump(times))
-    passes = RecordPass(p, (modes, weights)), _OutOfPlacePass(p, (modes, weights))
+    passes = RecordPass(p, modes, times), _OutOfPlacePass(p, modes, times)
     for walk in passes:
         for u in traj.snapshots:
             walk.push(u)
@@ -757,8 +747,7 @@ def test_a_weak_pass_fed_by_the_stream_equals_the_stored_pass_bitwise(scheme, fo
     p = _stream_params(scheme, forced, grid)
     traj = run(u0, p, cadence=cadence)
     times, modes = traj.times, weak_test_battery(grid)
-    weights = (diagnostics._time_quadrature_weights(times), *diagnostics._time_bump(times))
-    streamed, stored = RecordPass(p, (modes, weights)), RecordPass(p, (modes, weights))
+    streamed, stored = RecordPass(p, modes, times), RecordPass(p, modes, times)
     for u, a, h2, wmax in solvers._states(u0, p, cadence):
         streamed.push(u, a, h2, wmax)
     for u in traj.snapshots:

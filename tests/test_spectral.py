@@ -808,18 +808,19 @@ def test_the_box_body_equals_the_full_array_body_on_every_kept_mode(n, kind, pru
     assert np.float64(umax).view(np.uint64) == np.float64(ref_umax).view(np.uint64)
 
 
-@pytest.mark.parametrize("n", [14, 16, 20, 32, 64])
+@pytest.mark.parametrize("n", [8, 10, 14, 16, 20, 32, 64])
 @pytest.mark.parametrize("kind", ["taylor-green", "random"])
 @pytest.mark.parametrize("project", [False, True])
 def test_a_box_input_takes_the_divergence_form_on_the_box(n, kind, project, monkeypatch):
     # a field given as its 2/3 box (a run's state on the box) has the samples
     # of its half spectrum, bit for bit, and gets back the box of the half
-    # spectrum's term, with no band check and in 9 numpy.fft calls
+    # spectrum's term, with no band check and in 9 numpy.fft calls; below
+    # PRUNE_MIN_N too, where a half spectrum takes the whole body
     grid = GridSpec(n)
     u = taylor_green_init(grid).coeffs if kind == "taylor-green" else _band_limited_field(n, n)
     box = grid.dealias_box
     c = box.gather(u)
-    phys = _to_physical(c, n, compact=True)
+    phys = _to_physical(c, n, box=box)
     assert np.array_equal(phys.view(np.uint64), _to_physical(u, n).view(np.uint64))
     ref, ref_umax = _advect_arrays(u, u, grid, project)
     calls = count_calls(monkeypatch, "_band_limited", "_advect_divergence")
@@ -842,11 +843,11 @@ def test_the_divergence_form_in_an_arena_keeps_every_bit(n, kind, frame, project
     # own samples of u
     grid = GridSpec(n)
     u = taylor_green_init(grid).coeffs if kind == "taylor-green" else _band_limited_field(n, n)
-    compact = frame == "box"
-    c = grid.dealias_box.gather(u) if compact else u
-    ref, ref_umax = _advect_divergence(c, grid, project, compact)
+    box = grid.dealias_box if frame == "box" else None
+    c = u if box is None else box.gather(u)
+    ref, ref_umax = _advect_divergence(c, grid, project, box)
     arena = np.full((2, 3, n, n, n), np.nan)
-    out, umax = _advect_divergence(c, grid, project, compact, arena)
+    out, umax = _advect_divergence(c, grid, project, box, arena)
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
     up = np.fft.irfftn(u, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
     expected = float(np.sqrt((up**2).sum(axis=0)).max())
@@ -921,7 +922,10 @@ def test_the_kernel_takes_the_divergence_form_only_for_a_band_limited_field_adve
     assert sum(ffts.values()) == (9 if taken else 15)
     monkeypatch.undo()
     if taken:
-        ref, ref_umax = _advect_divergence(u, grid)
+        # n = 16 >= PRUNE_MIN_N: the box body on u's box, scattered back
+        box = grid.dealias_box
+        ref, ref_umax = _advect_divergence(box.gather(u), grid, box=box)
+        ref = box.scatter(ref, 16)
     else:
         ref, ref_umax = _advect_convective(u, g, grid)
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64)) and umax == ref_umax

@@ -138,7 +138,7 @@ def test_unify_makes_a_pinned_count_of_each_operation(tmp_path, monkeypatch, gal
                                                       streams):
     steps = 5
     cfg = _config(tmp_path, 8, "random", t_end=steps * 1e-3, galerkin_modes=galerkin_modes)
-    calls = count_calls(monkeypatch, "_states", "_advect_arrays", "_leray_at", "vorticity_max",
+    calls = count_calls(monkeypatch, "_states", "_advect_arrays", "_leray", "vorticity_max",
                         "_band_sum", "_smear")
     fft = count_fft_calls(monkeypatch)
     assert experiments.run_experiment(cfg) == experiments.EXIT_OK
@@ -150,7 +150,7 @@ def test_unify_makes_a_pinned_count_of_each_operation(tmp_path, monkeypatch, gal
     assert calls["_band_sum"] == steps + 1
     assert calls["_smear"] == (steps + 1) * len(cfg.eps_list)
     leray, ffts = UNIFY_TRANSFORMS[galerkin_modes]
-    assert calls["_leray_at"] == leray
+    assert calls["_leray"] == leray
     assert {name: c for name, c in fft.items() if c} == ffts
 
 

@@ -120,9 +120,9 @@ def test_a_run_on_the_box_steps_through_one_arena(frame, monkeypatch):
         monkeypatch.setattr(solvers, "_box_for", lambda c, f, grid: None)
     kernel, arenas = spectral._advect_divergence, []
 
-    def spy(fc, grid, project=False, compact=False, arena=None):
+    def spy(fc, grid, project=False, box=None, arena=None):
         arenas.append(None if arena is None else arena.shape)
-        return kernel(fc, grid, project, compact, arena)
+        return kernel(fc, grid, project, box, arena)
 
     def stream():
         return list(solvers._states(taylor_green_init(grid), p, 10))

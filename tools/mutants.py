@@ -131,6 +131,16 @@ MUTANTS = [
            "        if arena is None and box is not None:\n",
            "        if arena is None:\n",
            "tests/test_working_set.py::test_a_run_on_the_box_steps_through_one_arena[half]"),
+    # the kernel entry's geometry, and the residual pass's own time weights
+    Mutant("half-spectrum-skips-the-gather", SPECTRAL,
+           "if n < PRUNE_MIN_N:",
+           "if True:",
+           "tests/test_spectral.py::"
+           "test_the_box_body_equals_the_full_array_body_on_every_kept_mode[True-taylor-green-16]"),
+    Mutant("residual-weights-bump-for-its-derivative", DIAGNOSTICS,
+           "self._bump, self._bump_dt = _time_bump(times)",
+           "self._bump_dt, self._bump = _time_bump(times)",
+           "tests/test_diagnostics.py::test_one_pass_equals_separate_walks_bitwise[random8]"),
 ]
 
 
