@@ -45,7 +45,7 @@ from .errors import (
     TooFewSnapshots,
 )
 from .operators import MollifierSpec, WeightPartition, _regularized_blend
-from .solvers import SolverParams, Trajectory, _advection
+from .solvers import SolverParams, Trajectory, _advection, _phi1
 from .spectral import (
     GridSpec,
     PhysicalField,
@@ -259,9 +259,7 @@ def residual_defects(
     for u in snaps:
         walk.push(u)
     span = float(snaps[-1].time - snaps[0].time)
-    weights = zip(walk._qw, walk._bump, walk._bump_dt)
-    bump_scale = math.sqrt(sum(w * (b**2 + bdot**2) for w, b, bdot in weights))
-    weak_defects = (abs(total) / (bump_scale * sobolev_norm(mode, 1.0) * max(span, 1.0))
+    weak_defects = (abs(total) / (walk.bump_norm * sobolev_norm(mode, 1.0) * max(span, 1.0))
                     for total, mode in zip(walk.weak, modes))
     return walk.mild, walk.strong, _worst(0.0, *weak_defects)
 
@@ -278,15 +276,20 @@ class RecordPass:
     Without `times` it is a records pass, which keeps each snapshot's
     scalars (`rows`) for `records`.  Given the snapshot `times`, it is the
     residual pass of `residual_defects` over the weak test `modes`: it builds
-    their time weights (`_time_quadrature_weights`, `_time_bump`) itself,
-    keeps no rows and takes the solver's stream as well.
+    their time weights (`_time_quadrature_weights`, `_time_bump`) and the
+    bump's quadrature norm `bump_norm` itself, keeps no rows and takes the
+    solver's stream as well.  Test modes without `times` raise ValueError.
     """
 
     def __init__(self, p: SolverParams, modes: Sequence[SpectralField] = (), times=None):
+        if modes and times is None:
+            raise ValueError("a weak pass over test modes needs the snapshot times")
         self.p, self._modes = p, modes
         if times is not None:
             self._qw = _time_quadrature_weights(times)
             self._bump, self._bump_dt = _time_bump(times)
+            weights = zip(self._qw, self._bump, self._bump_dt)
+            self.bump_norm = math.sqrt(sum(w * (b**2 + bdot**2) for w, b, bdot in weights))
         self.snaps: list[SpectralField | None] = []  # None once the recurrence is past it
         self.rows: list[DiagnosticsRecord] | None = [] if times is None else None
         self._power: list[float] = []  # <f, u> per row, for the energy identity
@@ -369,12 +372,9 @@ class RecordPass:
         expected = self._propagated + integral
         if forcing is not None:
             # steady forcing integrates exactly: int_0^t e^{nu (t-tau) lap} d tau
+            # = t phi1(-nu t |k|^2), which is t wherever nu |k|^2 = 0
             t = u.time - self._t0
-            z = -p.nu * t * k2
-            denom = p.nu * k2
-            safe = np.where(denom > 0.0, denom, 1.0)
-            phi = np.where(denom > 0.0, -np.expm1(z) / safe, t)
-            expected += phi * forcing
+            expected += t * _phi1(-p.nu * t * k2) * forcing
         diff = np.subtract(u.coeffs, expected, out=expected)
         self.mild.append(sobolev_norm(u.with_coeffs(diff), 1.0) / self._scale)
 

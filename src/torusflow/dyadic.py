@@ -1,10 +1,10 @@
 """Dyadic frequency calculus: blocks, Bernstein ratios, paraproducts.
 
-The radial block profile chi is a raised cosine in log2 radius: 1 on
-[2^-1/4, 2^1/4], supported in (2^-3/4, 2^3/4) (inside the dyadic annulus
-[1/2, 2]), with sin^2 / cos^2 ramps arranged so that sum_j chi(2^-j r) = 1
-for every r >= 1.  The k = 0 mode is block -1 of the same per-grid table
-(`block_weights`), so every sum over blocks runs over one dict.
+The radial block profile chi is the band weights' cos^2 ramp in |log2 r|
+(`operators._falling_ramp`): 1 on [2^-1/4, 2^1/4], supported in (2^-3/4,
+2^3/4) inside [1/2, 2], with neighbouring ramps complementary so that
+sum_j chi(2^-j r) = 1 for r >= 1.  The k = 0 mode is block -1 of the same
+per-grid table (`block_weights`), so every sum over blocks runs over one dict.
 """
 
 from __future__ import annotations
@@ -15,16 +15,17 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import IndexOutOfRange, SupportViolation, ZeroField
+from .operators import _falling_ramp
 from .spectral import (
     GridSpec,
     SpectralField,
     _power_sum,
     _read_only,
     _require_solenoidal,
-    _to_physical,
     _worst,
     advect,
     l2_norm,
+    lattice_lp_norm,
     sobolev_norm,
 )
 
@@ -33,16 +34,10 @@ _SUPPORT = 0.75  # log2 half-width of the chi support
 
 
 def chi(r) -> np.ndarray:
-    """Radial block profile evaluated at r = |k| / 2^j."""
+    """Radial block profile at r = |k| / 2^j, 0 at r = 0."""
     r = np.asarray(r, dtype=np.float64)
     t = np.where(r > 0.0, np.log2(np.where(r > 0.0, r, 1.0)), -4.0 * _SUPPORT)
-    out = np.zeros_like(r)
-    out = np.where(np.abs(t) <= _PLATEAU, 1.0, out)
-    rising = (t > -_SUPPORT) & (t < -_PLATEAU)
-    out = np.where(rising, np.sin(np.pi * (t + _SUPPORT)) ** 2, out)
-    falling = (t > _PLATEAU) & (t < _SUPPORT)
-    out = np.where(falling, np.cos(np.pi * (t - _PLATEAU)) ** 2, out)
-    return out
+    return _falling_ramp((np.abs(t) - _PLATEAU) / (_SUPPORT - _PLATEAU))
 
 
 @cache
@@ -77,19 +72,6 @@ def almost_orthogonality_ratio(u: SpectralField) -> float:
     if total == 0.0:
         raise ZeroField("almost-orthogonality ratio of a zero field")
     return _power_sum(u.coeffs, u.grid, sum(w**2 for w in block_weights(u.grid).values())) / total
-
-
-def lattice_lp_norm(f: SpectralField, p: float) -> float:
-    """Volume-normalized lattice L^p norm of the pointwise Euclidean magnitude."""
-    phys = _to_physical(f.coeffs, f.grid.n)
-    mag = np.sqrt((phys**2).sum(axis=0))
-    if p == np.inf:
-        return float(mag.max())
-    if p == 1:
-        return float(mag.mean())
-    if p == 2:
-        return float(np.sqrt((mag**2).mean()))
-    raise ValueError("p must be 1, 2 or inf (lattice quadrature norms)")
 
 
 # per-(alpha, p, q) constants: |alpha| = 1, p = q = 2 carries the annulus

@@ -373,6 +373,20 @@ def physical_l2_norm(f: PhysicalField) -> float:
     return float(np.sqrt(np.sum(f.samples**2) / f.grid.n**3))
 
 
+def lattice_lp_norm(f: SpectralField, p: float) -> float:
+    """Volume-normalized lattice L^p norm (p = 1, 2 or inf) of the pointwise
+    Euclidean magnitude; at p = inf on curl u it is the BKM monitor."""
+    phys = _to_physical(f.coeffs, f.grid.n)
+    mag = np.sqrt((phys**2).sum(axis=0))
+    if p == np.inf:
+        return float(mag.max())
+    if p == 1:
+        return float(mag.mean())
+    if p == 2:
+        return float(np.sqrt((mag**2).mean()))
+    raise ValueError("p must be 1, 2 or inf (lattice quadrature norms)")
+
+
 # ----------------------------------------------------------------------
 # multipliers
 
@@ -440,8 +454,7 @@ def curl(f: SpectralField) -> SpectralField:
 
 def vorticity_max(u: SpectralField) -> float:
     """Lattice maximum of |curl u| (the Beale-Kato-Majda monitor)."""
-    w = _to_physical(curl(u).coeffs, u.grid.n)
-    return float(np.sqrt((w**2).sum(axis=0)).max())
+    return lattice_lp_norm(curl(u), math.inf)
 
 
 def dealias(f: SpectralField) -> SpectralField:

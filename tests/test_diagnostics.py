@@ -236,6 +236,18 @@ def test_residuals_on_manufactured_steady_state(grid8):
     assert mild_residual(traj) <= 1e-10
 
 
+def test_residuals_on_manufactured_inviscid_forced_flow(grid8):
+    # shear is a steady Euler flow, so u = (1 + t) shear with f = shear solves
+    # the inviscid equation; at nu = 0 the forcing's Duhamel factor is t at
+    # every mode (phi1(0) = 1), and the identity holds to the bit
+    sh = shear_init(grid8)
+    p = SolverParams(nu=0.0, dt=1e-2, t_end=0.03, scheme="mild-duhamel", forcing=sh)
+    snaps = [sh.with_coeffs((1.0 + t) * sh.coeffs, time=t) for t in (0.0, 0.01, 0.02, 0.03)]
+    traj = Trajectory(p, snaps)
+    assert mild_residual(traj) == 0.0
+    assert strong_residual(traj) <= 1e-15
+
+
 def test_strong_residual_zero_trajectory(grid8):
     zero = SpectralField.from_full(grid8, np.zeros((3, 8, 8, 8), dtype=complex))
     p = SolverParams(nu=1.0, dt=1e-2, t_end=0.05)
@@ -591,6 +603,12 @@ def test_one_pass_equals_separate_walks_bitwise(case, shear_traj_fine):
     assert mild == ref_mild
     assert strong == ref_strong
     assert diagnostics.residual_defects(traj) == (ref_mild, ref_strong, 0.0)
+
+
+def test_a_weak_pass_refuses_test_modes_without_snapshot_times():
+    p = SolverParams(nu=0.1, dt=1e-3, t_end=2e-3)
+    with pytest.raises(ValueError, match="snapshot times"):
+        RecordPass(p, weak_test_battery(GridSpec(8)))
 
 
 class _OutOfPlacePass(RecordPass):

@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 SOLVERS = "src/torusflow/solvers.py"
 SPECTRAL = "src/torusflow/spectral.py"
 DIAGNOSTICS = "src/torusflow/diagnostics.py"
+DYADIC = "src/torusflow/dyadic.py"
 EXPERIMENTS = "src/torusflow/experiments.py"
 
 MUTANTS = [
@@ -78,8 +79,8 @@ MUTANTS = [
            "tests/test_diagnostics.py::"
            "test_time_quadrature_integrates_linear_functions_on_an_even_node_count[4]"),
     Mutant("vorticity-max-largest-component", SPECTRAL,
-           "return float(np.sqrt((w**2).sum(axis=0)).max())",
-           "return float(np.abs(w).max())",
+           "mag = np.sqrt((phys**2).sum(axis=0))",
+           "mag = np.abs(phys).max(axis=0)",
            "tests/test_diagnostics.py::test_two_component_maxima_are_those_of_the_vector_norm[16]"),
     Mutant("kernel-umax-largest-component", SPECTRAL,
            "np.add(prod[0], up[0], out=up[1])\n"
@@ -93,8 +94,8 @@ MUTANTS = [
            "tests/test_spectral.py::"
            "test_the_box_body_equals_the_full_array_body_on_every_kept_mode[True-taylor-green-16]"),
     Mutant("steady-forcing-duhamel-sign", DIAGNOSTICS,
-           "phi = np.where(denom > 0.0, -np.expm1(z) / safe, t)",
-           "phi = np.where(denom > 0.0, np.expm1(z) / safe, t)",
+           "expected += t * _phi1(",
+           "expected -= t * _phi1(",
            "tests/test_diagnostics.py::test_residuals_on_manufactured_steady_state"),
     Mutant("unify-gaps-to-the-strong-field", EXPERIMENTS,
            "_diff_norm(f, fs[1], 1.0)",
@@ -141,6 +142,16 @@ MUTANTS = [
            "self._bump, self._bump_dt = _time_bump(times)",
            "self._bump_dt, self._bump = _time_bump(times)",
            "tests/test_diagnostics.py::test_one_pass_equals_separate_walks_bitwise[random8]"),
+    Mutant("weak-pass-takes-modes-without-times", DIAGNOSTICS,
+           "        if modes and times is None:\n"
+           "            raise ValueError(\"a weak pass over test modes needs the snapshot times\")\n",
+           "",
+           "tests/test_diagnostics.py::test_a_weak_pass_refuses_test_modes_without_snapshot_times"),
+    # acceptance criteria
+    Mutant("dyadic-profile-one-sided", DYADIC,
+           "_falling_ramp((np.abs(t) - _PLATEAU)",
+           "_falling_ramp((t - _PLATEAU)",
+           "tests/test_acceptance.py::test_criterion_05_littlewood_paley"),
 ]
 
 
